@@ -14,13 +14,13 @@ Exit codes: 0 success/PASS, 1 verification FAIL, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import __version__, massmodel, pctengine, refpotentials
+from . import __version__, massmodel, refpotentials
 from .eigensolver import Grid, overlap, residual_norm, solve_effective_mass
 from .errors import ConfigError, DomainError, PctError
 from .massmodel import MassProfile
@@ -30,12 +30,6 @@ from .refpotentials import make_reference
 SCHEMA_VERSION = 1
 
 _DEFAULT_TOLERANCES = {"energy_rel": 1e-3, "residual": None, "orthonormality": 1e-3}
-
-_REFERENCE_FIELDS = {
-    "morse": ("D", "alpha"),
-    "poschl_teller": ("U0", "alpha"),
-    "hulthen": ("V0", "alpha"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +94,10 @@ def _parse_mass(cfg, path):
 def _parse_reference(cfg, path):
     _require(cfg, path, dict, "an object")
     kind = cfg.get("kind")
-    if kind not in _REFERENCE_FIELDS:
-        _fail(f"{path}.kind", f"must be one of {tuple(_REFERENCE_FIELDS)}")
+    if kind not in refpotentials.REFERENCE_KINDS:
+        _fail(f"{path}.kind", f"must be one of {refpotentials.REFERENCE_KINDS}")
     params = {}
-    for name in _REFERENCE_FIELDS[kind]:
+    for name in (f.name for f in dataclasses.fields(refpotentials.REFERENCES[kind])):
         if name not in cfg:
             _fail(f"{path}.{name}", "is required")
         params[name] = _number(cfg[name], f"{path}.{name}")
@@ -296,9 +290,7 @@ def _verify_one(run):
 
 
 def cmd_verify(config):
-    runs = config["runs"]
-    with ThreadPoolExecutor(max_workers=min(8, len(runs))) as pool:
-        reports = list(pool.map(_verify_one, runs))
+    reports = [_verify_one(run) for run in config["runs"]]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,

@@ -60,10 +60,6 @@ class GridFunction:
             )
         object.__setattr__(self, "values", v)
 
-    def _same_grid(self, other):
-        if self.grid != other.grid:
-            raise GridMismatchError("grid functions live on different grids")
-
 
 @dataclass(frozen=True)
 class EigenResult:

@@ -375,10 +375,11 @@ def _jet_tanh(u):
 
 
 def _jet_coth(u):
-    s = np.sinh(u.value)
-    if np.any(np.abs(np.asarray(s)) < qmath.POLE_THRESHOLD):
+    # 1/tanh stays finite where cosh/sinh would be inf/inf
+    t = np.tanh(u.value)
+    if np.any(np.abs(np.asarray(t)) < qmath.POLE_THRESHOLD):
         raise DomainError("coth evaluated at its pole")
-    ct = np.cosh(u.value) / s
+    ct = 1.0 / t
     csch2 = 1.0 - ct * ct  # = -1/sinh^2
     return _chain(u, ct, csch2, -2.0 * ct * csch2)
 
@@ -393,33 +394,31 @@ def _jet_coshq(u, q):
     return _chain(u, c, s, c)
 
 
+# The ratio jets use qmath's overflow-safe forms (cosh_q^2 - sinh_q^2 = q
+# gives every derivative in terms of the ratios), and qmath raises PoleError
+# at the poles of cothq and cschq.
+
+
 def _jet_tanhq(u, q):
-    s, c = qmath.sinh_q(u.value, q), qmath.cosh_q(u.value, q)
-    t = s / c
-    d1 = q / (c * c)
-    return _chain(u, t, d1, -2.0 * q * s / (c * c * c))
+    t = qmath.tanh_q(u.value, q)
+    d1 = q * qmath.sech_sq_q(u.value, q)
+    return _chain(u, t, d1, -2.0 * t * d1)
 
 
 def _jet_cothq(u, q):
-    s, c = qmath.sinh_q(u.value, q), qmath.cosh_q(u.value, q)
-    if np.any(np.abs(np.asarray(s)) < qmath.POLE_THRESHOLD):
-        raise DomainError("cothq evaluated at its pole")
-    ct = c / s
-    return _chain(u, ct, -q / (s * s), 2.0 * q * c / (s * s * s))
+    ct = qmath.coth_q(u.value, q)
+    d1 = -q * qmath.csch_sq_q(u.value, q)
+    return _chain(u, ct, d1, -2.0 * ct * d1)
 
 
 def _jet_sechq(u, q):
-    s, c = qmath.sinh_q(u.value, q), qmath.cosh_q(u.value, q)
-    c2 = c * c
-    return _chain(u, 1.0 / c, -s / c2, (s * s - q) / (c2 * c))
+    sh, t = qmath.sech_q(u.value, q), qmath.tanh_q(u.value, q)
+    return _chain(u, sh, -t * sh, sh * (t * t - q * sh * sh))
 
 
 def _jet_cschq(u, q):
-    s, c = qmath.sinh_q(u.value, q), qmath.cosh_q(u.value, q)
-    if np.any(np.abs(np.asarray(s)) < qmath.POLE_THRESHOLD):
-        raise DomainError("cschq evaluated at its pole")
-    s2 = s * s
-    return _chain(u, 1.0 / s, -c / s2, (c * c + q) / (s2 * s))
+    cs, ct = qmath.csch_q(u.value, q), qmath.coth_q(u.value, q)
+    return _chain(u, cs, -ct * cs, cs * (ct * ct + q * cs * cs))
 
 
 _PLAIN_FUNCS = {

@@ -10,95 +10,169 @@ plus ``custom`` profiles defined by an expression string evaluated with
 second-order jets.  Each profile carries the strictly increasing mapping
 function f(x) = int sqrt(m) dx (closed form for the built-ins, adaptive
 Simpson for customs) together with its inverse.
+
+Everything this module knows about a built-in family -- its mass jet, f and
+f^{-1}, natural lower bound, y-infimum and q = 1 standard forms -- lives in
+one ``Family`` record in ``FAMILIES``; ``custom`` is the one other path.  The
+overflow-safe q-hyperbolics the closed forms use come from ``qmath``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import exprlang, qmath
 from .errors import ConfigError, DomainError, PctError
 from .exprlang import Jet2
+from .qmath import _ret
 
 ASYMPTOTICALLY_VANISHING = "asymptotically_vanishing"
 TANH_SQ = "tanh_sq"
 COTH_SQ = "coth_sq"
 CUSTOM = "custom"
 
-BUILTIN_KINDS = (ASYMPTOTICALLY_VANISHING, TANH_SQ, COTH_SQ)
-
 _VALIDATION_SAMPLES = 401
 
 
 # ---------------------------------------------------------------------------
-# overflow-safe q-hyperbolics (valid for arbitrarily large |u|)
+# built-in profile families
 
 
-def _tanh_q(u, q):
-    u = np.asarray(u, dtype=float)
-    e = np.exp(-2.0 * np.abs(u))
-    pos = u >= 0
-    out = np.empty_like(e)
-    out[pos] = (1.0 - q * e[pos]) / (1.0 + q * e[pos])
-    out[~pos] = (e[~pos] - q) / (e[~pos] + q)
-    return out
+@dataclass(frozen=True)
+class Family:
+    """Closed forms of one built-in mass family, in terms of (alpha, q)."""
+
+    #: (x, alpha, q) -> (m, m', m'')
+    jet: Callable
+    #: (x, alpha, q) -> f(x) = int sqrt(m) dx
+    forward: Callable
+    #: (y, alpha, q) -> f^{-1}(y), guarded against rounding at its branch
+    inverse: Callable
+    #: (alpha, q) -> natural lower bound of x: the branch point or -inf
+    lower: Callable
+    #: (alpha, q) -> infimum of f, used by y_range when x is unbounded below
+    y_inf: Callable
+    #: (x, alpha) -> (m, f, correction) at q = 1 via plain numpy hyperbolics
+    standard: Callable
 
 
-def _coth_q(u, q):
-    return 1.0 / _tanh_q(u, q)
+def _branch_point(a, q):
+    """Zero ln(q)/(2 alpha) of sinh_q(alpha x)."""
+    return math.log(q) / (2.0 * a)
 
 
-def _inv_cosh_sq_q(u, q):
-    """1/cosh_q(u)^2 without overflow."""
-    u = np.asarray(u, dtype=float)
-    e = np.exp(-2.0 * np.abs(u))
-    pos = u >= 0
-    out = np.empty_like(e)
-    out[pos] = 4.0 * e[pos] / (1.0 + q * e[pos]) ** 2
-    out[~pos] = 4.0 * e[~pos] / (e[~pos] + q) ** 2
-    return out
+def _exp_inverse(y, u, a, arc):
+    """x = arc(e^u)/alpha for u ~ alpha y, switching to the asymptote
+    x = y + ln(2)/alpha where e^u would overflow."""
+    big = u > 350.0
+    arg = np.exp(np.minimum(u, 350.0))
+    return np.where(big, y + math.log(2.0) / a, np.asarray(arc(arg)) / a)
 
 
-def _inv_sinh_sq_q(u, q):
-    """1/sinh_q(u)^2 without overflow (increasing branch, sinh_q != 0)."""
-    u = np.asarray(u, dtype=float)
-    e = np.exp(-2.0 * np.abs(u))
-    pos = u >= 0
-    out = np.empty_like(e)
-    out[pos] = 4.0 * e[pos] / (1.0 - q * e[pos]) ** 2
-    out[~pos] = 4.0 * e[~pos] / (e[~pos] - q) ** 2
-    return out
+def _vanishing_jet(x, a, q):
+    d = x * x + q
+    m = a * a / d
+    m1 = -2.0 * a * a * x / d**2
+    m2 = a * a * (6.0 * x * x - 2.0 * q) / d**3
+    return m, m1, m2
 
 
-def _log_cosh_q(u, q):
-    u = np.asarray(u, dtype=float)
-    e = np.exp(-2.0 * np.abs(u))
-    pos = u >= 0
-    out = np.empty_like(e)
-    out[pos] = u[pos] - math.log(2.0) + np.log1p(q * e[pos])
-    out[~pos] = -u[~pos] - math.log(2.0) + np.log(e[~pos] + q)
-    return out
+def _vanishing_forward(x, a, q):
+    s = np.sqrt(x * x + q)
+    return a * np.where(x >= 0, np.log(x + s), np.log(q) - np.log(s - x))
 
 
-def _log_sinh_q(u, q):
-    """ln sinh_q(u) on the branch where sinh_q > 0 (u > ln(q)/2)."""
-    u = np.asarray(u, dtype=float)
-    e = np.exp(-2.0 * np.abs(u))
-    pos = u >= 0
-    out = np.empty_like(e)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out[pos] = u[pos] - math.log(2.0) + np.log1p(-q * e[pos])
-        out[~pos] = -u[~pos] - math.log(2.0) + np.log(e[~pos] - q)
-    return out
+def _vanishing_standard(x, a):
+    m = a * a / (x * x + 1.0)
+    f = a * np.arcsinh(x)
+    corr = -(1.0 + 1.0 / (x * x + 1.0)) / (8.0 * a * a)
+    return m, f, corr
 
 
-def _maybe_scalar(a):
-    a = np.asarray(a)
-    return float(a) if a.ndim == 0 else a
+def _tanh_sq_jet(x, a, q):
+    u = a * x
+    t = qmath.tanh_q(u, q)
+    ic2 = qmath.sech_sq_q(u, q)
+    m = t * t
+    m1 = 2.0 * a * q * t * ic2
+    m2 = 2.0 * a * a * q * (1.0 - 3.0 * t * t) * ic2
+    return m, m1, m2
+
+
+def _tanh_sq_inverse(y, a, q):
+    # guard rounding just below the branch value e^{alpha y} = sqrt(q)
+    u = np.maximum(a * y, 0.5 * math.log(q))
+    floor = math.sqrt(q) * (1.0 + 4e-16)
+    return _exp_inverse(y, u, a, lambda t: qmath.arccosh_q(np.maximum(t, floor), q))
+
+
+def _tanh_sq_standard(x, a):
+    u = a * x
+    t = np.tanh(u)
+    m = t * t
+    f = (np.abs(u) + np.log1p(np.exp(-2.0 * np.abs(u))) - math.log(2.0)) / a
+    s2 = np.sinh(u) ** 2
+    corr = -(a * a / 2.0) * (1.25 / (s2 * s2) + 1.0 / s2)
+    return m, f, corr
+
+
+def _coth_sq_jet(x, a, q):
+    u = a * x
+    ct = qmath.coth_q(u, q)
+    is2 = qmath.csch_sq_q(u, q)
+    m = ct * ct
+    m1 = -2.0 * a * q * ct * is2
+    m2 = 2.0 * a * a * q * (3.0 * ct * ct - 1.0) * is2
+    return m, m1, m2
+
+
+def _coth_sq_inverse(y, a, q):
+    return _exp_inverse(y, a * y, a, lambda t: qmath.arcsinh_q(t, q))
+
+
+def _coth_sq_standard(x, a):
+    u = a * x
+    t = np.tanh(u)
+    m = 1.0 / (t * t)
+    f = (np.log(np.abs(np.sinh(u)))) / a
+    c2 = np.cosh(u) ** 2
+    s2 = np.sinh(u) ** 2
+    corr = a * a * (2.0 * c2 + 2.0 * s2 - 3.0) / (8.0 * c2 * c2)
+    return m, f, corr
+
+
+FAMILIES = {
+    ASYMPTOTICALLY_VANISHING: Family(
+        jet=_vanishing_jet,
+        forward=_vanishing_forward,
+        inverse=lambda y, a, q: qmath.sinh_q(y / a, q),
+        lower=lambda a, q: -math.inf,
+        y_inf=lambda a, q: -math.inf,
+        standard=_vanishing_standard,
+    ),
+    TANH_SQ: Family(
+        jet=_tanh_sq_jet,
+        forward=lambda x, a, q: qmath.log_cosh_q(a * x, q) / a,
+        inverse=_tanh_sq_inverse,
+        lower=_branch_point,
+        y_inf=lambda a, q: math.log(math.sqrt(q)) / a,  # f at the branch point
+        standard=_tanh_sq_standard,
+    ),
+    COTH_SQ: Family(
+        jet=_coth_sq_jet,
+        forward=lambda x, a, q: qmath.log_sinh_q(a * x, q) / a,
+        inverse=_coth_sq_inverse,
+        lower=_branch_point,
+        y_inf=lambda a, q: -math.inf,  # ln sinh_q -> -inf at the branch point
+        standard=_coth_sq_standard,
+    ),
+}
+
+BUILTIN_KINDS = tuple(FAMILIES)
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +230,6 @@ class MassProfile:
     # constructors ----------------------------------------------------------
 
     @classmethod
-    def asymptotically_vanishing(cls, alpha, q, x_min=None, x_max=None):
-        return cls(ASYMPTOTICALLY_VANISHING, alpha, q, x_min, x_max)
-
-    @classmethod
-    def tanh_sq(cls, alpha, q, x_min=None, x_max=None):
-        return cls(TANH_SQ, alpha, q, x_min, x_max)
-
-    @classmethod
-    def coth_sq(cls, alpha, q, x_min=None, x_max=None):
-        return cls(COTH_SQ, alpha, q, x_min, x_max)
-
-    @classmethod
     def custom(cls, expression, x_min, x_max, parameters=None):
         return cls(
             CUSTOM,
@@ -178,14 +240,14 @@ class MassProfile:
         )
 
     def __post_init__(self):
-        if self.kind not in BUILTIN_KINDS + (CUSTOM,):
-            raise ConfigError(f"unknown mass profile kind {self.kind!r}")
         if self.kind == CUSTOM:
             if self.expression is None:
                 raise ConfigError("custom mass profile requires an expression")
             if self.x_min is None or self.x_max is None:
                 raise ConfigError("custom mass profile requires a finite domain")
             object.__setattr__(self, "_ast", exprlang.parse(self.expression))
+        elif self.kind not in BUILTIN_KINDS:
+            raise ConfigError(f"unknown mass profile kind {self.kind!r}")
         else:
             if not self.alpha > 0:
                 raise ConfigError("mass profile requires alpha > 0")
@@ -206,16 +268,13 @@ class MassProfile:
 
     def branch_point(self) -> Optional[float]:
         """Zero of sinh_q(alpha x) bounding the tanh_sq/coth_sq domains."""
-        if self.kind in (TANH_SQ, COTH_SQ):
-            return math.log(self.q) / (2.0 * self.alpha)
-        return None
+        lo = self.natural_domain()[0]
+        return lo if math.isfinite(lo) else None
 
     def natural_domain(self):
-        if self.kind in (TANH_SQ, COTH_SQ):
-            return (self.branch_point(), math.inf)
         if self.kind == CUSTOM:
             return (-math.inf, math.inf)
-        return (-math.inf, math.inf)
+        return (FAMILIES[self.kind].lower(self.alpha, self.q), math.inf)
 
     def domain(self):
         lo, hi = self.natural_domain()
@@ -261,27 +320,7 @@ class MassProfile:
         """(m, m', m'') at x; closed forms for built-ins, jets for customs."""
         self._check_in_domain(x)
         x = np.asarray(x, dtype=float)
-        a, q = self.alpha, self.q
-        if self.kind == ASYMPTOTICALLY_VANISHING:
-            d = x * x + q
-            m = a * a / d
-            m1 = -2.0 * a * a * x / d**2
-            m2 = a * a * (6.0 * x * x - 2.0 * q) / d**3
-        elif self.kind == TANH_SQ:
-            u = a * x
-            t = _tanh_q(u, q)
-            ic2 = _inv_cosh_sq_q(u, q)
-            m = t * t
-            m1 = 2.0 * a * q * t * ic2
-            m2 = 2.0 * a * a * q * (1.0 - 3.0 * t * t) * ic2
-        elif self.kind == COTH_SQ:
-            u = a * x
-            ct = _coth_q(u, q)
-            is2 = _inv_sinh_sq_q(u, q)
-            m = ct * ct
-            m1 = -2.0 * a * q * ct * is2
-            m2 = 2.0 * a * a * q * (3.0 * ct * ct - 1.0) * is2
-        else:
+        if self.kind == CUSTOM:
             jet = exprlang.eval_jet(self._ast, x, self.parameters)
             # constant sub-expressions collapse to scalars; restore x's shape
             comps = [
@@ -291,7 +330,8 @@ class MassProfile:
                 for c in (jet.value, jet.d1, jet.d2)
             ]
             return Jet2(*comps)
-        return Jet2(_maybe_scalar(m), _maybe_scalar(m1), _maybe_scalar(m2))
+        m, m1, m2 = FAMILIES[self.kind].jet(x, self.alpha, self.q)
+        return Jet2(_ret(m), _ret(m1), _ret(m2))
 
     def mass(self, x):
         return self.mass_jet(x).value
@@ -302,14 +342,6 @@ class MassProfile:
         m, m1, m2 = jet.value, jet.d1, jet.d2
         r = m1 / m
         return (m2 / m - 1.75 * r * r) / (8.0 * m)
-
-
-def mass_jet(profile: MassProfile, x) -> Jet2:
-    return profile.mass_jet(x)
-
-
-def correction_potential(profile: MassProfile, x):
-    return profile.correction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +386,11 @@ class MappingFunction:
         p = self.profile
         p._check_in_domain(x)
         x = np.asarray(x, dtype=float)
-        a, q = p.alpha, p.q
-        if p.kind == ASYMPTOTICALLY_VANISHING:
-            s = np.sqrt(x * x + q)
-            y = a * np.where(x >= 0, np.log(x + s), np.log(q) - np.log(s - x))
-        elif p.kind == TANH_SQ:
-            y = _log_cosh_q(a * x, q) / a
-        elif p.kind == COTH_SQ:
-            y = _log_sinh_q(a * x, q) / a
-        else:
+        if p.kind == CUSTOM:
             y = self._forward_custom(x)
-        return _maybe_scalar(y)
+        else:
+            y = FAMILIES[p.kind].forward(x, p.alpha, p.q)
+        return _ret(y)
 
     def _forward_custom(self, x):
         sqrt_m = lambda t: math.sqrt(float(self.profile.mass(t)))
@@ -386,15 +412,10 @@ class MappingFunction:
         lo, hi = p.domain()
         if p.kind == CUSTOM:
             return float(self._table_f[0]), float(self._table_f[-1])
-        a, q = p.alpha, p.q
         if math.isfinite(lo):
             y_lo = float(self.forward(lo))
-        elif p.kind == ASYMPTOTICALLY_VANISHING:
-            y_lo = -math.inf
-        elif p.kind == TANH_SQ:
-            y_lo = math.log(math.sqrt(q)) / a  # infimum at the branch point
         else:
-            y_lo = -math.inf  # coth_sq: ln sinh_q -> -inf at the branch point
+            y_lo = FAMILIES[p.kind].y_inf(p.alpha, p.q)
         y_hi = float(self.forward(hi)) if math.isfinite(hi) else math.inf
         return y_lo, y_hi
 
@@ -408,33 +429,13 @@ class MappingFunction:
         if np.any(y < y_lo - eps) or np.any(y > y_hi + eps):
             raise DomainError(f"y outside the mapping range [{y_lo}, {y_hi}]")
         p = self.profile
-        a, q = p.alpha, p.q
-        if p.kind == ASYMPTOTICALLY_VANISHING:
-            x = qmath.sinh_q(y / a, q)
-        elif p.kind == TANH_SQ:
-            x = self._inv_exp(y, qmath.arccosh_q)
-        elif p.kind == COTH_SQ:
-            x = self._inv_exp(y, qmath.arcsinh_q)
-        else:
+        if p.kind == CUSTOM:
             x = self._inverse_custom(y)
+        else:
+            x = FAMILIES[p.kind].inverse(y, p.alpha, p.q)
         lo, hi = p.domain()
         x = np.clip(x, lo, hi)
-        return _maybe_scalar(x)
-
-    def _inv_exp(self, y, arc):
-        """x = arc(e^{alpha y})/alpha, switching to the asymptote for large y."""
-        a, q = self.profile.alpha, self.profile.q
-        u = a * np.asarray(y, dtype=float)
-        if arc is qmath.arccosh_q:
-            # guard rounding just below the branch value e^{alpha y} = sqrt(q)
-            u = np.maximum(u, 0.5 * math.log(q))
-            lo_arg = math.sqrt(q) * (1.0 + 4e-16)
-        else:
-            lo_arg = 0.0
-        big = u > 350.0
-        arg = np.maximum(np.exp(np.minimum(u, 350.0)), lo_arg)
-        x = np.where(big, y + math.log(2.0) / a, np.asarray(arc(arg, q)) / a)
-        return x
+        return _ret(x)
 
     def _inverse_custom(self, y):
         flat = np.atleast_1d(y).ravel()
@@ -455,10 +456,3 @@ class MappingFunction:
             out[i] = 0.5 * (lo + hi)
         return out.reshape(np.shape(y))
 
-
-def map_forward(mapping: MappingFunction, x):
-    return mapping.forward(x)
-
-
-def map_inverse(mapping: MappingFunction, y):
-    return mapping.inverse(y)

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from . import massmodel, qmath, refpotentials
+from . import massmodel, qmath
 from .errors import ConfigError, DomainError
 from .massmodel import MappingFunction, MassProfile
-from .refpotentials import HULTHEN, MORSE, POSCHL_TELLER, Hulthen, Morse, PoschlTeller
+from .refpotentials import Hulthen, Morse, PoschlTeller
 
 _DECAY = 1e-8
 
@@ -101,18 +100,6 @@ class TargetSystem:
     @property
     def n_max(self):
         return self.reference.n_max
-
-
-def target_potential_at(ts: TargetSystem, x):
-    return ts.potential(x)
-
-
-def target_energy(ts: TargetSystem, n):
-    return ts.energy(n)
-
-
-def target_wavefunction_at(ts: TargetSystem, n, x):
-    return ts.wavefunction(n, x)
 
 
 # ---------------------------------------------------------------------------
@@ -204,27 +191,7 @@ def standard_profile_values(profile: MassProfile, x):
     if profile.q != 1.0:
         raise ConfigError("standard evaluation requires q = 1")
     x = np.asarray(x, dtype=float)
-    a = profile.alpha
-    if profile.kind == massmodel.ASYMPTOTICALLY_VANISHING:
-        m = a * a / (x * x + 1.0)
-        f = a * np.arcsinh(x)
-        corr = -(1.0 + 1.0 / (x * x + 1.0)) / (8.0 * a * a)
-    elif profile.kind == massmodel.TANH_SQ:
-        u = a * x
-        t = np.tanh(u)
-        m = t * t
-        f = (np.abs(u) + np.log1p(np.exp(-2.0 * np.abs(u))) - math.log(2.0)) / a
-        s2 = np.sinh(u) ** 2
-        corr = -(a * a / 2.0) * (1.25 / (s2 * s2) + 1.0 / s2)
-    else:
-        u = a * x
-        t = np.tanh(u)
-        m = 1.0 / (t * t)
-        f = (np.log(np.abs(np.sinh(u)))) / a
-        c2 = np.cosh(u) ** 2
-        s2 = np.sinh(u) ** 2
-        corr = a * a * (2.0 * c2 + 2.0 * s2 - 3.0) / (8.0 * c2 * c2)
-    return m, f, corr
+    return massmodel.FAMILIES[profile.kind].standard(x, profile.alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +235,3 @@ def printed_target_potential(profile: MassProfile, reference, x):
         base = -reference.V0 / (-1.0 + w)
     return base + corr
 
-
-def discrepancy_table(profile: MassProfile, reference, xs):
-    """Per-point |V_construction - V_printed| plus a MATCH/MISMATCH verdict."""
-    xs = np.asarray(xs, dtype=float)
-    mapping = MappingFunction(profile)
-    ts = TargetSystem(profile, reference, mapping, float(xs.min()), float(xs.max()))
-    v_pipeline = np.asarray(ts.potential(xs), dtype=float)
-    v_printed = np.asarray(printed_target_potential(profile, reference, xs), dtype=float)
-    dev = np.abs(v_pipeline - v_printed)
-    max_dev = float(np.max(dev))
-    verdict = "MATCH" if max_dev < 1e-9 else "MISMATCH"
-    return v_pipeline, v_printed, dev, max_dev, verdict

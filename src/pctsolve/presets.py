@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .eigensolver import Grid
-from .massmodel import MassProfile
-from .pctengine import TargetSystem, suggest_domain
-from .refpotentials import make_reference
+from .massmodel import BUILTIN_KINDS, MassProfile
+from .pctengine import TargetSystem
+from .refpotentials import REFERENCE_KINDS, make_reference
 
 REFERENCE_PARAMS = {
     "morse": {"D": 8.0, "alpha": 1.0},
@@ -37,8 +37,7 @@ REFERENCE_GRIDS = {
     "hulthen": Grid(1e-8, 30.0, 8001),
 }
 
-PROFILE_KINDS = ("asymptotically_vanishing", "tanh_sq", "coth_sq")
-REFERENCE_KINDS = ("morse", "poschl_teller", "hulthen")
+PROFILE_KINDS = BUILTIN_KINDS
 Q_VALUES = (0.5, 1.0, 2.0)
 
 _TANH_HALF_LINE_REASON = (

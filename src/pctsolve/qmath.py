@@ -8,10 +8,18 @@ with tanh_q, coth_q, sech_q, csch_q the obvious ratios; q = 1 recovers the
 standard hyperbolic functions.  The polynomials (generalized Laguerre and
 Jacobi) are evaluated by their ascending three-term recurrences.
 
+cosh_q and sinh_q raise RangeOverflowError when their own values overflow.
+The ratios (tanh_q, coth_q, sech_q, csch_q), the squares sech_sq_q and
+csch_sq_q and the logs log_cosh_q and log_sinh_q factor e^|x| out first and
+stay finite for any |x|; they are the one implementation of these forms,
+shared by massmodel's built-in profiles and exprlang's q-jets.
+
 All functions accept scalars or numpy arrays and are pure.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -59,24 +67,68 @@ def _ratio(name, num, den):
     return _ret(num / den)
 
 
+def _scaled(x, q):
+    """(u, e, c, s) with e = e^{-2|u|}, cosh_q(u) = e^{|u|} c/2 and
+    sinh_q(u) = e^{|u|} s/2: c = 1 + q e, s = 1 - q e for u >= 0 and
+    c = e + q, s = e - q below, bounded for every u."""
+    u = _as_float(x)
+    e = np.exp(-2.0 * np.abs(u))
+    pos = u >= 0
+    qe = q * e
+    c = np.where(pos, 1.0 + qe, e + q)
+    s = np.where(pos, 1.0 - qe, e - q)
+    return u, e, c, s
+
+
 def tanh_q(x, q):
     """sinh_q(x)/cosh_q(x)."""
-    return _ratio("tanh_q", sinh_q(x, q), cosh_q(x, q))
+    _, _, c, s = _scaled(x, q)
+    return _ratio("tanh_q", s, c)
 
 
 def coth_q(x, q):
     """cosh_q(x)/sinh_q(x); pole where sinh_q vanishes (x = ln(q)/2 for q > 0)."""
-    return _ratio("coth_q", cosh_q(x, q), sinh_q(x, q))
+    _, _, c, s = _scaled(x, q)
+    return _ratio("coth_q", 1.0, s / c)
 
 
 def sech_q(x, q):
     """1/cosh_q(x)."""
-    return _ratio("sech_q", 1.0, cosh_q(x, q))
+    u, _, c, _ = _scaled(x, q)
+    return _ratio("sech_q", 2.0 * np.exp(-np.abs(u)), c)
 
 
 def csch_q(x, q):
     """1/sinh_q(x); pole where sinh_q vanishes."""
-    return _ratio("csch_q", 1.0, sinh_q(x, q))
+    u, _, _, s = _scaled(x, q)
+    return _ratio("csch_q", 2.0 * np.exp(-np.abs(u)), s)
+
+
+def sech_sq_q(x, q):
+    """1/cosh_q(x)^2."""
+    _, e, c, _ = _scaled(x, q)
+    return _ratio("sech_sq_q", 4.0 * e, c**2)
+
+
+def csch_sq_q(x, q):
+    """1/sinh_q(x)^2; pole where sinh_q vanishes."""
+    _, e, _, s = _scaled(x, q)
+    return _ratio("csch_sq_q", 4.0 * e, s**2)
+
+
+def log_cosh_q(x, q):
+    """ln cosh_q(x) for q > 0."""
+    u, e, c, _ = _scaled(x, q)
+    return _ret(np.abs(u) - math.log(2.0) + np.where(u >= 0, np.log1p(q * e), np.log(c)))
+
+
+def log_sinh_q(x, q):
+    """ln sinh_q(x) on the branch where sinh_q > 0 (x > ln(q)/2); NaN or -inf
+    elsewhere."""
+    u, e, _, s = _scaled(x, q)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tail = np.where(u >= 0, np.log1p(-q * e), np.log(s))
+    return _ret(np.abs(u) - math.log(2.0) + tail)
 
 
 def arcsinh_q(y, q):

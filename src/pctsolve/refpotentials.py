@@ -29,8 +29,6 @@ MORSE = "morse"
 POSCHL_TELLER = "poschl_teller"
 HULTHEN = "hulthen"
 
-REFERENCE_KINDS = (MORSE, POSCHL_TELLER, HULTHEN)
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -222,24 +220,27 @@ class Hulthen:
         return _normalize_numeric(psi, y)
 
 
+#: the reference classes by kind string; their dataclass fields are the
+#: parameters a config must give
+REFERENCES = {MORSE: Morse, POSCHL_TELLER: PoschlTeller, HULTHEN: Hulthen}
+
+REFERENCE_KINDS = tuple(REFERENCES)
+
+
 def make_reference(kind, **params):
     """Factory keyed by kind string; raises ConfigError for unknown kinds."""
+    if kind not in REFERENCE_KINDS:
+        raise ConfigError(f"unknown reference potential kind {kind!r}")
     try:
-        if kind == MORSE:
-            return Morse(**params)
-        if kind == POSCHL_TELLER:
-            return PoschlTeller(**params)
-        if kind == HULTHEN:
-            return Hulthen(**params)
+        return REFERENCES[kind](**params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for reference {kind!r}: {exc}")
-    raise ConfigError(f"unknown reference potential kind {kind!r}")
 
 
 def spectrum(ref, n_levels=None):
     """Bound-state energies of a reference, lowest first."""
     top = ref.n_max if n_levels is None else min(n_levels - 1, ref.n_max)
     energies = tuple(ref.energy(n) for n in range(top + 1))
-    kind = {Morse: MORSE, PoschlTeller: POSCHL_TELLER, Hulthen: HULTHEN}[type(ref)]
+    kind = next(k for k, cls in REFERENCES.items() if type(ref) is cls)
     params = tuple(sorted(ref.__dict__.items()))
     return Spectrum(energies, kind, params)

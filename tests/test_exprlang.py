@@ -10,6 +10,7 @@ from pctsolve.errors import (
     UnknownFunctionError,
 )
 from pctsolve.exprlang import BinOp, Call, Neg, Num, Param, Var, eval_jet, parse, to_source
+from pctsolve.massmodel import MassProfile
 
 
 def value_at(source, x, params=None):
@@ -140,6 +141,14 @@ class TestJets:
     def test_integer_power_of_negative_base(self):
         jet = eval_jet(parse("x^3"), -2.0)
         assert jet.value == -8.0 and jet.d1 == 12.0 and jet.d2 == -12.0
+
+    def test_coth_far_from_the_origin(self):
+        # cosh/sinh is inf/inf past |u| ~ 710; coth itself is +-1 there
+        jet = eval_jet(parse("coth(x)"), np.array([-800.0, 2.0, 800.0]))
+        assert np.allclose(jet.value, [-1.0, 1.0 / np.tanh(2.0), 1.0])
+        assert np.all(np.isfinite(jet.d1)) and np.all(np.isfinite(jet.d2))
+        profile = MassProfile.custom("coth(x)^2", 1, 800)
+        assert profile.mass(800.0) == pytest.approx(1.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

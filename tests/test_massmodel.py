@@ -71,6 +71,13 @@ class TestMassJets:
 
 
 class TestValidation:
+    def test_q_ratio_expressions_far_from_the_origin(self):
+        # tanhq and cothq stay finite where cosh_q and sinh_q overflow
+        profile = MassProfile.custom("tanhq(x)^2 + 1", -800, 800, {"q": 1})
+        assert np.allclose(profile.mass(np.array([-800.0, 0.0, 800.0])), [2.0, 1.0, 2.0])
+        profile = MassProfile.custom("cothq(x)^2", 1, 800, {"q": 2})
+        assert profile.mass(800.0) == pytest.approx(1.0)
+
     def test_bad_parameters(self):
         with pytest.raises(ConfigError):
             MassProfile("asymptotically_vanishing", -1.0, 1.0)

@@ -67,9 +67,63 @@ class TestDeformedHyperbolics:
         with pytest.raises(RangeOverflowError):
             qmath.cosh_q(800.0, 1.0)
 
+    def test_ratios_finite_where_cosh_q_overflows(self):
+        assert qmath.tanh_q(800.0, 1.0) == 1.0
+        assert qmath.coth_q(800.0, 1.0) == 1.0
+        assert qmath.sech_q(800.0, 1.0) == 0.0
+        assert qmath.csch_q(800.0, 1.0) == 0.0
+        assert qmath.tanh_q(-800.0, 2.0) == -1.0
+
     def test_scalar_in_scalar_out(self):
         assert isinstance(qmath.cosh_q(0.3, 2.0), float)
         assert isinstance(qmath.cosh_q(np.array([0.3]), 2.0), np.ndarray)
+
+
+def _mp_cosh_sinh(x, q):
+    x, q = mpmath.mpf(float(x)), mpmath.mpf(q)
+    ex, emx = mpmath.exp(x), mpmath.exp(-x)
+    return (ex + q * emx) / 2, (ex - q * emx) / 2
+
+
+class TestOverflowSafeForms:
+    """The ratio, square and log forms against 50-digit mpmath, out to
+    |x| = 700 where e^{2x} (and, past 710, e^x) overflows a double."""
+
+    @staticmethod
+    def points(q):
+        xs = np.concatenate([np.linspace(-700, 700, 141), np.linspace(-4, 4, 81)])
+        return xs[np.abs(xs - math.log(q) / 2) >= 0.05]  # clear of the pole
+
+    @staticmethod
+    def check(got, ref, floor):
+        # |got - ref| <= 1e-12 max(|ref|, floor), plus the smallest normal
+        # double where the true value underflows (sech^2 for |x| > ~354)
+        tiny = np.finfo(float).tiny
+        for g, r in zip(np.atleast_1d(got), ref):
+            err = abs(mpmath.mpf(float(g)) - r)
+            assert err <= 1e-12 * max(abs(r), floor) + tiny, (g, r)
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 1.0, 2.0, 8.0])
+    def test_ratios_and_squares_relative_error(self, q):
+        xs = self.points(q)
+        with mpmath.workdps(50):
+            cs = [_mp_cosh_sinh(x, q) for x in xs]
+            self.check(qmath.tanh_q(xs, q), [s / c for c, s in cs], 0.0)
+            self.check(qmath.coth_q(xs, q), [c / s for c, s in cs], 0.0)
+            self.check(qmath.sech_sq_q(xs, q), [1 / c**2 for c, s in cs], 0.0)
+            self.check(qmath.csch_sq_q(xs, q), [1 / s**2 for c, s in cs], 0.0)
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 1.0, 2.0, 8.0])
+    def test_logs(self, q):
+        # the absolute error of ln cosh_q is the relative error of cosh_q,
+        # so near the zero of the log the bound is absolute
+        xs = self.points(q)
+        upper = xs[xs > math.log(q) / 2]
+        with mpmath.workdps(50):
+            ref = [mpmath.log(_mp_cosh_sinh(x, q)[0]) for x in xs]
+            self.check(qmath.log_cosh_q(xs, q), ref, 1.0)
+            ref = [mpmath.log(_mp_cosh_sinh(x, q)[1]) for x in upper]
+            self.check(qmath.log_sinh_q(upper, q), ref, 1.0)
 
 
 class TestInverses:
