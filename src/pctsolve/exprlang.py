@@ -475,37 +475,39 @@ def eval_jet(ast: ExprAst, x, params=None) -> Jet2:
     x may be a scalar or a numpy array; derivatives are exact to floating
     precision (no truncation error).
     """
-    params = params or {}
+    return _ev(ast, x, params or {})
 
-    def ev(node: ExprAst) -> Jet2:
-        if isinstance(node, Num):
-            return _jet(node.value)
-        if isinstance(node, Var):
-            return jet_variable(x)
-        if isinstance(node, Param):
+
+def _ev(node: ExprAst, x, params) -> Jet2:
+    # module-level, not a closure: a self-referencing nested function forms
+    # a reference cycle that keeps x alive until the cyclic GC runs
+    if isinstance(node, Num):
+        return _jet(node.value)
+    if isinstance(node, Var):
+        return jet_variable(x)
+    if isinstance(node, Param):
+        try:
+            return _jet(float(params[node.name]))
+        except KeyError:
+            raise UnboundParameterError(node.name) from None
+    if isinstance(node, Neg):
+        return -_ev(node.operand, x, params)
+    if isinstance(node, Call):
+        u = _ev(node.arg, x, params)
+        if node.func in _Q_FUNCS:
             try:
-                return _jet(float(params[node.name]))
+                q = float(params["q"])
             except KeyError:
-                raise UnboundParameterError(node.name) from None
-        if isinstance(node, Neg):
-            return -ev(node.operand)
-        if isinstance(node, Call):
-            u = ev(node.arg)
-            if node.func in _Q_FUNCS:
-                try:
-                    q = float(params["q"])
-                except KeyError:
-                    raise UnboundParameterError("q") from None
-                return _Q_FUNCS[node.func](u, q)
-            return _PLAIN_FUNCS[node.func](u)
-        if node.op == "+":
-            return ev(node.lhs) + ev(node.rhs)
-        if node.op == "-":
-            return ev(node.lhs) - ev(node.rhs)
-        if node.op == "*":
-            return ev(node.lhs) * ev(node.rhs)
-        if node.op == "/":
-            return ev(node.lhs) / ev(node.rhs)
-        return _jet_pow(ev(node.lhs), ev(node.rhs))
-
-    return ev(ast)
+                raise UnboundParameterError("q") from None
+            return _Q_FUNCS[node.func](u, q)
+        return _PLAIN_FUNCS[node.func](u)
+    lhs, rhs = _ev(node.lhs, x, params), _ev(node.rhs, x, params)
+    if node.op == "+":
+        return lhs + rhs
+    if node.op == "-":
+        return lhs - rhs
+    if node.op == "*":
+        return lhs * rhs
+    if node.op == "/":
+        return lhs / rhs
+    return _jet_pow(lhs, rhs)

@@ -8,8 +8,8 @@ Built-in profiles (alpha > 0, q > 0):
 
 plus ``custom`` profiles defined by an expression string evaluated with
 second-order jets.  Each profile carries the strictly increasing mapping
-function f(x) = int sqrt(m) dx (closed form for the built-ins, adaptive
-Simpson for customs) together with its inverse.
+function f(x) = int sqrt(m) dx (closed form for the built-ins, a
+Gauss-Legendre table for customs) together with its inverse.
 
 Everything this module knows about a built-in family -- its mass jet, f and
 f^{-1}, natural lower bound, y-infimum and q = 1 standard forms -- lives in
@@ -176,38 +176,6 @@ BUILTIN_KINDS = tuple(FAMILIES)
 
 
 # ---------------------------------------------------------------------------
-# adaptive Simpson quadrature (custom mapping functions)
-
-
-def adaptive_simpson(f, a, b, tol=1e-11, max_depth=50):
-    """Adaptive Simpson integral of f over [a, b] to absolute tolerance tol."""
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b, sign = b, a, -1.0
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, xm, f0, fl, f1, left, eps / 2.0, depth + 1) + recurse(
-            xm, x2, f1, fr, f2, right, eps / 2.0, depth + 1
-        )
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return sign * recurse(a, b, fa, fm, fb, whole, tol, 0)
-
-
-# ---------------------------------------------------------------------------
 # mass profiles
 
 
@@ -348,36 +316,72 @@ class MassProfile:
 # mapping functions
 
 
-_INVERSE_TABLE_SIZE = 1025
+#: panels the custom table starts with, its per-panel tolerance (one panel
+#: against its two halves) and the panel count past which it gives up
+_TABLE_PANELS = 1024
+_TABLE_TOL = 1e-11
+_TABLE_MAX_PANELS = 2**17
+#: intervals integrated per mass evaluation (8 nodes each)
+_QUADRATURE_BLOCK = 4096
 _INVERSE_BISECTION_TOL = 1e-12
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _integrate_sqrt_m(profile, a, b):
+    """int_a^b sqrt(m) dx for each pair of the 1-D arrays a, b (8-point
+    Gauss-Legendre), in blocks that bound the size of one mass evaluation."""
+    out = np.empty(a.shape)
+    for s in range(0, a.size, _QUADRATURE_BLOCK):
+        lo = a[s : s + _QUADRATURE_BLOCK, None]
+        hi = b[s : s + _QUADRATURE_BLOCK, None]
+        half = 0.5 * (hi - lo)
+        vals = np.sqrt(profile.mass(0.5 * (lo + hi) + half * _GL_NODES))
+        # an elementwise sum, not a matrix product: BLAS may sum a row in an
+        # order that depends on the number of rows
+        out[s : s + _QUADRATURE_BLOCK] = half[:, 0] * (vals * _GL_WEIGHTS).sum(axis=-1)
+    return out
 
 
 class MappingFunction:
     """The strictly increasing coordinate change y = f(x) with f' = sqrt(m).
 
-    Closed forms for the built-in profiles; adaptive Simpson anchored at the
-    domain midpoint, plus an eagerly built inverse-interpolation table, for
-    custom profiles.
+    Closed forms for the built-in profiles.  A custom profile gets a table of
+    f at uniform knots over its domain, f = 0 at the middle knot: each panel
+    is integrated with 8-point Gauss-Legendre, and the panel count doubles
+    until every panel agrees with the sum of its two halves.  f(x) is the
+    value at the nearest knot plus a Gauss-Legendre integral from that knot
+    to x, and f^{-1} bisects inside the bracketing table interval, all points
+    at once.
     """
 
     def __init__(self, profile: MassProfile):
         self.profile = profile
-        self.anchor = None
-        self._table_x = None
-        self._table_f = None
         if profile.kind == CUSTOM:
             lo, hi = profile.domain()
-            self.anchor = 0.5 * (lo + hi)
-            xs = np.linspace(lo, hi, _INVERSE_TABLE_SIZE)
-            sqrt_m = lambda t: math.sqrt(float(profile.mass(t)))
-            segs = [
-                adaptive_simpson(sqrt_m, xs[i], xs[i + 1])
-                for i in range(len(xs) - 1)
-            ]
-            fs = np.concatenate([[0.0], np.cumsum(segs)])
-            fs -= np.interp(self.anchor, xs, fs)
-            self._table_x = xs
-            self._table_f = fs
+            n = _TABLE_PANELS
+            knots = np.linspace(lo, hi, n + 1)
+            whole = _integrate_sqrt_m(profile, knots[:-1], knots[1:])
+            while True:
+                knots = np.linspace(lo, hi, 2 * n + 1)
+                halves = _integrate_sqrt_m(profile, knots[:-1], knots[1:])
+                if np.all(np.abs(halves[0::2] + halves[1::2] - whole) <= _TABLE_TOL):
+                    break
+                n *= 2
+                if n > _TABLE_MAX_PANELS:
+                    raise PctError(
+                        f"custom mass profile {profile.expression!r}: f = int sqrt(m) dx "
+                        f"does not converge to {_TABLE_TOL:g} per panel within "
+                        f"{_TABLE_MAX_PANELS} panels on [{lo}, {hi}]"
+                    )
+                whole = halves
+            # summed outward from the middle knot, where f = 0, in extended
+            # precision where the platform has it: summed in double, the
+            # 1 024 additions of a 2 049-knot table reach 7 ulp at the ends
+            left = -np.cumsum(halves[n - 1 :: -1], dtype=np.longdouble)[::-1]
+            right = np.cumsum(halves[n:], dtype=np.longdouble)
+            self._knots = knots
+            self._table = np.concatenate([left, [0.0], right]).astype(float)
 
     # forward ---------------------------------------------------------------
 
@@ -386,23 +390,13 @@ class MappingFunction:
         p = self.profile
         p._check_in_domain(x)
         x = np.asarray(x, dtype=float)
-        if p.kind == CUSTOM:
-            y = self._forward_custom(x)
-        else:
-            y = FAMILIES[p.kind].forward(x, p.alpha, p.q)
-        return _ret(y)
-
-    def _forward_custom(self, x):
-        sqrt_m = lambda t: math.sqrt(float(self.profile.mass(t)))
-        flat = np.atleast_1d(x).ravel()
-        order = np.argsort(flat)
-        out = np.empty_like(flat)
-        prev_x, prev_f = self.anchor, 0.0
-        for idx in order:
-            prev_f = prev_f + adaptive_simpson(sqrt_m, prev_x, float(flat[idx]))
-            prev_x = float(flat[idx])
-            out[idx] = prev_f
-        return out.reshape(np.shape(x))
+        if p.kind != CUSTOM:
+            return _ret(FAMILIES[p.kind].forward(x, p.alpha, p.q))
+        flat = x.ravel()
+        k = self._knots
+        j = np.clip(np.rint((flat - k[0]) / (k[1] - k[0])), 0, k.size - 1).astype(np.intp)
+        y = self._table[j] + _integrate_sqrt_m(p, k[j], flat)
+        return _ret(y.reshape(x.shape))
 
     # range -----------------------------------------------------------------
 
@@ -411,7 +405,7 @@ class MappingFunction:
         p = self.profile
         lo, hi = p.domain()
         if p.kind == CUSTOM:
-            return float(self._table_f[0]), float(self._table_f[-1])
+            return float(self._table[0]), float(self._table[-1])
         if math.isfinite(lo):
             y_lo = float(self.forward(lo))
         else:
@@ -430,29 +424,26 @@ class MappingFunction:
             raise DomainError(f"y outside the mapping range [{y_lo}, {y_hi}]")
         p = self.profile
         if p.kind == CUSTOM:
-            x = self._inverse_custom(y)
+            x = self._bisect(y.ravel()).reshape(y.shape)
         else:
             x = FAMILIES[p.kind].inverse(y, p.alpha, p.q)
         lo, hi = p.domain()
         x = np.clip(x, lo, hi)
         return _ret(x)
 
-    def _inverse_custom(self, y):
-        flat = np.atleast_1d(y).ravel()
-        out = np.empty_like(flat)
-        for i, yi in enumerate(flat):
-            j = int(np.searchsorted(self._table_f, yi))
-            j = min(max(j, 1), len(self._table_f) - 1)
-            lo, hi = float(self._table_x[j - 1]), float(self._table_x[j])
-            f_lo = float(self._table_f[j - 1]) - yi
-            for _ in range(200):
-                if hi - lo <= _INVERSE_BISECTION_TOL * (1.0 + abs(lo)):
-                    break
-                mid = 0.5 * (lo + hi)
-                if (float(self.forward(mid)) - yi) * (f_lo if f_lo != 0 else -1.0) > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            out[i] = 0.5 * (lo + hi)
-        return out.reshape(np.shape(y))
-
+    def _bisect(self, y):
+        """Bisection for the 1-D array y inside the bracketing table
+        intervals; each point stops once its own bracket is tight."""
+        j = np.clip(np.searchsorted(self._table, y), 1, self._table.size - 1)
+        lo, hi = self._knots[j - 1], self._knots[j]
+        # the sign f - y takes at the bracket's lower end
+        side = self._table[j - 1] - y
+        side[side == 0] = -1.0
+        while True:
+            act = np.flatnonzero(hi - lo > _INVERSE_BISECTION_TOL * (1.0 + np.abs(lo)))
+            if act.size == 0:
+                return 0.5 * (lo + hi)
+            mid = 0.5 * (lo[act] + hi[act])
+            below = (self.forward(mid) - y[act]) * side[act] > 0
+            lo[act[below]] = mid[below]
+            hi[act[~below]] = mid[~below]

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -137,6 +139,18 @@ class TestJets:
         assert np.allclose(jet.value, np.sin(xs))
         assert np.allclose(jet.d1, np.cos(xs))
         assert np.allclose(jet.d2, -np.sin(xs))
+
+    def test_evaluation_leaves_no_reference_cycle(self):
+        # a cycle would keep x's jets alive until the cyclic GC runs
+        ast = parse("1/(1 + a*x^2)")
+        xs = np.linspace(-80.0, 80.0, 40001)
+        gc.collect()
+        gc.disable()
+        try:
+            eval_jet(ast, xs, {"a": 0.25})
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_integer_power_of_negative_base(self):
         jet = eval_jet(parse("x^3"), -2.0)

@@ -1,11 +1,15 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from pctsolve import exprlang
-from pctsolve.errors import ConfigError, DomainError
-from pctsolve.massmodel import MappingFunction, MassProfile, adaptive_simpson
+from pctsolve.errors import ConfigError, DomainError, PctError
+from pctsolve.massmodel import MappingFunction, MassProfile
+
+#: the custom profile of the README's command-line example
+README_PROFILE = ("1/(1 + a*x^2)", -80.0, 80.0, {"a": 0.25})
 
 BUILTIN_CASES = [
     ("asymptotically_vanishing", 2.0, 0.5),
@@ -157,16 +161,63 @@ class TestMapping:
         assert np.allclose(back, xs, atol=1e-8)
 
 
-class TestQuadrature:
-    def test_polynomial_exact(self):
-        assert adaptive_simpson(lambda t: t * t, 0.0, 3.0) == pytest.approx(9.0)
+    def test_custom_mapping_is_pointwise(self):
+        # f(x) and f^{-1}(y) must not depend on the other points passed along
+        mapping = MappingFunction(MassProfile.custom(*README_PROFILE))
+        xs = np.linspace(-80.0, 80.0, 2001)
+        ys = mapping.forward(xs)
+        back = mapping.inverse(ys)
+        for i in range(0, xs.size, 37):
+            assert mapping.forward(float(xs[i])) == ys[i]
+            assert mapping.inverse(float(ys[i])) == back[i]
 
-    def test_orientation(self):
-        f = lambda t: math.exp(-t)
-        assert adaptive_simpson(f, 1.0, 0.0) == pytest.approx(
-            -adaptive_simpson(f, 0.0, 1.0)
-        )
 
-    def test_oscillatory(self):
-        val = adaptive_simpson(math.sin, 0.0, math.pi, tol=1e-12)
-        assert val == pytest.approx(2.0, abs=1e-10)
+def _mp_integral(sqrt_m, x, breaks=()):
+    """30-digit int_0^x sqrt_m dt, split at the given breakpoints."""
+    with mp.workdps(30):
+        inner = [b for b in breaks if min(0.0, x) < b < max(0.0, x)]
+        pts = [mp.mpf(v) for v in sorted([0.0, x, *inner])]
+        val = mp.quad(sqrt_m, pts)
+        return float(val if x >= 0 else -val)
+
+
+def _bump_sqrt_m(t):
+    return mp.sqrt(1 + 50 * mp.exp(-(((t - mp.mpf("0.05")) / mp.mpf("0.01")) ** 2)))
+
+
+class TestCustomTable:
+    """The tabulated f of custom profiles (f = 0 at the domain midpoint 0)
+    against closed forms and mpmath quadrature."""
+
+    CASES = {
+        "readme": (
+            README_PROFILE,
+            np.linspace(-80.0, 80.0, 23),
+            lambda x: math.asinh(0.5 * x) / 0.5,
+        ),
+        "sine": (
+            ("1 + 0.5*sin(x)", -3.0, 3.0, {}),
+            np.linspace(-3.0, 3.0, 23),
+            lambda x: _mp_integral(lambda t: mp.sqrt(1 + mp.sin(t) / 2), x),
+        ),
+        "narrow-bump": (
+            ("1 + 50*exp(-((x - 0.05)/0.01)^2)", -80.0, 80.0, {}),
+            np.array([-80.0, -3.0, 0.0, 0.03, 0.05, 0.0537, 0.07, 0.1, 7.0, 80.0]),
+            lambda x: _mp_integral(_bump_sqrt_m, x, breaks=(0.02, 0.05, 0.08)),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_forward_and_roundtrip_against_oracle(self, case):
+        args, xs, f_ref = self.CASES[case]
+        mapping = MappingFunction(MassProfile.custom(*args))
+        ys = mapping.forward(xs)
+        assert np.max(np.abs(ys - [f_ref(x) for x in xs])) <= 1e-12
+        # the bisection stops at a bracket of 1e-12 (1 + |x|)
+        back = mapping.inverse(ys)
+        assert np.all(np.abs(back - xs) <= 1e-12 * (1.0 + np.abs(xs)))
+
+    def test_unresolvable_profile_raises(self):
+        profile = MassProfile.custom("1 + 0.5*sin(1e4*x)", -80.0, 80.0)
+        with pytest.raises(PctError, match="sin"):
+            MappingFunction(profile)
