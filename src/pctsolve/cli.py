@@ -190,14 +190,12 @@ def _fmt(v):
     return "%.17g" % float(v)
 
 
-def _normalized_states(ts, grid, levels):
-    xs = grid.points
-    out = []
-    for n in range(levels):
-        psi = np.asarray(ts.wavefunction(n, xs), dtype=float)
-        norm = np.sqrt(np.trapezoid(psi * psi, dx=grid.h))
-        out.append(psi / norm)
-    return out
+def _grid_fields(ts, grid, levels):
+    """The target's fields on the grid and its states Psi_0..Psi_{levels-1}
+    scaled to unit trapezoid norm."""
+    fields = ts.fields(grid.points, range(levels))
+    states = [psi / np.sqrt(np.trapezoid(psi * psi, dx=grid.h)) for psi in fields.states]
+    return fields, states
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +213,8 @@ def cmd_transform(config):
         header = ["x", "m", "f", "V"] + [f"psi{n}" for n in range(levels)]
         lines.append(",".join(header))
         xs = grid.points
-        m = np.asarray(ts.profile.mass(xs), dtype=float)
-        f = np.asarray(ts.mapping.forward(xs), dtype=float)
-        v = np.asarray(ts.potential(xs), dtype=float)
-        states = _normalized_states(ts, grid, levels)
+        fields, states = _grid_fields(ts, grid, levels)
+        m, f, v = fields.mass, fields.f, fields.potential
         for i in range(grid.n_points):
             row = [xs[i], m[i], f[i], v[i]] + [s[i] for s in states]
             lines.append(",".join(_fmt(c) for c in row))
@@ -231,8 +227,8 @@ def _verify_one(run):
     xs = grid.points
     mid = 0.5 * (xs[:-1] + xs[1:])
     m_mid = np.asarray(ts.profile.mass(mid), dtype=float)
-    m = np.asarray(ts.profile.mass(xs), dtype=float)
-    v = np.asarray(ts.potential(xs), dtype=float)
+    fields, states = _grid_fields(ts, grid, levels)
+    m, v = fields.mass, fields.potential
     result = solve_effective_mass(grid, m_mid, v, levels)
     tol = run["tolerances"]
     report = {"name": run["name"], "levels": [], "pass": True}
@@ -245,7 +241,6 @@ def _verify_one(run):
             {"n": n, "closed_form": exact, "numerical": num, "rel_error": rel, "pass": ok}
         )
         report["pass"] = report["pass"] and ok
-    states = _normalized_states(ts, grid, levels)
     residuals = []
     for n in range(levels):
         # restrict to where the state carries amplitude: outside that window
@@ -279,12 +274,9 @@ def _verify_one(run):
     report["pass"] = report["pass"] and dev < tol["orthonormality"]
     if run["check_q1_reduction"]:
         m_std, f_std, corr_std = standard_profile_values(ts.profile, xs)
-        f_dev = np.max(np.abs(f_std - np.asarray(ts.mapping.forward(xs), float)))
+        f_dev = np.max(np.abs(f_std - fields.f))
         m_dev = np.max(np.abs(m_std - m) / (1.0 + np.abs(m_std)))
-        c_dev = np.max(
-            np.abs(corr_std - np.asarray(ts.profile.correction(xs), float))
-            / (1.0 + np.abs(corr_std))
-        )
+        c_dev = np.max(np.abs(corr_std - fields.correction) / (1.0 + np.abs(corr_std)))
         report["q1_reduction_max_dev"] = float(max(f_dev, m_dev, c_dev))
     return report
 

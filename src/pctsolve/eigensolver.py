@@ -6,17 +6,20 @@ position-dependent-mass problem in kinetic ordering
     -(1/2) d/dx [ (1/m) d psi/dx ] + V psi = E psi
 
 are discretized on a uniform grid with Dirichlet ends.  The flux form keeps
-the matrix symmetric tridiagonal, so the lowest eigenpairs come from
-scipy's bisection/inverse-iteration tridiagonal solver.
+the matrix symmetric tridiagonal.  A solve finds the lowest eigenvalues by
+bisection alone (LAPACK ``stebz``); the eigenvectors cost an inverse
+iteration on top of that, so they are computed on the first access to
+``EigenResult.states`` and never for a caller that reads only the energies.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import ArgumentError, ConfigError, GridMismatchError
 
@@ -63,12 +66,40 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Lowest eigenpairs: energies ascending, states L2-normalized columns."""
+    """Lowest eigenvalues of a tridiagonal problem, ascending, and its states.
+
+    ``states`` holds the matching eigenvectors as L2-normalized columns of
+    shape (n_points, n_levels), zero at both ends, each signed so that its
+    first appreciable sample is positive.  They are computed on first access
+    (the eigenvalues stay the ones already found) and then kept.
+    """
 
     grid: Grid
     energies: np.ndarray
-    states: np.ndarray  # shape (n_points, n_levels)
     scheme: str
+    #: the interior matrix: diagonal and off-diagonal
+    diag: np.ndarray
+    off: np.ndarray
+
+    @functools.cached_property
+    def states(self):
+        n_levels = self.energies.size
+        _, vecs = eigh_tridiagonal(
+            self.diag, self.off, select="i", select_range=(0, n_levels - 1)
+        )
+        h = self.grid.h
+        states = np.zeros((self.grid.n_points, n_levels))
+        for k in range(n_levels):
+            v = vecs[:, k]
+            interior = np.concatenate([[0.0], v, [0.0]])
+            norm = math.sqrt(np.trapezoid(interior * interior, dx=h))
+            interior /= norm
+            # deterministic sign: first appreciable sample positive
+            idx = np.argmax(np.abs(interior) > 1e-8 * np.max(np.abs(interior)))
+            if interior[idx] < 0:
+                interior = -interior
+            states[:, k] = interior
+        return states
 
     def state(self, n):
         return self.states[:, n]
@@ -77,22 +108,8 @@ class EigenResult:
 def _solve_tridiagonal(grid, diag, off, n_levels, scheme):
     if n_levels < 1:
         raise ArgumentError("n_levels must be >= 1")
-    vals, vecs = eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, n_levels - 1)
-    )
-    h = grid.h
-    states = np.zeros((grid.n_points, n_levels))
-    for k in range(n_levels):
-        v = vecs[:, k]
-        interior = np.concatenate([[0.0], v, [0.0]])
-        norm = math.sqrt(np.trapezoid(interior * interior, dx=h))
-        interior /= norm
-        # deterministic sign: first appreciable sample positive
-        idx = np.argmax(np.abs(interior) > 1e-8 * np.max(np.abs(interior)))
-        if interior[idx] < 0:
-            interior = -interior
-        states[:, k] = interior
-    return EigenResult(grid, vals, states, scheme)
+    vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1))
+    return EigenResult(grid, vals, scheme, diag, off)
 
 
 def solve_constant_mass(grid, potential_values, n_levels):

@@ -306,10 +306,14 @@ class MassProfile:
 
     def correction(self, x):
         """PCT correction potential (1/8m)[m''/m - (7/4)(m'/m)^2]."""
-        jet = self.mass_jet(x)
-        m, m1, m2 = jet.value, jet.d1, jet.d2
-        r = m1 / m
-        return (m2 / m - 1.75 * r * r) / (8.0 * m)
+        return jet_correction(self.mass_jet(x))
+
+
+def jet_correction(jet: Jet2):
+    """The correction potential (1/8m)[m''/m - (7/4)(m'/m)^2] of a mass jet."""
+    m, m1, m2 = jet.value, jet.d1, jet.d2
+    r = m1 / m
+    return (m2 / m - 1.75 * r * r) / (8.0 * m)
 
 
 # ---------------------------------------------------------------------------

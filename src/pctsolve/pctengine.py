@@ -30,6 +30,18 @@ _DECAY = 1e-8
 
 
 @dataclass(frozen=True)
+class Fields:
+    """A target system sampled at x (see ``TargetSystem.fields``)."""
+
+    mass: object
+    f: object
+    correction: object
+    potential: object
+    #: unnormalized Psi_n(x), one per requested level
+    states: tuple
+
+
+@dataclass(frozen=True)
 class TargetSystem:
     """An exactly solvable position-dependent-mass problem on [x_min, x_max]."""
 
@@ -71,13 +83,24 @@ class TargetSystem:
         if np.any(x < self.x_min - eps) or np.any(x > self.x_max + eps):
             raise DomainError("x outside the target system domain")
 
+    def fields(self, x, levels=()):
+        """m, f, the correction, V and the unnormalized Psi_n for each n in
+        ``levels``, all at x from one mass jet and one f(x)."""
+        self._check_x(x)
+        jet = self.profile.mass_jet(x)
+        f = self.mapping.forward(x)
+        y = np.maximum(f, 1e-300) if isinstance(self.reference, Hulthen) else f
+        corr = massmodel.jet_correction(jet)
+        m = np.asarray(jet.value, dtype=float)
+        states = tuple(
+            m**0.25 * np.asarray(self.reference.eigenfunction(n, y), dtype=float)
+            for n in levels
+        )
+        return Fields(m, f, corr, self.reference.potential(y) + corr, states)
+
     def potential(self, x):
         """V_ref(f(x)) plus the mass-induced correction."""
-        self._check_x(x)
-        y = self.mapping.forward(x)
-        if isinstance(self.reference, Hulthen):
-            y = np.maximum(y, 1e-300)
-        return self.reference.potential(y) + self.profile.correction(x)
+        return self.fields(x).potential
 
     def energy(self, n):
         """E_n of the target: the reference energy, exactly."""
@@ -85,12 +108,7 @@ class TargetSystem:
 
     def wavefunction(self, n, x):
         """Unnormalized Psi_n(x) = m(x)^{1/4} Phi_n(f(x))."""
-        self._check_x(x)
-        m = np.asarray(self.profile.mass(x), dtype=float)
-        y = self.mapping.forward(x)
-        if isinstance(self.reference, Hulthen):
-            y = np.maximum(y, 1e-300)
-        return m**0.25 * np.asarray(self.reference.eigenfunction(n, y), dtype=float)
+        return self.fields(x, (n,)).states[0]
 
     def weight(self, x):
         """The transformation weight g(x) = (f'/m)^{1/2} = m^{-1/4}."""

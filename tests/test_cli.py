@@ -1,3 +1,4 @@
+import collections
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from pctsolve import cli
 from pctsolve.errors import ConfigError
+from pctsolve.massmodel import MappingFunction, MassProfile
 from pctsolve.refpotentials import PoschlTeller
 
 
@@ -104,6 +106,43 @@ class TestVerify:
         assert cli.main(["verify", cfg, "-o", str(out)]) == 0
         report = json.loads(out.read_text())
         assert [r["name"] for r in report["runs"]] == ["asym-morse", "coth-pt"]
+
+
+class TestWorkCounts:
+    """Each grid-sized field is evaluated once per run."""
+
+    N = 2001
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Count mass-jet and f(x) calls, keyed by (method, number of points)."""
+        counts = collections.Counter()
+        for cls, name in ((MassProfile, "mass_jet"), (MappingFunction, "forward")):
+            def counted(self, x, _fn=getattr(cls, name), _name=name):
+                counts[_name, np.size(x)] += 1
+                return _fn(self, x)
+
+            monkeypatch.setattr(cls, name, counted)
+        return counts
+
+    def config(self):
+        run = basic_run(grid={"n_points": self.N, "levels": 3}, check_q1_reduction=True)
+        return cli.load_config(json.dumps({"schema_version": 1, "runs": [run]}))
+
+    def test_verify(self, monkeypatch):
+        config = self.config()
+        counts = self.count_calls(monkeypatch)
+        cli.cmd_verify(config)
+        assert counts["mass_jet", self.N] == 1
+        assert counts["mass_jet", self.N - 1] == 1
+        assert counts["forward", self.N] == 1
+
+    def test_transform(self, monkeypatch):
+        config = self.config()
+        counts = self.count_calls(monkeypatch)
+        cli.cmd_transform(config)
+        assert counts["mass_jet", self.N] == 1
+        assert counts["forward", self.N] == 1
 
 
 class TestTransform:

@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
+from pctsolve import cli, eigensolver
 from pctsolve.eigensolver import (
     Grid,
     GridFunction,
@@ -131,3 +134,58 @@ class TestResidual:
         a = residual_norm(grid, psi, -1.0, m, v, mass_d1=m1)
         b = residual_norm(grid, psi, -1.0, m, v)
         assert a == pytest.approx(b, rel=1e-6)
+
+
+class TestLazyStates:
+    """Energies come from bisection alone; eigenvectors only on demand."""
+
+    @staticmethod
+    def problem():
+        grid = Grid(-8.0, 8.0, 3001)
+        mid = 0.5 * (grid.points[:-1] + grid.points[1:])
+        m = 1.0 + 0.5 / (1.0 + mid * mid)
+        v = 0.5 * grid.points**2
+        a = 1.0 / m
+        h = grid.h
+        diag = (a[:-1] + a[1:]) / (2.0 * h * h) + v[1:-1]
+        off = -a[1:-1] / (2.0 * h * h)
+        return grid, m, v, diag, off
+
+    def test_energies_are_the_eigenpair_solver_values(self):
+        grid, m, v, diag, off = self.problem()
+        res = solve_effective_mass(grid, m, v, 4)
+        vals, _ = eigh_tridiagonal(diag, off, select="i", select_range=(0, 3))
+        assert np.array_equal(res.energies, vals)
+
+    def test_states_match_eager_eigenvectors(self):
+        grid, m, v, diag, off = self.problem()
+        res = solve_effective_mass(grid, m, v, 4)
+        _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 3))
+        expected = np.zeros((grid.n_points, 4))
+        for k in range(4):
+            psi = np.concatenate([[0.0], vecs[:, k], [0.0]])
+            psi /= math.sqrt(np.trapezoid(psi * psi, dx=grid.h))
+            idx = np.argmax(np.abs(psi) > 1e-8 * np.max(np.abs(psi)))
+            if psi[idx] < 0:
+                psi = -psi
+            expected[:, k] = psi
+        assert np.array_equal(res.states, expected)
+        assert res.states is res.states
+        assert np.array_equal(res.state(2), expected[:, 2])
+
+    def test_verify_never_computes_eigenvectors(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigenvectors computed")
+
+        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", refuse)
+        run = {
+            "name": "coth-pt",
+            "mass": {"kind": "coth_sq", "alpha": 1.0, "q": 2.0},
+            "reference": {"kind": "poschl_teller", "U0": 6.0, "alpha": 1.0},
+            "grid": {"n_points": 2001, "levels": 3},
+        }
+        config = cli.load_config(json.dumps({"schema_version": 1, "runs": [run]}))
+        text, code = cli.cmd_verify(config)
+        assert code == 0 and json.loads(text)["pass"] is True
+        with pytest.raises(AssertionError, match="eigenvectors computed"):
+            solve_constant_mass(Grid(0.0, 1.0, 64), np.zeros(64), 1).states

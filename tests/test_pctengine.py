@@ -94,6 +94,45 @@ class TestTargetSystem:
         assert float(ts.potential(x)) == pytest.approx(expected, rel=1e-14)
 
 
+class TestFields:
+    """One field evaluation gives the same bits as composing V and Psi_n from
+    separate mass, f and correction evaluations."""
+
+    @pytest.mark.parametrize(
+        "profile, reference, domain",
+        [
+            (MassProfile("coth_sq", 1.0, 2.0), PT_REF, None),
+            (MassProfile("asymptotically_vanishing", 8.0, 1.0), HULTHEN_REF, None),
+            (MassProfile.custom("1/(1 + a*x^2)", -20.0, 20.0, {"a": 0.25}), MORSE_REF, None),
+        ],
+    )
+    def test_matches_separate_evaluations(self, profile, reference, domain):
+        ts = TargetSystem.build(profile, reference, domain)
+        xs = np.linspace(ts.x_min, ts.x_max, 301)
+        fields = ts.fields(xs, range(3))
+        f = ts.mapping.forward(xs)
+        y = np.maximum(f, 1e-300) if isinstance(reference, Hulthen) else f
+        corr = profile.correction(xs)
+        m = np.asarray(profile.mass(xs), dtype=float)
+        assert np.array_equal(fields.mass, m)
+        assert np.array_equal(fields.f, f)
+        assert np.array_equal(fields.correction, corr)
+        assert np.array_equal(fields.potential, reference.potential(y) + corr)
+        assert np.array_equal(ts.potential(xs), fields.potential)
+        for n in range(3):
+            psi = m**0.25 * np.asarray(reference.eigenfunction(n, y), dtype=float)
+            assert np.array_equal(fields.states[n], psi)
+            assert np.array_equal(ts.wavefunction(n, xs), psi)
+
+    def test_scalar_x(self):
+        ts = TargetSystem.build(MassProfile("tanh_sq", 0.5, 1.0), MORSE_REF, (1.0, 10.0))
+        fields = ts.fields(2.25, (0,))
+        assert np.ndim(fields.potential) == 0 and np.ndim(fields.states[0]) == 0
+        assert fields.potential == ts.potential(2.25)
+        with pytest.raises(DomainError):
+            ts.fields(11.0)
+
+
 class TestAlgebraIdentity:
     def test_constant_mass_residual_zero(self):
         # finite-difference floor, not exact zero: the mapping for a custom
