@@ -229,7 +229,7 @@ def _verify_one(run):
     m_mid = np.asarray(ts.profile.mass(mid), dtype=float)
     fields, states = _grid_fields(ts, grid, levels)
     m, v = fields.mass, fields.potential
-    result = solve_effective_mass(grid, m_mid, v, levels)
+    result = solve_effective_mass(grid, m_mid, v, levels, guesses=states)
     tol = run["tolerances"]
     report = {"name": run["name"], "levels": [], "pass": True}
     for n in range(levels):

@@ -3,8 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
-from pctsolve import cli
+from pctsolve import cli, eigensolver, presets
 from pctsolve.errors import ConfigError
 from pctsolve.massmodel import MappingFunction, MassProfile
 from pctsolve.refpotentials import PoschlTeller
@@ -29,6 +30,45 @@ def basic_run(**overrides):
 
 def basic_config(**overrides):
     return {"schema_version": 1, "runs": [basic_run(**overrides)]}
+
+
+#: the two runs of the README's "Command line" config
+README_RUNS = [
+    {
+        "name": "coth-pt",
+        "mass": {"kind": "coth_sq", "alpha": 1.0, "q": 2.0},
+        "reference": {"kind": "poschl_teller", "U0": 6.0, "alpha": 1.0},
+        "grid": {"n_points": 20001, "levels": 3},
+    },
+    {
+        "name": "custom",
+        "mass": {
+            "kind": "custom",
+            "expression": "1/(1 + a*x^2)",
+            "parameters": {"a": 0.25},
+            "domain": [-80.0, 80.0],
+        },
+        "reference": {"kind": "morse", "D": 8.0, "alpha": 1.0},
+        "grid": {"n_points": 40001, "levels": 3},
+    },
+]
+
+
+def preset_run(spec):
+    """The config run of a ``presets.ComboSpec``."""
+    mass = {"kind": spec.profile_kind, "alpha": spec.mass_alpha, "q": spec.q}
+    if spec.domain is not None:
+        mass["domain"] = list(spec.domain)
+    return {
+        "name": spec.name,
+        "mass": mass,
+        "reference": {"kind": spec.reference_kind, **presets.REFERENCE_PARAMS[spec.reference_kind]},
+        "grid": {"n_points": spec.n_points, "levels": 3},
+    }
+
+
+def load_runs(runs):
+    return cli.load_config(json.dumps({"schema_version": 1, "runs": runs}))
 
 
 class TestConfigValidation:
@@ -143,6 +183,52 @@ class TestWorkCounts:
         cli.cmd_transform(config)
         assert counts["mass_jet", self.N] == 1
         assert counts["forward", self.N] == 1
+
+    @pytest.mark.parametrize(
+        "runs",
+        [README_RUNS, [preset_run(spec) for spec in presets.default_combos()]],
+        ids=["readme", "default-combos"],
+    )
+    def test_verify_certifies_without_bisection(self, monkeypatch, runs):
+        """The analytic states seed the eigensolve: one Sturm count per run
+        and no bisection."""
+        config = load_runs(runs)
+        counts = collections.Counter()
+        for name in ("eigvalsh_tridiagonal", "dstebz"):
+            def counted(*args, _fn=getattr(eigensolver, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(eigensolver, name, counted)
+        text, code = cli.cmd_verify(config)
+        assert code == 0 and json.loads(text)["pass"] is True
+        assert counts["eigvalsh_tridiagonal"] == 0
+        assert counts["dstebz"] == len(runs)
+
+
+class TestVerifyAccuracy:
+    """The reported energies are the matrix's eigenvalues, not bisection's
+    ulp * ||T||_1 approximations of them (about 4e-4 on tanh_sq x Hulthen,
+    whose matrix norm is 1.9e12)."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [preset_run(presets.combo("tanh_sq", "hulthen", 1.0)), README_RUNS[1]],
+        ids=["tanh_sq-hulthen-q1", "readme-custom"],
+    )
+    def test_energies_match_tight_bisection(self, monkeypatch, run):
+        solved = []
+
+        def spy(*args, _fn=cli.solve_effective_mass, **kwargs):
+            solved.append(_fn(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(cli, "solve_effective_mass", spy)
+        text, _ = cli.cmd_verify(load_runs([run]))
+        reported = [level["numerical"] for level in json.loads(text)["runs"][0]["levels"]]
+        (res,) = solved
+        tight = eigvalsh_tridiagonal(res.diag, res.off, select="i", select_range=(0, 2), tol=1e-13)
+        np.testing.assert_allclose(reported, tight, rtol=1e-9, atol=0)
 
 
 class TestTransform:

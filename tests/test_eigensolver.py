@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigh_tridiagonal
+from numpy.polynomial.hermite import hermval
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from pctsolve import cli, eigensolver
 from pctsolve.eigensolver import (
@@ -189,3 +190,86 @@ class TestLazyStates:
         assert code == 0 and json.loads(text)["pass"] is True
         with pytest.raises(AssertionError, match="eigenvectors computed"):
             solve_constant_mass(Grid(0.0, 1.0, 64), np.zeros(64), 1).states
+
+
+class TestCertifiedRefinement:
+    """Guessed states are refined by Rayleigh-quotient iteration; the result
+    is used only when certified, and otherwise the solve is the bisection
+    path unchanged."""
+
+    LEVELS = 4
+
+    @staticmethod
+    def problem():
+        grid = Grid(-8.0, 8.0, 1001)
+        mid = 0.5 * (grid.points[:-1] + grid.points[1:])
+        m = 1.0 + 0.5 / (1.0 + mid * mid)
+        return grid, m, 0.5 * grid.points**2
+
+    @staticmethod
+    def hermite_functions(grid, levels):
+        """The constant-mass oscillator states: close to, not equal to, the
+        position-dependent-mass states of ``problem``."""
+        x = grid.points
+        return [hermval(x, np.eye(n + 1)[n]) * np.exp(-0.5 * x * x) for n in levels]
+
+    @staticmethod
+    def count_sturm_calls(monkeypatch):
+        counts = []
+
+        def counted(*args, _fn=eigensolver.dstebz):
+            out = _fn(*args)
+            counts.append(out[0])
+            return out
+
+        monkeypatch.setattr(eigensolver, "dstebz", counted)
+        return counts
+
+    def assert_fell_back(self, guesses):
+        grid, m, v = self.problem()
+        res = solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses)
+        plain = solve_effective_mass(grid, m, v, self.LEVELS)
+        assert np.array_equal(res.energies, plain.energies)
+
+    def test_good_guesses_give_the_tight_bisection_values(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fell back to bisection")
+
+        grid, m, v = self.problem()
+        guesses = self.hermite_functions(grid, range(self.LEVELS))
+        counts = self.count_sturm_calls(monkeypatch)
+        monkeypatch.setattr(eigensolver, "eigvalsh_tridiagonal", refuse)
+        res = solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses)
+        tight = eigvalsh_tridiagonal(
+            res.diag, res.off, select="i", select_range=(0, self.LEVELS - 1), tol=1e-13
+        )
+        np.testing.assert_allclose(res.energies, tight, rtol=1e-12, atol=0)
+        assert counts == [self.LEVELS]
+
+    def test_guesses_missing_the_ground_state_fail(self, monkeypatch):
+        grid, _, _ = self.problem()
+        counts = self.count_sturm_calls(monkeypatch)
+        self.assert_fell_back(self.hermite_functions(grid, range(1, self.LEVELS + 1)))
+        # the refined states are the next levels up: one eigenvalue too many
+        assert counts == [self.LEVELS + 1]
+
+    def test_duplicate_guesses_fail(self, monkeypatch):
+        grid, _, _ = self.problem()
+        counts = self.count_sturm_calls(monkeypatch)
+        self.assert_fell_back(self.hermite_functions(grid, (0, 1, 1, 2)))
+        # two intervals hold the same eigenvalue: rejected before counting
+        assert counts == []
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0])
+    def test_unusable_guess_falls_back(self, monkeypatch, bad):
+        grid, _, _ = self.problem()
+        guesses = self.hermite_functions(grid, range(self.LEVELS))
+        guesses[2] = np.full(grid.n_points, bad)
+        counts = self.count_sturm_calls(monkeypatch)
+        self.assert_fell_back(guesses)
+        assert counts == []
+
+    def test_guess_shape_checked(self):
+        grid, m, v = self.problem()
+        with pytest.raises(GridMismatchError):
+            solve_effective_mass(grid, m, v, 2, guesses=self.hermite_functions(grid, range(3)))
