@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__, massmodel, refpotentials
-from .eigensolver import Grid, overlap, residual_norm, solve_effective_mass
+from .eigensolver import Grid, d1_numerator, overlap, residual_norm, solve_effective_mass
 from .errors import ConfigError, DomainError, PctError
 from .massmodel import MassProfile
 from .pctengine import TargetSystem, printed_target_potential, standard_profile_values
@@ -242,6 +242,10 @@ def _verify_one(run):
         )
         report["pass"] = report["pass"] and ok
     residuals = []
+    # m' by residual_norm's own stencil: its numerator once per run, divided
+    # in each window by that window's h (which may differ from grid.h in the
+    # last bit)
+    dm = d1_numerator(m)
     for n in range(levels):
         # restrict to where the state carries amplitude: outside that window
         # the residual only measures V * (numerically zero) near domain walls
@@ -257,13 +261,19 @@ def _verify_one(run):
         i0 = max(int(live[0]) - 2, 0)
         i1 = min(int(live[-1]) + 3, grid.n_points)
         sub = Grid(xs[i0], xs[i1 - 1], i1 - i0)
-        r = residual_norm(sub, psi[i0:i1], energy, m[i0:i1], v[i0:i1])
+        m1 = np.full(i1 - i0, np.nan)
+        m1[2:-2] = dm[i0 : i1 - 4] / (12 * sub.h)
+        r = residual_norm(sub, psi[i0:i1], energy, m[i0:i1], v[i0:i1], mass_d1=m1)
         residuals.append(r / peak)
     report["residual_norms"] = residuals
     if tol["residual"] is not None:
         ok = all(r is not None and r < tol["residual"] for r in residuals)
         report["pass"] = report["pass"] and ok
-    gram = [[overlap(grid, a, b) for b in states] for a in states]
+    # <a|b> = <b|a> bit for bit: each product a*b is commutative
+    gram = [[0.0] * levels for _ in range(levels)]
+    for i in range(levels):
+        for j in range(i, levels):
+            gram[i][j] = gram[j][i] = overlap(grid, states[i], states[j])
     dev = max(
         abs(gram[i][j] - (1.0 if i == j else 0.0))
         for i in range(levels)

@@ -252,12 +252,19 @@ def solve_effective_mass(grid, mass_at_midpoints, potential_values, n_levels, gu
     return _solve_tridiagonal(grid, diag, off, n_levels, "flux-form", guesses)
 
 
+def d1_numerator(values):
+    """12 h times the 4th-order central first derivative of uniform samples,
+    at the interior nodes 2..n-3 (the stencil ``residual_norm`` uses)."""
+    f = values
+    return -f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]
+
+
 def _fd_derivatives(values, h):
     """Interior 4th-order first and second derivatives of uniform samples."""
     f = values
     d1 = np.full_like(f, np.nan)
     d2 = np.full_like(f, np.nan)
-    d1[2:-2] = (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * h)
+    d1[2:-2] = d1_numerator(f) / (12 * h)
     d2[2:-2] = (-f[4:] + 16 * f[3:-1] - 30 * f[2:-2] + 16 * f[1:-3] - f[:-4]) / (
         12 * h * h
     )
@@ -267,9 +274,9 @@ def _fd_derivatives(values, h):
 def residual_norm(grid, psi, energy, mass_values, potential_values, mass_d1=None):
     """RMS residual of psi'' - (m'/m) psi' + 2 m (E - V) psi on interior nodes.
 
-    Derivatives of psi (and of m, unless ``mass_d1`` supplies them
-    analytically) use 4th-order central differences; the outermost two nodes
-    on each side are excluded.
+    Derivatives of psi (and of m, unless ``mass_d1`` supplies them at the
+    interior nodes) use 4th-order central differences; the outermost two
+    nodes on each side are excluded.
     """
     psi = np.asarray(psi, dtype=float)
     m = np.asarray(mass_values, dtype=float)

@@ -2,10 +2,10 @@
 
 A small grammar over the independent variable ``x`` and named parameters,
 with exact first and second derivatives obtained by forward-mode
-second-order jets.  Supported functions: exp, ln, sqrt, sin, cos, sinh,
-cosh, tanh, coth and the q-deformed sinhq, coshq, tanhq, cothq, sechq,
-cschq (the deformation parameter is read from the parameter table entry
-``q``).  Precedence: ``^`` (right-assoc) > unary minus > ``* /`` > ``+ -``.
+second-order jets (``eval_jet``), or the value alone (``eval_value``).
+Supported functions: exp, ln, sqrt, sin, cos, sinh, cosh, tanh, coth and the
+q-deformed sinhq, coshq, tanhq, cothq, sechq, cschq (the deformation
+parameter is read from the parameter table entry ``q``).  Precedence: ``^`` (right-assoc) > unary minus > ``* /`` > ``+ -``.
 """
 
 from __future__ import annotations
@@ -316,10 +316,59 @@ def jet_variable(x) -> Jet2:
     return Jet2(x if x.ndim else float(x), one if x.ndim else 1.0, 0.0 * one if x.ndim else 0.0)
 
 
-def _jet_div(u: Jet2, v: Jet2) -> Jet2:
-    if np.any(np.abs(np.asarray(v.value)) == 0.0):
+# Each function's value formula and domain check is written once, as the
+# value function below; its jet computes the value through it, so the value
+# walk and the jets agree bit for bit and raise the same errors wherever the
+# value itself is undefined.
+
+
+def _divide(a, b):
+    if np.any(np.abs(np.asarray(b)) == 0.0):
         raise DomainError("division by zero in expression")
-    w = u.value / v.value
+    return a / b
+
+
+def _ln(v):
+    if np.any(np.asarray(v) <= 0):
+        raise DomainError("ln of a non-positive value")
+    return np.log(v)
+
+
+def _sqrt(v):
+    if np.any(np.asarray(v) <= 0):
+        raise DomainError("sqrt of a non-positive value")
+    return np.sqrt(v)
+
+
+def _coth(v):
+    # 1/tanh stays finite where cosh/sinh would be inf/inf
+    t = np.tanh(v)
+    if np.any(np.abs(np.asarray(t)) < qmath.POLE_THRESHOLD):
+        raise DomainError("coth evaluated at its pole")
+    return 1.0 / t
+
+
+def _integer_exponent(k):
+    """k as an int when it is a whole-number scalar, else None."""
+    return int(k) if np.ndim(k) == 0 and float(k).is_integer() else None
+
+
+def _power(b, k):
+    """b^k for an exponent k constant in x: the value of the power jet."""
+    n = _integer_exponent(k)
+    if n is None:
+        if np.any(np.asarray(b) <= 0):
+            raise DomainError("non-integer power of a non-positive base")
+        return b**k
+    if n == 0:
+        return 1.0 + 0.0 * b  # keeps b's shape
+    if n < 0:
+        return _divide(1.0, b ** (-n))
+    return b**n
+
+
+def _jet_div(u: Jet2, v: Jet2) -> Jet2:
+    w = _divide(u.value, v.value)
     w1 = (u.d1 - w * v.d1) / v.value
     w2 = (u.d2 - 2.0 * w1 * v.d1 - w * v.d2) / v.value
     return Jet2(w, w1, w2)
@@ -335,16 +384,12 @@ def _jet_exp(u):
 
 
 def _jet_ln(u):
-    if np.any(np.asarray(u.value) <= 0):
-        raise DomainError("ln of a non-positive value")
     v = u.value
-    return _chain(u, np.log(v), 1.0 / v, -1.0 / (v * v))
+    return _chain(u, _ln(v), 1.0 / v, -1.0 / (v * v))
 
 
 def _jet_sqrt(u):
-    if np.any(np.asarray(u.value) <= 0):
-        raise DomainError("sqrt of a non-positive value")
-    r = np.sqrt(u.value)
+    r = _sqrt(u.value)
     return _chain(u, r, 0.5 / r, -0.25 / (r * u.value))
 
 
@@ -375,11 +420,7 @@ def _jet_tanh(u):
 
 
 def _jet_coth(u):
-    # 1/tanh stays finite where cosh/sinh would be inf/inf
-    t = np.tanh(u.value)
-    if np.any(np.abs(np.asarray(t)) < qmath.POLE_THRESHOLD):
-        raise DomainError("coth evaluated at its pole")
-    ct = 1.0 / t
+    ct = _coth(u.value)
     csch2 = 1.0 - ct * ct  # = -1/sinh^2
     return _chain(u, ct, csch2, -2.0 * ct * csch2)
 
@@ -421,52 +462,52 @@ def _jet_cschq(u, q):
     return _chain(u, cs, -ct * cs, cs * (ct * ct + q * cs * cs))
 
 
+#: name -> (value function, jet function)
 _PLAIN_FUNCS = {
-    "exp": _jet_exp,
-    "ln": _jet_ln,
-    "sqrt": _jet_sqrt,
-    "sin": _jet_sin,
-    "cos": _jet_cos,
-    "sinh": _jet_sinh,
-    "cosh": _jet_cosh,
-    "tanh": _jet_tanh,
-    "coth": _jet_coth,
+    "exp": (np.exp, _jet_exp),
+    "ln": (_ln, _jet_ln),
+    "sqrt": (_sqrt, _jet_sqrt),
+    "sin": (np.sin, _jet_sin),
+    "cos": (np.cos, _jet_cos),
+    "sinh": (np.sinh, _jet_sinh),
+    "cosh": (np.cosh, _jet_cosh),
+    "tanh": (np.tanh, _jet_tanh),
+    "coth": (_coth, _jet_coth),
 }
 
+# the value functions are qmath's own, looked up at call time as in the jets,
+# so a wrapper installed on qmath (perfbench's tracer) sees every call
 _Q_FUNCS = {
-    "sinhq": _jet_sinhq,
-    "coshq": _jet_coshq,
-    "tanhq": _jet_tanhq,
-    "cothq": _jet_cothq,
-    "sechq": _jet_sechq,
-    "cschq": _jet_cschq,
+    "sinhq": (lambda v, q: qmath.sinh_q(v, q), _jet_sinhq),
+    "coshq": (lambda v, q: qmath.cosh_q(v, q), _jet_coshq),
+    "tanhq": (lambda v, q: qmath.tanh_q(v, q), _jet_tanhq),
+    "cothq": (lambda v, q: qmath.coth_q(v, q), _jet_cothq),
+    "sechq": (lambda v, q: qmath.sech_q(v, q), _jet_sechq),
+    "cschq": (lambda v, q: qmath.csch_q(v, q), _jet_cschq),
 }
+
+
+def _exponent_constant(v: Jet2) -> bool:
+    return bool(np.all(np.asarray(v.d1) == 0.0) and np.all(np.asarray(v.d2) == 0.0))
 
 
 def _jet_pow(u: Jet2, v: Jet2) -> Jet2:
-    exponent_constant = (
-        np.all(np.asarray(v.d1) == 0.0) and np.all(np.asarray(v.d2) == 0.0)
-    )
-    if exponent_constant:
-        k = v.value
-        k_scalar = float(np.asarray(k).reshape(-1)[0]) if np.asarray(k).ndim else float(k)
-        if float(k_scalar).is_integer() and np.ndim(k) == 0:
-            n = int(k_scalar)
-            if n == 0:
-                return _jet(1.0) + 0.0 * u  # keeps array shape
-            if n < 0:
-                return _jet(1.0) / _jet_pow(u, _jet(float(-n)))
-            f0 = u.value ** n
-            f1 = n * u.value ** (n - 1)
-            f2 = n * (n - 1) * (u.value ** (n - 2) if n >= 2 else 0.0)
-            return _chain(u, f0, f1, f2)
-        if np.any(np.asarray(u.value) <= 0):
-            raise DomainError("non-integer power of a non-positive base")
-        f0 = u.value ** k
+    if not _exponent_constant(v):
+        return _jet_exp(v * _jet_ln(u))
+    k = v.value
+    n = _integer_exponent(k)
+    if n == 0:
+        return _jet(1.0) + 0.0 * u  # keeps array shape
+    if n is not None and n < 0:
+        return _jet(1.0) / _jet_pow(u, _jet(float(-n)))
+    f0 = _power(u.value, k)
+    if n is None:
         f1 = k * u.value ** (k - 1.0)
         f2 = k * (k - 1.0) * u.value ** (k - 2.0)
-        return _chain(u, f0, f1, f2)
-    return _jet_exp(v * _jet_ln(u))
+    else:
+        f1 = n * u.value ** (n - 1)
+        f2 = n * (n - 1) * (u.value ** (n - 2) if n >= 2 else 0.0)
+    return _chain(u, f0, f1, f2)
 
 
 def eval_jet(ast: ExprAst, x, params=None) -> Jet2:
@@ -478,6 +519,23 @@ def eval_jet(ast: ExprAst, x, params=None) -> Jet2:
     return _ev(ast, x, params or {})
 
 
+def eval_value(ast: ExprAst, x, params=None):
+    """The value of ``eval_jet(ast, x, params)`` alone, without derivatives.
+
+    Bit-identical to the jet's value, and raises the same error wherever the
+    value itself is undefined; an error only a derivative would hit (for
+    example at a pole of m' alone) is left to ``eval_jet``.
+    """
+    return _val(ast, x, params or {})
+
+
+def _param(params, name):
+    try:
+        return float(params[name])
+    except KeyError:
+        raise UnboundParameterError(name) from None
+
+
 def _ev(node: ExprAst, x, params) -> Jet2:
     # module-level, not a closure: a self-referencing nested function forms
     # a reference cycle that keeps x alive until the cyclic GC runs
@@ -486,21 +544,14 @@ def _ev(node: ExprAst, x, params) -> Jet2:
     if isinstance(node, Var):
         return jet_variable(x)
     if isinstance(node, Param):
-        try:
-            return _jet(float(params[node.name]))
-        except KeyError:
-            raise UnboundParameterError(node.name) from None
+        return _jet(_param(params, node.name))
     if isinstance(node, Neg):
         return -_ev(node.operand, x, params)
     if isinstance(node, Call):
         u = _ev(node.arg, x, params)
         if node.func in _Q_FUNCS:
-            try:
-                q = float(params["q"])
-            except KeyError:
-                raise UnboundParameterError("q") from None
-            return _Q_FUNCS[node.func](u, q)
-        return _PLAIN_FUNCS[node.func](u)
+            return _Q_FUNCS[node.func][1](u, _param(params, "q"))
+        return _PLAIN_FUNCS[node.func][1](u)
     lhs, rhs = _ev(node.lhs, x, params), _ev(node.rhs, x, params)
     if node.op == "+":
         return lhs + rhs
@@ -511,3 +562,38 @@ def _ev(node: ExprAst, x, params) -> Jet2:
     if node.op == "/":
         return lhs / rhs
     return _jet_pow(lhs, rhs)
+
+
+def _val(node: ExprAst, x, params):
+    """_ev's value alone; same evaluation order, so the same first error."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        x = np.asarray(x, dtype=float)
+        return x if x.ndim else float(x)
+    if isinstance(node, Param):
+        return _param(params, node.name)
+    if isinstance(node, Neg):
+        return -_val(node.operand, x, params)
+    if isinstance(node, Call):
+        u = _val(node.arg, x, params)
+        if node.func in _Q_FUNCS:
+            return _Q_FUNCS[node.func][0](u, _param(params, "q"))
+        return _PLAIN_FUNCS[node.func][0](u)
+    lhs = _val(node.lhs, x, params)
+    if node.op == "^":
+        # the power jet's branch depends on the exponent's derivatives, so
+        # the exponent is a jet (a scalar one unless it contains x); an
+        # exponent that varies with x sends the whole power through the jet
+        rhs = _ev(node.rhs, x, params)
+        if _exponent_constant(rhs):
+            return _power(lhs, rhs.value)
+        return _jet_pow(_ev(node.lhs, x, params), rhs).value
+    rhs = _val(node.rhs, x, params)
+    if node.op == "+":
+        return lhs + rhs
+    if node.op == "-":
+        return lhs - rhs
+    if node.op == "*":
+        return lhs * rhs
+    return _divide(lhs, rhs)

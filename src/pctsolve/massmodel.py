@@ -7,14 +7,19 @@ Built-in profiles (alpha > 0, q > 0):
 * ``coth_sq``                   m(x) = coth_q(alpha x)^2, on x > ln(q)/(2 alpha);
 
 plus ``custom`` profiles defined by an expression string evaluated with
-second-order jets.  Each profile carries the strictly increasing mapping
-function f(x) = int sqrt(m) dx (closed form for the built-ins, a
-Gauss-Legendre table for customs) together with its inverse.
+second-order jets.  ``MassProfile.mass`` gives m alone (a closed form, or
+the expression's value walk) to the callers that need no derivative: the
+mapping, the eigensolver's midpoint masses and the weight m^{-1/4};
+``MassProfile.mass_jet`` gives (m, m', m'').  Each profile carries the
+strictly increasing mapping function f(x) = int sqrt(m) dx (closed form for
+the built-ins, a Gauss-Legendre table for customs) together with its
+inverse.
 
-Everything this module knows about a built-in family -- its mass jet, f and
-f^{-1}, natural lower bound, y-infimum and q = 1 standard forms -- lives in
-one ``Family`` record in ``FAMILIES``; ``custom`` is the one other path.  The
-overflow-safe q-hyperbolics the closed forms use come from ``qmath``.
+Everything this module knows about a built-in family -- its mass, mass jet,
+f and f^{-1}, natural lower bound, y-infimum and q = 1 standard forms --
+lives in one ``Family`` record in ``FAMILIES``; ``custom`` is the one other
+path.  The overflow-safe q-hyperbolics the closed forms use come from
+``qmath``.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ _VALIDATION_SAMPLES = 401
 class Family:
     """Closed forms of one built-in mass family, in terms of (alpha, q)."""
 
+    #: (x, alpha, q) -> m, bit-identical to the m of ``jet``
+    mass: Callable
     #: (x, alpha, q) -> (m, m', m'')
     jet: Callable
     #: (x, alpha, q) -> f(x) = int sqrt(m) dx
@@ -73,6 +80,10 @@ def _exp_inverse(y, u, a, arc):
     return np.where(big, y + math.log(2.0) / a, np.asarray(arc(arg)) / a)
 
 
+def _vanishing_mass(x, a, q):
+    return a * a / (x * x + q)
+
+
 def _vanishing_jet(x, a, q):
     d = x * x + q
     m = a * a / d
@@ -91,6 +102,11 @@ def _vanishing_standard(x, a):
     f = a * np.arcsinh(x)
     corr = -(1.0 + 1.0 / (x * x + 1.0)) / (8.0 * a * a)
     return m, f, corr
+
+
+def _tanh_sq_mass(x, a, q):
+    t = qmath.tanh_q(a * x, q)
+    return t * t
 
 
 def _tanh_sq_jet(x, a, q):
@@ -120,6 +136,11 @@ def _tanh_sq_standard(x, a):
     return m, f, corr
 
 
+def _coth_sq_mass(x, a, q):
+    ct = qmath.coth_q(a * x, q)
+    return ct * ct
+
+
 def _coth_sq_jet(x, a, q):
     u = a * x
     ct = qmath.coth_q(u, q)
@@ -147,6 +168,7 @@ def _coth_sq_standard(x, a):
 
 FAMILIES = {
     ASYMPTOTICALLY_VANISHING: Family(
+        mass=_vanishing_mass,
         jet=_vanishing_jet,
         forward=_vanishing_forward,
         inverse=lambda y, a, q: qmath.sinh_q(y / a, q),
@@ -155,6 +177,7 @@ FAMILIES = {
         standard=_vanishing_standard,
     ),
     TANH_SQ: Family(
+        mass=_tanh_sq_mass,
         jet=_tanh_sq_jet,
         forward=lambda x, a, q: qmath.log_cosh_q(a * x, q) / a,
         inverse=_tanh_sq_inverse,
@@ -163,6 +186,7 @@ FAMILIES = {
         standard=_tanh_sq_standard,
     ),
     COTH_SQ: Family(
+        mass=_coth_sq_mass,
         jet=_coth_sq_jet,
         forward=lambda x, a, q: qmath.log_sinh_q(a * x, q) / a,
         inverse=_coth_sq_inverse,
@@ -290,23 +314,33 @@ class MassProfile:
         x = np.asarray(x, dtype=float)
         if self.kind == CUSTOM:
             jet = exprlang.eval_jet(self._ast, x, self.parameters)
-            # constant sub-expressions collapse to scalars; restore x's shape
-            comps = [
-                np.broadcast_to(np.asarray(c, dtype=float), x.shape).copy()
-                if x.ndim
-                else float(np.asarray(c, dtype=float))
-                for c in (jet.value, jet.d1, jet.d2)
-            ]
-            return Jet2(*comps)
+            return Jet2(*(_shaped(c, x) for c in (jet.value, jet.d1, jet.d2)))
         m, m1, m2 = FAMILIES[self.kind].jet(x, self.alpha, self.q)
         return Jet2(_ret(m), _ret(m1), _ret(m2))
 
     def mass(self, x):
-        return self.mass_jet(x).value
+        """m(x) alone, for callers that need no derivative.
+
+        Bit-identical to ``mass_jet(x).value``; it raises the same error
+        where m itself is undefined, while an error only m' or m'' would hit
+        is left to ``mass_jet`` (which profile validation uses).
+        """
+        self._check_in_domain(x)
+        x = np.asarray(x, dtype=float)
+        if self.kind == CUSTOM:
+            return _shaped(exprlang.eval_value(self._ast, x, self.parameters), x)
+        return _ret(FAMILIES[self.kind].mass(x, self.alpha, self.q))
 
     def correction(self, x):
         """PCT correction potential (1/8m)[m''/m - (7/4)(m'/m)^2]."""
         return jet_correction(self.mass_jet(x))
+
+
+def _shaped(c, x):
+    """c as a float or, for array x, a fresh array of x's shape: constant
+    sub-expressions of a custom profile collapse to scalars."""
+    c = np.asarray(c, dtype=float)
+    return np.broadcast_to(c, x.shape).copy() if x.ndim else float(c)
 
 
 def jet_correction(jet: Jet2):

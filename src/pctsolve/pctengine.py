@@ -92,8 +92,9 @@ class TargetSystem:
         y = np.maximum(f, 1e-300) if isinstance(self.reference, Hulthen) else f
         corr = massmodel.jet_correction(jet)
         m = np.asarray(jet.value, dtype=float)
+        m_root4 = m**0.25
         states = tuple(
-            m**0.25 * np.asarray(self.reference.eigenfunction(n, y), dtype=float)
+            m_root4 * np.asarray(self.reference.eigenfunction(n, y), dtype=float)
             for n in levels
         )
         return Fields(m, f, corr, self.reference.potential(y) + corr, states)

@@ -149,15 +149,21 @@ class TestVerify:
 
 
 class TestWorkCounts:
-    """Each grid-sized field is evaluated once per run."""
+    """Each grid-sized field is evaluated once per run, and the midpoint
+    masses, which need m alone, without derivatives."""
 
     N = 2001
 
     @staticmethod
     def count_calls(monkeypatch):
-        """Count mass-jet and f(x) calls, keyed by (method, number of points)."""
+        """Count mass, mass-jet and f(x) calls, keyed by (method, number of
+        points)."""
         counts = collections.Counter()
-        for cls, name in ((MassProfile, "mass_jet"), (MappingFunction, "forward")):
+        for cls, name in (
+            (MassProfile, "mass"),
+            (MassProfile, "mass_jet"),
+            (MappingFunction, "forward"),
+        ):
             def counted(self, x, _fn=getattr(cls, name), _name=name):
                 counts[_name, np.size(x)] += 1
                 return _fn(self, x)
@@ -174,8 +180,30 @@ class TestWorkCounts:
         counts = self.count_calls(monkeypatch)
         cli.cmd_verify(config)
         assert counts["mass_jet", self.N] == 1
-        assert counts["mass_jet", self.N - 1] == 1
+        assert counts["mass", self.N - 1] == 1
+        assert counts["mass_jet", self.N - 1] == 0
         assert counts["forward", self.N] == 1
+
+    @pytest.mark.parametrize(
+        "runs",
+        [README_RUNS, [preset_run(spec) for spec in presets.default_combos()]],
+        ids=["readme", "default-combos"],
+    )
+    def test_residual_mass_derivative_is_the_stencil(self, monkeypatch, runs):
+        """The m' computed once per run is, in every residual window, the
+        stencil residual_norm would apply itself, bit for bit."""
+        windows = []
+
+        def spy(grid, psi, energy, m, v, mass_d1=None):
+            r = eigensolver.residual_norm(grid, psi, energy, m, v, mass_d1=mass_d1)
+            assert mass_d1 is not None
+            assert r == eigensolver.residual_norm(grid, psi, energy, m, v)
+            windows.append(grid)
+            return r
+
+        monkeypatch.setattr(cli, "residual_norm", spy)
+        cli.cmd_verify(load_runs(runs))
+        assert len(windows) == 3 * len(runs)
 
     def test_transform(self, monkeypatch):
         config = self.config()

@@ -2,16 +2,29 @@ import gc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from conftest import assert_value_matches_jet
+from hypothesis import given, settings, strategies as st
 
 from pctsolve import exprlang
 from pctsolve.errors import (
     DomainError,
     ExprSyntaxError,
+    PoleError,
     UnboundParameterError,
     UnknownFunctionError,
 )
-from pctsolve.exprlang import BinOp, Call, Neg, Num, Param, Var, eval_jet, parse, to_source
+from pctsolve.exprlang import (
+    BinOp,
+    Call,
+    Neg,
+    Num,
+    Param,
+    Var,
+    eval_jet,
+    eval_value,
+    parse,
+    to_source,
+)
 from pctsolve.massmodel import MassProfile
 
 
@@ -180,3 +193,90 @@ class TestJets:
         v = 1.5**1.5
         assert jet.value == pytest.approx(v)
         assert jet.d1 == pytest.approx(v * (np.log(1.5) + 1), rel=1e-12)
+
+
+def _expressions():
+    """ASTs over x, a parameter and every function, with exponents that may
+    contain x."""
+    leaves = st.one_of(
+        st.builds(Num, st.sampled_from([-2.5, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0])),
+        st.just(Var()),
+        st.just(Param("a")),
+    )
+
+    def extend(child):
+        exponent = st.one_of(
+            child, st.builds(Num, st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]))
+        )
+        return st.one_of(
+            st.builds(Neg, child),
+            st.builds(BinOp, st.sampled_from("+-*/"), child, child),
+            st.builds(BinOp, st.just("^"), child, exponent),
+            st.builds(Call, st.sampled_from(sorted(exprlang.FUNCTION_NAMES)), child),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+#: x values including the zeros and integers where generated expressions
+#: hit ln(0), 1/0, poles and integer-power branches
+_XS = np.array([-3.0, -1.0, -0.5, 0.0, 0.25, 1.0, 2.0, 3.0])
+
+
+class TestValueWalk:
+    """eval_value is eval_jet's value alone: the same bits, the same errors
+    where the value is undefined."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _expressions(),
+        st.floats(-3, 3),
+        st.floats(-2, 2),
+        st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_generated_expressions(self, ast, x, a, q):
+        params = {"a": a, "q": q}
+        for at in (x, _XS, np.append(_XS, x)):
+            assert_value_matches_jet(
+                lambda: eval_value(ast, at, params), lambda: eval_jet(ast, at, params)
+            )
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "x^(x - x + 1.5)",  # exponent with x, zero derivatives: constant branch
+            "x^(x - x + 2)",
+            "(2 + x)^(0*x)",
+            "(2 + x)^(sin(x) + 0.5)",
+            "x^x",
+            "x^-2",
+            "x^0",
+            "2^x",
+        ],
+    )
+    def test_powers(self, source):
+        ast = parse(source)
+        for at in (_XS, 0.0, -1.0, 1.5):
+            assert_value_matches_jet(lambda: eval_value(ast, at), lambda: eval_jet(ast, at))
+
+    @pytest.mark.parametrize(
+        "source,x,error",
+        [
+            ("ln(x)", -1.0, DomainError),
+            ("sqrt(x)", 0.0, DomainError),
+            ("1/(x - 1)", 1.0, DomainError),
+            ("x^0.5", -1.0, DomainError),
+            ("x^-1", 0.0, DomainError),
+            ("coth(x)", 0.0, DomainError),
+            ("cothq(x)", 0.0, PoleError),
+            ("cschq(x)", 0.0, PoleError),
+            ("a*x", 1.0, UnboundParameterError),
+        ],
+    )
+    def test_errors(self, source, x, error):
+        params = {"q": 1.0}
+        for at in (x, np.array([2.5, x])):
+            with pytest.raises(error):
+                eval_value(parse(source), at, params)
+            with pytest.raises(error):
+                eval_jet(parse(source), at, params)

@@ -3,10 +3,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from conftest import assert_value_matches_jet
+from hypothesis import given, settings, strategies as st
 
 from pctsolve import exprlang
-from pctsolve.errors import ConfigError, DomainError, PctError
-from pctsolve.massmodel import MappingFunction, MassProfile
+from pctsolve.errors import ConfigError, DomainError, PctError, PoleError
+from pctsolve.massmodel import BUILTIN_KINDS, MappingFunction, MassProfile
 
 #: the custom profile of the README's command-line example
 README_PROFILE = ("1/(1 + a*x^2)", -80.0, 80.0, {"a": 0.25})
@@ -72,6 +74,81 @@ class TestMassJets:
         xs = np.linspace(-3, 3, 13)
         expected = -(1.0 + q / (xs * xs + q)) / (8.0 * a * a)
         assert np.allclose(profile.correction(xs), expected, rtol=1e-12)
+
+
+#: custom profiles on [-2, 2] for every a in [0.25, 2], b in [0.5, 2] and
+#: q in {0.5, 1, 2}; two have exponents that contain x
+CUSTOM_TEMPLATES = [
+    "1/(1 + a*x^2)",
+    "exp(-a*x^2) + b",
+    "(b + x^2)^(0.5*sin(x) + a)",
+    "(2 + x^2)^(x - x + a)",  # zero exponent derivatives: the constant-power branch
+    "sechq(a*x)^2 + b",
+    "cothq(x + 3)^2 + tanh(a*x)",
+    "sqrt(b + x^2)*ln(2 + x^2)^a",
+]
+
+#: a point of [-1, 1] off the 401 validation samples, where each custom
+#: profile below is undefined (m itself, not only its derivatives)
+_SINGULAR = 0.0123
+
+SINGULAR_PROFILES = [
+    ("ln((x - c)^2)^2 + 1", DomainError),
+    ("sqrt((x - c)^2) + 1", DomainError),
+    ("1/(x - c)^2", DomainError),
+    ("((x - c)^2 - 1e-12)^0.5 + 1", DomainError),  # negative base near c
+    ("coth(x - c)^2", DomainError),
+    ("cothq(x - c)^2", PoleError),
+]
+
+
+class TestValueOnlyMass:
+    """mass(x) is mass_jet(x).value bit for bit, without the derivatives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(BUILTIN_KINDS),
+        st.floats(0.2, 4.0),
+        st.sampled_from([0.5, 1.0, 2.0]),
+        st.lists(st.floats(0.0, 40.0), min_size=1, max_size=8),
+    )
+    def test_builtin(self, kind, alpha, q, offsets):
+        profile = MassProfile(kind, alpha, q)
+        lo = profile.domain()[0]
+        # offset 0 is the branch point: m = 0 for tanh_sq, a pole for coth_sq
+        xs = (lo if math.isfinite(lo) else -20.0) + np.array(offsets)
+        for x in (xs, float(xs[0])):
+            assert_value_matches_jet(lambda: profile.mass(x), lambda: profile.mass_jet(x))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(CUSTOM_TEMPLATES),
+        st.floats(0.25, 2.0),
+        st.floats(0.5, 2.0),
+        st.sampled_from([0.5, 1.0, 2.0]),
+        st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8),
+    )
+    def test_custom(self, template, a, b, q, xs):
+        profile = MassProfile.custom(template, -2.0, 2.0, {"a": a, "b": b, "q": q})
+        xs = np.array(xs)
+        for x in (xs, float(xs[0])):
+            assert_value_matches_jet(lambda: profile.mass(x), lambda: profile.mass_jet(x))
+
+    @pytest.mark.parametrize("source,error", SINGULAR_PROFILES)
+    def test_undefined_mass_raises_like_the_jet(self, source, error):
+        profile = MassProfile.custom(source, -1.0, 1.0, {"c": _SINGULAR, "q": 1.0})
+        for x in (_SINGULAR, np.array([-0.5, _SINGULAR, 0.5])):
+            with pytest.raises(error):
+                profile.mass(x)
+            with pytest.raises(error):
+                profile.mass_jet(x)
+        assert_value_matches_jet(lambda: profile.mass(0.5), lambda: profile.mass_jet(0.5))
+
+    def test_constant_profile_has_the_shape_of_x(self):
+        profile = MassProfile.custom("2 + a", -1.0, 1.0, {"a": 0.5})
+        xs = np.linspace(-1.0, 1.0, 5)
+        assert_value_matches_jet(lambda: profile.mass(xs), lambda: profile.mass_jet(xs))
+        assert profile.mass(xs).shape == xs.shape and profile.mass(0.0) == 2.5
 
 
 class TestValidation:
