@@ -9,7 +9,6 @@ independent finite-difference eigensolver verifies the construction.
 from .eigensolver import (
     EigenResult,
     Grid,
-    GridFunction,
     overlap,
     residual_norm,
     solve_constant_mass,
@@ -45,7 +44,6 @@ __all__ = [
     "EigenResult",
     "ExprSyntaxError",
     "Grid",
-    "GridFunction",
     "GridMismatchError",
     "Hulthen",
     "MappingFunction",

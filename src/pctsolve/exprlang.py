@@ -10,6 +10,7 @@ parameter is read from the parameter table entry ``q``).  Precedence: ``^`` (rig
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -385,7 +386,12 @@ def _jet_exp(u):
 
 def _jet_ln(u):
     v = u.value
-    return _chain(u, _ln(v), 1.0 / v, -1.0 / (v * v))
+    f0 = _ln(v)
+    # v * v underflows to 0 for a tiny v > 0 (a parameter, a Python float):
+    # -1/v^2 is then -inf, as numpy gives, not a ZeroDivisionError
+    v2 = v * v
+    f2 = -math.inf if np.ndim(v2) == 0 and v2 == 0.0 else -1.0 / v2
+    return _chain(u, f0, 1.0 / v, f2)
 
 
 def _jet_sqrt(u):

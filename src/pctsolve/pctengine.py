@@ -64,7 +64,8 @@ class TargetSystem:
             raise ConfigError("target domain exceeds the mass profile domain")
         y_lo, y_hi = float(mapping.forward(x_min)), float(mapping.forward(x_max))
         r_lo, r_hi = reference.y_domain()
-        if y_lo < r_lo or y_hi > r_hi:
+        # the reference domain is open: a half line excludes its end point
+        if not r_lo < y_lo <= y_hi < r_hi:
             raise DomainError(
                 "reference-domain violation: f maps the target domain to "
                 f"[{y_lo:.6g}, {y_hi:.6g}] outside the reference domain "
@@ -89,15 +90,14 @@ class TargetSystem:
         self._check_x(x)
         jet = self.profile.mass_jet(x)
         f = self.mapping.forward(x)
-        y = np.maximum(f, 1e-300) if isinstance(self.reference, Hulthen) else f
         corr = massmodel.jet_correction(jet)
         m = np.asarray(jet.value, dtype=float)
         m_root4 = m**0.25
         states = tuple(
-            m_root4 * np.asarray(self.reference.eigenfunction(n, y), dtype=float)
+            m_root4 * np.asarray(self.reference.eigenfunction(n, f), dtype=float)
             for n in levels
         )
-        return Fields(m, f, corr, self.reference.potential(y) + corr, states)
+        return Fields(m, f, corr, self.reference.potential(f) + corr, states)
 
     def potential(self, x):
         """V_ref(f(x)) plus the mass-induced correction."""

@@ -147,6 +147,28 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert [r["name"] for r in report["runs"]] == ["asym-morse", "coth-pt"]
 
+    def test_hulthen_wall_on_the_domain_edge_is_config_error(self, tmp_path):
+        # f(0) = 0: the run would sample the Hulthen wall itself
+        doc = basic_config(
+            reference={"kind": "hulthen", "V0": 2.0, "alpha": 0.5},
+            mass={"kind": "asymptotically_vanishing", "alpha": 8.0, "q": 1.0, "domain": [0.0, 5.0]},
+            grid={"n_points": 2001, "levels": 3},
+        )
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["verify", cfg, "-o", str(tmp_path / "r.json")]) == 2
+
+    def test_non_finite_potential_is_a_pct_error(self, tmp_path, monkeypatch):
+        # one inf in V reaches the solver: exit 3, not a traceback
+        def with_inf(self, y, _fn=PoschlTeller.potential):
+            v = np.array(_fn(self, y), dtype=float)
+            v[v.size // 2] = np.inf
+            return v
+
+        monkeypatch.setattr(PoschlTeller, "potential", with_inf)
+        run = dict(README_RUNS[0], grid={"n_points": 2001, "levels": 3})
+        cfg = write_config(tmp_path, {"schema_version": 1, "runs": [run]})
+        assert cli.main(["verify", cfg, "-o", str(tmp_path / "r.json")]) == 3
+
 
 class TestWorkCounts:
     """Each grid-sized field is evaluated once per run, and the midpoint
@@ -222,16 +244,17 @@ class TestWorkCounts:
         and no bisection."""
         config = load_runs(runs)
         counts = collections.Counter()
-        for name in ("eigvalsh_tridiagonal", "dstebz"):
-            def counted(*args, _fn=getattr(eigensolver, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(eigensolver, name, counted)
+        def counted(*args, _fn=eigensolver.dstebz):
+            # stebz by value range (1) is a Sturm count, by index (2) bisection
+            counts["sturm" if args[2] == 1 else "bisection"] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(eigensolver, "dstebz", counted)
         text, code = cli.cmd_verify(config)
         assert code == 0 and json.loads(text)["pass"] is True
-        assert counts["eigvalsh_tridiagonal"] == 0
-        assert counts["dstebz"] == len(runs)
+        assert counts["bisection"] == 0
+        assert counts["sturm"] == len(runs)
 
 
 class TestVerifyAccuracy:

@@ -1,23 +1,28 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.hermite import hermval
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from test_cli import README_RUNS
 
+import pctsolve
 from pctsolve import cli, eigensolver
 from pctsolve.eigensolver import (
     Grid,
-    GridFunction,
     node_count,
     overlap,
     residual_norm,
     solve_constant_mass,
     solve_effective_mass,
 )
-from pctsolve.errors import ArgumentError, ConfigError, GridMismatchError
+from pctsolve.errors import ArgumentError, ConfigError, GridMismatchError, RangeOverflowError
 
 
 class TestGrid:
@@ -31,11 +36,6 @@ class TestGrid:
             Grid(1.0, 0.0, 100)
         with pytest.raises(ConfigError):
             Grid(0.0, 1.0, 8)
-
-    def test_grid_function_shape_check(self):
-        grid = Grid(0.0, 1.0, 32)
-        with pytest.raises(GridMismatchError):
-            GridFunction(grid, np.zeros(31))
 
 
 class TestConstantMass:
@@ -106,6 +106,85 @@ class TestEffectiveMass:
             solve_effective_mass(grid, np.ones(63), v, 0)
 
 
+class TestMatrixChecks:
+    """What scipy's wrappers checked before calling LAPACK, the solve checks
+    itself, once, before either path."""
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("seeded", [False, True], ids=["bisection", "certified"])
+    def test_non_finite_potential(self, bad, seeded):
+        grid = Grid(-8.0, 8.0, 1001)
+        v = 0.5 * grid.points**2
+        v[500] = bad
+        guesses = [np.exp(-0.5 * grid.points**2)] if seeded else None
+        with pytest.raises(RangeOverflowError):
+            solve_effective_mass(grid, np.ones(1000), v, 1, guesses=guesses)
+        with pytest.raises(RangeOverflowError):
+            solve_constant_mass(grid, v, 1)
+
+    def test_more_levels_than_interior_points(self):
+        grid = Grid(0.0, 1.0, 16)
+        assert solve_constant_mass(grid, np.zeros(16), 14).energies.size == 14
+        with pytest.raises(ArgumentError):
+            solve_constant_mass(grid, np.zeros(16), 15)
+
+
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this pctsolve; its
+    standard output parsed as JSON."""
+    src = os.path.dirname(os.path.dirname(pctsolve.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(out.stdout)
+
+
+class TestLapackLoading:
+    """The LAPACK routines are scipy's own extension module, loaded without
+    ``scipy.linalg``'s package init."""
+
+    def test_verify_never_imports_scipy_linalg(self):
+        config = json.dumps({"schema_version": 1, "runs": README_RUNS})
+        loaded = _run_fresh(
+            f"""
+            import json, sys
+            import pctsolve.cli as cli
+            from pctsolve.eigensolver import Grid, solve_constant_mass
+
+            seen = ["scipy.linalg" in sys.modules]
+            text, code = cli.cmd_verify(cli.load_config({config!r}))
+            assert code == 0 and json.loads(text)["pass"] is True
+            grid = Grid(-8.0, 8.0, 501)
+            assert solve_constant_mass(grid, 0.5 * grid.points**2, 2).states.shape == (501, 2)
+            seen.append("scipy.linalg" in sys.modules)
+            print(json.dumps(seen))
+            """
+        )
+        assert loaded == [False, False]
+
+    @pytest.mark.parametrize("first", ["pctsolve.eigensolver", "scipy.linalg.lapack"])
+    def test_routines_are_scipys(self, first):
+        same = _run_fresh(
+            f"""
+            import importlib, json
+            importlib.import_module({first!r})
+            from pctsolve import eigensolver
+            from scipy.linalg import lapack
+            print(json.dumps([eigensolver._flapack is lapack._flapack] + [
+                getattr(eigensolver, name) is getattr(lapack, name)
+                for name in ("dgtsv", "dstebz", "dstein")
+            ]))
+            """
+        )
+        assert same == [True, True, True, True]
+
+
 class TestResidual:
     def test_exact_eigenstate_small_residual(self):
         # ground state of the harmonic oscillator in closed form
@@ -174,11 +253,27 @@ class TestLazyStates:
         assert res.states is res.states
         assert np.array_equal(res.state(2), expected[:, 2])
 
+    def test_split_matrix_states_in_ascending_order(self):
+        # an infinite midpoint mass decouples the two halves, and the right
+        # half's well is deeper: bisection finds its levels in a later block
+        grid = Grid(-8.0, 8.0, 801)
+        x = grid.points
+        m = np.ones(grid.n_points - 1)
+        m[399] = np.inf
+        v = 0.5 * (x + 4.0) ** 2 * (x < 0) + (0.5 * (x - 4.0) ** 2 - 0.3) * (x >= 0)
+        res = solve_effective_mass(grid, m, v, 4)
+        _, vecs = eigh_tridiagonal(res.diag, res.off, select="i", select_range=(0, 3))
+        assert res.off[398] == 0.0
+        for k in range(4):
+            psi = np.concatenate([[0.0], vecs[:, k], [0.0]])
+            assert np.array_equal(np.abs(res.state(k)) > 0, np.abs(psi) > 0)
+            assert node_count(res.state(k)) == k // 2
+
     def test_verify_never_computes_eigenvectors(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("eigenvectors computed")
 
-        monkeypatch.setattr(eigensolver, "eigh_tridiagonal", refuse)
+        monkeypatch.setattr(eigensolver, "dstein", refuse)
         run = {
             "name": "coth-pt",
             "mass": {"kind": "coth_sq", "alpha": 1.0, "q": 2.0},
@@ -215,11 +310,14 @@ class TestCertifiedRefinement:
 
     @staticmethod
     def count_sturm_calls(monkeypatch):
+        """The eigenvalue counts of the Sturm counts: stebz calls by value
+        range (range 1), not the bisection fallback's by index (range 2)."""
         counts = []
 
         def counted(*args, _fn=eigensolver.dstebz):
             out = _fn(*args)
-            counts.append(out[0])
+            if args[2] == 1:
+                counts.append(out[0])
             return out
 
         monkeypatch.setattr(eigensolver, "dstebz", counted)
@@ -232,13 +330,16 @@ class TestCertifiedRefinement:
         assert np.array_equal(res.energies, plain.energies)
 
     def test_good_guesses_give_the_tight_bisection_values(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("fell back to bisection")
-
         grid, m, v = self.problem()
         guesses = self.hermite_functions(grid, range(self.LEVELS))
         counts = self.count_sturm_calls(monkeypatch)
-        monkeypatch.setattr(eigensolver, "eigvalsh_tridiagonal", refuse)
+
+        def refuse(*args, _fn=eigensolver.dstebz):
+            if args[2] == 2:
+                raise AssertionError("fell back to bisection")
+            return _fn(*args)
+
+        monkeypatch.setattr(eigensolver, "dstebz", refuse)
         res = solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses)
         tight = eigvalsh_tridiagonal(
             res.diag, res.off, select="i", select_range=(0, self.LEVELS - 1), tol=1e-13

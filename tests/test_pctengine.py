@@ -68,6 +68,13 @@ class TestTargetSystem:
         with pytest.raises(DomainError):
             TargetSystem.build(profile, HULTHEN_REF, (-1.0, 5.0))
 
+    def test_hulthen_wall_on_the_domain_edge(self):
+        # f(0) = 0 exactly: the open half line y > 0 excludes the left end
+        profile = MassProfile("asymptotically_vanishing", 8.0, 1.0)
+        assert MappingFunction(profile).forward(0.0) == 0.0
+        with pytest.raises(DomainError, match="reference-domain violation"):
+            TargetSystem.build(profile, HULTHEN_REF, (0.0, 5.0))
+
     def test_out_of_domain_evaluation(self):
         profile = MassProfile("asymptotically_vanishing", 8.0, 1.0)
         ts = TargetSystem.build(profile, MORSE_REF, (-1.0, 3.0))
