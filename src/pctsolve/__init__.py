@@ -32,8 +32,9 @@ from .pctengine import (
     pct_identity_residual,
     printed_target_potential,
     suggest_domain,
+    verify,
 )
-from .refpotentials import Hulthen, Morse, PoschlTeller, Spectrum, make_reference
+from .refpotentials import Hulthen, Morse, PoschlTeller, make_reference
 
 __version__ = "0.1.0"
 
@@ -53,7 +54,6 @@ __all__ = [
     "PoleError",
     "PoschlTeller",
     "RangeOverflowError",
-    "Spectrum",
     "TargetSystem",
     "UnboundParameterError",
     "UnknownFunctionError",
@@ -65,4 +65,5 @@ __all__ = [
     "solve_constant_mass",
     "solve_effective_mass",
     "suggest_domain",
+    "verify",
 ]

@@ -21,10 +21,9 @@ import sys
 import numpy as np
 
 from . import __version__, massmodel, refpotentials
-from .eigensolver import Grid, d1_numerator, overlap, residual_norm, solve_effective_mass
 from .errors import ConfigError, DomainError, PctError
 from .massmodel import MassProfile
-from .pctengine import TargetSystem, printed_target_potential, standard_profile_values
+from .pctengine import TargetSystem, printed_target_potential, standard_profile_values, verify
 from .refpotentials import make_reference
 
 SCHEMA_VERSION = 1
@@ -181,21 +180,13 @@ def load_config(text):
 
 
 def _build(run):
-    ts = TargetSystem.build(run["profile"], run["reference"], run["domain"])
-    grid = Grid(ts.x_min, ts.x_max, run["n_points"])
-    return ts, grid
+    """The run's target system and the number of its levels to check."""
+    ts = TargetSystem.build(run["profile"], run["reference"], run["domain"], run["levels"])
+    return ts, min(run["levels"], ts.n_max + 1)
 
 
 def _fmt(v):
     return "%.17g" % float(v)
-
-
-def _grid_fields(ts, grid, levels):
-    """The target's fields on the grid and its states Psi_0..Psi_{levels-1}
-    scaled to unit trapezoid norm."""
-    fields = ts.fields(grid.points, range(levels))
-    states = [psi / np.sqrt(np.trapezoid(psi * psi, dx=grid.h)) for psi in fields.states]
-    return fields, states
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +196,14 @@ def _grid_fields(ts, grid, levels):
 def cmd_transform(config):
     lines = []
     for run in config["runs"]:
-        ts, grid = _build(run)
-        levels = min(run["levels"], ts.n_max + 1)
+        ts, levels = _build(run)
         lines.append(f"# run: {run['name']}")
         for n in range(levels):
             lines.append(f"# E{n} = {_fmt(ts.energy(n))}")
         header = ["x", "m", "f", "V"] + [f"psi{n}" for n in range(levels)]
         lines.append(",".join(header))
+        grid, fields, states = ts.sample(run["n_points"], levels)
         xs = grid.points
-        fields, states = _grid_fields(ts, grid, levels)
         m, f, v = fields.mass, fields.f, fields.potential
         for i in range(grid.n_points):
             row = [xs[i], m[i], f[i], v[i]] + [s[i] for s in states]
@@ -222,70 +212,32 @@ def cmd_transform(config):
 
 
 def _verify_one(run):
-    ts, grid = _build(run)
-    levels = min(run["levels"], ts.n_max + 1)
-    xs = grid.points
-    mid = 0.5 * (xs[:-1] + xs[1:])
-    m_mid = np.asarray(ts.profile.mass(mid), dtype=float)
-    fields, states = _grid_fields(ts, grid, levels)
-    m, v = fields.mass, fields.potential
-    result = solve_effective_mass(grid, m_mid, v, levels, guesses=states)
+    ts, levels = _build(run)
+    check = verify(ts, run["n_points"], levels)
     tol = run["tolerances"]
     report = {"name": run["name"], "levels": [], "pass": True}
     for n in range(levels):
         exact = ts.energy(n)
-        num = float(result.energies[n])
+        num = float(check.energies[n])
         rel = abs(num - exact) / max(abs(exact), 1e-300)
         ok = rel < tol["energy_rel"]
         report["levels"].append(
             {"n": n, "closed_form": exact, "numerical": num, "rel_error": rel, "pass": ok}
         )
         report["pass"] = report["pass"] and ok
-    residuals = []
-    # m' by residual_norm's own stencil: its numerator once per run, divided
-    # in each window by that window's h (which may differ from grid.h in the
-    # last bit)
-    dm = d1_numerator(m)
-    for n in range(levels):
-        # restrict to where the state carries amplitude: outside that window
-        # the residual only measures V * (numerically zero) near domain walls
-        psi = states[n]
-        peak = float(np.max(np.abs(psi)))
-        energy = ts.energy(n)
-        resolved = grid.h * np.sqrt(m * np.maximum(np.abs(v - energy), 1.0)) < 0.02
-        live = np.flatnonzero((np.abs(psi) > 1e-6 * peak) & resolved)
-        if live.size == 0 or live[-1] - live[0] < 16:
-            # grid too coarse to resolve the state anywhere
-            residuals.append(None)
-            continue
-        i0 = max(int(live[0]) - 2, 0)
-        i1 = min(int(live[-1]) + 3, grid.n_points)
-        sub = Grid(xs[i0], xs[i1 - 1], i1 - i0)
-        m1 = np.full(i1 - i0, np.nan)
-        m1[2:-2] = dm[i0 : i1 - 4] / (12 * sub.h)
-        r = residual_norm(sub, psi[i0:i1], energy, m[i0:i1], v[i0:i1], mass_d1=m1)
-        residuals.append(r / peak)
-    report["residual_norms"] = residuals
+    report["residual_norms"] = check.residuals
     if tol["residual"] is not None:
-        ok = all(r is not None and r < tol["residual"] for r in residuals)
+        ok = all(r is not None and r < tol["residual"] for r in check.residuals)
         report["pass"] = report["pass"] and ok
-    # <a|b> = <b|a> bit for bit: each product a*b is commutative
-    gram = [[0.0] * levels for _ in range(levels)]
-    for i in range(levels):
-        for j in range(i, levels):
-            gram[i][j] = gram[j][i] = overlap(grid, states[i], states[j])
-    dev = max(
-        abs(gram[i][j] - (1.0 if i == j else 0.0))
-        for i in range(levels)
-        for j in range(levels)
-    )
-    report["orthonormality"] = gram
+    dev = check.orthonormality_max_dev
+    report["orthonormality"] = check.gram
     report["orthonormality_max_dev"] = dev
     report["pass"] = report["pass"] and dev < tol["orthonormality"]
     if run["check_q1_reduction"]:
-        m_std, f_std, corr_std = standard_profile_values(ts.profile, xs)
+        fields = check.fields
+        m_std, f_std, corr_std = standard_profile_values(ts.profile, check.grid.points)
         f_dev = np.max(np.abs(f_std - fields.f))
-        m_dev = np.max(np.abs(m_std - m) / (1.0 + np.abs(m_std)))
+        m_dev = np.max(np.abs(m_std - fields.mass) / (1.0 + np.abs(m_std)))
         c_dev = np.max(np.abs(corr_std - fields.correction) / (1.0 + np.abs(corr_std)))
         report["q1_reduction_max_dev"] = float(max(f_dev, m_dev, c_dev))
     return report
@@ -310,8 +262,8 @@ def cmd_discrepancy(config):
                 f"config.runs[{run['name']}].mass: discrepancy audit needs a "
                 "built-in profile (no printed formula exists for custom masses)"
             )
-        ts, grid = _build(run)
-        xs = grid.points
+        ts, _ = _build(run)
+        xs = np.linspace(ts.x_min, ts.x_max, run["n_points"])
         v_pipe = np.asarray(ts.potential(xs), dtype=float)
         v_printed = np.asarray(
             printed_target_potential(ts.profile, ts.reference, xs), dtype=float
@@ -322,7 +274,7 @@ def cmd_discrepancy(config):
         lines.append(f"# run: {run['name']}")
         lines.append(f"# verdict: {verdict} max_deviation={_fmt(max_dev)}")
         lines.append("x,V_construction,V_printed,abs_deviation")
-        for i in range(grid.n_points):
+        for i in range(xs.size):
             lines.append(
                 ",".join(_fmt(c) for c in (xs[i], v_pipe[i], v_printed[i], dev[i]))
             )

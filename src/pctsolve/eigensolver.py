@@ -117,7 +117,6 @@ class EigenResult:
 
     grid: Grid
     energies: np.ndarray
-    scheme: str
     #: the interior matrix: diagonal and off-diagonal
     diag: np.ndarray
     off: np.ndarray
@@ -241,7 +240,7 @@ def _certified_energies(diag, off, guesses):
     return mu
 
 
-def _solve_tridiagonal(grid, diag, off, n_levels, scheme, guesses=None):
+def _solve_tridiagonal(grid, diag, off, n_levels, guesses=None):
     if not 1 <= n_levels <= diag.size:
         raise ArgumentError(f"n_levels must be between 1 and the {diag.size} interior points")
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
@@ -256,7 +255,7 @@ def _solve_tridiagonal(grid, diag, off, n_levels, scheme, guesses=None):
         vals = _certified_energies(diag, off, guesses)
     if vals is None:
         vals = _bisect(diag, off, n_levels, b"E")[0]
-    return EigenResult(grid, vals, scheme, diag, off)
+    return EigenResult(grid, vals, diag, off)
 
 
 def solve_constant_mass(grid, potential_values, n_levels):
@@ -267,7 +266,7 @@ def solve_constant_mass(grid, potential_values, n_levels):
     h = grid.h
     diag = 1.0 / h**2 + v[1:-1]
     off = np.full(grid.n_points - 3, -0.5 / h**2)
-    return _solve_tridiagonal(grid, diag, off, n_levels, "constant-mass")
+    return _solve_tridiagonal(grid, diag, off, n_levels)
 
 
 def solve_effective_mass(grid, mass_at_midpoints, potential_values, n_levels, guesses=None):
@@ -290,7 +289,7 @@ def solve_effective_mass(grid, mass_at_midpoints, potential_values, n_levels, gu
     h = grid.h
     diag = (a[:-1] + a[1:]) / (2.0 * h * h) + v[1:-1]
     off = -a[1:-1] / (2.0 * h * h)
-    return _solve_tridiagonal(grid, diag, off, n_levels, "flux-form", guesses)
+    return _solve_tridiagonal(grid, diag, off, n_levels, guesses)
 
 
 def d1_numerator(values):

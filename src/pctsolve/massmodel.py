@@ -258,11 +258,6 @@ class MassProfile:
 
     # geometry --------------------------------------------------------------
 
-    def branch_point(self) -> Optional[float]:
-        """Zero of sinh_q(alpha x) bounding the tanh_sq/coth_sq domains."""
-        lo = self.natural_domain()[0]
-        return lo if math.isfinite(lo) else None
-
     def natural_domain(self):
         if self.kind == CUSTOM:
             return (-math.inf, math.inf)
@@ -289,8 +284,8 @@ class MassProfile:
         lo, hi = self.domain()
         if not (math.isfinite(lo) and math.isfinite(hi)):
             # unbounded built-in: probe a representative box
-            bp = self.branch_point()
-            lo = max(lo, -10.0 / self.alpha) if bp is None else bp + 1e-3 / self.alpha
+            bp = self.natural_domain()[0]
+            lo = bp + 1e-3 / self.alpha if math.isfinite(bp) else max(lo, -10.0 / self.alpha)
             hi = min(hi, 10.0 / self.alpha) if math.isinf(hi) else hi
             hi = max(hi, lo + 1.0)
         xs = np.linspace(lo, hi, _VALIDATION_SAMPLES)

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import massmodel, qmath
+from .eigensolver import Grid, d1_numerator, overlap, residual_norm, solve_effective_mass
 from .errors import ConfigError, DomainError
 from .massmodel import MappingFunction, MassProfile
-from .refpotentials import Hulthen, Morse, PoschlTeller
+from .refpotentials import Morse, PoschlTeller
 
 _DECAY = 1e-8
 
@@ -52,10 +53,12 @@ class TargetSystem:
     x_max: float
 
     @classmethod
-    def build(cls, profile, reference, domain=None):
+    def build(cls, profile, reference, domain=None, levels=3):
+        """The target on ``domain``, or on the domain suggested for its
+        lowest ``levels`` states."""
         mapping = MappingFunction(profile)
         if domain is None:
-            domain = suggest_domain(profile, reference, mapping=mapping)
+            domain = suggest_domain(profile, reference, levels, mapping=mapping)
         x_min, x_max = float(domain[0]), float(domain[1])
         if not x_min < x_max:
             raise ConfigError("target domain is empty")
@@ -111,14 +114,93 @@ class TargetSystem:
         """Unnormalized Psi_n(x) = m(x)^{1/4} Phi_n(f(x))."""
         return self.fields(x, (n,)).states[0]
 
-    def weight(self, x):
-        """The transformation weight g(x) = (f'/m)^{1/2} = m^{-1/4}."""
-        self._check_x(x)
-        return np.asarray(self.profile.mass(x), dtype=float) ** -0.25
+    def sample(self, n_points, levels):
+        """(grid, fields, states) on the uniform n_points grid of the domain:
+        the fields with Psi_0..Psi_{levels-1}, and those states scaled to unit
+        trapezoid norm."""
+        grid = Grid(self.x_min, self.x_max, n_points)
+        fields = self.fields(grid.points, range(levels))
+        h = grid.h
+        states = tuple(psi / np.sqrt(np.trapezoid(psi * psi, dx=h)) for psi in fields.states)
+        return grid, fields, states
 
     @property
     def n_max(self):
         return self.reference.n_max
+
+
+# ---------------------------------------------------------------------------
+# finite-difference verification
+
+
+@dataclass(frozen=True)
+class Verification:
+    """A target system checked against the finite-difference solver (see
+    ``verify``)."""
+
+    grid: Grid
+    fields: Fields
+    #: Psi_n scaled to unit trapezoid norm on the grid
+    states: tuple
+    #: the solver's lowest eigenvalues, ascending
+    energies: np.ndarray
+    #: per level, the RMS ODE residual of Psi_n over its peak, or None where
+    #: the grid resolves no window of the state
+    residuals: tuple
+    #: the overlap (Gram) matrix <Psi_i|Psi_j>
+    gram: tuple
+
+    @property
+    def orthonormality_max_dev(self):
+        """max |<Psi_i|Psi_j> - delta_ij|."""
+        return max(
+            abs(g - (1.0 if i == j else 0.0))
+            for i, row in enumerate(self.gram)
+            for j, g in enumerate(row)
+        )
+
+
+def verify(ts, n_points, levels):
+    """Solve ``ts`` on its uniform n_points grid for the lowest ``levels``
+    energies, seeded by the analytic states, and evaluate those states' ODE
+    residuals and overlaps."""
+    grid, fields, states = ts.sample(n_points, levels)
+    xs = grid.points
+    m_mid = np.asarray(ts.profile.mass(0.5 * (xs[:-1] + xs[1:])), dtype=float)
+    m, v = fields.mass, fields.potential
+    result = solve_effective_mass(grid, m_mid, v, levels, guesses=states)
+    residuals = []
+    # m' by residual_norm's own stencil: its numerator once per run, divided
+    # in each window by that window's h (which may differ from grid.h in the
+    # last bit)
+    dm = d1_numerator(m)
+    for n in range(levels):
+        # restrict to where the state carries amplitude: outside that window
+        # the residual only measures V * (numerically zero) near domain walls
+        psi = states[n]
+        peak = float(np.max(np.abs(psi)))
+        energy = ts.energy(n)
+        resolved = grid.h * np.sqrt(m * np.maximum(np.abs(v - energy), 1.0)) < 0.02
+        live = np.flatnonzero((np.abs(psi) > 1e-6 * peak) & resolved)
+        if live.size == 0 or live[-1] - live[0] < 16:
+            # grid too coarse to resolve the state anywhere
+            residuals.append(None)
+            continue
+        i0 = max(int(live[0]) - 2, 0)
+        i1 = min(int(live[-1]) + 3, grid.n_points)
+        sub = Grid(xs[i0], xs[i1 - 1], i1 - i0)
+        m1 = np.full(i1 - i0, np.nan)
+        m1[2:-2] = dm[i0 : i1 - 4] / (12 * sub.h)
+        r = residual_norm(sub, psi[i0:i1], energy, m[i0:i1], v[i0:i1], mass_d1=m1)
+        residuals.append(r / peak)
+    # <a|b> = <b|a> bit for bit: each product a*b is commutative
+    gram = [[0.0] * levels for _ in range(levels)]
+    for i in range(levels):
+        for j in range(i, levels):
+            gram[i][j] = gram[j][i] = overlap(grid, states[i], states[j])
+    return Verification(
+        grid, fields, states, result.energies, tuple(residuals), tuple(map(tuple, gram))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +243,9 @@ def pct_identity_residual(profile: MassProfile, x, h=1e-3):
 # domain suggestion
 
 
-def suggest_domain(profile, reference, n_levels=3, decay=_DECAY, mapping=None):
+def suggest_domain(profile, reference, n_levels=3, mapping=None):
     """Default x-domain: the highest requested reference state, pushed through
-    f^{-1}, decays below ``decay`` (relative) at both ends."""
+    f^{-1}, decays below 1e-8 (relative) at both ends."""
     if mapping is None:
         mapping = MappingFunction(profile)
     n_top = min(n_levels - 1, reference.n_max)
@@ -172,21 +254,18 @@ def suggest_domain(profile, reference, n_levels=3, decay=_DECAY, mapping=None):
     y_lo = max(r_lo, m_lo)
     y_hi = min(r_hi, m_hi)
     # probe window for the reference states
-    probe_lo = y_lo if math.isfinite(y_lo) else -80.0
-    probe_lo = max(probe_lo, y_lo + 1e-9 if math.isfinite(y_lo) else probe_lo)
-    if isinstance(reference, Hulthen):
-        probe_lo = max(probe_lo, 1e-9)
+    probe_lo = y_lo + 1e-9 if math.isfinite(y_lo) else -80.0
     probe_hi = min(y_hi, 200.0)
     ys = np.linspace(probe_lo, probe_hi, 8001)
     total = np.zeros_like(ys)
     for n in range(n_top + 1):
         total += np.abs(np.asarray(reference.eigenfunction(n, ys), dtype=float))
-    mask = total > decay * np.max(total)
+    mask = total > _DECAY * np.max(total)
     i0, i1 = int(np.argmax(mask)), len(mask) - 1 - int(np.argmax(mask[::-1]))
     w_lo, w_hi = ys[max(i0 - 1, 0)], ys[min(i1 + 1, len(ys) - 1)]
     # hard walls (reference half-line or mapping infimum) stay in the window
-    if isinstance(reference, Hulthen):
-        w_lo = max(m_lo + 1e-9, 1e-8)
+    if math.isfinite(r_lo):
+        w_lo = max(m_lo + 1e-9, r_lo + _DECAY)
     elif math.isfinite(m_lo) and w_lo < m_lo + 1e-9:
         w_lo = m_lo + 1e-9
     x_lo = float(mapping.inverse(w_lo))

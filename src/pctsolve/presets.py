@@ -70,12 +70,8 @@ class ComboSpec:
         return make_reference(self.reference_kind, **REFERENCE_PARAMS[self.reference_kind])
 
     def build(self):
-        """TargetSystem plus the solve Grid for this combination."""
-        profile = self.profile()
-        reference = self.reference()
-        ts = TargetSystem.build(profile, reference, self.domain)
-        grid = Grid(ts.x_min, ts.x_max, self.n_points)
-        return ts, grid
+        """The TargetSystem of this combination."""
+        return TargetSystem.build(self.profile(), self.reference(), self.domain)
 
 
 def _mass_alpha(profile_kind, reference_kind, q):

@@ -30,21 +30,6 @@ POSCHL_TELLER = "poschl_teller"
 HULTHEN = "hulthen"
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Bound-state energies of a reference problem, lowest first."""
-
-    energies: tuple
-    kind: str
-    params: tuple
-
-    def __len__(self):
-        return len(self.energies)
-
-    def __getitem__(self, n):
-        return self.energies[n]
-
-
 def _check_level(n, n_max, kind):
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
         raise ArgumentError(f"level index must be a non-negative integer, got {n!r}")
@@ -235,12 +220,3 @@ def make_reference(kind, **params):
         return REFERENCES[kind](**params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for reference {kind!r}: {exc}")
-
-
-def spectrum(ref, n_levels=None):
-    """Bound-state energies of a reference, lowest first."""
-    top = ref.n_max if n_levels is None else min(n_levels - 1, ref.n_max)
-    energies = tuple(ref.energy(n) for n in range(top + 1))
-    kind = next(k for k, cls in REFERENCES.items() if type(ref) is cls)
-    params = tuple(sorted(ref.__dict__.items()))
-    return Spectrum(energies, kind, params)

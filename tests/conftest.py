@@ -1,8 +1,15 @@
 """Shared fixtures and the acceptance-criteria summary hook."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from pctsolve.errors import PctError, PoleError
+
+# the benchmark's modules (perfbench/tracing.py, perfbench/workloads.py)
+# import under their own names
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 CRITERION_RESULTS = {}
 

@@ -16,16 +16,10 @@ import pytest
 
 from conftest import record_criterion
 from pctsolve import cli, presets, qmath
-from pctsolve.eigensolver import (
-    Grid,
-    overlap,
-    residual_norm,
-    solve_constant_mass,
-    solve_effective_mass,
-)
+from pctsolve.eigensolver import Grid, residual_norm, solve_constant_mass
 from pctsolve.exprlang import eval_jet, parse
 from pctsolve.massmodel import MappingFunction, MassProfile
-from pctsolve.pctengine import pct_identity_residual, standard_profile_values
+from pctsolve.pctengine import pct_identity_residual, standard_profile_values, verify
 
 # ---------------------------------------------------------------------------
 # 1. constant-mass solver vs closed-form spectra
@@ -75,22 +69,11 @@ def _combo_params():
 @pytest.mark.parametrize("spec", list(_combo_params()))
 def test_criterion_2_isospectrality(spec):
     start = time.time()
-    ts, grid = spec.build()
-    xs = grid.points
-    mid = 0.5 * (xs[:-1] + xs[1:])
-    # seeded with the analytic states, as `pct verify` is: certified runs
-    # report the matrix eigenvalues, the rest fall back to bisection
-    fields = ts.fields(xs, range(3))
-    result = solve_effective_mass(
-        grid,
-        np.asarray(ts.profile.mass(mid), dtype=float),
-        fields.potential,
-        3,
-        guesses=fields.states,
-    )
-    rel = max(
-        abs(result.energies[n] - ts.energy(n)) / abs(ts.energy(n)) for n in range(3)
-    )
+    ts = spec.build()
+    # the check `pct verify` runs: certified runs report the matrix
+    # eigenvalues, the rest fall back to bisection
+    energies = verify(ts, spec.n_points, 3).energies
+    rel = max(abs(energies[n] - ts.energy(n)) / abs(ts.energy(n)) for n in range(3))
     _C2_TIME[0] += time.time() - start
     _C2_RESULTS[spec.name] = rel
     assert rel < 1e-3, f"{spec.name}: rel error {rel:.2e}"
@@ -116,14 +99,14 @@ def test_criterion_2_summary():
 # 3. effective-mass ODE residual of the analytic target states
 
 
-def _residual_window(ts, grid):
+def _residual_window(ts, n_points):
     """Sub-interval where the states live and h = 1e-3 resolves the ODE."""
-    xs = grid.points
-    m = np.asarray(ts.profile.mass(xs), dtype=float)
-    v = np.asarray(ts.potential(xs), dtype=float)
+    xs = np.linspace(ts.x_min, ts.x_max, n_points)
+    fields = ts.fields(xs, (0, 1))
+    m, v = fields.mass, fields.potential
     amp = np.zeros_like(xs)
-    for n in (0, 1):
-        psi = np.abs(np.asarray(ts.wavefunction(n, xs), dtype=float))
+    for psi in fields.states:
+        psi = np.abs(psi)
         amp = np.maximum(amp, psi / np.max(psi))
     gap = np.maximum(np.abs(ts.energy(0) - v), np.abs(ts.energy(1) - v))
     resolvable = 1e-3 * np.sqrt(m * np.maximum(gap, 1.0)) < 0.02
@@ -136,8 +119,8 @@ def _residual_window(ts, grid):
 def test_criterion_3_analytic_state_residual():
     worst = 0.0
     for spec in presets.default_combos():
-        ts, solve_grid = spec.build()
-        lo, hi = _residual_window(ts, solve_grid)
+        ts = spec.build()
+        lo, hi = _residual_window(ts, spec.n_points)
         n_points = max(int(math.ceil((hi - lo) / 1e-3)) + 1, 2001)
         grid = Grid(lo, hi, n_points)
         assert grid.h <= 1e-3
@@ -267,19 +250,10 @@ def test_criterion_5_q_identities():
 
 
 def test_criterion_6_orthonormality():
-    worst = 0.0
-    for spec in presets.default_combos():
-        ts, grid = spec.build()
-        xs = grid.points
-        states = []
-        for n in range(3):
-            psi = np.asarray(ts.wavefunction(n, xs), dtype=float)
-            psi /= math.sqrt(np.trapezoid(psi * psi, dx=grid.h))
-            states.append(psi)
-        for i in range(3):
-            for j in range(3):
-                dev = abs(overlap(grid, states[i], states[j]) - (1.0 if i == j else 0.0))
-                worst = max(worst, dev)
+    worst = max(
+        verify(spec.build(), spec.n_points, 3).orthonormality_max_dev
+        for spec in presets.default_combos()
+    )
     ok = worst < 1e-3
     record_criterion(
         6,

@@ -4,12 +4,9 @@ function would otherwise blind the per-layer breakdown without failing."""
 
 import json
 import sys
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-
-import tracing  # noqa: E402
-from pctsolve import cli  # noqa: E402
+import tracing
+from pctsolve import cli
 
 #: one-run configs, each with the spans its run must hit
 CASES = {

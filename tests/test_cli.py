@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
-from pctsolve import cli, eigensolver, presets
+from pctsolve import cli, eigensolver, pctengine, presets
 from pctsolve.errors import ConfigError
 from pctsolve.massmodel import MappingFunction, MassProfile
 from pctsolve.refpotentials import PoschlTeller
+from workloads import README_CONFIG
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -32,26 +33,8 @@ def basic_config(**overrides):
     return {"schema_version": 1, "runs": [basic_run(**overrides)]}
 
 
-#: the two runs of the README's "Command line" config
-README_RUNS = [
-    {
-        "name": "coth-pt",
-        "mass": {"kind": "coth_sq", "alpha": 1.0, "q": 2.0},
-        "reference": {"kind": "poschl_teller", "U0": 6.0, "alpha": 1.0},
-        "grid": {"n_points": 20001, "levels": 3},
-    },
-    {
-        "name": "custom",
-        "mass": {
-            "kind": "custom",
-            "expression": "1/(1 + a*x^2)",
-            "parameters": {"a": 0.25},
-            "domain": [-80.0, 80.0],
-        },
-        "reference": {"kind": "morse", "D": 8.0, "alpha": 1.0},
-        "grid": {"n_points": 40001, "levels": 3},
-    },
-]
+#: the two runs of the README's "Command line" config (see test_readme.py)
+README_RUNS = README_CONFIG["runs"]
 
 
 def preset_run(spec):
@@ -147,6 +130,16 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert [r["name"] for r in report["runs"]] == ["asym-morse", "coth-pt"]
 
+    def test_suggested_domain_holds_every_requested_level(self, tmp_path):
+        # a domain suggested for three levels cuts off Morse's E4 (rel error 1.8e-2)
+        doc = basic_config(
+            mass={"kind": "coth_sq", "alpha": 1.0, "q": 1.0},
+            reference={"kind": "morse", "D": 12.5, "alpha": 1.0},
+            grid={"n_points": 20001, "levels": 5},
+        )
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["verify", cfg, "-o", str(tmp_path / "r.json")]) == 0
+
     def test_hulthen_wall_on_the_domain_edge_is_config_error(self, tmp_path):
         # f(0) = 0: the run would sample the Hulthen wall itself
         doc = basic_config(
@@ -223,7 +216,7 @@ class TestWorkCounts:
             windows.append(grid)
             return r
 
-        monkeypatch.setattr(cli, "residual_norm", spy)
+        monkeypatch.setattr(pctengine, "residual_norm", spy)
         cli.cmd_verify(load_runs(runs))
         assert len(windows) == 3 * len(runs)
 
@@ -270,11 +263,11 @@ class TestVerifyAccuracy:
     def test_energies_match_tight_bisection(self, monkeypatch, run):
         solved = []
 
-        def spy(*args, _fn=cli.solve_effective_mass, **kwargs):
+        def spy(*args, _fn=pctengine.solve_effective_mass, **kwargs):
             solved.append(_fn(*args, **kwargs))
             return solved[-1]
 
-        monkeypatch.setattr(cli, "solve_effective_mass", spy)
+        monkeypatch.setattr(pctengine, "solve_effective_mass", spy)
         text, _ = cli.cmd_verify(load_runs([run]))
         reported = [level["numerical"] for level in json.loads(text)["runs"][0]["levels"]]
         (res,) = solved

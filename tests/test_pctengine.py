@@ -54,14 +54,6 @@ class TestTargetSystem:
         for n in range(3):
             assert node_count(np.asarray(ts.wavefunction(n, xs))) == n
 
-    def test_weight_is_inverse_quartic_root_of_mass(self):
-        profile = MassProfile("coth_sq", 1.0, 1.0)
-        ts = TargetSystem.build(profile, MORSE_REF)
-        xs = np.linspace(ts.x_min + 0.1, ts.x_max, 9)
-        assert np.allclose(
-            ts.weight(xs), np.asarray(profile.mass(xs)) ** -0.25, rtol=1e-13
-        )
-
     def test_hulthen_reference_domain_violation(self):
         # f(x_min) <= 0 must be rejected
         profile = MassProfile("asymptotically_vanishing", 8.0, 1.0)

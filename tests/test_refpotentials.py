@@ -5,13 +5,7 @@ import pytest
 
 from pctsolve.eigensolver import Grid, node_count, residual_norm
 from pctsolve.errors import ArgumentError, ConfigError, DomainError
-from pctsolve.refpotentials import (
-    Hulthen,
-    Morse,
-    PoschlTeller,
-    make_reference,
-    spectrum,
-)
+from pctsolve.refpotentials import Hulthen, Morse, PoschlTeller, make_reference
 
 MORSE = Morse(D=8.0, alpha=1.0)
 PT = PoschlTeller(U0=6.0, alpha=1.0)
@@ -44,11 +38,6 @@ class TestSpectra:
         for ref in (MORSE, PT, HULTHEN):
             energies = [ref.energy(n) for n in range(ref.n_max + 1)]
             assert all(a < b < 0 for a, b in zip(energies, energies[1:]))
-
-    def test_spectrum_container(self):
-        s = spectrum(MORSE, n_levels=3)
-        assert len(s) == 3
-        assert s[0] == MORSE.energy(0)
 
     def test_level_out_of_range(self):
         with pytest.raises(ArgumentError):
