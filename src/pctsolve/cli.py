@@ -124,9 +124,17 @@ def _parse_run(cfg, path):
     _require(levels, f"{path}.grid.levels", int, "an integer")
     if levels < 1:
         _fail(f"{path}.grid.levels", "must be >= 1")
+    checked = min(levels, reference.n_max + 1)
+    if checked > n_points - 2:
+        _fail(
+            f"{path}.grid.levels",
+            f"checks {checked} levels, more than the {n_points - 2} interior grid points",
+        )
     check_q1 = cfg.get("check_q1_reduction", False)
     if not isinstance(check_q1, bool):
         _fail(f"{path}.check_q1_reduction", "must be a boolean")
+    if check_q1 and (profile.kind == massmodel.CUSTOM or profile.q != 1.0):
+        _fail(f"{path}.check_q1_reduction", "needs a built-in mass profile with q = 1")
     tol = dict(_DEFAULT_TOLERANCES)
     tol_cfg = cfg.get("tolerances", {})
     _require(tol_cfg, f"{path}.tolerances", dict, "an object")

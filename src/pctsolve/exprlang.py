@@ -324,7 +324,8 @@ def jet_variable(x) -> Jet2:
 
 
 def _divide(a, b):
-    if np.any(np.abs(np.asarray(b)) == 0.0):
+    # an element is falsy exactly when it is +-0: one reduction pass
+    if not np.all(b):
         raise DomainError("division by zero in expression")
     return a / b
 
@@ -497,6 +498,16 @@ def _exponent_constant(v: Jet2) -> bool:
     return bool(np.all(np.asarray(v.d1) == 0.0) and np.all(np.asarray(v.d2) == 0.0))
 
 
+def _positive_power(b, e):
+    """b^e for b > 0.  A tiny scalar base (a parameter, a Python float)
+    overflows b^(k-2) where b^k does not: inf then, as numpy gives, not an
+    OverflowError."""
+    try:
+        return b**e
+    except OverflowError:
+        return math.inf
+
+
 def _jet_pow(u: Jet2, v: Jet2) -> Jet2:
     if not _exponent_constant(v):
         return _jet_exp(v * _jet_ln(u))
@@ -508,8 +519,8 @@ def _jet_pow(u: Jet2, v: Jet2) -> Jet2:
         return _jet(1.0) / _jet_pow(u, _jet(float(-n)))
     f0 = _power(u.value, k)
     if n is None:
-        f1 = k * u.value ** (k - 1.0)
-        f2 = k * (k - 1.0) * u.value ** (k - 2.0)
+        f1 = k * _positive_power(u.value, k - 1.0)
+        f2 = k * (k - 1.0) * _positive_power(u.value, k - 2.0)
     else:
         f1 = n * u.value ** (n - 1)
         f2 = n * (n - 1) * (u.value ** (n - 2) if n >= 2 else 0.0)

@@ -43,6 +43,25 @@ CUSTOM = "custom"
 _VALIDATION_SAMPLES = 401
 
 
+def outside(x, lo, hi):
+    """Whether some x lies below lo - 1e-12 (1 + |x|) or above
+    hi + 1e-12 (1 + |x|).
+
+    x +- 1e-12 (1 + |x|) is increasing in x, so only min(x) and max(x) can
+    fail, and two reductions decide.  NaN and +-inf fail neither comparison;
+    a NaN makes min and max NaN, and an infinite end can hide a finite
+    point that fails, so then the test runs elementwise.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size == 0:
+        return False
+    x_lo, x_hi = float(np.min(x)), float(np.max(x))
+    if math.isfinite(x_lo) and math.isfinite(x_hi):
+        return x_lo < lo - 1e-12 * (1.0 + abs(x_lo)) or x_hi > hi + 1e-12 * (1.0 + abs(x_hi))
+    eps = 1e-12 * (1.0 + np.abs(x))
+    return bool(np.any(x < lo - eps) or np.any(x > hi + eps))
+
+
 # ---------------------------------------------------------------------------
 # built-in profile families
 
@@ -273,9 +292,7 @@ class MassProfile:
 
     def _check_in_domain(self, x):
         lo, hi = self.domain()
-        x = np.asarray(x, dtype=float)
-        eps = 1e-12 * (1.0 + np.abs(x))
-        if np.any(x < lo - eps) or np.any(x > hi + eps):
+        if outside(x, lo, hi):
             raise DomainError(
                 f"x outside the {self.kind} profile domain [{lo}, {hi}]"
             )

@@ -82,9 +82,7 @@ class TargetSystem:
         return ts
 
     def _check_x(self, x):
-        x = np.asarray(x, dtype=float)
-        eps = 1e-12 * (1.0 + np.abs(x))
-        if np.any(x < self.x_min - eps) or np.any(x > self.x_max + eps):
+        if massmodel.outside(x, self.x_min, self.x_max):
             raise DomainError("x outside the target system domain")
 
     def fields(self, x, levels=()):

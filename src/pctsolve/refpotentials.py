@@ -11,8 +11,10 @@ on its natural domain, i.e. H = -(1/2) d^2/dy^2 + V(y).  Provided families:
 * Hulthen            V(y) = -V0 e^{-a y} / (1 - e^{-a y}), y > 0
 
 All three support a finite ladder of bound states with closed-form energies
-and (unnormalized up to an analytic constant) eigenfunctions built from
-generalized Laguerre / Jacobi polynomials.
+and eigenfunctions built from generalized Laguerre / Jacobi polynomials.
+Each eigenfunction is scaled to unit L2 norm on the reference domain by its
+closed-form norm (log-Gamma via ``math.lgamma``), so Phi_n(y) is a pointwise
+function of y: a sample does not depend on the other points passed with it.
 """
 
 from __future__ import annotations
@@ -37,19 +39,6 @@ def _check_level(n, n_max, kind):
         raise ArgumentError(
             f"{kind} potential with these parameters has levels 0..{n_max}, got n={n}"
         )
-
-
-def _normalize_numeric(psi, y):
-    """Scale a bound-state profile to unit L2 norm on the given sample.
-
-    Scalar or single-point input is returned unscaled (no measure to
-    integrate against); callers needing normalized values pass a grid.
-    """
-    psi = np.asarray(psi, dtype=float)
-    if psi.ndim == 0 or psi.size < 2:
-        return psi
-    norm = math.sqrt(np.trapezoid(psi * psi, y))
-    return psi / norm if norm > 0 else psi
 
 
 @dataclass(frozen=True)
@@ -87,22 +76,25 @@ class Morse:
         return -0.5 * self.alpha**2 * beta * beta
 
     def eigenfunction(self, n, y):
-        """Unit-norm bound state: z^beta e^{-z/2} L_n^{2 beta}(z), z = 2 dbar e^{-a y}."""
+        """Unit-norm bound state: z^beta e^{-z/2} L_n^{2 beta}(z) / sqrt(N),
+        z = 2 dbar e^{-a y}, N = Gamma(n + 2 beta + 1) / (a n! 2 beta)."""
         _check_level(n, self.n_max, MORSE)
         y = np.asarray(y, dtype=float)
         dbar = self._dbar()
         beta = dbar - n - 0.5
+        log_norm = (
+            math.lgamma(n + 2.0 * beta + 1.0)
+            - math.lgamma(n + 1.0)
+            - math.log(2.0 * beta * self.alpha)
+        )
         logz = math.log(2.0 * dbar) - self.alpha * y
         z = np.exp(np.minimum(logz, 700.0))
-        # envelope in log form; deep in the inner wall (z huge) the state is 0
-        log_env = beta * logz - 0.5 * z
-        alive = log_env > -745.0
-        env = np.where(alive, np.exp(np.where(alive, log_env, 0.0)), 0.0)
+        # envelope and 1/sqrt(N) in log form; deep in the inner wall (z huge)
+        # the exponential underflows to 0
+        env = np.exp(beta * logz - 0.5 * z - 0.5 * log_norm)
         # the envelope kills everything past z ~ 1600; clip z there so the
         # polynomial cannot overflow into 0 * inf
-        poly = laguerre_assoc(n, 2.0 * beta, np.minimum(z, 2000.0))
-        psi = env * poly
-        return _normalize_numeric(psi, y)
+        return env * laguerre_assoc(n, 2.0 * beta, np.minimum(z, 2000.0))
 
 
 @dataclass(frozen=True)
@@ -141,17 +133,24 @@ class PoschlTeller:
         return -0.5 * self.alpha**2 * beta * beta
 
     def eigenfunction(self, n, y):
-        """Unit-norm bound state: (1 - z^2)^{beta/2} P_n^{(beta,beta)}(z), z = tanh(a y)."""
+        """Unit-norm bound state: (1 - z^2)^{beta/2} P_n^{(beta,beta)}(z) / sqrt(N),
+        z = tanh(a y), N = 2^{2 beta} Gamma(n + beta + 1)^2 / (a beta n! Gamma(n + 2 beta + 1))."""
         _check_level(n, self.n_max, POSCHL_TELLER)
         y = np.asarray(y, dtype=float)
         beta = self._s() - n
+        log_norm = (
+            2.0 * beta * math.log(2.0)
+            + 2.0 * math.lgamma(n + beta + 1.0)
+            - math.lgamma(n + 1.0)
+            - math.lgamma(n + 2.0 * beta + 1.0)
+            - math.log(self.alpha * beta)
+        )
         u = self.alpha * y
         z = np.tanh(u)
-        # (1 - z^2)^{beta/2} = sech^{beta}; evaluate in log form for large |u|
-        log_env = -beta * (np.abs(u) + np.log1p(np.exp(-2.0 * np.abs(u))) - math.log(2.0))
-        env = np.where(log_env > -745.0, np.exp(log_env), 0.0)
-        psi = env * jacobi(n, beta, beta, z)
-        return _normalize_numeric(psi, y)
+        # (1 - z^2)^{beta/2} = sech^{beta} and 1/sqrt(N) in log form for large |u|
+        au = np.abs(u)
+        env = np.exp(-beta * (au + np.log1p(np.exp(-2.0 * au)) - math.log(2.0)) - 0.5 * log_norm)
+        return env * jacobi(n, beta, beta, z)
 
 
 @dataclass(frozen=True)
@@ -192,17 +191,20 @@ class Hulthen:
         return -self.alpha**2 / 8.0 * ((self._beta_sq() - nbar * nbar) / nbar) ** 2
 
     def eigenfunction(self, n, y):
-        """Unit-norm bound state: z^w (1 - z) P_n^{(2w, 1)}(1 - 2z), z = e^{-a y},
-        with w = (beta^2 - (n+1)^2) / (2 (n+1))."""
+        """Unit-norm bound state: z^w (1 - z) P_n^{(2w, 1)}(1 - 2z) / sqrt(N),
+        z = e^{-a y}, with w = (beta^2 - (n+1)^2) / (2 (n+1)) and
+        N = (n+1)^2 / (2 a w (n + 2w + 1)(n + w + 1))."""
         _check_level(n, self.n_max, HULTHEN)
         y = np.asarray(y, dtype=float)
         if np.any(y <= 0):
             raise DomainError("Hulthen eigenfunction is defined for y > 0 only")
         nbar = n + 1
         w = (self._beta_sq() - nbar * nbar) / (2.0 * nbar)
+        scale = math.sqrt(2.0 * self.alpha * w * (n + 2.0 * w + 1.0) * (n + w + 1.0)) / nbar
         z = np.exp(-self.alpha * y)
-        psi = z**w * (1.0 - z) * jacobi(n, 2.0 * w, 1.0, 1.0 - 2.0 * z)
-        return _normalize_numeric(psi, y)
+        # np.power, not **: a numpy scalar's ** is libm pow, which can differ in
+        # the last bit from the array loop
+        return scale * np.power(z, w) * (1.0 - z) * jacobi(n, 2.0 * w, 1.0, 1.0 - 2.0 * z)
 
 
 #: the reference classes by kind string; their dataclass fields are the

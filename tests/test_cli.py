@@ -1,5 +1,8 @@
 import collections
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +75,48 @@ class TestConfigValidation:
     def test_unknown_tolerance_rejected(self):
         with pytest.raises(ConfigError, match=r"tolerances\.energy"):
             cli.load_config(json.dumps(basic_config(tolerances={"energy": 1e-3})))
+
+    @pytest.mark.parametrize(
+        "mass",
+        [
+            {"kind": "tanh_sq", "alpha": 0.1, "q": 0.5},
+            {"kind": "custom", "expression": "1/(1 + x^2)", "domain": [-6.0, 6.0]},
+        ],
+        ids=["q0.5", "custom"],
+    )
+    def test_q1_check_needs_a_builtin_profile_at_q1(self, tmp_path, capsys, monkeypatch, mass):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved a run with an invalid config")
+
+        monkeypatch.setattr(cli, "verify", refuse)
+        cfg = write_config(tmp_path, basic_config(mass=mass, check_q1_reduction=True))
+        assert cli.main(["verify", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config.runs[0].check_q1_reduction" in err
+        assert "q = 1" in err
+
+    def test_more_levels_than_interior_points(self, tmp_path):
+        # 40 levels of a Morse well with 100 bound states on a 16-point grid
+        doc = basic_config(
+            reference={"kind": "morse", "D": 5000.0, "alpha": 1.0},
+            grid={"n_points": 16, "levels": 40},
+        )
+        cfg = write_config(tmp_path, doc)
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "pctsolve.cli", "verify", cfg],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error: config.runs[0].grid.levels:"), out.stderr
+        assert "Warning" not in out.stderr
+        # levels the reference does not have are not checked
+        doc["runs"][0]["reference"]["D"] = 8.0
+        assert len(cli.load_config(json.dumps(doc))["runs"]) == 1
 
     def test_document_roundtrip_is_stable(self):
         doc = basic_config()

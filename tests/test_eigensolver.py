@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -121,6 +122,20 @@ class TestMatrixChecks:
             solve_effective_mass(grid, np.ones(1000), v, 1, guesses=guesses)
         with pytest.raises(RangeOverflowError):
             solve_constant_mass(grid, v, 1)
+
+    def test_opposite_infinities_rejected(self):
+        grid = Grid(-8.0, 8.0, 1001)
+        v = 0.5 * grid.points**2
+        v[100], v[101] = math.inf, -math.inf
+        with pytest.raises(RangeOverflowError):
+            solve_constant_mass(grid, v, 1)
+
+    def test_huge_finite_entries_accepted(self):
+        # the diagonal's sum overflows although every entry is finite
+        grid = Grid(-8.0, 8.0, 1001)
+        v = 0.5 * grid.points**2
+        v[[100, 101]] = 1e308
+        np.testing.assert_allclose(solve_constant_mass(grid, v, 2).energies, [0.5, 1.5], rtol=1e-4)
 
     def test_more_levels_than_interior_points(self):
         grid = Grid(0.0, 1.0, 16)
@@ -369,6 +384,54 @@ class TestCertifiedRefinement:
         counts = self.count_sturm_calls(monkeypatch)
         self.assert_fell_back(guesses)
         assert counts == []
+
+    @pytest.mark.parametrize("first", [0, 1], ids=["certified", "fallback"])
+    def test_guesses_left_unchanged(self, monkeypatch, first):
+        grid, m, v = self.problem()
+        guesses = np.array(self.hermite_functions(grid, range(first, first + self.LEVELS)))
+        kept = guesses.copy()
+        guesses.flags.writeable = False
+        counts = self.count_sturm_calls(monkeypatch)
+        solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses)
+        assert counts == [self.LEVELS + first]
+        assert np.array_equal(guesses, kept)
+
+    def test_concurrent_solves_share_no_workspace(self):
+        # each thread refines in its own buffers: with a short switch
+        # interval, a shared workspace would mix the threads' iterates
+        problems = []
+        for n_points in (801, 1001, 1201):
+            grid = Grid(-8.0, 8.0, n_points)
+            mid = 0.5 * (grid.points[:-1] + grid.points[1:])
+            problems.append(
+                (grid, 1.0 + 0.5 / (1.0 + mid * mid), 0.5 * grid.points**2,
+                 self.hermite_functions(grid, range(self.LEVELS)))
+            )
+        want = [
+            solve_effective_mass(g, m, v, self.LEVELS, guesses=s).energies
+            for g, m, v, s in problems
+        ]
+        failures = []
+
+        def worker(k):
+            for _ in range(20):
+                g, m, v, s = problems[k % len(problems)]
+                got = solve_effective_mass(g, m, v, self.LEVELS, guesses=s).energies
+                if not np.array_equal(got, want[k % len(problems)]):
+                    failures.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
 
     def test_guess_shape_checked(self):
         grid, m, v = self.problem()

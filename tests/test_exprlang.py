@@ -241,10 +241,10 @@ class TestValueWalk:
                 lambda: eval_value(ast, at, params), lambda: eval_jet(ast, at, params)
             )
 
-    @pytest.mark.parametrize("source", ["ln(a)", "ln(ln(a))", "x + ln(a)"])
+    @pytest.mark.parametrize("source", ["ln(a)", "ln(ln(a))", "x + ln(a)", "a^a + x^x"])
     def test_tiny_positive_argument(self, source):
-        # a^2 underflows to 0: the jet's second derivative overflows, its
-        # value does not
+        # a^2 underflows to 0 and a^(a-2) overflows: the jet's second
+        # derivative overflows, its value does not
         ast = parse(source)
         for at in (0.0, _XS):
             assert_value_matches_jet(

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pctsolve import massmodel
 from pctsolve.eigensolver import Grid, node_count
 from pctsolve.errors import ConfigError, DomainError
 from pctsolve.massmodel import MappingFunction, MassProfile
@@ -91,6 +93,82 @@ class TestTargetSystem:
         f = float(ts.mapping.forward(x))
         expected = float(MORSE_REF.potential(f)) + float(profile.correction(x))
         assert float(ts.potential(x)) == pytest.approx(expected, rel=1e-14)
+
+
+def elementwise_outside(x, lo, hi):
+    """The domain rule point by point: some x below lo - 1e-12 (1 + |x|) or
+    above hi + 1e-12 (1 + |x|)."""
+    x = np.asarray(x, dtype=float)
+    eps = 1e-12 * (1.0 + np.abs(x))
+    return bool(np.any(x < lo - eps) or np.any(x > hi + eps))
+
+
+def near(end):
+    """Floats within a few ulps of ``end`` and of ``end`` -+ 1e-12 (1 + |end|)."""
+    tol = 1e-12 * (1.0 + abs(end))
+    return st.builds(
+        lambda base, k: float(base + k * np.spacing(base)),
+        st.sampled_from([end, end - tol, end + tol]),
+        st.integers(-3, 3),
+    )
+
+
+class TestDomainCheck:
+    """The domain checks test min(x) and max(x) alone; their verdict is the
+    elementwise rule's, NaN, +-inf and empty arrays included."""
+
+    PROFILE = MassProfile.custom("1 + x^2", -2.5, 7.0)
+    BUILTIN = MassProfile("tanh_sq", 0.7, 0.5)
+    TARGET = TargetSystem.build(
+        MassProfile("asymptotically_vanishing", 8.0, 1.0), MORSE_REF, (-1.0, 3.0)
+    )
+
+    @staticmethod
+    def samples(lo, hi):
+        ends = [e for e in (lo, hi) if math.isfinite(e)]
+        element = st.one_of(
+            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(-1e3, 1e3),
+            *[near(e) for e in ends],
+        )
+        return st.one_of(
+            element.map(np.float64),
+            st.lists(element, max_size=6).map(lambda v: np.array(v, dtype=float)),
+        )
+
+    @staticmethod
+    def raises(check, x):
+        try:
+            check(x)
+        except DomainError:
+            return True
+        return False
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mass_profile(self, data):
+        for profile in (self.PROFILE, self.BUILTIN):
+            lo, hi = profile.domain()
+            x = data.draw(self.samples(lo, hi))
+            want = elementwise_outside(x, lo, hi)
+            assert massmodel.outside(x, lo, hi) == want
+            assert self.raises(profile._check_in_domain, x) == want
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_target_system(self, data):
+        ts = self.TARGET
+        x = data.draw(self.samples(ts.x_min, ts.x_max))
+        assert self.raises(ts._check_x, x) == elementwise_outside(x, ts.x_min, ts.x_max)
+
+    @pytest.mark.parametrize("fill", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_hide_no_outlier(self, fill):
+        ts = self.TARGET
+        assert not self.raises(ts._check_x, np.array([fill, 0.5]))
+        assert self.raises(ts._check_x, np.array([fill, 0.5, 3.5]))
+        assert self.raises(ts._check_x, np.array([-1.5, fill, 0.5]))
+        assert not self.raises(ts._check_x, np.array([]))
 
 
 class TestFields:

@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -96,6 +98,77 @@ class TestEigenfunctions:
             HULTHEN.potential(np.array([-0.5, 1.0]))
         with pytest.raises(DomainError):
             HULTHEN.eigenfunction(0, np.array([0.0, 1.0]))
+
+
+#: two parameter sets per reference, the second a deep well, each with
+#: breakpoints spanning a window outside which every |Phi_n|^2 is below
+#: 1e-20 of its peak
+NORM_CASES = {
+    "morse": (Morse(D=8.0, alpha=1.0), (-4.0, 0.0, 10.0, 60.0)),
+    "morse-deep": (Morse(D=800.0, alpha=1.0), (-2.0, 0.0, 10.0, 60.0)),
+    "poschl_teller": (PoschlTeller(U0=6.0, alpha=1.0), (-40.0, -5.0, 5.0, 40.0)),
+    "poschl_teller-deep": (PoschlTeller(U0=480.375, alpha=1.0), (-50.0, -5.0, 5.0, 50.0)),
+    "hulthen": (Hulthen(V0=2.0, alpha=0.5), (0.0, 0.5, 5.0, 120.0)),
+    "hulthen-deep": (Hulthen(V0=210.125, alpha=1.0), (0.0, 0.05, 0.5, 5.0, 100.0)),
+}
+
+_GAUSS_LEGENDRE = mp.calculus.quadrature.GaussLegendre(mp.mp)
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(breaks, pieces=8, degree=6):
+    """mpmath's Gauss-Legendre rule at 30 digits on ``pieces`` equal panels
+    between consecutive ``breaks``, 3 * 2^(degree-1) nodes each: (float
+    nodes, mpf weights)."""
+    edges = np.concatenate(
+        [np.linspace(a, b, pieces + 1)[:-1] for a, b in zip(breaks, breaks[1:])] + [breaks[-1:]]
+    )
+    nodes = []
+    with mp.workdps(30):
+        for lo, hi in zip(edges, edges[1:]):
+            nodes += _GAUSS_LEGENDRE.get_nodes(mp.mpf(lo), mp.mpf(hi), degree, mp.mp.prec)
+    return np.array([float(y) for y, _ in nodes]), [w for _, w in nodes]
+
+
+def mp_norm_sq(ref, n, breaks):
+    """int |Phi_n|^2 dy over the window of ``breaks``, summed at 30 digits,
+    with Phi_n evaluated in one array call at the nodes."""
+    ys, weights = gauss_legendre(breaks)
+    with mp.workdps(30):
+        phi = ref.eigenfunction(n, ys)
+        return float(mp.fdot(weights, [mp.mpf(float(p)) ** 2 for p in phi]))
+
+
+class TestClosedFormNorms:
+    """Each Phi_n carries its closed-form norm: a pointwise function of y,
+    of unit L2 norm on the reference domain."""
+
+    @pytest.mark.parametrize("name", sorted(NORM_CASES))
+    def test_unit_norm_against_mpmath(self, name):
+        ref, breaks = NORM_CASES[name]
+        errors = [abs(mp_norm_sq(ref, n, breaks) - 1.0) for n in range(ref.n_max + 1)]
+        assert max(errors) < 1e-12, (name, errors)
+
+    @pytest.mark.parametrize("name", sorted(NORM_CASES))
+    def test_scalar_is_the_array_entry(self, name):
+        ref, breaks = NORM_CASES[name]
+        ys = np.linspace(breaks[0], breaks[-1], 9)
+        if isinstance(ref, Hulthen):
+            ys[0] = 1e-9
+        for n in range(ref.n_max + 1):
+            phi = np.asarray(ref.eigenfunction(n, ys), dtype=float)
+            for y, want in zip(ys, phi):
+                got = ref.eigenfunction(n, float(y))
+                assert np.ndim(got) == 0
+                assert np.float64(got).view(np.int64) == want.view(np.int64), (n, y)
+
+    def test_value_ignores_the_other_points(self):
+        # with a trapezoid norm over the sample these were 26.52, 1.3226
+        # and 0.9834
+        alone = MORSE.eigenfunction(0, 0.0)
+        assert MORSE.eigenfunction(0, np.array([0.0, 1.0]))[0] == alone
+        assert MORSE.eigenfunction(0, np.linspace(-3.5, 10.0, 2701))[700] == alone
+        assert alone == pytest.approx(0.98848658, rel=1e-8)
 
 
 class TestFactory:
