@@ -14,11 +14,19 @@ step, and keeps the result only if it is certified: the intervals
 [mu_k - r_k, mu_k + r_k] (r_k the residual norm) are pairwise disjoint, and
 one Sturm count (LAPACK ``stebz`` without bisection) finds exactly as many
 eigenvalues up to the top of the highest interval.  The energies are then
-the mu_k, each within r_k of a distinct one of the lowest eigenvalues.  A
-solve without guesses, or whose guesses fail the certificate, finds the
-lowest eigenvalues by bisection (LAPACK ``stebz``), to its default absolute
-tolerance ulp * ||T||_1.  Either way the eigenvectors cost an inverse
-iteration on top, so they are computed on the first access to
+the mu_k, each within r_k of a distinct one of the lowest eigenvalues.
+
+A solve given ``bound`` as well, a value expected to separate the wanted
+eigenvalues from the next one (``pctengine.verify`` takes it from the
+analytic spectrum), makes its Sturm count at ``bound`` first.  A count
+other than the number of guesses means the matrix's spectrum below
+``bound`` is not the expected one, and the solve goes to bisection without
+refining; otherwise intervals at or below ``bound`` are certified by that
+same count, and only an interval reaching above it is counted again at its
+top.  A solve without guesses, or whose guesses fail the certificate, finds
+the lowest eigenvalues by bisection (LAPACK ``stebz``), to its default
+absolute tolerance ulp * ||T||_1.  Either way the eigenvectors cost an
+inverse iteration on top, so they are computed on the first access to
 ``EigenResult.states`` and never for a caller that reads only the energies.
 
 The refinement works on unnormalised iterates, in arrays each thread keeps
@@ -112,7 +120,9 @@ class EigenResult:
     ``energies`` are certified Rayleigh quotients when the solve's guesses
     passed the certificate, and otherwise bisection values, which carry
     bisection's absolute tolerance ulp * ||T||_1 (large for a matrix with
-    steep walls: about 4e-4 at ||T||_1 = 1.9e12).
+    steep walls: about 4e-4 at ||T||_1 = 1.9e12).  A solve given ``bound``
+    whose Sturm count at it differs from the number of levels always gives
+    bisection values.
 
     ``states`` holds the matching eigenvectors as L2-normalized columns of
     shape (n_points, n_levels), zero at both ends, each signed so that its
@@ -216,17 +226,19 @@ def _workspace(n):
     return ws
 
 
-def _rayleigh_refine(diag, off, row_abs_sq, ws):
+def _rayleigh_refine(diag, off, row_abs_sq, floor_scale, ws):
     """Rayleigh-quotient iteration from ``ws.x``, in place: (mu, r) of the
     iterate v with the smallest bound r >= ||T v - mu v|| / ||v||.
 
     The iterates are not normalised; their norms enter only as scalars.  r
     includes the rounding floor of the residual's own evaluation,
     4 eps ||(|T| v)|| / ||v|| with |T| taken as the absolute row sums (given
-    squared, ``row_abs_sq``), and the rounding of the sums of squares: a sum
-    of n products, in any order, is within n eps / (1 - n eps) of its exact
-    value (Higham, Accuracy and Stability of Numerical Algorithms, eq. 3.5),
-    which the factor ``slack`` covers for the two sums under each root.
+    squared after scaling by a power of two, which ``floor_scale``, 4 eps
+    times the inverse scale, undoes), and the rounding of the sums of
+    squares: a sum of n products, in any order, is within n eps / (1 - n eps)
+    of its exact value (Higham, Accuracy and Stability of Numerical
+    Algorithms, eq. 3.5), which the factor ``slack`` covers for the two sums
+    under each root.
     The iteration stops when the computed residual is down to the floor,
     when r stops falling, or after ``_RQI_STEPS`` solves.  A guess with no
     usable direction (zero, inf or nan) gives (nan, inf).
@@ -242,7 +254,7 @@ def _rayleigh_refine(diag, off, row_abs_sq, ws):
         mu = _dot(x, tx) / s
         tx -= np.multiply(x, mu, out=tmp)
         computed = math.sqrt(_dot(tx, tx) / s)
-        floor = 4.0 * _EPS * math.sqrt(float(np.einsum("i,i,i", row_abs_sq, x, x)) / s)
+        floor = floor_scale * math.sqrt(float(np.einsum("i,i,i", row_abs_sq, x, x)) / s)
         r = (computed + floor) * slack
         if not r < best[1]:
             break
@@ -256,14 +268,27 @@ def _rayleigh_refine(diag, off, row_abs_sq, ws):
     return best
 
 
-def _certified_energies(diag, off, guesses):
+def _count_up_to(diag, off, lo, hi):
+    """The number of eigenvalues in (lo, hi] by one Sturm count, or None if
+    stebz fails (as it does for hi <= lo)."""
+    # an absolute tolerance wider than (lo, hi] makes stebz count, not bisect
+    count, _, _, _, info = dstebz(diag, off, 1, lo, hi, 1, 1, 2.0 * (hi - lo), b"E")
+    return count if info == 0 else None
+
+
+def _certified_energies(diag, off, guesses, bound=None):
     """The lowest len(guesses) eigenvalues refined from the interiors of
     ``guesses`` (grid samples, ends included), or None unless certified.
 
     Certified: the intervals mu_k +- r_k are pairwise disjoint, so each holds
-    a distinct eigenvalue, and a Sturm count finds exactly that many
-    eigenvalues in (Gershgorin lower bound, top of the highest interval], so
-    they are the lowest ones.  The guesses themselves are left unchanged.
+    a distinct eigenvalue, and exactly that many eigenvalues lie in
+    (Gershgorin lower bound, top of the highest interval], so they are the
+    lowest ones.  Given ``bound``, a value expected to separate the wanted
+    eigenvalues from the rest, the first step is a Sturm count up to it: a
+    count other than len(guesses) returns None before any refinement.  When
+    every interval then lies at or below ``bound``, that same count is the
+    certificate; an interval reaching above it is counted up to its top, as
+    without ``bound``.  The guesses themselves are left unchanged.
     """
     ws = _workspace(diag.size)
     # every eigenvalue lies above the lowest Gershgorin disc edge, here
@@ -275,12 +300,23 @@ def _certified_energies(diag, off, guesses):
     row_abs[1:] += abs_off
     gl = float(np.min(np.subtract(diag, row_abs, out=ws.tmp)))
     row_abs += np.abs(diag, out=ws.tmp)
-    gl -= 2.0 * _EPS * float(np.max(row_abs))
+    row_max = float(np.max(row_abs))
+    gl -= 2.0 * _EPS * row_max
+    n_levels = len(guesses)
+    if bound is not None and _count_up_to(diag, off, gl, bound) != n_levels:
+        return None
+    # the row sums scaled below 1 by an exact power of two before squaring,
+    # so no square overflows; scaling by a power of two commutes with
+    # rounding, so the floor is the unscaled one bit for bit wherever that
+    # one neither overflows nor underflows
+    exp = max(math.frexp(row_max)[1], 0)
+    row_abs *= math.ldexp(1.0, -exp)
     row_abs_sq = np.multiply(row_abs, row_abs, out=row_abs)
+    floor_scale = math.ldexp(4.0 * _EPS, exp)
     refined = []
     for g in guesses:
         np.copyto(ws.x, g[1:-1])
-        refined.append(_rayleigh_refine(diag, off, row_abs_sq, ws))
+        refined.append(_rayleigh_refine(diag, off, row_abs_sq, floor_scale, ws))
     mu, r = np.array(refined).T
     order = np.argsort(mu)
     mu, r = mu[order], r[order]
@@ -288,10 +324,10 @@ def _certified_energies(diag, off, guesses):
         return None
     if np.any(mu[1:] - r[1:] <= mu[:-1] + r[:-1]):
         return None
-    vu = float(mu[-1] + r[-1])
-    # an absolute tolerance wider than (gl, vu] makes stebz count, not bisect
-    count, _, _, _, info = dstebz(diag, off, 1, gl, vu, 1, 1, 2.0 * (vu - gl), b"E")
-    if info != 0 or count != mu.size:
+    top = float(mu[-1] + r[-1])
+    if bound is not None and top <= bound:
+        return mu
+    if _count_up_to(diag, off, gl, top) != n_levels:
         return None
     return mu
 
@@ -304,7 +340,7 @@ def _all_finite(a):
     return math.isfinite(total) or bool(np.all(np.isfinite(a)))
 
 
-def _solve_tridiagonal(grid, diag, off, n_levels, guesses=None):
+def _solve_tridiagonal(grid, diag, off, n_levels, guesses=None, bound=None):
     if not 1 <= n_levels <= diag.size:
         raise ArgumentError(f"n_levels must be between 1 and the {diag.size} interior points")
     if not (_all_finite(diag) and _all_finite(off)):
@@ -316,7 +352,7 @@ def _solve_tridiagonal(grid, diag, off, n_levels, guesses=None):
             raise GridMismatchError(
                 f"guesses must be {n_levels} arrays of the grid's {grid.n_points} points"
             )
-        vals = _certified_energies(diag, off, guesses)
+        vals = _certified_energies(diag, off, guesses, bound)
     if vals is None:
         vals = _bisect(diag, off, n_levels, b"E")[0]
     return EigenResult(grid, vals, diag, off)
@@ -333,13 +369,18 @@ def solve_constant_mass(grid, potential_values, n_levels):
     return _solve_tridiagonal(grid, diag, off, n_levels)
 
 
-def solve_effective_mass(grid, mass_at_midpoints, potential_values, n_levels, guesses=None):
+def solve_effective_mass(
+    grid, mass_at_midpoints, potential_values, n_levels, guesses=None, bound=None
+):
     """Lowest eigenpairs of -(1/2)(psi'/m)' + V psi, mass sampled at midpoints.
 
     ``mass_at_midpoints`` holds m(x_i + h/2) for i = 0..n-2; the flux
     coefficients a = 1/m keep the stencil symmetric.  ``guesses``, if given,
     holds n_levels samples on the grid of states close to the lowest ones;
     they seed the certified refinement (see the module docstring).
+    ``bound``, used only with guesses, is a value expected to lie between
+    the n_levels-th eigenvalue and the next: a solve with fewer or more
+    eigenvalues up to it goes straight to bisection.
     """
     v = np.asarray(potential_values, dtype=float)
     m = np.asarray(mass_at_midpoints, dtype=float)
@@ -357,7 +398,7 @@ def solve_effective_mass(grid, mass_at_midpoints, potential_values, n_levels, gu
     diag += v[1:-1]
     # a / (-c) is -a / c bit for bit
     off = a[1:-1] / (-2.0 * h * h)
-    return _solve_tridiagonal(grid, diag, off, n_levels, guesses)
+    return _solve_tridiagonal(grid, diag, off, n_levels, guesses, bound)
 
 
 def d1_numerator(values):
@@ -396,13 +437,20 @@ def residual_norm(grid, psi, energy, mass_values, potential_values, mass_d1=None
     return math.sqrt(float(np.mean(r * r)))
 
 
+def trapezoid_dot(a, b, h):
+    """The trapezoid rule for the integral of a * b over samples spaced h,
+    as h (sum a_i b_i - (a_0 b_0 + a_{n-1} b_{n-1}) / 2): one pass, without
+    a product array."""
+    return h * (_dot(a, b) - 0.5 * (a[0] * b[0] + a[-1] * b[-1]))
+
+
 def overlap(grid, psi_a, psi_b):
     """Trapezoid inner product <a|b> on the grid."""
     a = np.asarray(psi_a, dtype=float)
     b = np.asarray(psi_b, dtype=float)
     if a.shape != (grid.n_points,) or b.shape != (grid.n_points,):
         raise GridMismatchError("state samples do not match the grid")
-    return float(np.trapezoid(a * b, dx=grid.h))
+    return float(trapezoid_dot(a, b, grid.h))
 
 
 def node_count(psi, threshold=1e-6):

@@ -22,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import massmodel, qmath
-from .eigensolver import Grid, d1_numerator, overlap, residual_norm, solve_effective_mass
+from .eigensolver import (
+    Grid,
+    d1_numerator,
+    overlap,
+    residual_norm,
+    solve_effective_mass,
+    trapezoid_dot,
+)
 from .errors import ConfigError, DomainError
 from .massmodel import MappingFunction, MassProfile
 from .refpotentials import Morse, PoschlTeller
@@ -87,17 +94,21 @@ class TargetSystem:
 
     def fields(self, x, levels=()):
         """m, f, the correction, V and the unnormalized Psi_n for each n in
-        ``levels``, all at x from one mass jet and one f(x)."""
+        ``levels``, all at x from one mass jet, one f(x) and one reference
+        call for all levels."""
         self._check_x(x)
         jet = self.profile.mass_jet(x)
         f = self.mapping.forward(x)
         corr = massmodel.jet_correction(jet)
         m = np.asarray(jet.value, dtype=float)
-        m_root4 = m**0.25
-        states = tuple(
-            m_root4 * np.asarray(self.reference.eigenfunction(n, f), dtype=float)
-            for n in levels
-        )
+        levels = tuple(levels)
+        states = ()
+        if levels:
+            m_root4 = m**0.25
+            states = tuple(
+                m_root4 * np.asarray(phi, dtype=float)
+                for phi in self.reference.eigenfunction(levels, f)
+            )
         return Fields(m, f, corr, self.reference.potential(f) + corr, states)
 
     def potential(self, x):
@@ -119,7 +130,7 @@ class TargetSystem:
         grid = Grid(self.x_min, self.x_max, n_points)
         fields = self.fields(grid.points, range(levels))
         h = grid.h
-        states = tuple(psi / np.sqrt(np.trapezoid(psi * psi, dx=h)) for psi in fields.states)
+        states = tuple(psi / math.sqrt(trapezoid_dot(psi, psi, h)) for psi in fields.states)
         return grid, fields, states
 
     @property
@@ -158,15 +169,28 @@ class Verification:
         )
 
 
+def spectral_separation(ts, levels):
+    """A value between E_{levels-1} and the next level: the midpoint of the
+    two, or for the top bound state half its energy, since every reference
+    potential vanishes at infinity and its continuum starts at 0."""
+    top = ts.energy(levels - 1)
+    if levels - 1 < ts.n_max:
+        return 0.5 * (top + ts.energy(levels))
+    return 0.5 * top
+
+
 def verify(ts, n_points, levels):
     """Solve ``ts`` on its uniform n_points grid for the lowest ``levels``
-    energies, seeded by the analytic states, and evaluate those states' ODE
-    residuals and overlaps."""
+    energies, seeded by the analytic states and bounded by the analytic
+    separation from the next level, and evaluate those states' ODE residuals
+    and overlaps."""
     grid, fields, states = ts.sample(n_points, levels)
     xs = grid.points
     m_mid = np.asarray(ts.profile.mass(0.5 * (xs[:-1] + xs[1:])), dtype=float)
     m, v = fields.mass, fields.potential
-    result = solve_effective_mass(grid, m_mid, v, levels, guesses=states)
+    result = solve_effective_mass(
+        grid, m_mid, v, levels, guesses=states, bound=spectral_separation(ts, levels)
+    )
     residuals = []
     # m' by residual_norm's own stencil: its numerator once per run, divided
     # in each window by that window's h (which may differ from grid.h in the
@@ -256,8 +280,8 @@ def suggest_domain(profile, reference, n_levels=3, mapping=None):
     probe_hi = min(y_hi, 200.0)
     ys = np.linspace(probe_lo, probe_hi, 8001)
     total = np.zeros_like(ys)
-    for n in range(n_top + 1):
-        total += np.abs(np.asarray(reference.eigenfunction(n, ys), dtype=float))
+    for phi in reference.eigenfunction(range(n_top + 1), ys):
+        total += np.abs(np.asarray(phi, dtype=float))
     mask = total > _DECAY * np.max(total)
     i0, i1 = int(np.argmax(mask)), len(mask) - 1 - int(np.argmax(mask[::-1]))
     w_lo, w_hi = ys[max(i0 - 1, 0)], ys[min(i1 + 1, len(ys) - 1)]

@@ -15,6 +15,9 @@ and eigenfunctions built from generalized Laguerre / Jacobi polynomials.
 Each eigenfunction is scaled to unit L2 norm on the reference domain by its
 closed-form norm (log-Gamma via ``math.lgamma``), so Phi_n(y) is a pointwise
 function of y: a sample does not depend on the other points passed with it.
+``eigenfunction(n, y)`` also takes a sequence of levels n and then returns
+one state per level, computing the arrays that do not depend on the level
+once; each state is bit-identical to its own single-level call.
 """
 
 from __future__ import annotations
@@ -39,6 +42,16 @@ def _check_level(n, n_max, kind):
         raise ArgumentError(
             f"{kind} potential with these parameters has levels 0..{n_max}, got n={n}"
         )
+
+
+def _levels(n, n_max, kind):
+    """(the levels n names, whether n is a single level): n is one level
+    index or a sequence of them, each checked."""
+    single = isinstance(n, (int, np.integer)) or not np.iterable(n)
+    levels = (n,) if single else tuple(n)
+    for k in levels:
+        _check_level(k, n_max, kind)
+    return levels, single
 
 
 @dataclass(frozen=True)
@@ -77,24 +90,30 @@ class Morse:
 
     def eigenfunction(self, n, y):
         """Unit-norm bound state: z^beta e^{-z/2} L_n^{2 beta}(z) / sqrt(N),
-        z = 2 dbar e^{-a y}, N = Gamma(n + 2 beta + 1) / (a n! 2 beta)."""
-        _check_level(n, self.n_max, MORSE)
+        z = 2 dbar e^{-a y}, N = Gamma(n + 2 beta + 1) / (a n! 2 beta); a
+        tuple of them for a sequence of levels n, sharing log z and z."""
+        levels, single = _levels(n, self.n_max, MORSE)
         y = np.asarray(y, dtype=float)
         dbar = self._dbar()
-        beta = dbar - n - 0.5
-        log_norm = (
-            math.lgamma(n + 2.0 * beta + 1.0)
-            - math.lgamma(n + 1.0)
-            - math.log(2.0 * beta * self.alpha)
-        )
         logz = math.log(2.0 * dbar) - self.alpha * y
         z = np.exp(np.minimum(logz, 700.0))
-        # envelope and 1/sqrt(N) in log form; deep in the inner wall (z huge)
-        # the exponential underflows to 0
-        env = np.exp(beta * logz - 0.5 * z - 0.5 * log_norm)
         # the envelope kills everything past z ~ 1600; clip z there so the
         # polynomial cannot overflow into 0 * inf
-        return env * laguerre_assoc(n, 2.0 * beta, np.minimum(z, 2000.0))
+        z_poly = np.minimum(z, 2000.0)
+        half_z = 0.5 * z
+        states = []
+        for k in levels:
+            beta = dbar - k - 0.5
+            log_norm = (
+                math.lgamma(k + 2.0 * beta + 1.0)
+                - math.lgamma(k + 1.0)
+                - math.log(2.0 * beta * self.alpha)
+            )
+            # envelope and 1/sqrt(N) in log form; deep in the inner wall (z
+            # huge) the exponential underflows to 0
+            env = np.exp(beta * logz - half_z - 0.5 * log_norm)
+            states.append(env * laguerre_assoc(k, 2.0 * beta, z_poly))
+        return states[0] if single else tuple(states)
 
 
 @dataclass(frozen=True)
@@ -134,23 +153,29 @@ class PoschlTeller:
 
     def eigenfunction(self, n, y):
         """Unit-norm bound state: (1 - z^2)^{beta/2} P_n^{(beta,beta)}(z) / sqrt(N),
-        z = tanh(a y), N = 2^{2 beta} Gamma(n + beta + 1)^2 / (a beta n! Gamma(n + 2 beta + 1))."""
-        _check_level(n, self.n_max, POSCHL_TELLER)
+        z = tanh(a y), N = 2^{2 beta} Gamma(n + beta + 1)^2 / (a beta n! Gamma(n + 2 beta + 1));
+        a tuple of them for a sequence of levels n, sharing z and log cosh(a y)."""
+        levels, single = _levels(n, self.n_max, POSCHL_TELLER)
         y = np.asarray(y, dtype=float)
-        beta = self._s() - n
-        log_norm = (
-            2.0 * beta * math.log(2.0)
-            + 2.0 * math.lgamma(n + beta + 1.0)
-            - math.lgamma(n + 1.0)
-            - math.lgamma(n + 2.0 * beta + 1.0)
-            - math.log(self.alpha * beta)
-        )
         u = self.alpha * y
         z = np.tanh(u)
-        # (1 - z^2)^{beta/2} = sech^{beta} and 1/sqrt(N) in log form for large |u|
+        # (1 - z^2)^{beta/2} = sech^{beta} and 1/sqrt(N) in log form, with
+        # log cosh(u) = |u| + log(1 + e^{-2|u|}) - log 2 finite for large |u|
         au = np.abs(u)
-        env = np.exp(-beta * (au + np.log1p(np.exp(-2.0 * au)) - math.log(2.0)) - 0.5 * log_norm)
-        return env * jacobi(n, beta, beta, z)
+        log_cosh = au + np.log1p(np.exp(-2.0 * au)) - math.log(2.0)
+        states = []
+        for k in levels:
+            beta = self._s() - k
+            log_norm = (
+                2.0 * beta * math.log(2.0)
+                + 2.0 * math.lgamma(k + beta + 1.0)
+                - math.lgamma(k + 1.0)
+                - math.lgamma(k + 2.0 * beta + 1.0)
+                - math.log(self.alpha * beta)
+            )
+            env = np.exp(-beta * log_cosh - 0.5 * log_norm)
+            states.append(env * jacobi(k, beta, beta, z))
+        return states[0] if single else tuple(states)
 
 
 @dataclass(frozen=True)
@@ -193,18 +218,24 @@ class Hulthen:
     def eigenfunction(self, n, y):
         """Unit-norm bound state: z^w (1 - z) P_n^{(2w, 1)}(1 - 2z) / sqrt(N),
         z = e^{-a y}, with w = (beta^2 - (n+1)^2) / (2 (n+1)) and
-        N = (n+1)^2 / (2 a w (n + 2w + 1)(n + w + 1))."""
-        _check_level(n, self.n_max, HULTHEN)
+        N = (n+1)^2 / (2 a w (n + 2w + 1)(n + w + 1)); a tuple of them for a
+        sequence of levels n, sharing z, 1 - z and 1 - 2z."""
+        levels, single = _levels(n, self.n_max, HULTHEN)
         y = np.asarray(y, dtype=float)
         if np.any(y <= 0):
             raise DomainError("Hulthen eigenfunction is defined for y > 0 only")
-        nbar = n + 1
-        w = (self._beta_sq() - nbar * nbar) / (2.0 * nbar)
-        scale = math.sqrt(2.0 * self.alpha * w * (n + 2.0 * w + 1.0) * (n + w + 1.0)) / nbar
         z = np.exp(-self.alpha * y)
-        # np.power, not **: a numpy scalar's ** is libm pow, which can differ in
-        # the last bit from the array loop
-        return scale * np.power(z, w) * (1.0 - z) * jacobi(n, 2.0 * w, 1.0, 1.0 - 2.0 * z)
+        one_minus_z = 1.0 - z
+        t = 1.0 - 2.0 * z
+        states = []
+        for k in levels:
+            nbar = k + 1
+            w = (self._beta_sq() - nbar * nbar) / (2.0 * nbar)
+            scale = math.sqrt(2.0 * self.alpha * w * (k + 2.0 * w + 1.0) * (k + w + 1.0)) / nbar
+            # np.power, not **: a numpy scalar's ** is libm pow, which can
+            # differ in the last bit from the array loop
+            states.append(scale * np.power(z, w) * one_minus_z * jacobi(k, 2.0 * w, 1.0, t))
+        return states[0] if single else tuple(states)
 
 
 #: the reference classes by kind string; their dataclass fields are the

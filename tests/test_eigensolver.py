@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,52 @@ class TestMatrixChecks:
         v[[100, 101]] = 1e308
         np.testing.assert_allclose(solve_constant_mass(grid, v, 2).energies, [0.5, 1.5], rtol=1e-4)
 
+    def test_huge_finite_entries_refined_without_warning(self):
+        # the |T| row sums reach 1e200, whose squares leave the float range
+        # unless scaled first; the refinement cannot certify (T v overflows
+        # in its norm) and the solve falls back to bisection, warning-free
+        grid = Grid(-5.0, 5.0, 1001)
+        x = grid.points
+        v = 0.5 * x * x
+        v[[100, 900]] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_effective_mass(grid, np.ones(1000), v, 1, guesses=[np.exp(-0.5 * x * x)])
+            plain = solve_effective_mass(grid, np.ones(1000), v, 1)
+        assert np.array_equal(res.energies, plain.energies)
+
+    def test_rounding_floor_is_the_unscaled_one(self, monkeypatch):
+        # one Rayleigh step from an eigenvector, where the rounding floor
+        # 4 eps ||(|T| v)|| / ||v|| is most of the radius: the scaled squares
+        # must give the floor of the unscaled row sums
+        grid = Grid(-8.0, 8.0, 1001)
+        mid = 0.5 * (grid.points[:-1] + grid.points[1:])
+        m = 1.0 + 0.5 / (1.0 + mid * mid)
+        v = 0.5 * grid.points**2
+        plain = solve_effective_mass(grid, m, v, 1)
+        d, e = plain.diag, plain.off
+        _, vec = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+        u = vec[:, 0]
+        radii = []
+        refine = eigensolver._rayleigh_refine
+        monkeypatch.setattr(eigensolver, "_RQI_STEPS", 0)
+        monkeypatch.setattr(
+            eigensolver, "_rayleigh_refine", lambda *a: radii.append(refine(*a)[1]) or (0.0, 1.0)
+        )
+        solve_effective_mass(grid, m, v, 1, guesses=[np.concatenate([[0.0], u, [0.0]])])
+        tu = d * u
+        tu[:-1] += e * u[1:]
+        tu[1:] += e * u[:-1]
+        s = u @ u
+        resid = tu - (u @ tu / s) * u
+        row = np.abs(d)
+        row[:-1] += np.abs(e)
+        row[1:] += np.abs(e)
+        computed = math.sqrt(resid @ resid / s)
+        floor = 4.0 * np.finfo(float).eps * math.sqrt(np.sum((row * u) ** 2) / s)
+        assert floor > 5.0 * computed
+        assert radii == [pytest.approx(computed + floor, rel=1e-6)]
+
     def test_more_levels_than_interior_points(self):
         grid = Grid(0.0, 1.0, 16)
         assert solve_constant_mass(grid, np.zeros(16), 14).energies.size == 14
@@ -229,6 +276,21 @@ class TestResidual:
         a = residual_norm(grid, psi, -1.0, m, v, mass_d1=m1)
         b = residual_norm(grid, psi, -1.0, m, v)
         assert a == pytest.approx(b, rel=1e-6)
+
+
+class TestOverlap:
+    def test_one_pass_trapezoid_rule(self):
+        grid = Grid(-3.0, 5.0, 4001)
+        x = grid.points
+        a, b = np.exp(-0.5 * (x - 1.0) ** 2), np.cos(x) + 0.5
+        got = overlap(grid, a, b)
+        assert got == pytest.approx(np.trapezoid(a * b, dx=grid.h), rel=1e-14)
+        # <a|b> = <b|a> bit for bit
+        assert overlap(grid, b, a) == got
+        # the end points carry half weight
+        ends = np.zeros_like(x)
+        ends[[0, -1]] = 1.0
+        assert overlap(grid, ends, np.ones_like(x)) == grid.h
 
 
 class TestLazyStates:
@@ -437,3 +499,83 @@ class TestCertifiedRefinement:
         grid, m, v = self.problem()
         with pytest.raises(GridMismatchError):
             solve_effective_mass(grid, m, v, 2, guesses=self.hermite_functions(grid, range(3)))
+
+
+class TestSeparationBound:
+    """With ``bound``, a value between the wanted eigenvalues and the next,
+    the first step is one Sturm count up to it: a count other than the
+    number of levels goes straight to bisection, without refining, and
+    refined intervals at or below it are certified by that same count."""
+
+    LEVELS = TestCertifiedRefinement.LEVELS
+
+    @pytest.fixture
+    def case(self, monkeypatch):
+        """(solve, the lowest LEVELS + 2 eigenvalues, the LAPACK call log,
+        the bisection energies):
+        ``solve(bound)`` solves the seeded problem with read-only guesses
+        and checks that they are unchanged."""
+        grid, m, v = TestCertifiedRefinement.problem()
+        plain = solve_effective_mass(grid, m, v, self.LEVELS)
+        exact = eigvalsh_tridiagonal(
+            plain.diag, plain.off, select="i", select_range=(0, self.LEVELS + 1), tol=1e-13
+        )
+        guesses = np.array(TestCertifiedRefinement.hermite_functions(grid, range(self.LEVELS)))
+        kept = guesses.copy()
+        guesses.flags.writeable = False
+        log = []
+
+        def dgtsv(*args, _fn=eigensolver.dgtsv, **kwargs):
+            log.append(("dgtsv",))
+            return _fn(*args, **kwargs)
+
+        def dstebz(*args, _fn=eigensolver.dstebz):
+            out = _fn(*args)
+            # value range (1): a count up to args[4]; index range (2): bisection
+            log.append(("count", args[4], out[0]) if args[2] == 1 else ("bisect",))
+            return out
+
+        monkeypatch.setattr(eigensolver, "dgtsv", dgtsv)
+        monkeypatch.setattr(eigensolver, "dstebz", dstebz)
+
+        def solve(bound):
+            log.clear()
+            res = solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses, bound=bound)
+            assert np.array_equal(guesses, kept)
+            return res.energies
+
+        return solve, exact, log, plain.energies
+
+    @pytest.mark.parametrize("gap", [-1, 1], ids=["one-too-few", "one-too-many"])
+    def test_count_off_goes_straight_to_bisection(self, case, gap):
+        solve, exact, log, bisected = case
+        # between the eigenvalues LEVELS - 1 + gap and LEVELS + gap
+        top = self.LEVELS - 1 + gap
+        bound = 0.5 * (exact[top] + exact[top + 1])
+        energies = solve(bound)
+        assert log == [("count", bound, self.LEVELS + gap), ("bisect",)]
+        assert np.array_equal(energies, bisected)
+
+    def test_certified_by_the_count_at_the_bound(self, case):
+        solve, exact, log, _ = case
+        unbounded = solve(None)
+        bound = 0.5 * (exact[self.LEVELS - 1] + exact[self.LEVELS])
+        energies = solve(bound)
+        stebz = [entry for entry in log if entry[0] != "dgtsv"]
+        assert stebz == [("count", bound, self.LEVELS)]
+        assert len(log) > 1
+        assert np.array_equal(energies, unbounded)
+        np.testing.assert_allclose(energies, exact[: self.LEVELS], rtol=1e-12, atol=0)
+
+    def test_interval_above_the_bound_is_counted_at_its_top(self, case):
+        solve, exact, log, _ = case
+        unbounded = solve(None)
+        ((_, top, count),) = [entry for entry in log if entry[0] == "count"]
+        assert count == self.LEVELS
+        # above the top eigenvalue, below the top interval's upper end
+        bound = 0.5 * (exact[self.LEVELS - 1] + top)
+        assert exact[self.LEVELS - 1] < bound < top
+        energies = solve(bound)
+        counts = [entry for entry in log if entry[0] != "dgtsv"]
+        assert counts == [("count", bound, self.LEVELS), ("count", top, self.LEVELS)]
+        assert np.array_equal(energies, unbounded)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_cli import README_RUNS, load_runs, preset_run
 
-from pctsolve import massmodel
+from pctsolve import cli, eigensolver, massmodel, presets
 from pctsolve.eigensolver import Grid, node_count
 from pctsolve.errors import ConfigError, DomainError
 from pctsolve.massmodel import MappingFunction, MassProfile
@@ -12,8 +13,10 @@ from pctsolve.pctengine import (
     TargetSystem,
     pct_identity_residual,
     printed_target_potential,
+    spectral_separation,
     standard_profile_values,
     suggest_domain,
+    verify,
 )
 from pctsolve.refpotentials import Hulthen, Morse, PoschlTeller
 
@@ -279,3 +282,43 @@ class TestPrintedFormulas:
         assert float(printed_target_potential(profile, MORSE_REF, x)) == pytest.approx(
             expected, rel=1e-13
         )
+
+
+class TestSpectralSeparation:
+    """The analytic spectrum says how many eigenvalues lie below the value
+    separating the checked levels from the next one; ``verify`` counts them
+    before refining."""
+
+    def test_midpoint_or_half_the_top_level(self):
+        ts = TargetSystem.build(MassProfile("coth_sq", 1.0, 1.0), MORSE_REF)
+        assert MORSE_REF.n_max == 3
+        assert spectral_separation(ts, 3) == 0.5 * (MORSE_REF.energy(2) + MORSE_REF.energy(3))
+        # no bound level above: the continuum of a vanishing potential starts at 0
+        assert spectral_separation(ts, 4) == 0.5 * MORSE_REF.energy(3)
+
+    def test_count_at_the_separation_classifies_the_presets(self, monkeypatch):
+        # the count differs from the number of checked levels on exactly the
+        # runs presets lists as infeasible, and on none of the README's
+        counts = []
+
+        def dstebz(*args, _fn=eigensolver.dstebz):
+            out = _fn(*args)
+            if args[2] == 1:
+                counts.append((args[4], out[0]))
+            return out
+
+        monkeypatch.setattr(eigensolver, "dstebz", dstebz)
+        runs = load_runs([preset_run(spec) for spec in presets.COMBO_TABLE] + README_RUNS)
+        at_separation = {}
+        for run in runs["runs"]:
+            ts, levels = cli._build(run)
+            counts.clear()
+            verify(ts, run["n_points"], levels)
+            # the seeded solve's first Sturm count is the one at the separation
+            bound, count = counts[0]
+            assert bound == spectral_separation(ts, levels)
+            at_separation[run["name"]] = count
+        infeasible = {spec.name for spec in presets.COMBO_TABLE if not spec.feasible}
+        assert len(infeasible) == 4
+        assert {name for name, count in at_separation.items() if count != 3} == infeasible
+        assert len(at_separation) == 29

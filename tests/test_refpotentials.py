@@ -162,6 +162,30 @@ class TestClosedFormNorms:
                 assert np.ndim(got) == 0
                 assert np.float64(got).view(np.int64) == want.view(np.int64), (n, y)
 
+    @pytest.mark.parametrize("name", sorted(NORM_CASES))
+    def test_levels_in_one_call_are_the_single_level_calls(self, name):
+        ref, breaks = NORM_CASES[name]
+        ys = np.linspace(breaks[0], breaks[-1], 101)
+        if isinstance(ref, Hulthen):
+            ys[0] = 1e-9
+        levels = list(range(ref.n_max + 1))
+        for chosen in (levels, levels[::-1], range(min(2, ref.n_max) + 1)):
+            for y in (ys, float(ys[37]), float(ys[-1])):
+                states = ref.eigenfunction(chosen, y)
+                assert isinstance(states, tuple) and len(states) == len(chosen)
+                for n, got in zip(chosen, states):
+                    want = ref.eigenfunction(n, y)
+                    assert np.ndim(got) == np.ndim(want)
+                    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, y)
+
+    @pytest.mark.parametrize("ref", [MORSE, PT, HULTHEN], ids=lambda r: type(r).__name__)
+    def test_every_level_of_a_sequence_is_checked(self, ref):
+        assert ref.eigenfunction((), np.array([1.0, 2.0])) == ()
+        for bad in ([0, ref.n_max + 1], [0, -1], [0, 1.0], [True]):
+            with pytest.raises(ArgumentError):
+                ref.eigenfunction(bad, 1.0)
+
     def test_value_ignores_the_other_points(self):
         # with a trapezoid norm over the sample these were 26.52, 1.3226
         # and 0.9834
