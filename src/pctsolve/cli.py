@@ -46,7 +46,17 @@ def _require(obj, path, typ, type_name):
 
 
 def _number(obj, path):
-    return float(_require(obj, path, (int, float), "a number"))
+    value = _require(obj, path, (int, float), "a number")
+    # json reads NaN, Infinity and out-of-range literals such as 1e400
+    if not abs(value) <= sys.float_info.max:
+        _fail(path, "must be a finite number")
+    return float(value)
+
+
+def _known(cfg, path, keys):
+    for key in cfg:
+        if key not in keys:
+            _fail(f"{path}.{key}", f"unknown key (known: {sorted(keys)})")
 
 
 def _parse_mass(cfg, path):
@@ -54,6 +64,8 @@ def _parse_mass(cfg, path):
     kind = cfg.get("kind")
     if kind not in massmodel.BUILTIN_KINDS + (massmodel.CUSTOM,):
         _fail(f"{path}.kind", f"must be one of {massmodel.BUILTIN_KINDS + (massmodel.CUSTOM,)}")
+    own = ("expression", "parameters") if kind == massmodel.CUSTOM else ("alpha", "q")
+    _known(cfg, path, ("kind", "domain") + own)
     domain = cfg.get("domain")
     if domain is not None:
         _require(domain, f"{path}.domain", list, "a [lo, hi] pair")
@@ -95,8 +107,10 @@ def _parse_reference(cfg, path):
     kind = cfg.get("kind")
     if kind not in refpotentials.REFERENCE_KINDS:
         _fail(f"{path}.kind", f"must be one of {refpotentials.REFERENCE_KINDS}")
+    names = [f.name for f in dataclasses.fields(refpotentials.REFERENCES[kind])]
+    _known(cfg, path, ["kind"] + names)
     params = {}
-    for name in (f.name for f in dataclasses.fields(refpotentials.REFERENCES[kind])):
+    for name in names:
         if name not in cfg:
             _fail(f"{path}.{name}", "is required")
         params[name] = _number(cfg[name], f"{path}.{name}")
@@ -110,12 +124,14 @@ def _parse_reference(cfg, path):
 
 def _parse_run(cfg, path):
     _require(cfg, path, dict, "an object")
+    _known(cfg, path, ("name", "mass", "reference", "grid", "check_q1_reduction", "tolerances"))
     name = cfg.get("name", path.rsplit("[", 1)[-1].rstrip("]"))
     _require(name, f"{path}.name", str, "a string")
     profile, domain = _parse_mass(cfg.get("mass"), f"{path}.mass")
     reference = _parse_reference(cfg.get("reference"), f"{path}.reference")
     grid_cfg = cfg.get("grid", {})
     _require(grid_cfg, f"{path}.grid", dict, "an object")
+    _known(grid_cfg, f"{path}.grid", ("n_points", "levels"))
     n_points = grid_cfg.get("n_points", 8001)
     _require(n_points, f"{path}.grid.n_points", int, "an integer")
     if n_points < 16:
@@ -124,11 +140,12 @@ def _parse_run(cfg, path):
     _require(levels, f"{path}.grid.levels", int, "an integer")
     if levels < 1:
         _fail(f"{path}.grid.levels", "must be >= 1")
-    checked = min(levels, reference.n_max + 1)
-    if checked > n_points - 2:
+    # only the reference's bound levels are checked
+    levels = min(levels, reference.n_max + 1)
+    if levels > n_points - 2:
         _fail(
             f"{path}.grid.levels",
-            f"checks {checked} levels, more than the {n_points - 2} interior grid points",
+            f"checks {levels} levels, more than the {n_points - 2} interior grid points",
         )
     check_q1 = cfg.get("check_q1_reduction", False)
     if not isinstance(check_q1, bool):
@@ -164,6 +181,7 @@ def load_config(text):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: not valid JSON ({exc})")
     _require(doc, "config", dict, "an object")
+    _known(doc, "config", ("schema_version", "runs", "output"))
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         _fail("config.schema_version", f"must be {SCHEMA_VERSION}")
@@ -177,6 +195,7 @@ def load_config(text):
         _fail("config.runs", "run names must be unique")
     output = doc.get("output", {})
     _require(output, "config.output", dict, "an object")
+    _known(output, "config.output", ("path",))
     out_path = output.get("path")
     if out_path is not None:
         _require(out_path, "config.output.path", str, "a string")
@@ -190,7 +209,7 @@ def load_config(text):
 def _build(run):
     """The run's target system and the number of its levels to check."""
     ts = TargetSystem.build(run["profile"], run["reference"], run["domain"], run["levels"])
-    return ts, min(run["levels"], ts.n_max + 1)
+    return ts, run["levels"]
 
 
 def _fmt(v):

@@ -332,18 +332,10 @@ def _certified_energies(diag, off, guesses, bound=None):
     return mu
 
 
-def _all_finite(a):
-    # a sum is finite only if every term is; the elementwise test runs only
-    # when the sum is not (a non-finite entry, or finite entries overflowing)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.sum(a)
-    return math.isfinite(total) or bool(np.all(np.isfinite(a)))
-
-
 def _solve_tridiagonal(grid, diag, off, n_levels, guesses=None, bound=None):
     if not 1 <= n_levels <= diag.size:
         raise ArgumentError(f"n_levels must be between 1 and the {diag.size} interior points")
-    if not (_all_finite(diag) and _all_finite(off)):
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise RangeOverflowError("the finite-difference matrix has a non-finite entry")
     vals = None
     if guesses is not None:

@@ -133,10 +133,6 @@ class TargetSystem:
         states = tuple(psi / math.sqrt(trapezoid_dot(psi, psi, h)) for psi in fields.states)
         return grid, fields, states
 
-    @property
-    def n_max(self):
-        return self.reference.n_max
-
 
 # ---------------------------------------------------------------------------
 # finite-difference verification
@@ -169,16 +165,6 @@ class Verification:
         )
 
 
-def spectral_separation(ts, levels):
-    """A value between E_{levels-1} and the next level: the midpoint of the
-    two, or for the top bound state half its energy, since every reference
-    potential vanishes at infinity and its continuum starts at 0."""
-    top = ts.energy(levels - 1)
-    if levels - 1 < ts.n_max:
-        return 0.5 * (top + ts.energy(levels))
-    return 0.5 * top
-
-
 def verify(ts, n_points, levels):
     """Solve ``ts`` on its uniform n_points grid for the lowest ``levels``
     energies, seeded by the analytic states and bounded by the analytic
@@ -189,7 +175,7 @@ def verify(ts, n_points, levels):
     m_mid = np.asarray(ts.profile.mass(0.5 * (xs[:-1] + xs[1:])), dtype=float)
     m, v = fields.mass, fields.potential
     result = solve_effective_mass(
-        grid, m_mid, v, levels, guesses=states, bound=spectral_separation(ts, levels)
+        grid, m_mid, v, levels, guesses=states, bound=ts.reference.separation(levels)
     )
     residuals = []
     # m' by residual_norm's own stencil: its numerator once per run, divided

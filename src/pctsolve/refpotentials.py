@@ -10,8 +10,11 @@ on its natural domain, i.e. H = -(1/2) d^2/dy^2 + V(y).  Provided families:
 * Poeschl-Teller     V(y) = -U0 / cosh^2(a y),            y in R
 * Hulthen            V(y) = -V0 e^{-a y} / (1 - e^{-a y}), y > 0
 
-All three support a finite ladder of bound states with closed-form energies
-and eigenfunctions built from generalized Laguerre / Jacobi polynomials.
+All three are shape invariant: a finite ladder of bound states
+eps_n = -(a kappa_n)^2 / 2, n = 0..n_max, where kappa_n > 0 is the decay
+exponent of Phi_n, so each continuum starts at 0.  ``Reference`` owns the
+rules that follow from that; each family gives kappa_n, n_max, V and its
+eigenfunctions, built from generalized Laguerre / Jacobi polynomials.
 Each eigenfunction is scaled to unit L2 norm on the reference domain by its
 closed-form norm (log-Gamma via ``math.lgamma``), so Phi_n(y) is a pointwise
 function of y: a sample does not depend on the other points passed with it.
@@ -22,6 +25,7 @@ once; each state is bit-identical to its own single-level call.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -30,217 +34,209 @@ import numpy as np
 from .errors import ArgumentError, ConfigError, DomainError
 from .qmath import jacobi, laguerre_assoc
 
-MORSE = "morse"
-POSCHL_TELLER = "poschl_teller"
-HULTHEN = "hulthen"
 
+@dataclass(frozen=True)
+class Reference:
+    """A shape-invariant reference: a frozen dataclass whose fields (each
+    finite and > 0) are its parameters, with a ``kind`` string, the decay
+    exponents ``_kappa(n)`` of its levels n = 0..``n_max``, ``potential(y)``
+    and ``eigenfunction(n, y)``.  Construction fails unless the well binds
+    a state."""
 
-def _check_level(n, n_max, kind):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ArgumentError(f"level index must be a non-negative integer, got {n!r}")
-    if n > n_max:
-        raise ArgumentError(
-            f"{kind} potential with these parameters has levels 0..{n_max}, got n={n}"
-        )
+    #: the reference domain is the open interval (y_lo, inf)
+    y_lo = -math.inf
 
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{self.kind} reference needs {field.name} finite and > 0")
+        if self.n_max < 0:
+            raise ConfigError(f"{self.kind} well too shallow to bind a state")
 
-def _levels(n, n_max, kind):
-    """(the levels n names, whether n is a single level): n is one level
-    index or a sequence of them, each checked."""
-    single = isinstance(n, (int, np.integer)) or not np.iterable(n)
-    levels = (n,) if single else tuple(n)
-    for k in levels:
-        _check_level(k, n_max, kind)
-    return levels, single
+    def y_domain(self):
+        return (self.y_lo, math.inf)
+
+    def _points(self, y):
+        """y as a float array inside the reference domain."""
+        y = np.asarray(y, dtype=float)
+        if self.y_lo > -math.inf and np.any(y <= self.y_lo):
+            raise DomainError(f"{self.kind} reference is defined for y > {self.y_lo:g} only")
+        return y
+
+    def _per_level(self, n, value):
+        """value(n) for one level index n, or a tuple of value(k) for a
+        sequence of levels n; each level is checked to lie in 0..n_max."""
+        single = isinstance(n, (int, np.integer)) or not np.iterable(n)
+        levels = (n,) if single else tuple(n)
+        n_max = self.n_max
+        for k in levels:
+            if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
+                raise ArgumentError(f"level index must be a non-negative integer, got {k!r}")
+            if k > n_max:
+                raise ArgumentError(
+                    f"{self.kind} potential with these parameters has levels 0..{n_max}, got n={k}"
+                )
+        values = tuple(map(value, levels))
+        return values[0] if single else values
+
+    def energy(self, n):
+        """eps_n = -(a kappa_n)^2 / 2 of the one level n."""
+        (kappa,) = self._per_level([n], self._kappa)
+        return -0.5 * self.alpha**2 * kappa * kappa
+
+    def separation(self, levels):
+        """A value between E_{levels-1} and the next level: the midpoint of the
+        two, or for the top bound state half its energy, since the continuum
+        starts at 0."""
+        top = self.energy(levels - 1)
+        if levels - 1 < self.n_max:
+            return 0.5 * (top + self.energy(levels))
+        return 0.5 * top
 
 
 @dataclass(frozen=True)
-class Morse:
+class Morse(Reference):
     """Morse oscillator V(y) = D (e^{-2 a y} - 2 e^{-a y}) with well depth D > 0."""
 
     D: float
     alpha: float = 1.0
-
-    def __post_init__(self):
-        if not self.D > 0 or not self.alpha > 0:
-            raise ConfigError("Morse requires D > 0 and alpha > 0")
-        if self._dbar() <= 0.5:
-            raise ConfigError("Morse well too shallow to bind a state")
+    kind = "morse"
 
     def _dbar(self):
         return math.sqrt(2.0 * self.D) / self.alpha
 
+    def _kappa(self, n):
+        return self._dbar() - n - 0.5
+
     @property
     def n_max(self):
-        # beta = dbar - n - 1/2 must stay positive
-        return int(math.floor(self._dbar() - 0.5 - 1e-12))
-
-    def y_domain(self):
-        return (-math.inf, math.inf)
+        return int(math.floor(self._kappa(0) - 1e-12))
 
     def potential(self, y):
-        y = np.asarray(y, dtype=float)
-        e = np.exp(-self.alpha * y)
+        e = np.exp(-self.alpha * self._points(y))
         return self.D * (e * e - 2.0 * e)
 
-    def energy(self, n):
-        _check_level(n, self.n_max, MORSE)
-        beta = self._dbar() - n - 0.5
-        return -0.5 * self.alpha**2 * beta * beta
-
     def eigenfunction(self, n, y):
-        """Unit-norm bound state: z^beta e^{-z/2} L_n^{2 beta}(z) / sqrt(N),
-        z = 2 dbar e^{-a y}, N = Gamma(n + 2 beta + 1) / (a n! 2 beta); a
-        tuple of them for a sequence of levels n, sharing log z and z."""
-        levels, single = _levels(n, self.n_max, MORSE)
-        y = np.asarray(y, dtype=float)
-        dbar = self._dbar()
-        logz = math.log(2.0 * dbar) - self.alpha * y
+        """Unit-norm bound state: z^kappa e^{-z/2} L_n^{2 kappa}(z) / sqrt(N),
+        z = 2 dbar e^{-a y}, kappa = dbar - n - 1/2, N = Gamma(n + 2 kappa +
+        1) / (a n! 2 kappa); a tuple of them for a sequence of levels n,
+        sharing log z and z."""
+        logz = math.log(2.0 * self._dbar()) - self.alpha * self._points(y)
         z = np.exp(np.minimum(logz, 700.0))
         # the envelope kills everything past z ~ 1600; clip z there so the
         # polynomial cannot overflow into 0 * inf
         z_poly = np.minimum(z, 2000.0)
         half_z = 0.5 * z
-        states = []
-        for k in levels:
-            beta = dbar - k - 0.5
+
+        def state(k):
+            kappa = self._kappa(k)
             log_norm = (
-                math.lgamma(k + 2.0 * beta + 1.0)
+                math.lgamma(k + 2.0 * kappa + 1.0)
                 - math.lgamma(k + 1.0)
-                - math.log(2.0 * beta * self.alpha)
+                - math.log(2.0 * kappa * self.alpha)
             )
             # envelope and 1/sqrt(N) in log form; deep in the inner wall (z
             # huge) the exponential underflows to 0
-            env = np.exp(beta * logz - half_z - 0.5 * log_norm)
-            states.append(env * laguerre_assoc(k, 2.0 * beta, z_poly))
-        return states[0] if single else tuple(states)
+            env = np.exp(kappa * logz - half_z - 0.5 * log_norm)
+            return env * laguerre_assoc(k, 2.0 * kappa, z_poly)
+
+        return self._per_level(n, state)
 
 
 @dataclass(frozen=True)
-class PoschlTeller:
+class PoschlTeller(Reference):
     """Poeschl-Teller well V(y) = -U0 / cosh^2(a y) with depth U0 > 0."""
 
     U0: float
     alpha: float = 1.0
+    kind = "poschl_teller"
 
-    def __post_init__(self):
-        if not self.U0 > 0 or not self.alpha > 0:
-            raise ConfigError("Poeschl-Teller requires U0 > 0 and alpha > 0")
-
-    def _s(self):
-        return 0.5 * (math.sqrt(1.0 + 8.0 * self.U0 / self.alpha**2) - 1.0)
+    def _kappa(self, n):
+        return 0.5 * (math.sqrt(1.0 + 8.0 * self.U0 / self.alpha**2) - 1.0) - n
 
     @property
     def n_max(self):
-        s = self._s()
-        n = int(math.ceil(s - 1e-12)) - 1
-        if n < 0:
-            raise ConfigError("Poeschl-Teller well too shallow to bind a state")
-        return n
-
-    def y_domain(self):
-        return (-math.inf, math.inf)
+        return int(math.ceil(self._kappa(0) - 1e-12)) - 1
 
     def potential(self, y):
-        y = np.asarray(y, dtype=float)
-        c = np.cosh(self.alpha * y)
+        c = np.cosh(self.alpha * self._points(y))
         return -self.U0 / (c * c)
 
-    def energy(self, n):
-        _check_level(n, self.n_max, POSCHL_TELLER)
-        beta = self._s() - n
-        return -0.5 * self.alpha**2 * beta * beta
-
     def eigenfunction(self, n, y):
-        """Unit-norm bound state: (1 - z^2)^{beta/2} P_n^{(beta,beta)}(z) / sqrt(N),
-        z = tanh(a y), N = 2^{2 beta} Gamma(n + beta + 1)^2 / (a beta n! Gamma(n + 2 beta + 1));
+        """Unit-norm bound state: (1 - z^2)^{kappa/2} P_n^{(kappa,kappa)}(z) / sqrt(N),
+        z = tanh(a y), kappa = s - n with s (s + 1) = 2 U0 / a^2,
+        N = 2^{2 kappa} Gamma(n + kappa + 1)^2 / (a kappa n! Gamma(n + 2 kappa + 1));
         a tuple of them for a sequence of levels n, sharing z and log cosh(a y)."""
-        levels, single = _levels(n, self.n_max, POSCHL_TELLER)
-        y = np.asarray(y, dtype=float)
-        u = self.alpha * y
+        u = self.alpha * self._points(y)
         z = np.tanh(u)
-        # (1 - z^2)^{beta/2} = sech^{beta} and 1/sqrt(N) in log form, with
+        # (1 - z^2)^{kappa/2} = sech^{kappa} and 1/sqrt(N) in log form, with
         # log cosh(u) = |u| + log(1 + e^{-2|u|}) - log 2 finite for large |u|
         au = np.abs(u)
         log_cosh = au + np.log1p(np.exp(-2.0 * au)) - math.log(2.0)
-        states = []
-        for k in levels:
-            beta = self._s() - k
+
+        def state(k):
+            kappa = self._kappa(k)
             log_norm = (
-                2.0 * beta * math.log(2.0)
-                + 2.0 * math.lgamma(k + beta + 1.0)
+                2.0 * kappa * math.log(2.0)
+                + 2.0 * math.lgamma(k + kappa + 1.0)
                 - math.lgamma(k + 1.0)
-                - math.lgamma(k + 2.0 * beta + 1.0)
-                - math.log(self.alpha * beta)
+                - math.lgamma(k + 2.0 * kappa + 1.0)
+                - math.log(self.alpha * kappa)
             )
-            env = np.exp(-beta * log_cosh - 0.5 * log_norm)
-            states.append(env * jacobi(k, beta, beta, z))
-        return states[0] if single else tuple(states)
+            env = np.exp(-kappa * log_cosh - 0.5 * log_norm)
+            return env * jacobi(k, kappa, kappa, z)
+
+        return self._per_level(n, state)
 
 
 @dataclass(frozen=True)
-class Hulthen:
+class Hulthen(Reference):
     """Hulthen potential V(y) = -V0 e^{-a y}/(1 - e^{-a y}) on the half line y > 0."""
 
     V0: float
     alpha: float = 1.0
-
-    def __post_init__(self):
-        if not self.V0 > 0 or not self.alpha > 0:
-            raise ConfigError("Hulthen requires V0 > 0 and alpha > 0")
-        if self._beta_sq() <= 1.0:
-            raise ConfigError("Hulthen well too shallow to bind a state")
+    kind = "hulthen"
+    y_lo = 0.0
 
     def _beta_sq(self):
         return 2.0 * self.V0 / self.alpha**2
 
+    def _kappa(self, n):
+        nbar = n + 1
+        return (self._beta_sq() - nbar * nbar) / (2.0 * nbar)
+
     @property
     def n_max(self):
         # bound states need (n + 1)^2 < beta^2
-        b = math.sqrt(self._beta_sq())
-        return int(math.ceil(b - 1e-12)) - 2
-
-    def y_domain(self):
-        return (0.0, math.inf)
+        return int(math.ceil(math.sqrt(self._beta_sq()) - 1e-12)) - 2
 
     def potential(self, y):
-        y = np.asarray(y, dtype=float)
-        if np.any(y <= 0):
-            raise DomainError("Hulthen potential is defined for y > 0 only")
-        e = np.exp(-self.alpha * y)
+        e = np.exp(-self.alpha * self._points(y))
         return -self.V0 * e / (1.0 - e)
-
-    def energy(self, n):
-        _check_level(n, self.n_max, HULTHEN)
-        nbar = n + 1
-        return -self.alpha**2 / 8.0 * ((self._beta_sq() - nbar * nbar) / nbar) ** 2
 
     def eigenfunction(self, n, y):
         """Unit-norm bound state: z^w (1 - z) P_n^{(2w, 1)}(1 - 2z) / sqrt(N),
-        z = e^{-a y}, with w = (beta^2 - (n+1)^2) / (2 (n+1)) and
+        z = e^{-a y}, with w = kappa = (beta^2 - (n+1)^2) / (2 (n+1)) and
         N = (n+1)^2 / (2 a w (n + 2w + 1)(n + w + 1)); a tuple of them for a
         sequence of levels n, sharing z, 1 - z and 1 - 2z."""
-        levels, single = _levels(n, self.n_max, HULTHEN)
-        y = np.asarray(y, dtype=float)
-        if np.any(y <= 0):
-            raise DomainError("Hulthen eigenfunction is defined for y > 0 only")
-        z = np.exp(-self.alpha * y)
+        z = np.exp(-self.alpha * self._points(y))
         one_minus_z = 1.0 - z
         t = 1.0 - 2.0 * z
-        states = []
-        for k in levels:
-            nbar = k + 1
-            w = (self._beta_sq() - nbar * nbar) / (2.0 * nbar)
-            scale = math.sqrt(2.0 * self.alpha * w * (k + 2.0 * w + 1.0) * (k + w + 1.0)) / nbar
+
+        def state(k):
+            w = self._kappa(k)
+            scale = math.sqrt(2.0 * self.alpha * w * (k + 2.0 * w + 1.0) * (k + w + 1.0)) / (k + 1)
             # np.power, not **: a numpy scalar's ** is libm pow, which can
             # differ in the last bit from the array loop
-            states.append(scale * np.power(z, w) * one_minus_z * jacobi(k, 2.0 * w, 1.0, t))
-        return states[0] if single else tuple(states)
+            return scale * np.power(z, w) * one_minus_z * jacobi(k, 2.0 * w, 1.0, t)
+
+        return self._per_level(n, state)
 
 
 #: the reference classes by kind string; their dataclass fields are the
 #: parameters a config must give
-REFERENCES = {MORSE: Morse, POSCHL_TELLER: PoschlTeller, HULTHEN: Hulthen}
+REFERENCES = {cls.kind: cls for cls in (Morse, PoschlTeller, Hulthen)}
 
 REFERENCE_KINDS = tuple(REFERENCES)
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,91 @@ class TestConfigValidation:
     def test_document_roundtrip_is_stable(self):
         doc = basic_config()
         assert json.loads(json.dumps(doc)) == doc
+
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            ('"energy_rel": 0.001', '"energy_rel": NaN'),
+            ('"q": 1.0', '"q": 1e400'),
+            ('"q": 1.0', '"q": -Infinity'),
+            ('"D": 8.0', '"D": 1e400'),
+            ('"D": 8.0', '"D": 1' + "0" * 400),
+        ],
+        ids=["nan-tolerance", "q-1e400", "q-minus-infinity", "D-1e400", "D-huge-int"],
+    )
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, literal):
+        # json reads NaN, Infinity and 1e400 (as inf); none may reach the run
+        text = json.dumps(basic_config(tolerances={"energy_rel": 0.001})).replace(*literal)
+        path = literal[1].split(":")[0].strip('"')
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["verify", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f".{path}: must be a finite number" in err and "config.runs[0]." in err
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            (basic_config(mass={"kind": "coth_sq", "alhpa": 3.0}), "config.runs[0].mass.alhpa"),
+            (
+                basic_config(
+                    mass={"kind": "custom", "expression": "1", "domain": [-5, 5], "q": 1.0}
+                ),
+                "config.runs[0].mass.q",
+            ),
+            (
+                basic_config(mass={"kind": "coth_sq", "expression": "1"}),
+                "config.runs[0].mass.expression",
+            ),
+            (
+                basic_config(reference={"kind": "morse", "D": 8.0, "alpha": 1.0, "extra": 5}),
+                "config.runs[0].reference.extra",
+            ),
+            (
+                basic_config(reference={"kind": "morse", "D": 8.0, "U0": 1.0}),
+                "config.runs[0].reference.U0",
+            ),
+            (basic_config(grid={"n_points": 2001, "level": 1}), "config.runs[0].grid.level"),
+            (basic_config(tolerance={"energy_rel": 1.0}), "config.runs[0].tolerance"),
+            ({**basic_config(), "outptu": {}}, "config.outptu"),
+            ({**basic_config(), "output": {"pth": "x.json"}}, "config.output.pth"),
+        ],
+        ids=[
+            "mass-misspelled",
+            "custom-mass-q",
+            "builtin-mass-expression",
+            "reference-extra",
+            "reference-other-kind-field",
+            "grid-level",
+            "run-tolerance",
+            "config-outptu",
+            "output-pth",
+        ],
+    )
+    def test_unknown_key_is_a_config_error(self, tmp_path, capsys, monkeypatch, doc, path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved a run with an invalid config")
+
+        monkeypatch.setattr(cli, "verify", refuse)
+        assert cli.main(["verify", write_config(tmp_path, doc)]) == 2
+        assert f"error: {path}: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "reference",
+        [
+            {"kind": "morse", "D": (0.5 + 1e-13) ** 2 / 2, "alpha": 1.0},
+            {"kind": "poschl_teller", "U0": 1e-13, "alpha": 1.0},
+            {"kind": "hulthen", "V0": (1.0 + 1e-13) / 2, "alpha": 1.0},
+        ],
+        ids=lambda r: r["kind"],
+    )
+    def test_well_that_binds_no_state_is_a_config_error(self, tmp_path, capsys, reference):
+        cfg = write_config(tmp_path, basic_config(reference=reference))
+        assert cli.main(["verify", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "error: config.runs[0].reference: " in err and "too shallow" in err
 
 
 class TestVerify:

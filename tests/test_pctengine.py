@@ -13,7 +13,6 @@ from pctsolve.pctengine import (
     TargetSystem,
     pct_identity_residual,
     printed_target_potential,
-    spectral_separation,
     standard_profile_values,
     suggest_domain,
     verify,
@@ -292,9 +291,9 @@ class TestSpectralSeparation:
     def test_midpoint_or_half_the_top_level(self):
         ts = TargetSystem.build(MassProfile("coth_sq", 1.0, 1.0), MORSE_REF)
         assert MORSE_REF.n_max == 3
-        assert spectral_separation(ts, 3) == 0.5 * (MORSE_REF.energy(2) + MORSE_REF.energy(3))
+        assert ts.reference.separation(3) == 0.5 * (MORSE_REF.energy(2) + MORSE_REF.energy(3))
         # no bound level above: the continuum of a vanishing potential starts at 0
-        assert spectral_separation(ts, 4) == 0.5 * MORSE_REF.energy(3)
+        assert ts.reference.separation(4) == 0.5 * MORSE_REF.energy(3)
 
     def test_count_at_the_separation_classifies_the_presets(self, monkeypatch):
         # the count differs from the number of checked levels on exactly the
@@ -316,7 +315,7 @@ class TestSpectralSeparation:
             verify(ts, run["n_points"], levels)
             # the seeded solve's first Sturm count is the one at the separation
             bound, count = counts[0]
-            assert bound == spectral_separation(ts, levels)
+            assert bound == ts.reference.separation(levels)
             at_separation[run["name"]] = count
         infeasible = {spec.name for spec in presets.COMBO_TABLE if not spec.feasible}
         assert len(infeasible) == 4

@@ -54,6 +54,50 @@ class TestSpectra:
             Hulthen(V0=0.1, alpha=1.0)
 
 
+class TestReferenceRules:
+    """The rules every reference shares: parameter and binding checks at
+    construction, and the level dispatch of ``energy``."""
+
+    @pytest.mark.parametrize(
+        "kind, name, shallow, deeper",
+        [
+            ("morse", "D", (0.5 + 1e-13) ** 2 / 2, (0.5 + 1e-9) ** 2 / 2),
+            ("poschl_teller", "U0", 1e-13, 1e-9),
+            ("hulthen", "V0", (1.0 + 1e-13) / 2, (1.0 + 1e-9) / 2),
+        ],
+        ids=["morse", "poschl_teller", "hulthen"],
+    )
+    def test_just_above_the_binding_threshold(self, kind, name, shallow, deeper):
+        # the threshold is where kappa_0 reaches 0: dbar = 1/2 (Morse), s = 0
+        # (Poeschl-Teller), beta = 1 (Hulthen); a level needs kappa > 1e-12
+        with pytest.raises(ConfigError, match=f"{kind} well too shallow to bind a state"):
+            make_reference(kind, **{name: shallow})
+        deeper = make_reference(kind, **{name: deeper})
+        assert deeper.n_max == 0
+        assert deeper.energy(0) < 0.0
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: Morse(D=math.inf), "D"),
+            (lambda: Hulthen(V0=math.nan), "V0"),
+            (lambda: PoschlTeller(U0=6.0, alpha=-math.inf), "alpha"),
+            (lambda: Morse(D=8.0, alpha=0.0), "alpha"),
+        ],
+        ids=["morse-D-inf", "hulthen-V0-nan", "pt-alpha-minus-inf", "morse-alpha-0"],
+    )
+    def test_every_field_finite_and_positive(self, make, field):
+        with pytest.raises(ConfigError, match=f"needs {field} finite and > 0"):
+            make()
+
+    @pytest.mark.parametrize("ref", [MORSE, PT, HULTHEN], ids=lambda r: type(r).__name__)
+    def test_energy_takes_one_checked_level(self, ref):
+        assert ref.energy(np.int64(ref.n_max)) == ref.energy(ref.n_max)
+        for bad in (ref.n_max + 1, -1, 1.0, True, [0], ()):
+            with pytest.raises(ArgumentError):
+                ref.energy(bad)
+
+
 REF_GRIDS = {
     "morse": (MORSE, Grid(-3.5, 10.0, 20001)),
     "poschl_teller": (PT, Grid(-14.0, 14.0, 20001)),
