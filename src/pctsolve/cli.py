@@ -30,6 +30,10 @@ SCHEMA_VERSION = 1
 
 _DEFAULT_TOLERANCES = {"energy_rel": 1e-3, "residual": None, "orthonormality": 1e-3}
 
+#: the largest grid a run may ask for; a verify run peaks at about 200 bytes
+#: per point (76 MB at 200 001 points), so about 200 MB at this bound
+MAX_GRID_POINTS = 1_000_001
+
 
 # ---------------------------------------------------------------------------
 # config validation
@@ -136,6 +140,8 @@ def _parse_run(cfg, path):
     _require(n_points, f"{path}.grid.n_points", int, "an integer")
     if n_points < 16:
         _fail(f"{path}.grid.n_points", "must be >= 16")
+    if n_points > MAX_GRID_POINTS:
+        _fail(f"{path}.grid.n_points", f"must be <= {MAX_GRID_POINTS}")
     levels = grid_cfg.get("levels", 3)
     _require(levels, f"{path}.grid.levels", int, "an integer")
     if levels < 1:
@@ -312,6 +318,9 @@ def cmd_discrepancy(config):
 # entry point
 
 
+_COMMANDS = {"transform": cmd_transform, "verify": cmd_verify, "discrepancy": cmd_discrepancy}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="pct",
@@ -319,7 +328,7 @@ def main(argv=None):
         "sharing the spectrum of a solvable reference.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("transform", "verify", "discrepancy"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("config", help="path to the JSON config document")
         p.add_argument("-o", "--output", default=None, help="output file path")
@@ -334,12 +343,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        handler = {
-            "transform": cmd_transform,
-            "verify": cmd_verify,
-            "discrepancy": cmd_discrepancy,
-        }[args.command]
-        text, code = handler(config)
+        text, code = _COMMANDS[args.command](config)
     except (ConfigError, DomainError) as exc:
         # domain violations at build time are config mistakes, not numerics
         print(f"error: {exc}", file=sys.stderr)

@@ -351,14 +351,10 @@ def _solve_tridiagonal(grid, diag, off, n_levels, guesses=None, bound=None):
 
 
 def solve_constant_mass(grid, potential_values, n_levels):
-    """Lowest eigenpairs of -(1/2) psi'' + V psi with Dirichlet ends."""
-    v = np.asarray(potential_values, dtype=float)
-    if v.shape != (grid.n_points,):
-        raise GridMismatchError("potential samples do not match the grid")
-    h = grid.h
-    diag = 1.0 / h**2 + v[1:-1]
-    off = np.full(grid.n_points - 3, -0.5 / h**2)
-    return _solve_tridiagonal(grid, diag, off, n_levels)
+    """Lowest eigenpairs of -(1/2) psi'' + V psi with Dirichlet ends: the
+    effective-mass solve at m = 1, whose matrix entries 2/(2h^2) = 1/h^2 and
+    1/(-2h^2) = -0.5/h^2 are exact."""
+    return solve_effective_mass(grid, np.ones(grid.n_points - 1), potential_values, n_levels)
 
 
 def solve_effective_mass(
@@ -394,15 +390,15 @@ def solve_effective_mass(
 
 
 def d1_numerator(values):
-    """12 h times the 4th-order central first derivative of uniform samples,
-    at the interior nodes 2..n-3 (the stencil ``residual_norm`` uses)."""
+    """12 h times the 4th-order central first derivative of uniform samples
+    (along the first axis), at the interior nodes 2..n-3."""
     f = values
     return -f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]
 
 
-def _d2_numerator(values):
+def d2_numerator(values):
     """12 h^2 times the 4th-order central second derivative of uniform
-    samples, at the interior nodes 2..n-3."""
+    samples (along the first axis), at the interior nodes 2..n-3."""
     f = values
     return -f[4:] + 16 * f[3:-1] - 30 * f[2:-2] + 16 * f[1:-3] - f[:-4]
 
@@ -419,7 +415,7 @@ def residual_norm(grid, psi, energy, mass_values, potential_values, mass_d1=None
     v = np.asarray(potential_values, dtype=float)
     h = grid.h
     p1 = d1_numerator(psi) / (12 * h)
-    p2 = _d2_numerator(psi) / (12 * h * h)
+    p2 = d2_numerator(psi) / (12 * h * h)
     if mass_d1 is None:
         m1 = d1_numerator(m) / (12 * h)
     else:

@@ -64,11 +64,6 @@ class Call:
 
 ExprAst = Union[Num, Var, Param, Neg, BinOp, Call]
 
-FUNCTION_NAMES = frozenset(
-    "exp ln sqrt sin cos sinh cosh tanh coth "
-    "sinhq coshq tanhq cothq sechq cschq".split()
-)
-
 RESERVED_VARIABLE = "x"
 
 # ---------------------------------------------------------------------------
@@ -492,6 +487,8 @@ _Q_FUNCS = {
     "sechq": (lambda v, q: qmath.sech_q(v, q), _jet_sechq),
     "cschq": (lambda v, q: qmath.csch_q(v, q), _jet_cschq),
 }
+
+FUNCTION_NAMES = frozenset(_PLAIN_FUNCS) | frozenset(_Q_FUNCS)
 
 
 def _exponent_constant(v: Jet2) -> bool:

@@ -25,6 +25,7 @@ from . import massmodel, qmath
 from .eigensolver import (
     Grid,
     d1_numerator,
+    d2_numerator,
     overlap,
     residual_norm,
     solve_effective_mass,
@@ -178,10 +179,6 @@ def verify(ts, n_points, levels):
         grid, m_mid, v, levels, guesses=states, bound=ts.reference.separation(levels)
     )
     residuals = []
-    # m' by residual_norm's own stencil: its numerator once per run, divided
-    # in each window by that window's h (which may differ from grid.h in the
-    # last bit)
-    dm = d1_numerator(m)
     for n in range(levels):
         # restrict to where the state carries amplitude: outside that window
         # the residual only measures V * (numerically zero) near domain walls
@@ -197,9 +194,7 @@ def verify(ts, n_points, levels):
         i0 = max(int(live[0]) - 2, 0)
         i1 = min(int(live[-1]) + 3, grid.n_points)
         sub = Grid(xs[i0], xs[i1 - 1], i1 - i0)
-        m1 = np.full(i1 - i0, np.nan)
-        m1[2:-2] = dm[i0 : i1 - 4] / (12 * sub.h)
-        r = residual_norm(sub, psi[i0:i1], energy, m[i0:i1], v[i0:i1], mass_d1=m1)
+        r = residual_norm(sub, psi[i0:i1], energy, m[i0:i1], v[i0:i1])
         residuals.append(r / peak)
     # <a|b> = <b|a> bit for bit: each product a*b is commutative
     gram = [[0.0] * levels for _ in range(levels)]
@@ -229,21 +224,17 @@ def pct_identity_residual(profile: MassProfile, x, h=1e-3):
     step = np.asarray(np.minimum(h * (1.0 + np.abs(x)), dist / 2.5))
     if np.any(step <= 0):
         raise DomainError("sample point too close to the profile boundary")
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    pts = x[..., None] + offsets * step[..., None]
+    # the five samples of each x along the first axis, the stencils' axis
+    pts = x + np.multiply.outer(np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), step)
     m = np.asarray(profile.mass(pts.ravel()), dtype=float).reshape(pts.shape)
     g = m**-0.25
     fp = np.sqrt(m)
-    s = step
-    g0 = g[..., 2]
-    g1 = (-g[..., 4] + 8 * g[..., 3] - 8 * g[..., 1] + g[..., 0]) / (12 * s)
-    g2 = (
-        -g[..., 4] + 16 * g[..., 3] - 30 * g[..., 2] + 16 * g[..., 1] - g[..., 0]
-    ) / (12 * s * s)
-    f2 = (-fp[..., 4] + 8 * fp[..., 3] - 8 * fp[..., 1] + fp[..., 0]) / (12 * s)
-    big_f = g2 / g0 - (f2 / fp[..., 2]) * (g1 / g0)
+    g1 = d1_numerator(g)[0] / (12 * step)
+    g2 = d2_numerator(g)[0] / (12 * step * step)
+    f2 = d1_numerator(fp)[0] / (12 * step)
+    big_f = g2 / g[2] - (f2 / fp[2]) * (g1 / g[2])
     corr = np.asarray(profile.correction(x), dtype=float)
-    res = np.abs(big_f / (2.0 * m[..., 2]) + corr)
+    res = np.abs(big_f / (2.0 * m[2]) + corr)
     return float(res) if res.ndim == 0 else res
 
 
@@ -271,11 +262,10 @@ def suggest_domain(profile, reference, n_levels=3, mapping=None):
     mask = total > _DECAY * np.max(total)
     i0, i1 = int(np.argmax(mask)), len(mask) - 1 - int(np.argmax(mask[::-1]))
     w_lo, w_hi = ys[max(i0 - 1, 0)], ys[min(i1 + 1, len(ys) - 1)]
-    # hard walls (reference half-line or mapping infimum) stay in the window
+    # hard walls stay in the window: a reference half-line's here, a mapping
+    # infimum's by the probe's start
     if math.isfinite(r_lo):
         w_lo = max(m_lo + 1e-9, r_lo + _DECAY)
-    elif math.isfinite(m_lo) and w_lo < m_lo + 1e-9:
-        w_lo = m_lo + 1e-9
     x_lo = float(mapping.inverse(w_lo))
     x_hi = float(mapping.inverse(w_hi))
     lo, hi = profile.domain()

@@ -2,10 +2,11 @@
 profile x reference combination table used by the verification suite and CLI.
 
 Reference parameters are fixed (Morse D=8, a=1; Poeschl-Teller U0=6, a=1;
-Hulthen V0=2, a=0.5).  For each mass-profile family and deformation q the
-table records a mass rate constant, grid size, and (where the automatic
-domain suggestion is not appropriate) an explicit solve domain, chosen so
-the three lowest target states are resolved by the finite-difference solver.
+Hulthen V0=2, a=0.5).  One row per mass-profile family x reference pair
+records a mass rate constant (per q where it differs), grid size, (where the
+automatic domain suggestion is not appropriate) an explicit solve domain,
+and the q at which the pair is infeasible, chosen so the three lowest target
+states are resolved by the finite-difference solver.
 
 Four combinations are structurally infeasible and marked so: for the
 tanh_sq profile with q >= 1 the mapping y = ln(cosh_q(a x))/a only reaches
@@ -16,7 +17,7 @@ solver instead converges to the spectrum of the half-line problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .eigensolver import Grid
@@ -74,65 +75,50 @@ class ComboSpec:
         return TargetSystem.build(self.profile(), self.reference(), self.domain)
 
 
-def _mass_alpha(profile_kind, reference_kind, q):
-    if profile_kind == "asymptotically_vanishing":
-        return 8.0
-    if profile_kind == "tanh_sq":
-        if reference_kind == "morse":
-            return 0.1
-        if reference_kind == "poschl_teller":
-            return 0.034
-        return 3.0e5 if q > 1.0 else 1.0
-    return 1.0  # coth_sq
-
-
-def _n_points(profile_kind, reference_kind):
-    if reference_kind == "hulthen":
-        return 40001
-    if profile_kind == "asymptotically_vanishing":
-        return {"morse": 20001, "poschl_teller": 30001}[reference_kind]
-    return 20001
-
-
-def _combo(profile_kind, reference_kind, q):
-    alpha = _mass_alpha(profile_kind, reference_kind, q)
-    n_points = _n_points(profile_kind, reference_kind)
-    feasible, reason, domain = True, "", None
-    if profile_kind == "tanh_sq":
-        if reference_kind in ("morse", "poschl_teller") and q >= 1.0:
-            feasible = False
-            reason = _TANH_HALF_LINE_REASON
-        elif reference_kind == "poschl_teller":
-            # keep the lower wall off the mapping branch point: the suggested
-            # edge y = ln(sqrt(q))/alpha makes the near-wall stencil unstable,
-            # while the reference state has already decayed to ~1e-4 by y = -10
-            domain = (-6.83, 38.5)
-    return ComboSpec(
-        profile_kind, reference_kind, q, alpha, n_points, domain, feasible, reason
-    )
-
-
-COMBO_TABLE = tuple(
-    _combo(p, r, q) for p in PROFILE_KINDS for r in REFERENCE_KINDS for q in Q_VALUES
-)
-
-#: default q per combination for single-run checks (feasible everywhere)
-DEFAULT_Q = {
-    ("tanh_sq", "morse"): 0.5,
-    ("tanh_sq", "poschl_teller"): 0.5,
+#: one row per profile x reference pair: the mass alpha ({q: alpha} where
+#: it differs by q), n_points, the explicit (x_min, x_max) at the feasible q
+#: (None: suggested) and the q at which the pair is structurally infeasible
+_PAIRS = {
+    ("asymptotically_vanishing", "morse"): (8.0, 20001, None, ()),
+    ("asymptotically_vanishing", "poschl_teller"): (8.0, 30001, None, ()),
+    ("asymptotically_vanishing", "hulthen"): (8.0, 40001, None, ()),
+    ("tanh_sq", "morse"): (0.1, 20001, None, (1.0, 2.0)),
+    # keep the lower wall off the mapping branch point: the suggested edge
+    # y = ln(sqrt(q))/alpha makes the near-wall stencil unstable, while the
+    # reference state has already decayed to ~1e-4 by y = -10
+    ("tanh_sq", "poschl_teller"): (0.034, 20001, (-6.83, 38.5), (1.0, 2.0)),
+    ("tanh_sq", "hulthen"): ({0.5: 1.0, 1.0: 1.0, 2.0: 3.0e5}, 40001, None, ()),
+    ("coth_sq", "morse"): (1.0, 20001, None, ()),
+    ("coth_sq", "poschl_teller"): (1.0, 20001, None, ()),
+    ("coth_sq", "hulthen"): (1.0, 40001, None, ()),
 }
 
 
+def _spec(profile_kind, reference_kind, q):
+    alpha, n_points, domain, infeasible_q = _PAIRS[profile_kind, reference_kind]
+    if isinstance(alpha, dict):
+        alpha = alpha[q]
+    spec = ComboSpec(profile_kind, reference_kind, q, alpha, n_points, domain)
+    if q in infeasible_q:
+        spec = replace(spec, domain=None, feasible=False, reason=_TANH_HALF_LINE_REASON)
+    return spec
+
+
+COMBO_TABLE = tuple(
+    _spec(p, r, q) for p in PROFILE_KINDS for r in REFERENCE_KINDS for q in Q_VALUES
+)
+
+
 def combo(profile_kind, reference_kind, q=None):
-    """Look up a ComboSpec; q defaults to a feasible value per combination."""
+    """Look up a ComboSpec; q defaults to 1, or to the pair's smallest
+    feasible q where q = 1 is infeasible."""
+    pair = (profile_kind, reference_kind)
+    specs = [s for s in COMBO_TABLE if (s.profile_kind, s.reference_kind) == pair]
     if q is None:
-        q = DEFAULT_Q.get((profile_kind, reference_kind), 1.0)
-    for spec in COMBO_TABLE:
-        if (
-            spec.profile_kind == profile_kind
-            and spec.reference_kind == reference_kind
-            and spec.q == q
-        ):
+        feasible = [s.q for s in specs if s.feasible]
+        q = 1.0 if 1.0 in feasible else min(feasible, default=1.0)
+    for spec in specs:
+        if spec.q == q:
             return spec
     raise KeyError((profile_kind, reference_kind, q))
 

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import os
 import subprocess
@@ -208,6 +209,22 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "error: config.runs[0].reference: " in err and "too shallow" in err
 
+    @pytest.mark.parametrize("n_points", [10**400, 10**10], ids=["401-digit", "1e10"])
+    def test_grid_too_large_is_a_config_error(self, tmp_path, capsys, n_points):
+        # rejected at parse: nothing grid-sized is allocated
+        cfg = write_config(tmp_path, basic_config(grid={"n_points": n_points, "levels": 3}))
+        assert cli.main(["verify", cfg, "-o", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "error: config.runs[0].grid.n_points: must be <= 1000001" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_grid_bound_is_inclusive(self):
+        grid = {"n_points": cli.MAX_GRID_POINTS, "levels": 3}
+        assert cli.load_config(json.dumps(basic_config(grid=grid)))["runs"][0]["n_points"] == 1000001
+        grid["n_points"] += 1
+        with pytest.raises(ConfigError, match=r"runs\[0\]\.grid\.n_points"):
+            cli.load_config(json.dumps(basic_config(grid=grid)))
+
 
 class TestVerify:
     def test_pass_run(self, tmp_path, capsys):
@@ -228,6 +245,34 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["pass"] is False
         assert any(l["rel_error"] > 1e-3 for l in report["runs"][0]["levels"])
+
+    @pytest.mark.parametrize("tolerance, passed", [(1e-4, True), (1e-9, False)])
+    def test_residual_tolerance_gates_the_verdict(self, tmp_path, tolerance, passed):
+        # the run's residuals are about 5e-8
+        cfg = write_config(tmp_path, basic_config(tolerances={"residual": tolerance}))
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", cfg, "-o", str(out)]) == (0 if passed else 1)
+        report = json.loads(out.read_text())
+        assert report["pass"] is passed and report["runs"][0]["pass"] is passed
+        assert all(l["pass"] for l in report["runs"][0]["levels"])
+
+    def test_unresolved_residual_fails_the_residual_gate(self, tmp_path, monkeypatch):
+        """A level without a residual (no window of it is resolved) fails a
+        residual tolerance, and only that."""
+
+        def without_residual(ts, n_points, levels):
+            check = pctengine.verify(ts, n_points, levels)
+            residuals = (check.residuals[0], None) + check.residuals[2:]
+            return dataclasses.replace(check, residuals=residuals)
+
+        monkeypatch.setattr(cli, "verify", without_residual)
+        for tolerances, passed in (({}, True), ({"residual": 1e-4}, False)):
+            cfg = write_config(tmp_path, basic_config(tolerances=tolerances))
+            out = tmp_path / "report.json"
+            assert cli.main(["verify", cfg, "-o", str(out)]) == (0 if passed else 1)
+            report = json.loads(out.read_text())
+            assert report["runs"][0]["residual_norms"][1] is None
+            assert report["pass"] is passed
 
     def test_q1_reduction_reported(self, tmp_path):
         cfg = write_config(tmp_path, basic_config(check_q1_reduction=True))
@@ -336,20 +381,37 @@ class TestWorkCounts:
         ids=["readme", "default-combos"],
     )
     def test_residual_mass_derivative_is_the_stencil(self, monkeypatch, runs):
-        """The m' computed once per run is, in every residual window, the
-        stencil residual_norm would apply itself, bit for bit."""
-        windows = []
+        """Each checked level's residual is one residual_norm call on its
+        window's samples of the run's state, m and V, without a precomputed
+        m': residual_norm applies its own stencil to m."""
+        calls, checked = [], []
 
-        def spy(grid, psi, energy, m, v, mass_d1=None):
-            r = eigensolver.residual_norm(grid, psi, energy, m, v, mass_d1=mass_d1)
-            assert mass_d1 is not None
-            assert r == eigensolver.residual_norm(grid, psi, energy, m, v)
-            windows.append(grid)
-            return r
+        def spy(grid, psi, energy, m, v, **kwargs):
+            assert not kwargs
+            calls.append((grid, psi, energy, m, v))
+            return eigensolver.residual_norm(grid, psi, energy, m, v)
+
+        def verify(ts, n_points, levels):
+            start = len(calls)
+            check = pctengine.verify(ts, n_points, levels)
+            checked.append((ts, check, calls[start:]))
+            return check
 
         monkeypatch.setattr(pctengine, "residual_norm", spy)
+        monkeypatch.setattr(cli, "verify", verify)
         cli.cmd_verify(load_runs(runs))
-        assert len(windows) == 3 * len(runs)
+        assert len(checked) == len(runs)
+        for ts, check, run_calls in checked:
+            assert len(run_calls) == 3
+            points = check.grid.points
+            for n, (sub, psi, energy, m, v) in enumerate(run_calls):
+                (i0,) = np.flatnonzero(points == sub.x_min)
+                window = slice(i0, i0 + sub.n_points)
+                assert points[window][-1] == sub.x_max
+                assert energy == ts.energy(n)
+                assert np.array_equal(psi, check.states[n][window])
+                assert np.array_equal(m, check.fields.mass[window])
+                assert np.array_equal(v, check.fields.potential[window])
 
     def test_transform(self, monkeypatch):
         config = self.config()
