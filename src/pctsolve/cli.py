@@ -7,8 +7,8 @@ what to do with them:
     pct verify      <config.json> [-o report.json] numerical isospectrality check
     pct discrepancy <config.json> [-o audit.csv]  published-formula audit
 
-Exit codes: 0 success/PASS, 1 verification FAIL, 2 configuration error,
-3 internal numeric error.
+Exit codes: 0 success/PASS, 1 verification FAIL, 2 configuration error
+(or an unreadable config or unwritable output), 3 internal numeric error.
 """
 
 from __future__ import annotations
@@ -288,13 +288,16 @@ def cmd_verify(config):
 
 
 def cmd_discrepancy(config):
+    # every run is checked before any is built
+    for i, run in enumerate(config["runs"]):
+        if run["profile"].kind == massmodel.CUSTOM:
+            _fail(
+                f"config.runs[{i}].mass",
+                "discrepancy audit needs a built-in profile "
+                "(no printed formula exists for custom masses)",
+            )
     lines = []
     for run in config["runs"]:
-        if run["profile"].kind == massmodel.CUSTOM:
-            raise ConfigError(
-                f"config.runs[{run['name']}].mass: discrepancy audit needs a "
-                "built-in profile (no printed formula exists for custom masses)"
-            )
         ts, _ = _build(run)
         xs = np.linspace(ts.x_min, ts.x_max, run["n_points"])
         v_pipe = np.asarray(ts.potential(xs), dtype=float)
@@ -353,8 +356,12 @@ def main(argv=None):
         return 3
     out_path = args.output or config["output_path"]
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -197,21 +197,13 @@ def _dot(a, b):
     return float(np.einsum("i,i", a, b))
 
 
-class _Workspace:
-    """The arrays a certified refinement works in, rows of one block: the
-    iterate, T x (then the residual), scratch, and the absolute row sums of
-    T."""
-
-    def __init__(self, n):
-        self.x, self.tx, self.tmp, self.row_abs = np.empty((4, n))
-
-
 _workspaces = threading.local()
 
 
 def _workspace(n):
-    """This thread's workspace for n interior points, kept from one solve to
-    the next of the same size.
+    """This thread's (4, n) block for a certified refinement, kept from one
+    solve to the next of the same size.  Its rows are the iterate, T x (then
+    the residual), scratch, and the absolute row sums of T.
 
     A grid-sized block allocated and freed in every solve makes malloc hand
     memory back and fault it in again: measured on the 27-run sweep, 13 000
@@ -220,15 +212,16 @@ def _workspace(n):
     written before it is read, so nothing carries from one solve to the
     next, and one block per thread keeps concurrent solves apart.
     """
-    ws = getattr(_workspaces, "ws", None)
-    if ws is None or ws.x.size != n:
-        ws = _workspaces.ws = _Workspace(n)
-    return ws
+    block = getattr(_workspaces, "block", None)
+    if block is None or block.shape[1] != n:
+        block = _workspaces.block = np.empty((4, n))
+    return block
 
 
-def _rayleigh_refine(diag, off, row_abs_sq, floor_scale, ws):
-    """Rayleigh-quotient iteration from ``ws.x``, in place: (mu, r) of the
-    iterate v with the smallest bound r >= ||T v - mu v|| / ||v||.
+def _rayleigh_refine(diag, off, row_abs_sq, floor_scale, x, tx, tmp):
+    """Rayleigh-quotient iteration from ``x``, in place, with ``tx`` and
+    ``tmp`` as scratch of its size: (mu, r) of the iterate v with the
+    smallest bound r >= ||T v - mu v|| / ||v||.
 
     The iterates are not normalised; their norms enter only as scalars.  r
     includes the rounding floor of the residual's own evaluation,
@@ -243,7 +236,6 @@ def _rayleigh_refine(diag, off, row_abs_sq, floor_scale, ws):
     when r stops falling, or after ``_RQI_STEPS`` solves.  A guess with no
     usable direction (zero, inf or nan) gives (nan, inf).
     """
-    x, tx, tmp = ws.x, ws.tx, ws.tmp
     slack = 1.0 + 4.0 * (x.size + 2) * _EPS
     best = (math.nan, math.inf)
     for step in range(_RQI_STEPS + 1):
@@ -290,16 +282,15 @@ def _certified_energies(diag, off, guesses, bound=None):
     certificate; an interval reaching above it is counted up to its top, as
     without ``bound``.  The guesses themselves are left unchanged.
     """
-    ws = _workspace(diag.size)
+    x, tx, tmp, row_abs = _workspace(diag.size)
     # every eigenvalue lies above the lowest Gershgorin disc edge, here
     # lowered past its own rounding
-    abs_off = np.abs(off, out=ws.tx[:-1])
-    row_abs = ws.row_abs
+    abs_off = np.abs(off, out=tx[:-1])
     row_abs[:-1] = abs_off
     row_abs[-1] = 0.0
     row_abs[1:] += abs_off
-    gl = float(np.min(np.subtract(diag, row_abs, out=ws.tmp)))
-    row_abs += np.abs(diag, out=ws.tmp)
+    gl = float(np.min(np.subtract(diag, row_abs, out=tmp)))
+    row_abs += np.abs(diag, out=tmp)
     row_max = float(np.max(row_abs))
     gl -= 2.0 * _EPS * row_max
     n_levels = len(guesses)
@@ -315,8 +306,8 @@ def _certified_energies(diag, off, guesses, bound=None):
     floor_scale = math.ldexp(4.0 * _EPS, exp)
     refined = []
     for g in guesses:
-        np.copyto(ws.x, g[1:-1])
-        refined.append(_rayleigh_refine(diag, off, row_abs_sq, floor_scale, ws))
+        np.copyto(x, g[1:-1])
+        refined.append(_rayleigh_refine(diag, off, row_abs_sq, floor_scale, x, tx, tmp))
     mu, r = np.array(refined).T
     order = np.argsort(mu)
     mu, r = mu[order], r[order]
@@ -330,24 +321,6 @@ def _certified_energies(diag, off, guesses, bound=None):
     if _count_up_to(diag, off, gl, top) != n_levels:
         return None
     return mu
-
-
-def _solve_tridiagonal(grid, diag, off, n_levels, guesses=None, bound=None):
-    if not 1 <= n_levels <= diag.size:
-        raise ArgumentError(f"n_levels must be between 1 and the {diag.size} interior points")
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-        raise RangeOverflowError("the finite-difference matrix has a non-finite entry")
-    vals = None
-    if guesses is not None:
-        guesses = [np.asarray(g, dtype=float) for g in guesses]
-        if len(guesses) != n_levels or any(g.shape != (grid.n_points,) for g in guesses):
-            raise GridMismatchError(
-                f"guesses must be {n_levels} arrays of the grid's {grid.n_points} points"
-            )
-        vals = _certified_energies(diag, off, guesses, bound)
-    if vals is None:
-        vals = _bisect(diag, off, n_levels, b"E")[0]
-    return EigenResult(grid, vals, diag, off)
 
 
 def solve_constant_mass(grid, potential_values, n_levels):
@@ -386,7 +359,21 @@ def solve_effective_mass(
     diag += v[1:-1]
     # a / (-c) is -a / c bit for bit
     off = a[1:-1] / (-2.0 * h * h)
-    return _solve_tridiagonal(grid, diag, off, n_levels, guesses, bound)
+    if not 1 <= n_levels <= diag.size:
+        raise ArgumentError(f"n_levels must be between 1 and the {diag.size} interior points")
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise RangeOverflowError("the finite-difference matrix has a non-finite entry")
+    vals = None
+    if guesses is not None:
+        guesses = [np.asarray(g, dtype=float) for g in guesses]
+        if len(guesses) != n_levels or any(g.shape != (grid.n_points,) for g in guesses):
+            raise GridMismatchError(
+                f"guesses must be {n_levels} arrays of the grid's {grid.n_points} points"
+            )
+        vals = _certified_energies(diag, off, guesses, bound)
+    if vals is None:
+        vals = _bisect(diag, off, n_levels, b"E")[0]
+    return EigenResult(grid, vals, diag, off)
 
 
 def d1_numerator(values):

@@ -1,11 +1,13 @@
 """Expression language for user-defined mass profiles.
 
-A small grammar over the independent variable ``x`` and named parameters,
-with exact first and second derivatives obtained by forward-mode
-second-order jets (``eval_jet``), or the value alone (``eval_value``).
-Supported functions: exp, ln, sqrt, sin, cos, sinh, cosh, tanh, coth and the
+A small grammar over the independent variable ``x`` and named parameters.
+One walk of the AST gives either forward-mode second-order jets, the value
+with its exact first and second derivatives (``eval_jet``), or the value
+alone (``eval_value``), bit-identical to the jet's value.  Supported
+functions: exp, ln, sqrt, sin, cos, sinh, cosh, tanh, coth and the
 q-deformed sinhq, coshq, tanhq, cothq, sechq, cschq (the deformation
-parameter is read from the parameter table entry ``q``).  Precedence: ``^`` (right-assoc) > unary minus > ``* /`` > ``+ -``.
+parameter is read from the parameter table entry ``q``).  Precedence: ``^``
+(right-assoc) > unary minus > ``* /`` > ``+ -``.
 """
 
 from __future__ import annotations
@@ -305,17 +307,10 @@ def _jet(v) -> Jet2:
     return Jet2(v, 0.0, 0.0)
 
 
-def jet_variable(x) -> Jet2:
-    """The jet of the independent variable at the point x."""
-    x = np.asarray(x, dtype=float)
-    one = np.ones_like(x)
-    return Jet2(x if x.ndim else float(x), one if x.ndim else 1.0, 0.0 * one if x.ndim else 0.0)
-
-
 # Each function's value formula and domain check is written once, as the
-# value function below; its jet computes the value through it, so the value
-# walk and the jets agree bit for bit and raise the same errors wherever the
-# value itself is undefined.
+# value function below; its jet computes the value through it, so a walk for
+# values and a walk for jets agree bit for bit and raise the same errors
+# wherever the value itself is undefined.
 
 
 def _divide(a, b):
@@ -464,7 +459,7 @@ def _jet_cschq(u, q):
     return _chain(u, cs, -ct * cs, cs * (ct * ct + q * cs * cs))
 
 
-#: name -> (value function, jet function)
+#: name -> (value function, jet function), indexed by the walk's ``jets``
 _PLAIN_FUNCS = {
     "exp": (np.exp, _jet_exp),
     "ln": (_ln, _jet_ln),
@@ -530,7 +525,7 @@ def eval_jet(ast: ExprAst, x, params=None) -> Jet2:
     x may be a scalar or a numpy array; derivatives are exact to floating
     precision (no truncation error).
     """
-    return _ev(ast, x, params or {})
+    return _walk(ast, x, params or {}, True)
 
 
 def eval_value(ast: ExprAst, x, params=None):
@@ -540,7 +535,7 @@ def eval_value(ast: ExprAst, x, params=None):
     value itself is undefined; an error only a derivative would hit (for
     example at a pole of m' alone) is left to ``eval_jet``.
     """
-    return _val(ast, x, params or {})
+    return _walk(ast, x, params or {}, False)
 
 
 def _param(params, name):
@@ -550,64 +545,46 @@ def _param(params, name):
         raise UnboundParameterError(name) from None
 
 
-def _ev(node: ExprAst, x, params) -> Jet2:
-    # module-level, not a closure: a self-referencing nested function forms
-    # a reference cycle that keeps x alive until the cyclic GC runs
+def _walk(node: ExprAst, x, params, jets):
+    # the node's jet if jets, else its value; module-level, not a closure: a
+    # self-referencing nested function forms a reference cycle that keeps x
+    # alive until the cyclic GC runs
     if isinstance(node, Num):
-        return _jet(node.value)
-    if isinstance(node, Var):
-        return jet_variable(x)
-    if isinstance(node, Param):
-        return _jet(_param(params, node.name))
-    if isinstance(node, Neg):
-        return -_ev(node.operand, x, params)
-    if isinstance(node, Call):
-        u = _ev(node.arg, x, params)
-        if node.func in _Q_FUNCS:
-            return _Q_FUNCS[node.func][1](u, _param(params, "q"))
-        return _PLAIN_FUNCS[node.func][1](u)
-    lhs, rhs = _ev(node.lhs, x, params), _ev(node.rhs, x, params)
-    if node.op == "+":
-        return lhs + rhs
-    if node.op == "-":
-        return lhs - rhs
-    if node.op == "*":
-        return lhs * rhs
-    if node.op == "/":
-        return lhs / rhs
-    return _jet_pow(lhs, rhs)
-
-
-def _val(node: ExprAst, x, params):
-    """_ev's value alone; same evaluation order, so the same first error."""
-    if isinstance(node, Num):
-        return node.value
+        return _jet(node.value) if jets else node.value
     if isinstance(node, Var):
         x = np.asarray(x, dtype=float)
-        return x if x.ndim else float(x)
+        if not x.ndim:
+            x = float(x)
+            return Jet2(x, 1.0, 0.0) if jets else x
+        return Jet2(x, np.ones_like(x), np.zeros_like(x)) if jets else x
     if isinstance(node, Param):
-        return _param(params, node.name)
+        value = _param(params, node.name)
+        return _jet(value) if jets else value
     if isinstance(node, Neg):
-        return -_val(node.operand, x, params)
+        return -_walk(node.operand, x, params, jets)
     if isinstance(node, Call):
-        u = _val(node.arg, x, params)
+        u = _walk(node.arg, x, params, jets)
         if node.func in _Q_FUNCS:
-            return _Q_FUNCS[node.func][0](u, _param(params, "q"))
-        return _PLAIN_FUNCS[node.func][0](u)
-    lhs = _val(node.lhs, x, params)
+            return _Q_FUNCS[node.func][jets](u, _param(params, "q"))
+        return _PLAIN_FUNCS[node.func][jets](u)
+    lhs = _walk(node.lhs, x, params, jets)
     if node.op == "^":
         # the power jet's branch depends on the exponent's derivatives, so
-        # the exponent is a jet (a scalar one unless it contains x); an
-        # exponent that varies with x sends the whole power through the jet
-        rhs = _ev(node.rhs, x, params)
+        # the exponent is a jet (a scalar one unless it contains x); for a
+        # value, an exponent that varies with x sends the whole power
+        # through the jet
+        rhs = _walk(node.rhs, x, params, True)
+        if jets:
+            return _jet_pow(lhs, rhs)
         if _exponent_constant(rhs):
             return _power(lhs, rhs.value)
-        return _jet_pow(_ev(node.lhs, x, params), rhs).value
-    rhs = _val(node.rhs, x, params)
+        return _jet_pow(_walk(node.lhs, x, params, True), rhs).value
+    rhs = _walk(node.rhs, x, params, jets)
     if node.op == "+":
         return lhs + rhs
     if node.op == "-":
         return lhs - rhs
     if node.op == "*":
         return lhs * rhs
-    return _divide(lhs, rhs)
+    # Jet2's division calls _divide on the values
+    return lhs / rhs if jets else _divide(lhs, rhs)

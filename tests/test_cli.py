@@ -545,3 +545,33 @@ class TestDiscrepancy:
         }
         cfg = write_config(tmp_path, doc)
         assert cli.main(["discrepancy", cfg, "-o", str(tmp_path / "x.csv")]) == 2
+
+    def test_custom_run_rejected_before_any_run_is_built(self, tmp_path, capsys, monkeypatch):
+        # the README config's second run is custom: it is named by its
+        # index, and the built-in run before it is never built
+        def refuse(run):
+            raise AssertionError(f"built {run['name']}")
+
+        monkeypatch.setattr(cli, "_build", refuse)
+        cfg = write_config(tmp_path, {"schema_version": 1, "runs": README_RUNS})
+        assert cli.main(["discrepancy", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config.runs[1].mass: discrepancy audit needs")
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("via", ["option", "config"])
+    @pytest.mark.parametrize("target", ["missing_dir/r.json", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_output_is_exit_2(self, tmp_path, capsys, via, target):
+        """An output path that cannot be written is exit 2 with one error
+        line, not exit 1 (verification FAIL) with a traceback."""
+        out = str(tmp_path / target)
+        doc = basic_config()
+        if via == "config":
+            doc["output"] = {"path": out}
+        argv = ["verify", write_config(tmp_path, doc)] + (["-o", out] if via == "option" else [])
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ")
+        assert err.count("\n") == 1

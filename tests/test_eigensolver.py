@@ -495,6 +495,34 @@ class TestCertifiedRefinement:
         assert not any(t.is_alive() for t in threads)
         assert failures == []
 
+    def test_solves_at_alternating_sizes_repeat_bit_for_bit(self, monkeypatch):
+        # a thread's block is replaced when the size changes: with every
+        # entry written before it is read, sizes A, B, A, B (seeded noisy
+        # guesses, certified without bisection) repeat their energies
+        rng = np.random.default_rng(17)
+        problems = []
+        for n_points in (801, 1201):
+            grid = Grid(-8.0, 8.0, n_points)
+            mid = 0.5 * (grid.points[:-1] + grid.points[1:])
+            guesses = [
+                s + 1e-3 * rng.standard_normal(n_points)
+                for s in self.hermite_functions(grid, range(self.LEVELS))
+            ]
+            problems.append((grid, 1.0 + 0.5 / (1.0 + mid * mid), 0.5 * grid.points**2, guesses))
+
+        def refuse(*args, _fn=eigensolver.dstebz):
+            if args[2] == 2:
+                raise AssertionError("fell back to bisection")
+            return _fn(*args)
+
+        monkeypatch.setattr(eigensolver, "dstebz", refuse)
+        got = [
+            solve_effective_mass(g, m, v, self.LEVELS, guesses=s).energies
+            for g, m, v, s in problems + problems
+        ]
+        assert np.array_equal(got[0], got[2])
+        assert np.array_equal(got[1], got[3])
+
     def test_guess_shape_checked(self):
         grid, m, v = self.problem()
         with pytest.raises(GridMismatchError):
