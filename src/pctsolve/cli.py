@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -24,7 +25,6 @@ from . import __version__, massmodel, refpotentials
 from .errors import ConfigError, DomainError, PctError
 from .massmodel import MassProfile
 from .pctengine import TargetSystem, printed_target_potential, standard_profile_values, verify
-from .refpotentials import make_reference
 
 SCHEMA_VERSION = 1
 
@@ -63,6 +63,16 @@ def _known(cfg, path, keys):
             _fail(f"{path}.{key}", f"unknown key (known: {sorted(keys)})")
 
 
+def _construct(path, make, /, *args, **kwargs):
+    """make(*args, **kwargs), its error reported at path.field when it names
+    the field at fault and at path otherwise."""
+    try:
+        return make(*args, **kwargs)
+    except PctError as exc:
+        field = getattr(exc, "field", None)
+        _fail(f"{path}.{field}" if field else path, str(exc))
+
+
 def _parse_mass(cfg, path):
     _require(cfg, path, dict, "an object")
     kind = cfg.get("kind")
@@ -75,35 +85,18 @@ def _parse_mass(cfg, path):
         _require(domain, f"{path}.domain", list, "a [lo, hi] pair")
         if len(domain) != 2:
             _fail(f"{path}.domain", "must be a [lo, hi] pair")
-        lo = _number(domain[0], f"{path}.domain[0]")
-        hi = _number(domain[1], f"{path}.domain[1]")
-        if not lo < hi:
-            _fail(f"{path}.domain", "must satisfy lo < hi")
-        domain = (lo, hi)
+        domain = tuple(_number(v, f"{path}.domain[{i}]") for i, v in enumerate(domain))
     if kind == massmodel.CUSTOM:
         expr = _require(cfg.get("expression"), f"{path}.expression", str, "a string")
-        if domain is None:
-            _fail(f"{path}.domain", "required for custom profiles")
         params = cfg.get("parameters", {})
         _require(params, f"{path}.parameters", dict, "an object")
         for k, v in params.items():
             _number(v, f"{path}.parameters.{k}")
-        try:
-            profile = MassProfile.custom(expr, domain[0], domain[1], params)
-        except PctError as exc:
-            _fail(path, str(exc))
+        args = {"expression": expr, "parameters": params}
     else:
-        alpha = _number(cfg.get("alpha", 1.0), f"{path}.alpha")
-        if alpha <= 0:
-            _fail(f"{path}.alpha", "must be > 0")
-        q = _number(cfg.get("q", 1.0), f"{path}.q")
-        if q <= 0:
-            _fail(f"{path}.q", "must be > 0")
-        try:
-            profile = MassProfile(kind, alpha, q)
-        except PctError as exc:
-            _fail(path, str(exc))
-    return profile, domain
+        args = {name: _number(cfg.get(name, 1.0), f"{path}.{name}") for name in own}
+    x_min, x_max = domain or (None, None)
+    return _construct(path, MassProfile, kind, x_min=x_min, x_max=x_max, **args), domain
 
 
 def _parse_reference(cfg, path):
@@ -118,12 +111,7 @@ def _parse_reference(cfg, path):
         if name not in cfg:
             _fail(f"{path}.{name}", "is required")
         params[name] = _number(cfg[name], f"{path}.{name}")
-        if params[name] <= 0:
-            _fail(f"{path}.{name}", "must be > 0")
-    try:
-        return make_reference(kind, **params)
-    except PctError as exc:
-        _fail(path, str(exc))
+    return _construct(path, refpotentials.REFERENCES[kind], **params)
 
 
 def _parse_run(cfg, path):
@@ -321,6 +309,18 @@ def cmd_discrepancy(config):
 # entry point
 
 
+def _unwritable(path):
+    """Why the output path cannot be written, as far as that shows before any
+    run is solved (the file is opened only after, so a failing run leaves an
+    existing report as it was): it is a directory, or its parent is not."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        return f"{path} is a directory"
+    if not os.path.isdir(parent):
+        return f"{parent} is not a directory"
+    return None
+
+
 _COMMANDS = {"transform": cmd_transform, "verify": cmd_verify, "discrepancy": cmd_discrepancy}
 
 
@@ -345,6 +345,11 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out_path = args.output or config["output_path"]
+    problem = out_path and _unwritable(out_path)
+    if problem:
+        print(f"error: cannot write output: {problem}", file=sys.stderr)
+        return 2
     try:
         text, code = _COMMANDS[args.command](config)
     except (ConfigError, DomainError) as exc:
@@ -354,7 +359,6 @@ def main(argv=None):
     except PctError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    out_path = args.output or config["output_path"]
     if out_path:
         try:
             with open(out_path, "w") as fh:

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all pctsolve modules."""
 
+import math
+
 
 class PctError(Exception):
     """Base class for all errors raised by pctsolve."""
@@ -22,7 +24,20 @@ class ArgumentError(PctError, ValueError):
 
 
 class ConfigError(PctError, ValueError):
-    """Invalid configuration; message carries a field-path diagnostic."""
+    """Invalid configuration.  ``field`` names the constructor argument at
+    fault, or is None when no one field is; the CLI prefixes the message with
+    the config path of that field (or of the object)."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
+
+
+def require_positive(owner, name, value):
+    """The one "finite and > 0" rule of a constructor argument: a
+    ConfigError naming the field ``name`` of ``owner`` unless value is."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{owner} needs {name} finite and > 0", field=name)
 
 
 class GridMismatchError(PctError, ValueError):

@@ -1,6 +1,6 @@
 """Position-dependent mass profiles and their mapping functions.
 
-Built-in profiles (alpha > 0, q > 0):
+Built-in profiles (alpha and q finite and > 0):
 
 * ``asymptotically_vanishing``  m(x) = alpha^2 / (x^2 + q), on the whole line;
 * ``tanh_sq``                   m(x) = tanh_q(alpha x)^2, on x > ln(q)/(2 alpha);
@@ -16,7 +16,7 @@ the built-ins, a Gauss-Legendre table for customs) together with its
 inverse.
 
 Everything this module knows about a built-in family -- its mass, mass jet,
-f and f^{-1}, natural lower bound, y-infimum and q = 1 standard forms --
+f and f^{-1}, natural lower bound and q = 1 standard forms --
 lives in one ``Family`` record in ``FAMILIES``; ``custom`` is the one other
 path.  The overflow-safe q-hyperbolics the closed forms use come from
 ``qmath``.
@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import exprlang, qmath
-from .errors import ConfigError, DomainError, PctError
+from .errors import ConfigError, DomainError, PctError, require_positive
 from .exprlang import Jet2
 from .qmath import _ret
 
@@ -80,8 +80,6 @@ class Family:
     inverse: Callable
     #: (alpha, q) -> natural lower bound of x: the branch point or -inf
     lower: Callable
-    #: (alpha, q) -> infimum of f, used by y_range when x is unbounded below
-    y_inf: Callable
     #: (x, alpha) -> (m, f, correction) at q = 1 via plain numpy hyperbolics
     standard: Callable
 
@@ -192,7 +190,6 @@ FAMILIES = {
         forward=_vanishing_forward,
         inverse=lambda y, a, q: qmath.sinh_q(y / a, q),
         lower=lambda a, q: -math.inf,
-        y_inf=lambda a, q: -math.inf,
         standard=_vanishing_standard,
     ),
     TANH_SQ: Family(
@@ -201,7 +198,6 @@ FAMILIES = {
         forward=lambda x, a, q: qmath.log_cosh_q(a * x, q) / a,
         inverse=_tanh_sq_inverse,
         lower=_branch_point,
-        y_inf=lambda a, q: math.log(math.sqrt(q)) / a,  # f at the branch point
         standard=_tanh_sq_standard,
     ),
     COTH_SQ: Family(
@@ -210,7 +206,6 @@ FAMILIES = {
         forward=lambda x, a, q: qmath.log_sinh_q(a * x, q) / a,
         inverse=_coth_sq_inverse,
         lower=_branch_point,
-        y_inf=lambda a, q: -math.inf,  # ln sinh_q -> -inf at the branch point
         standard=_coth_sq_standard,
     ),
 }
@@ -253,25 +248,24 @@ class MassProfile:
     def __post_init__(self):
         if self.kind == CUSTOM:
             if self.expression is None:
-                raise ConfigError("custom mass profile requires an expression")
-            if self.x_min is None or self.x_max is None:
-                raise ConfigError("custom mass profile requires a finite domain")
+                raise ConfigError("custom mass profile requires an expression", field="expression")
+            if not all(v is not None and math.isfinite(v) for v in (self.x_min, self.x_max)):
+                raise ConfigError("custom mass profile requires a finite domain", field="domain")
             object.__setattr__(self, "_ast", exprlang.parse(self.expression))
         elif self.kind not in BUILTIN_KINDS:
-            raise ConfigError(f"unknown mass profile kind {self.kind!r}")
+            raise ConfigError(f"unknown mass profile kind {self.kind!r}", field="kind")
         else:
-            if not self.alpha > 0:
-                raise ConfigError("mass profile requires alpha > 0")
-            if not self.q > 0:
-                raise ConfigError("built-in mass profiles require q > 0")
+            require_positive(f"{self.kind} mass profile", "alpha", self.alpha)
+            require_positive(f"{self.kind} mass profile", "q", self.q)
         if self.x_min is not None and self.x_max is not None:
             if not self.x_min < self.x_max:
-                raise ConfigError("mass profile domain is empty")
+                raise ConfigError("mass profile domain is empty", field="domain")
         lo, hi = self.natural_domain()
         for name, v in (("x_min", self.x_min), ("x_max", self.x_max)):
             if v is not None and not (lo < v < hi or v == hi == math.inf):
                 raise ConfigError(
-                    f"{name}={v} outside the profile's natural domain ({lo}, {hi})"
+                    f"{name}={v} outside the profile's natural domain ({lo}, {hi})",
+                    field="domain",
                 )
         self._validate_by_sampling()
 
@@ -456,10 +450,8 @@ class MappingFunction:
         lo, hi = p.domain()
         if p.kind == CUSTOM:
             return float(self._table[0]), float(self._table[-1])
-        if math.isfinite(lo):
-            y_lo = float(self.forward(lo))
-        else:
-            y_lo = FAMILIES[p.kind].y_inf(p.alpha, p.q)
+        # only asymptotically_vanishing is unbounded below, and its f -> -inf
+        y_lo = float(self.forward(lo)) if math.isfinite(lo) else -math.inf
         y_hi = float(self.forward(hi)) if math.isfinite(hi) else math.inf
         return y_lo, y_hi
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigError, DomainError
+from .errors import ArgumentError, ConfigError, DomainError, require_positive
 from .qmath import jacobi, laguerre_assoc
 
 
@@ -48,9 +48,7 @@ class Reference:
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{self.kind} reference needs {field.name} finite and > 0")
+            require_positive(f"{self.kind} reference", field.name, getattr(self, field.name))
         if self.n_max < 0:
             raise ConfigError(f"{self.kind} well too shallow to bind a state")
 

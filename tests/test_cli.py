@@ -218,6 +218,53 @@ class TestConfigValidation:
         assert "error: config.runs[0].grid.n_points: must be <= 1000001" in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "run, path",
+        [
+            ({"mass": {"kind": "asymptotically_vanishing", "alpha": 8.0, "q": 0.0}}, "mass.q"),
+            ({"mass": {"kind": "tanh_sq", "alpha": 1.0, "domain": [3.0, 2.0]}}, "mass.domain"),
+            ({"mass": {"kind": "custom", "expression": "1"}}, "mass.domain"),
+            ({"mass": {"kind": "custom", "expression": "1", "domain": [1.0, 1.0]}}, "mass.domain"),
+            ({"reference": {"kind": "poschl_teller", "U0": 0.0, "alpha": 1.0}}, "reference.U0"),
+            ({"reference": {"kind": "morse", "D": 8.0, "alpha": -1.0}}, "reference.alpha"),
+        ],
+        ids=[
+            "mass-q-0",
+            "builtin-domain-empty",
+            "custom-domain-missing",
+            "custom-domain-empty",
+            "reference-U0-0",
+            "reference-alpha-negative",
+        ],
+    )
+    def test_constructor_error_names_its_field(self, run, path):
+        # the constructors own these rules; the CLI adds the config path
+        with pytest.raises(ConfigError) as info:
+            cli.load_config(json.dumps(basic_config(**run)))
+        assert str(info.value).startswith(f"config.runs[0].{path}: ")
+
+    def test_builtin_domain_outside_natural_domain_is_rejected_at_parse(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # tanh_sq at alpha = q = 1 lives on x > 0; the run before it is valid
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved a run with an invalid config")
+
+        monkeypatch.setattr(cli, "verify", refuse)
+        runs = [
+            basic_run(name="coth-morse", mass={"kind": "coth_sq", "alpha": 1.0, "q": 1.0}),
+            basic_run(
+                name="tanh-hulthen",
+                mass={"kind": "tanh_sq", "alpha": 1.0, "q": 1.0, "domain": [-1.0, 5.0]},
+                reference={"kind": "hulthen", "V0": 2.0, "alpha": 0.5},
+            ),
+        ]
+        cfg = write_config(tmp_path, {"schema_version": 1, "runs": runs})
+        assert cli.main(["verify", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.runs[1].mass.domain: ")
+        assert "natural domain" in err and err.count("\n") == 1
+
     def test_grid_bound_is_inclusive(self):
         grid = {"n_points": cli.MAX_GRID_POINTS, "levels": 3}
         assert cli.load_config(json.dumps(basic_config(grid=grid)))["runs"][0]["n_points"] == 1000001
@@ -563,9 +610,15 @@ class TestDiscrepancy:
 class TestOutputPath:
     @pytest.mark.parametrize("via", ["option", "config"])
     @pytest.mark.parametrize("target", ["missing_dir/r.json", "."], ids=["missing-dir", "directory"])
-    def test_unwritable_output_is_exit_2(self, tmp_path, capsys, via, target):
+    def test_unwritable_output_is_exit_2(self, tmp_path, capsys, monkeypatch, via, target):
         """An output path that cannot be written is exit 2 with one error
-        line, not exit 1 (verification FAIL) with a traceback."""
+        line, not exit 1 (verification FAIL) with a traceback, and is found
+        before any run is solved."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved a run for an unwritable output")
+
+        monkeypatch.setattr(cli, "verify", refuse)
         out = str(tmp_path / target)
         doc = basic_config()
         if via == "config":

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -166,6 +167,45 @@ class TestValidation:
             MassProfile("tanh_sq", 1.0, 0.0)
         with pytest.raises(ConfigError):
             MassProfile("no_such_kind", 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: MassProfile("tanh_sq", math.inf, 1.0), "alpha"),
+            (lambda: MassProfile("coth_sq", -math.inf, 1.0), "alpha"),
+            (lambda: MassProfile("asymptotically_vanishing", math.nan, 1.0), "alpha"),
+            (lambda: MassProfile("tanh_sq", 1.0, math.inf), "q"),
+            (lambda: MassProfile("coth_sq", 1.0, -math.inf), "q"),
+            (lambda: MassProfile("asymptotically_vanishing", 1.0, math.nan), "q"),
+            (lambda: MassProfile.custom("1", 0.0, math.inf), "domain"),
+            (lambda: MassProfile.custom("1", -math.inf, 0.0), "domain"),
+            (lambda: MassProfile.custom("1", math.nan, 1.0), "domain"),
+            (lambda: MassProfile.custom("1", None, None), "domain"),
+            (lambda: MassProfile("tanh_sq", 1.0, 1.0, x_min=2.0, x_max=1.0), "domain"),
+            # tanh_sq at alpha = q = 1 lives on x > 0
+            (lambda: MassProfile("tanh_sq", 1.0, 1.0, x_min=-1.0, x_max=5.0), "domain"),
+        ],
+        ids=[
+            "tanh-alpha-inf",
+            "coth-alpha-minus-inf",
+            "vanishing-alpha-nan",
+            "tanh-q-inf",
+            "coth-q-minus-inf",
+            "vanishing-q-nan",
+            "custom-hi-inf",
+            "custom-lo-minus-inf",
+            "custom-lo-nan",
+            "custom-domain-missing",
+            "domain-empty",
+            "domain-below-branch-point",
+        ],
+    )
+    def test_config_error_names_its_field(self, make, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as info:
+                make()
+        assert info.value.field == field
 
     def test_custom_requires_domain_and_positivity(self):
         with pytest.raises(ConfigError):

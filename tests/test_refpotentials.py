@@ -87,8 +87,9 @@ class TestReferenceRules:
         ids=["morse-D-inf", "hulthen-V0-nan", "pt-alpha-minus-inf", "morse-alpha-0"],
     )
     def test_every_field_finite_and_positive(self, make, field):
-        with pytest.raises(ConfigError, match=f"needs {field} finite and > 0"):
+        with pytest.raises(ConfigError, match=f"needs {field} finite and > 0") as info:
             make()
+        assert info.value.field == field
 
     @pytest.mark.parametrize("ref", [MORSE, PT, HULTHEN], ids=lambda r: type(r).__name__)
     def test_energy_takes_one_checked_level(self, ref):
