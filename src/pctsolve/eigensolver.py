@@ -38,16 +38,15 @@ into the certified radii.
 
 The LAPACK routines (``dgtsv``, ``dstebz``, ``dstein``) come from scipy's
 compiled ``scipy.linalg._flapack`` extension, loaded directly from
-``scipy.linalg``'s directory and registered under its own name, so a later
-``import scipy.linalg`` shares the very same module.  Importing
-``scipy.linalg`` itself would run its package init, which loads scipy's
-array-API layer (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``), none of
-which this needs.  Measured on a 2-vCPU Intel Xeon VM (Python 3.11.7,
-numpy 2.4.6, scipy 1.17.1), that init took 0.30 s of a 0.48 s
-``import pctsolve.cli``, and loading the extension alone halves the start-up
-of a ``pct verify`` process (0.50 s to 0.26 s) and cuts its peak RSS from
-68.6 MB to 45.7 MB.  The calls are the ones scipy's ``eigvalsh_tridiagonal``
-and ``eigh_tridiagonal`` make, with the same arguments, so the results are
+``scipy/linalg`` (found from the top-level package's spec, which imports
+nothing) and registered under its own name, so a later ``import
+scipy.linalg`` shares the very same module.  No scipy package init runs:
+``scipy.linalg``'s loads scipy's array-API layer (``numpy.f2py``,
+``numpy.testing``, ``numpy.ma``) and, on a 2-vCPU Intel Xeon VM (Python
+3.11.7, numpy 2.4.6, scipy 1.17.1), doubled the start-up of a ``pct
+verify`` process (0.26 s to 0.50 s) and raised its peak RSS from 45.7 MB
+to 68.6 MB.  The calls and arguments are those of scipy's
+``eigvalsh_tridiagonal`` and ``eigh_tridiagonal``, so the results are
 bit-identical.  Like scipy's ``check_finite``, a solve rejects a matrix with
 a non-finite entry, here as ``RangeOverflowError``.
 """
@@ -58,6 +57,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -69,14 +69,14 @@ from .errors import ArgumentError, ConfigError, GridMismatchError, RangeOverflow
 
 def _load_flapack():
     """scipy's ``scipy.linalg._flapack`` extension module, without running
-    ``scipy.linalg``'s package init (finding its directory imports only the
-    top-level ``scipy``)."""
+    any scipy package init: the top-level ``scipy``'s spec gives its
+    directory without importing it, and ``linalg`` lies inside."""
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
-        (where,) = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+        (root,) = importlib.util.find_spec("scipy").submodule_search_locations
         finder = importlib.machinery.FileFinder(
-            where,
+            os.path.join(root, "linalg"),
             (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
         )
         spec = finder.find_spec(name)
@@ -379,15 +379,22 @@ def solve_effective_mass(
 def d1_numerator(values):
     """12 h times the 4th-order central first derivative of uniform samples
     (along the first axis), at the interior nodes 2..n-3."""
-    f = values
-    return -f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]
+    out, scratch = -values[4:], np.empty_like(values[4:])
+    out += np.multiply(values[3:-1], 8, out=scratch)
+    out -= np.multiply(values[1:-3], 8, out=scratch)
+    out += values[:-4]
+    return out
 
 
 def d2_numerator(values):
     """12 h^2 times the 4th-order central second derivative of uniform
     samples (along the first axis), at the interior nodes 2..n-3."""
-    f = values
-    return -f[4:] + 16 * f[3:-1] - 30 * f[2:-2] + 16 * f[1:-3] - f[:-4]
+    out, scratch = -values[4:], np.empty_like(values[4:])
+    out += np.multiply(values[3:-1], 16, out=scratch)
+    out -= np.multiply(values[2:-2], 30, out=scratch)
+    out += np.multiply(values[1:-3], 16, out=scratch)
+    out -= values[:-4]
+    return out
 
 
 def residual_norm(grid, psi, energy, mass_values, potential_values, mass_d1=None):
@@ -395,21 +402,32 @@ def residual_norm(grid, psi, energy, mass_values, potential_values, mass_d1=None
 
     Derivatives of psi (and of m, unless ``mass_d1`` supplies m' at the grid
     nodes) use 4th-order central differences; the outermost two nodes on
-    each side are excluded, and only the interior is computed.
+    each side are excluded, and only the interior is computed, in place and
+    in the operation order of the formula.
     """
     psi = np.asarray(psi, dtype=float)
     m = np.asarray(mass_values, dtype=float)
     v = np.asarray(potential_values, dtype=float)
     h = grid.h
-    p1 = d1_numerator(psi) / (12 * h)
-    p2 = d2_numerator(psi) / (12 * h * h)
-    if mass_d1 is None:
-        m1 = d1_numerator(m) / (12 * h)
-    else:
-        m1 = np.asarray(mass_d1, dtype=float)[2:-2]
     sl = slice(2, -2)
-    r = p2 - (m1 / m[sl]) * p1 + 2.0 * m[sl] * (energy - v[sl]) * psi[sl]
-    return math.sqrt(float(np.mean(r * r)))
+    p1 = d1_numerator(psi)
+    p1 /= 12 * h
+    p2 = d2_numerator(psi)
+    p2 /= 12 * h * h
+    if mass_d1 is None:
+        m1 = d1_numerator(m)
+        m1 /= 12 * h
+    else:
+        m1 = np.asarray(mass_d1, dtype=float)[sl]
+    w = np.empty_like(p1)
+    p1 *= np.divide(m1, m[sl], out=w)  # r = p2 - (m1 / m) p1 + 2 m (E - v) psi
+    p2 -= p1
+    np.multiply(m[sl], 2.0, out=w)
+    w *= np.subtract(energy, v[sl], out=p1)
+    w *= psi[sl]
+    p2 += w
+    p2 *= p2
+    return math.sqrt(float(np.mean(p2)))
 
 
 def trapezoid_dot(a, b, h):

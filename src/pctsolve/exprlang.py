@@ -5,8 +5,8 @@ One walk of the AST gives either forward-mode second-order jets, the value
 with its exact first and second derivatives (``eval_jet``), or the value
 alone (``eval_value``), bit-identical to the jet's value.  Supported
 functions: exp, ln, sqrt, sin, cos, sinh, cosh, tanh, coth and the
-q-deformed sinhq, coshq, tanhq, cothq, sechq, cschq (the deformation
-parameter is read from the parameter table entry ``q``).  Precedence: ``^``
+q-deformed sinhq, coshq, tanhq, cothq, sechq, cschq, whose q is the
+parameter table entry ``q`` (finite and > 0).  Precedence: ``^``
 (right-assoc) > unary minus > ``* /`` > ``+ -``.
 """
 
@@ -345,18 +345,27 @@ def _integer_exponent(k):
     return int(k) if np.ndim(k) == 0 and float(k).is_integer() else None
 
 
+def _pow(b, e):
+    """b^e, overflowing to inf as numpy does also for a scalar base (a
+    parameter, a Python float), where Python raises OverflowError."""
+    try:
+        return b**e
+    except OverflowError:
+        return float(np.float64(b) ** e)
+
+
 def _power(b, k):
     """b^k for an exponent k constant in x: the value of the power jet."""
     n = _integer_exponent(k)
     if n is None:
         if np.any(np.asarray(b) <= 0):
             raise DomainError("non-integer power of a non-positive base")
-        return b**k
+        return _pow(b, k)
     if n == 0:
         return 1.0 + 0.0 * b  # keeps b's shape
     if n < 0:
-        return _divide(1.0, b ** (-n))
-    return b**n
+        return _divide(1.0, _pow(b, -n))
+    return _pow(b, n)
 
 
 def _jet_div(u: Jet2, v: Jet2) -> Jet2:
@@ -490,32 +499,24 @@ def _exponent_constant(v: Jet2) -> bool:
     return bool(np.all(np.asarray(v.d1) == 0.0) and np.all(np.asarray(v.d2) == 0.0))
 
 
-def _positive_power(b, e):
-    """b^e for b > 0.  A tiny scalar base (a parameter, a Python float)
-    overflows b^(k-2) where b^k does not: inf then, as numpy gives, not an
-    OverflowError."""
-    try:
-        return b**e
-    except OverflowError:
-        return math.inf
-
-
 def _jet_pow(u: Jet2, v: Jet2) -> Jet2:
     if not _exponent_constant(v):
         return _jet_exp(v * _jet_ln(u))
     k = v.value
+    # the value first, so the jet raises the value's error where it has one
+    f0 = _power(u.value, k)
     n = _integer_exponent(k)
     if n == 0:
         return _jet(1.0) + 0.0 * u  # keeps array shape
     if n is not None and n < 0:
         return _jet(1.0) / _jet_pow(u, _jet(float(-n)))
-    f0 = _power(u.value, k)
     if n is None:
-        f1 = k * _positive_power(u.value, k - 1.0)
-        f2 = k * (k - 1.0) * _positive_power(u.value, k - 2.0)
+        f1 = k * _pow(u.value, k - 1.0)
+        f2 = k * (k - 1.0) * _pow(u.value, k - 2.0)
     else:
-        f1 = n * u.value ** (n - 1)
-        f2 = n * (n - 1) * (u.value ** (n - 2) if n >= 2 else 0.0)
+        # float(n): n (n - 1) as a Python int need not fit a float
+        f1 = n * _pow(u.value, n - 1)
+        f2 = float(n) * (n - 1) * (_pow(u.value, n - 2) if n >= 2 else 0.0)
     return _chain(u, f0, f1, f2)
 
 
@@ -523,9 +524,11 @@ def eval_jet(ast: ExprAst, x, params=None) -> Jet2:
     """Evaluate an AST at x, returning value and first two x-derivatives.
 
     x may be a scalar or a numpy array; derivatives are exact to floating
-    precision (no truncation error).
+    precision (no truncation error).  What overflows is inf (NaN where inf
+    meets 0) without a numpy warning: a mass profile's validation rejects it.
     """
-    return _walk(ast, x, params or {}, True)
+    with np.errstate(all="ignore"):
+        return _walk(ast, x, params or {}, True)
 
 
 def eval_value(ast: ExprAst, x, params=None):
@@ -535,7 +538,8 @@ def eval_value(ast: ExprAst, x, params=None):
     value itself is undefined; an error only a derivative would hit (for
     example at a pole of m' alone) is left to ``eval_jet``.
     """
-    return _walk(ast, x, params or {}, False)
+    with np.errstate(all="ignore"):
+        return _walk(ast, x, params or {}, False)
 
 
 def _param(params, name):

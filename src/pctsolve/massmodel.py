@@ -16,10 +16,10 @@ the built-ins, a Gauss-Legendre table for customs) together with its
 inverse.
 
 Everything this module knows about a built-in family -- its mass, mass jet,
-f and f^{-1}, natural lower bound and q = 1 standard forms --
-lives in one ``Family`` record in ``FAMILIES``; ``custom`` is the one other
-path.  The overflow-safe q-hyperbolics the closed forms use come from
-``qmath``.
+f and f^{-1}, natural lower bound with f's limit there and q = 1 standard
+forms -- lives in one ``Family`` record in ``FAMILIES``; ``custom`` is the
+one other path.  The overflow-safe q-hyperbolics the closed forms use come
+from ``qmath``.
 """
 
 from __future__ import annotations
@@ -78,7 +78,8 @@ class Family:
     forward: Callable
     #: (y, alpha, q) -> f^{-1}(y), guarded against rounding at its branch
     inverse: Callable
-    #: (alpha, q) -> natural lower bound of x: the branch point or -inf
+    #: (alpha, q) -> (x_lo, y_lo): the natural lower bound of x (the branch
+    #: point or -inf) and f's limit there, exact where f(x_lo) is not
     lower: Callable
     #: (x, alpha) -> (m, f, correction) at q = 1 via plain numpy hyperbolics
     standard: Callable
@@ -89,9 +90,10 @@ def _branch_point(a, q):
     return math.log(q) / (2.0 * a)
 
 
-def _exp_inverse(y, u, a, arc):
-    """x = arc(e^u)/alpha for u ~ alpha y, switching to the asymptote
+def _exp_inverse(y, a, arc):
+    """x = arc(e^u)/alpha for u = alpha y, switching to the asymptote
     x = y + ln(2)/alpha where e^u would overflow."""
+    u = a * y
     big = u > 350.0
     arg = np.exp(np.minimum(u, 350.0))
     return np.where(big, y + math.log(2.0) / a, np.asarray(arc(arg)) / a)
@@ -107,11 +109,6 @@ def _vanishing_jet(x, a, q):
     m1 = -2.0 * a * a * x / d**2
     m2 = a * a * (6.0 * x * x - 2.0 * q) / d**3
     return m, m1, m2
-
-
-def _vanishing_forward(x, a, q):
-    s = np.sqrt(x * x + q)
-    return a * np.where(x >= 0, np.log(x + s), np.log(q) - np.log(s - x))
 
 
 def _vanishing_standard(x, a):
@@ -134,13 +131,6 @@ def _tanh_sq_jet(x, a, q):
     m1 = 2.0 * a * q * t * ic2
     m2 = 2.0 * a * a * q * (1.0 - 3.0 * t * t) * ic2
     return m, m1, m2
-
-
-def _tanh_sq_inverse(y, a, q):
-    # guard rounding just below the branch value e^{alpha y} = sqrt(q)
-    u = np.maximum(a * y, 0.5 * math.log(q))
-    floor = math.sqrt(q) * (1.0 + 4e-16)
-    return _exp_inverse(y, u, a, lambda t: qmath.arccosh_q(np.maximum(t, floor), q))
 
 
 def _tanh_sq_standard(x, a):
@@ -168,10 +158,6 @@ def _coth_sq_jet(x, a, q):
     return m, m1, m2
 
 
-def _coth_sq_inverse(y, a, q):
-    return _exp_inverse(y, a * y, a, lambda t: qmath.arcsinh_q(t, q))
-
-
 def _coth_sq_standard(x, a):
     u = a * x
     t = np.tanh(u)
@@ -187,25 +173,28 @@ FAMILIES = {
     ASYMPTOTICALLY_VANISHING: Family(
         mass=_vanishing_mass,
         jet=_vanishing_jet,
-        forward=_vanishing_forward,
+        forward=lambda x, a, q: a * qmath.arcsinh_q(x, q),
         inverse=lambda y, a, q: qmath.sinh_q(y / a, q),
-        lower=lambda a, q: -math.inf,
+        lower=lambda a, q: (-math.inf, -math.inf),
         standard=_vanishing_standard,
     ),
     TANH_SQ: Family(
         mass=_tanh_sq_mass,
         jet=_tanh_sq_jet,
         forward=lambda x, a, q: qmath.log_cosh_q(a * x, q) / a,
-        inverse=_tanh_sq_inverse,
-        lower=_branch_point,
+        # rounding may put e^{alpha y} just below the branch value sqrt(q)
+        inverse=lambda y, a, q: _exp_inverse(
+            y, a, lambda t: qmath.arccosh_q(np.maximum(t, math.sqrt(q)), q)
+        ),
+        lower=lambda a, q: (_branch_point(a, q), _branch_point(a, q)),  # f(x_q) = x_q
         standard=_tanh_sq_standard,
     ),
     COTH_SQ: Family(
         mass=_coth_sq_mass,
         jet=_coth_sq_jet,
         forward=lambda x, a, q: qmath.log_sinh_q(a * x, q) / a,
-        inverse=_coth_sq_inverse,
-        lower=_branch_point,
+        inverse=lambda y, a, q: _exp_inverse(y, a, lambda t: qmath.arcsinh_q(t, q)),
+        lower=lambda a, q: (_branch_point(a, q), -math.inf),
         standard=_coth_sq_standard,
     ),
 }
@@ -274,7 +263,7 @@ class MassProfile:
     def natural_domain(self):
         if self.kind == CUSTOM:
             return (-math.inf, math.inf)
-        return (FAMILIES[self.kind].lower(self.alpha, self.q), math.inf)
+        return (FAMILIES[self.kind].lower(self.alpha, self.q)[0], math.inf)
 
     def domain(self):
         lo, hi = self.natural_domain()
@@ -450,8 +439,10 @@ class MappingFunction:
         lo, hi = p.domain()
         if p.kind == CUSTOM:
             return float(self._table[0]), float(self._table[-1])
-        # only asymptotically_vanishing is unbounded below, and its f -> -inf
-        y_lo = float(self.forward(lo)) if math.isfinite(lo) else -math.inf
+        if p.x_min is None:
+            y_lo = FAMILIES[p.kind].lower(p.alpha, p.q)[1]
+        else:
+            y_lo = float(self.forward(lo))
         y_hi = float(self.forward(hi)) if math.isfinite(hi) else math.inf
         return y_lo, y_hi
 

@@ -1,20 +1,18 @@
 """q-deformed hyperbolic functions and classical orthogonal polynomials.
 
-The deformed family is
+The deformed family (A. Arai, J. Math. Anal. Appl. 158, 63 (1991)) is
 
     cosh_q(x) = (e^x + q e^-x)/2        sinh_q(x) = (e^x - q e^-x)/2
 
-with tanh_q, coth_q, sech_q, csch_q the obvious ratios; q = 1 recovers the
-standard hyperbolic functions.  The polynomials (generalized Laguerre and
-Jacobi) are evaluated by their ascending three-term recurrences.
-
-cosh_q and sinh_q raise RangeOverflowError when their own values overflow.
-The ratios (tanh_q, coth_q, sech_q, csch_q), the squares sech_sq_q and
-csch_sq_q and the logs log_cosh_q and log_sinh_q factor e^|x| out first and
-stay finite for any |x|; they are the one implementation of these forms,
-shared by massmodel's built-in profiles and exprlang's q-jets.
-
-All functions accept scalars or numpy arrays and are pure.
+with tanh_q, coth_q, sech_q, csch_q their ratios.  For q > 0 (any other q
+is a DomainError) each is written once, as its standard counterpart at
+u = x - ln(q)/2 times a power of sqrt(q): cosh_q(x) = sqrt(q) cosh(u),
+tanh_q(x) = tanh(u), and so on.  cosh_q and sinh_q raise RangeOverflowError
+when their values overflow; the ratios, the squares and the logs (ln cosh_q,
+ln sinh_q) factor e^|u| out and stay finite for any |x|, for massmodel's
+built-in profiles and exprlang's q-jets alike.  The Laguerre and Jacobi
+polynomials use their ascending three-term recurrences.  All functions
+accept scalars or numpy arrays and are pure.
 """
 
 from __future__ import annotations
@@ -39,26 +37,12 @@ def _ret(a):
     return float(a) if a.ndim == 0 else a
 
 
-def _finite_or_raise(name, value):
-    if not np.all(np.isfinite(value)):
-        raise RangeOverflowError(f"{name}: result left the floating range")
-    return value
-
-
-def cosh_q(x, q):
-    """(e^x + q e^-x)/2."""
-    x = _as_float(x)
-    with np.errstate(over="ignore"):
-        val = 0.5 * (np.exp(x) + q * np.exp(-x))
-    return _ret(_finite_or_raise("cosh_q", val))
-
-
-def sinh_q(x, q):
-    """(e^x - q e^-x)/2."""
-    x = _as_float(x)
-    with np.errstate(over="ignore"):
-        val = 0.5 * (np.exp(x) - q * np.exp(-x))
-    return _ret(_finite_or_raise("sinh_q", val))
+def _shift(x, q):
+    """(u, r) = (x - ln(q)/2, sqrt(q)): the standard functions' argument and
+    the scale of cosh_q and sinh_q."""
+    if not (math.isfinite(q) and q > 0):
+        raise DomainError(f"the q-deformed functions need q finite and > 0, got q = {q!r}")
+    return _as_float(x) - 0.5 * math.log(q), math.sqrt(q)
 
 
 def _ratio(name, num, den):
@@ -67,100 +51,100 @@ def _ratio(name, num, den):
     return _ret(num / den)
 
 
-def _scaled(x, q):
-    """(u, e, c, s) with e = e^{-2|u|}, cosh_q(u) = e^{|u|} c/2 and
-    sinh_q(u) = e^{|u|} s/2: c = 1 + q e, s = 1 - q e for u >= 0 and
-    c = e + q, s = e - q below, bounded for every u."""
-    u = _as_float(x)
-    e = np.exp(-2.0 * np.abs(u))
-    pos = u >= 0
-    qe = q * e
-    c = np.where(pos, 1.0 + qe, e + q)
-    s = np.where(pos, 1.0 - qe, e - q)
-    return u, e, c, s
+def _sech(u):
+    """sech u = 2 e^-|u| / (1 + e^-2|u|), finite for every u."""
+    h = np.exp(-np.abs(u))
+    return 2.0 * h / (1.0 + h * h)
+
+
+def _times_sqrt_q(name, standard, x, q):
+    u, r = _shift(x, q)
+    with np.errstate(over="ignore"):
+        val = r * standard(u)
+    if not np.all(np.isfinite(val)):
+        raise RangeOverflowError(f"{name}: result left the floating range")
+    return _ret(val)
+
+
+def cosh_q(x, q):
+    """(e^x + q e^-x)/2 = sqrt(q) cosh(u)."""
+    return _times_sqrt_q("cosh_q", np.cosh, x, q)
+
+
+def sinh_q(x, q):
+    """(e^x - q e^-x)/2 = sqrt(q) sinh(u)."""
+    return _times_sqrt_q("sinh_q", np.sinh, x, q)
 
 
 def tanh_q(x, q):
-    """sinh_q(x)/cosh_q(x)."""
-    _, _, c, s = _scaled(x, q)
-    return _ratio("tanh_q", s, c)
+    """sinh_q(x)/cosh_q(x) = tanh(u)."""
+    u, _ = _shift(x, q)
+    return _ret(np.tanh(u))
 
 
 def coth_q(x, q):
-    """cosh_q(x)/sinh_q(x); pole where sinh_q vanishes (x = ln(q)/2 for q > 0)."""
-    _, _, c, s = _scaled(x, q)
-    return _ratio("coth_q", 1.0, s / c)
+    """cosh_q(x)/sinh_q(x) = coth(u); pole at u = 0 (x = ln(q)/2)."""
+    u, _ = _shift(x, q)
+    return _ratio("coth_q", 1.0, np.tanh(u))
 
 
 def sech_q(x, q):
-    """1/cosh_q(x)."""
-    u, _, c, _ = _scaled(x, q)
-    return _ratio("sech_q", 2.0 * np.exp(-np.abs(u)), c)
+    """1/cosh_q(x) = sech(u)/sqrt(q)."""
+    u, r = _shift(x, q)
+    return _ret(_sech(u) / r)
 
 
 def csch_q(x, q):
-    """1/sinh_q(x); pole where sinh_q vanishes."""
-    u, _, _, s = _scaled(x, q)
-    return _ratio("csch_q", 2.0 * np.exp(-np.abs(u)), s)
+    """1/sinh_q(x) = sech(u)/(sqrt(q) tanh(u)); its pole is coth_q's."""
+    u, r = _shift(x, q)
+    return _ratio("csch_q", _sech(u) / r, np.tanh(u))
 
 
 def sech_sq_q(x, q):
-    """1/cosh_q(x)^2."""
-    _, e, c, _ = _scaled(x, q)
-    return _ratio("sech_sq_q", 4.0 * e, c**2)
+    """1/cosh_q(x)^2 = sech(u)^2/q."""
+    u, _ = _shift(x, q)
+    return _ret(_sech(u) ** 2 / q)
 
 
 def csch_sq_q(x, q):
-    """1/sinh_q(x)^2; pole where sinh_q vanishes."""
-    _, e, _, s = _scaled(x, q)
-    return _ratio("csch_sq_q", 4.0 * e, s**2)
+    """1/sinh_q(x)^2 = (sech(u)/tanh(u))^2/q; its pole is coth_q's, and just
+    outside it the square overflows to inf."""
+    u, _ = _shift(x, q)
+    c = _ratio("csch_sq_q", _sech(u), np.tanh(u))
+    with np.errstate(over="ignore"):
+        return _ret(c * c / q)
 
 
 def log_cosh_q(x, q):
-    """ln cosh_q(x) for q > 0."""
-    u, e, c, _ = _scaled(x, q)
-    return _ret(np.abs(u) - math.log(2.0) + np.where(u >= 0, np.log1p(q * e), np.log(c)))
+    """ln cosh_q(x) = ln sqrt(q) + |u| - ln 2 + ln(1 + e^-2|u|)."""
+    u, r = _shift(x, q)
+    a = np.abs(u)
+    return _ret(math.log(r) + (a - math.log(2.0) + np.log1p(np.exp(-2.0 * a))))
 
 
 def log_sinh_q(x, q):
-    """ln sinh_q(x) on the branch where sinh_q > 0 (x > ln(q)/2); NaN or -inf
-    elsewhere."""
-    u, e, _, s = _scaled(x, q)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        tail = np.where(u >= 0, np.log1p(-q * e), np.log(s))
-    return _ret(np.abs(u) - math.log(2.0) + tail)
+    """ln sinh_q(x) = ln sqrt(q) + u - ln 2 + ln(1 - e^-2u) on the branch
+    u > 0 where sinh_q > 0, and its limit -inf at and below the zero u = 0."""
+    u, r = _shift(x, q)
+    a = np.maximum(u, 0.0)
+    with np.errstate(divide="ignore"):
+        return _ret(math.log(r) + (a - math.log(2.0) + np.log(-np.expm1(-2.0 * a))))
 
 
 def arcsinh_q(y, q):
-    """Inverse of sinh_q on its increasing branch: ln(y + sqrt(y^2 + q)).
-
-    For q > 0 this is the global inverse; for q <= 0 only the branch with
-    y + sqrt(y^2 + q) > 0 is represented.
-    """
-    y = _as_float(y)
-    rad = y * y + q
-    if np.any(rad < 0):
-        raise DomainError("arcsinh_q: y^2 + q < 0")
-    s = np.sqrt(rad)
-    # y + s suffers cancellation for y << 0; use (y + s)(s - y) = q there
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg = np.where(y >= 0, y + s, q / (s - y))
-    if np.any(~(arg > 0)):
-        raise DomainError("arcsinh_q: argument off the increasing branch")
-    return _ret(np.log(arg))
+    """Inverse of sinh_q: ln(q)/2 + arcsinh(y/sqrt(q))."""
+    x0, r = _shift(0.0, q)  # x0 = -ln(q)/2
+    return _ret(np.arcsinh(_as_float(y) / r) - x0)
 
 
 def arccosh_q(y, q):
-    """Inverse of cosh_q on its increasing branch (x >= ln(q)/2 for q > 0):
-    ln(y + sqrt(y^2 - q))."""
-    y = _as_float(y)
-    rad = y * y - q
-    if np.any(rad < 0):
-        raise DomainError("arccosh_q: y^2 - q < 0")
-    arg = y + np.sqrt(rad)
-    if np.any(~(arg > 0)):
-        raise DomainError("arccosh_q: argument off the increasing branch")
-    return _ret(np.log(arg))
+    """Inverse of cosh_q on its increasing branch x >= ln(q)/2:
+    ln(q)/2 + arccosh(y/sqrt(q))."""
+    x0, r = _shift(0.0, q)
+    t = _as_float(y) / r
+    if np.any(~(t >= 1.0)):
+        raise DomainError("arccosh_q: y below the minimum sqrt(q) of cosh_q")
+    return _ret(np.arccosh(t) - x0)
 
 
 def _check_degree(n):

@@ -265,6 +265,28 @@ class TestConfigValidation:
         assert err.startswith("error: config.runs[1].mass.domain: ")
         assert "natural domain" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "expression, parameters, says",
+        [
+            ("2 + x^(1e200)", {}, "non-finite values"),
+            ("1 + exp(x^2)", {}, "non-finite values"),
+            ("sinhq(x)", {"q": -1.0}, "q finite and > 0"),
+        ],
+        ids=["huge-integer-power", "exp-overflow", "q-negative"],
+    )
+    def test_custom_mass_error_is_one_line(self, tmp_path, capsys, expression, parameters, says):
+        # the README config with its custom mass replaced (sinh_q at q = -1
+        # would be cosh, positive everywhere): exit 2, one line, no warning
+        runs = [README_RUNS[0], dict(README_RUNS[1])]
+        runs[1]["mass"] = dict(runs[1]["mass"], expression=expression, parameters=parameters)
+        cfg = write_config(tmp_path, {"schema_version": 1, "runs": runs})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["verify", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.runs[1].mass: ") and err.count("\n") == 1
+        assert says in err
+
     def test_grid_bound_is_inclusive(self):
         grid = {"n_points": cli.MAX_GRID_POINTS, "levels": 3}
         assert cli.load_config(json.dumps(basic_config(grid=grid)))["runs"][0]["n_points"] == 1000001

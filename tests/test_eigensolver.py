@@ -219,6 +219,8 @@ class TestLapackLoading:
             import pctsolve.cli as cli
             from pctsolve.eigensolver import Grid, solve_constant_mass
 
+            # not even the top-level package's init runs
+            assert "scipy" not in sys.modules
             seen = ["scipy.linalg" in sys.modules]
             text, code = cli.cmd_verify(cli.load_config({config!r}))
             assert code == 0 and json.loads(text)["pass"] is True

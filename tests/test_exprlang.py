@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +270,24 @@ class TestValueWalk:
         ast = parse(source)
         for at in (_XS, 0.0, -1.0, 1.5):
             assert_value_matches_jet(lambda: eval_value(ast, at), lambda: eval_jet(ast, at))
+
+    @pytest.mark.parametrize(
+        "source, params",
+        [("x^(0.5/a)", {"a": -3.34e-238}), ("2 + x^(1e200)", {}), ("a^(1e200) + x", {"a": -2.0})],
+        ids=["exponent-minus-1.5e237", "exponent-1e200", "scalar-base"],
+    )
+    def test_huge_integer_exponent(self, source, params):
+        # n (n - 1) of a whole-number exponent past 1.34e154 does not fit a
+        # float: the jet raises the value's error (1/0 at x = 0 for the
+        # first), and otherwise overflows to inf as the value does, without
+        # an OverflowError or a warning
+        ast = parse(source)
+        for at in (0.0, 2.0, _XS):
+            assert_value_matches_jet(lambda: eval_value(ast, at, params), lambda: eval_jet(ast, at, params))
+            for walk in (eval_value, eval_jet):
+                with warnings.catch_warnings(), contextlib.suppress(DomainError):
+                    warnings.simplefilter("error")
+                    walk(ast, at, params)
 
     @pytest.mark.parametrize(
         "source,x,error",

@@ -289,6 +289,89 @@ class TestMapping:
             assert mapping.inverse(float(ys[i])) == back[i]
 
 
+def _close(got, ref, rtol):
+    """|got - ref| <= rtol (1 + max |ref|) over the sampled window: the scale
+    is the window's, so a zero of m' or m'' inside it does not matter."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert np.all(np.abs(got - ref) <= rtol * (1.0 + np.max(np.abs(ref)))), (got, ref)
+
+
+def _same_range(got, ref):
+    for g, r in zip(got, ref):
+        assert g == r if math.isinf(r) else math.isclose(g, r, rel_tol=1e-12, abs_tol=1e-12), (got, ref)
+
+
+class TestQAxis:
+    """A built-in profile at q is its q = 1 profile after a change of
+    variables, exactly up to rounding and independently of the PCT:
+    tanh_sq and coth_sq are translated by x_q = ln(q)/(2 alpha), with f moved
+    by ln(sqrt q)/alpha; asymptotically_vanishing is dilated by sqrt(q),
+    m_q(x) = m_1(x/sqrt q)/q, with m' scaled by q^(-3/2), m'' by q^(-2), and
+    f moved by alpha ln(sqrt q).  Checked through mass, mass_jet, forward,
+    inverse and y_range, with and without an explicit domain."""
+
+    @staticmethod
+    def check(kind, alpha, q, xs, to_1, from_1, jet_scale, lift):
+        """xs: points of the q profile's window; to_1/from_1 map x to the
+        q = 1 profile's x and back; jet_scale: the factors of m, m', m''."""
+        x1 = to_1(xs)
+        at_q = MassProfile(kind, alpha, q, x_min=xs[0], x_max=xs[-1])
+        at_1 = MassProfile(kind, alpha, 1.0, x_min=x1[0], x_max=x1[-1])
+        _close(at_q.mass(xs), jet_scale[0] * at_1.mass(x1), 1e-12)
+        jet_q, jet_1 = at_q.mass_jet(xs), at_1.mass_jet(x1)
+        for got, ref, scale in zip(
+            (jet_q.value, jet_q.d1, jet_q.d2), (jet_1.value, jet_1.d1, jet_1.d2), jet_scale
+        ):
+            _close(got, scale * ref, 1e-12)
+        map_q, map_1 = MappingFunction(at_q), MappingFunction(at_1)
+        ys = map_q.forward(xs)
+        _close(ys, map_1.forward(x1) + lift, 1e-12)
+        _close(map_q.inverse(ys), from_1(map_1.inverse(ys - lift)), 1e-11)
+        _same_range(map_q.y_range(), [y + lift for y in map_1.y_range()])
+        whole_q, whole_1 = MassProfile(kind, alpha, q), MassProfile(kind, alpha, 1.0)
+        _same_range(
+            MappingFunction(whole_q).y_range(),
+            [y + lift for y in MappingFunction(whole_1).y_range()],
+        )
+
+    @pytest.mark.parametrize("kind", ["tanh_sq", "coth_sq"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(0.1, 10.0),
+        q=st.floats(0.05, 20.0),
+        start=st.floats(0.05, 5.0),
+        width=st.floats(0.5, 20.0),
+    )
+    def test_translated_families(self, kind, alpha, q, start, width):
+        # the window starts start/alpha past the branch point, in the domain
+        x_q = math.log(q) / (2.0 * alpha)
+        xs = x_q + np.linspace(start, start + width, 41) / alpha
+        self.check(
+            kind, alpha, q, xs,
+            to_1=lambda x: x - x_q,
+            from_1=lambda x: x + x_q,
+            jet_scale=(1.0, 1.0, 1.0),
+            lift=math.log(math.sqrt(q)) / alpha,
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(0.1, 10.0),
+        q=st.floats(0.05, 20.0),
+        start=st.floats(-15.0, 10.0),
+        width=st.floats(0.5, 20.0),
+    )
+    def test_dilated_family(self, alpha, q, start, width):
+        r = math.sqrt(q)
+        self.check(
+            "asymptotically_vanishing", alpha, q, r * np.linspace(start, start + width, 41),
+            to_1=lambda x: x / r,
+            from_1=lambda x: r * x,
+            jet_scale=(1.0 / q, 1.0 / (q * r), 1.0 / (q * q)),
+            lift=alpha * math.log(r),
+        )
+
+
 def _mp_integral(sqrt_m, x, breaks=()):
     """30-digit int_0^x sqrt_m dt, split at the given breakpoints."""
     with mp.workdps(30):

@@ -74,6 +74,16 @@ class TestDeformedHyperbolics:
         assert qmath.csch_q(800.0, 1.0) == 0.0
         assert qmath.tanh_q(-800.0, 2.0) == -1.0
 
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "name",
+        ["cosh_q", "sinh_q", "tanh_q", "coth_q", "sech_q", "csch_q", "sech_sq_q",
+         "csch_sq_q", "log_cosh_q", "log_sinh_q", "arcsinh_q", "arccosh_q"],
+    )
+    def test_q_must_be_finite_and_positive(self, name, q):
+        with pytest.raises(DomainError, match="q finite and > 0"):
+            getattr(qmath, name)(2.0, q)
+
     def test_scalar_in_scalar_out(self):
         assert isinstance(qmath.cosh_q(0.3, 2.0), float)
         assert isinstance(qmath.cosh_q(np.array([0.3]), 2.0), np.ndarray)
