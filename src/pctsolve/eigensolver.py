@@ -20,14 +20,18 @@ A solve given ``bound`` as well, a value expected to separate the wanted
 eigenvalues from the next one (``pctengine.verify`` takes it from the
 analytic spectrum), makes its Sturm count at ``bound`` first.  A count
 other than the number of guesses means the matrix's spectrum below
-``bound`` is not the expected one, and the solve goes to bisection without
-refining; otherwise intervals at or below ``bound`` are certified by that
+``bound`` is not the expected one.  The solve then skips the refinement and
+bisects inside a bracket (lo, hi] that Sturm counts certify: none of the
+eigenvalues lies up to lo and at least the wanted number up to hi.  Its
+ends step away from ``bound`` by doubling steps, capped at the Gershgorin
+bounds.  Otherwise intervals at or below ``bound`` are certified by that
 same count, and only an interval reaching above it is counted again at its
 top.  A solve without guesses, or whose guesses fail the certificate, finds
-the lowest eigenvalues by bisection (LAPACK ``stebz``), to its default
-absolute tolerance ulp * ||T||_1.  Either way the eigenvectors cost an
-inverse iteration on top, so they are computed on the first access to
-``EigenResult.states`` and never for a caller that reads only the energies.
+the lowest eigenvalues by bisection (LAPACK ``stebz``) over the Gershgorin
+interval.  Both bisections run to stebz's default absolute tolerance
+ulp * ||T||_1.  Either way the eigenvectors cost an inverse iteration on
+top, so they are computed on the first access to ``EigenResult.states``
+and never for a caller that reads only the energies.
 
 The refinement works on unnormalised iterates, in arrays each thread keeps
 from one solve to the next.  Its inner products are ``np.einsum`` sums of products, one pass
@@ -45,9 +49,13 @@ scipy.linalg`` shares the very same module.  No scipy package init runs:
 ``numpy.testing``, ``numpy.ma``) and, on a 2-vCPU Intel Xeon VM (Python
 3.11.7, numpy 2.4.6, scipy 1.17.1), doubled the start-up of a ``pct
 verify`` process (0.26 s to 0.50 s) and raised its peak RSS from 45.7 MB
-to 68.6 MB.  The calls and arguments are those of scipy's
-``eigvalsh_tridiagonal`` and ``eigh_tridiagonal``, so the results are
-bit-identical.  Like scipy's ``check_finite``, a solve rejects a matrix with
+to 68.6 MB.  The Gershgorin-range bisection and the eigenvectors use the
+calls and arguments of scipy's ``eigvalsh_tridiagonal`` and
+``eigh_tridiagonal``, so they are bit-identical to them.  The bracketed
+bisection runs over another interval, so its values are not scipy's bits:
+bit-identity with ``eigvalsh_tridiagonal`` holds only for solves without
+``bound``, and for those whose count at ``bound`` is the number of guesses
+and whose guesses fail the certificate.  Like scipy's ``check_finite``, a solve rejects a matrix with
 a non-finite entry, here as ``RangeOverflowError``.
 """
 
@@ -122,7 +130,9 @@ class EigenResult:
     bisection's absolute tolerance ulp * ||T||_1 (large for a matrix with
     steep walls: about 4e-4 at ||T||_1 = 1.9e12).  A solve given ``bound``
     whose Sturm count at it differs from the number of levels always gives
-    bisection values.
+    bisection values, from a bracket certified by Sturm counts: within that
+    tolerance of the eigenvalues, but not bit-identical to scipy's
+    ``eigvalsh_tridiagonal``, which the other bisections are.
 
     ``states`` holds the matching eigenvectors as L2-normalized columns of
     shape (n_points, n_levels), zero at both ends, each signed so that its
@@ -165,6 +175,10 @@ class EigenResult:
 
 #: Rayleigh-quotient steps (tridiagonal solves) per guess at most
 _RQI_STEPS = 4
+#: a Sturm count's cost in bisection halvings: stebz's set-up passes over the
+#: matrix and two counts, against one count per halving (4.9 to 5.3 measured
+#: at 1 001, 20 001 and 40 001 points on a 2-vCPU Intel Xeon VM)
+_COUNT_HALVINGS = 5
 _EPS = np.finfo(float).eps
 
 
@@ -268,6 +282,72 @@ def _count_up_to(diag, off, lo, hi):
     return count if info == 0 else None
 
 
+def _bracketed_bisect(diag, off, n_levels, bound, count, gl, gu):
+    """The lowest n_levels eigenvalues by one stebz bisection over (lo, hi]
+    at its default tolerance, or None if a Sturm count fails or the
+    bisection finds fewer.
+
+    Sturm counts certify the bracket: no eigenvalue lies at or below lo, and
+    at least n_levels lie up to hi, so those found are the lowest ones.
+    ``count`` is the count up to ``bound``, already made; gl and gu bound
+    the spectrum from below and above.  Each end steps away from ``bound``
+    by doubling steps, capped at gl and gu.  Then, since stebz bisects
+    every eigenvalue in the bracket, counts halve its top while the counts
+    made so far cost less than bisecting its extra eigenvalues would.  On a
+    matrix with steep walls the Gershgorin interval is about 1e14 wide, and
+    the bracket saves most of bisection's halvings.
+    """
+    tol = _EPS * gu
+    # |bound| sets the first steps (8 times it downward); a zero bound is
+    # legal, and no step is finer than the bisection's tolerance
+    scale = max(abs(bound), tol)
+    # (x, the number of eigenvalues up to x), from counts and the bounds
+    known = [(gl, 0), (bound, count), (gu, diag.size)]
+    step = 8.0 * scale
+    while count > 0 and bound - step > gl:
+        n = _count_up_to(diag, off, gl, bound - step)
+        if n is None:
+            return None
+        known.append((bound - step, n))
+        if n == 0:
+            break
+        step *= 2.0
+    step = scale
+    while count < n_levels and bound + step < gu:
+        n = _count_up_to(diag, off, gl, bound + step)
+        if n is None:
+            return None
+        known.append((bound + step, n))
+        if n >= n_levels:
+            break
+        step *= 2.0
+    lo = max(x for x, n in known if n == 0)
+    below = max(x for x, n in known if n < n_levels)
+    hi, n_hi = min((x, n) for x, n in known if n >= n_levels)
+    spent = 0
+    while n_hi > n_levels:
+        x = 0.5 * (below + hi)
+        if not below < x < hi:
+            break
+        # bisection pays about log2((hi - lo) / tol) halvings per eigenvalue
+        if spent >= (n_hi - n_levels) * math.log2((hi - lo) / tol):
+            break
+        n = _count_up_to(diag, off, gl, x)
+        if n is None:
+            return None
+        spent += _COUNT_HALVINGS
+        if n >= n_levels:
+            hi, n_hi = x, n
+        else:
+            below = x
+            if n == 0:
+                lo = x
+    m, w, _, _, info = dstebz(diag, off, 1, lo, hi, 1, 1, 0.0, b"E")
+    if info != 0 or m < n_levels:
+        return None
+    return w[:n_levels]
+
+
 def _certified_energies(diag, off, guesses, bound=None):
     """The lowest len(guesses) eigenvalues refined from the interiors of
     ``guesses`` (grid samples, ends included), or None unless certified.
@@ -277,8 +357,9 @@ def _certified_energies(diag, off, guesses, bound=None):
     (Gershgorin lower bound, top of the highest interval], so they are the
     lowest ones.  Given ``bound``, a value expected to separate the wanted
     eigenvalues from the rest, the first step is a Sturm count up to it: a
-    count other than len(guesses) returns None before any refinement.  When
-    every interval then lies at or below ``bound``, that same count is the
+    count other than len(guesses) gives, before any refinement, the
+    bracketed bisection's values instead (None if it fails).  When every
+    interval then lies at or below ``bound``, that same count is the
     certificate; an interval reaching above it is counted up to its top, as
     without ``bound``.  The guesses themselves are left unchanged.
     """
@@ -294,8 +375,14 @@ def _certified_energies(diag, off, guesses, bound=None):
     row_max = float(np.max(row_abs))
     gl -= 2.0 * _EPS * row_max
     n_levels = len(guesses)
-    if bound is not None and _count_up_to(diag, off, gl, bound) != n_levels:
-        return None
+    if bound is not None:
+        count = _count_up_to(diag, off, gl, bound)
+        if count is None:
+            return None
+        if count != n_levels:
+            return _bracketed_bisect(
+                diag, off, n_levels, bound, count, gl, row_max * (1.0 + 4.0 * _EPS)
+            )
     # the row sums scaled below 1 by an exact power of two before squaring,
     # so no square overflows; scaling by a power of two commutes with
     # rounding, so the floor is the unscaled one bit for bit wherever that
@@ -341,7 +428,8 @@ def solve_effective_mass(
     they seed the certified refinement (see the module docstring).
     ``bound``, used only with guesses, is a value expected to lie between
     the n_levels-th eigenvalue and the next: a solve with fewer or more
-    eigenvalues up to it goes straight to bisection.
+    eigenvalues up to it bisects, without refining, inside a bracket that
+    Sturm counts certify.
     """
     v = np.asarray(potential_values, dtype=float)
     m = np.asarray(mass_at_midpoints, dtype=float)

@@ -364,12 +364,19 @@ def _power(b, k):
     if n == 0:
         return 1.0 + 0.0 * b  # keeps b's shape
     if n < 0:
-        return _divide(1.0, _pow(b, -n))
+        if not np.all(b):
+            raise DomainError("division by zero in expression")
+        # 1/b^|n|: where b^|n| underflows to +-0 for a nonzero b, +-inf
+        return np.divide(1.0, _pow(b, -n))
     return _pow(b, n)
 
 
 def _jet_div(u: Jet2, v: Jet2) -> Jet2:
-    w = _divide(u.value, v.value)
+    return _jet_quotient(u, v, _divide(u.value, v.value))
+
+
+def _jet_quotient(u: Jet2, v: Jet2, w) -> Jet2:
+    """u / v given its value w."""
     w1 = (u.d1 - w * v.d1) / v.value
     w2 = (u.d2 - 2.0 * w1 * v.d1 - w * v.d2) / v.value
     return Jet2(w, w1, w2)
@@ -509,7 +516,8 @@ def _jet_pow(u: Jet2, v: Jet2) -> Jet2:
     if n == 0:
         return _jet(1.0) + 0.0 * u  # keeps array shape
     if n is not None and n < 0:
-        return _jet(1.0) / _jet_pow(u, _jet(float(-n)))
+        # f0 is 1/u^|n|, also where u^|n| underflows
+        return _jet_quotient(_jet(1.0), _jet_pow(u, _jet(float(-n))), f0)
     if n is None:
         f1 = k * _pow(u.value, k - 1.0)
         f2 = k * (k - 1.0) * _pow(u.value, k - 2.0)

@@ -269,10 +269,11 @@ class TestConfigValidation:
         "expression, parameters, says",
         [
             ("2 + x^(1e200)", {}, "non-finite values"),
+            ("1 + (0.1 + x^2)^(-400)", {}, "non-finite values"),
             ("1 + exp(x^2)", {}, "non-finite values"),
             ("sinhq(x)", {"q": -1.0}, "q finite and > 0"),
         ],
-        ids=["huge-integer-power", "exp-overflow", "q-negative"],
+        ids=["huge-integer-power", "negative-power-underflow", "exp-overflow", "q-negative"],
     )
     def test_custom_mass_error_is_one_line(self, tmp_path, capsys, expression, parameters, says):
         # the README config with its custom mass replaced (sinh_q at q = -1
@@ -501,8 +502,9 @@ class TestWorkCounts:
         counts = collections.Counter()
 
         def counted(*args, _fn=eigensolver.dstebz):
-            # stebz by value range (1) is a Sturm count, by index (2) bisection
-            counts["sturm" if args[2] == 1 else "bisection"] += 1
+            # stebz with an absolute tolerance (args[7]) wider than its
+            # interval is a Sturm count; a bisection passes 0, its default
+            counts["sturm" if args[7] > 0 else "bisection"] += 1
             return _fn(*args)
 
         monkeypatch.setattr(eigensolver, "dstebz", counted)
@@ -535,6 +537,37 @@ class TestVerifyAccuracy:
         (res,) = solved
         tight = eigvalsh_tridiagonal(res.diag, res.off, select="i", select_range=(0, 2), tol=1e-13)
         np.testing.assert_allclose(reported, tight, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize(
+        "spec", [spec for spec in presets.COMBO_TABLE if not spec.feasible], ids=lambda spec: spec.name
+    )
+    def test_infeasible_runs_bisect_to_tolerance(self, monkeypatch, spec):
+        # the Sturm count at the separation is not 3 on these runs: the
+        # energies come from one value-range bisection inside a counted
+        # bracket, each within bisection's tolerance ulp * ||T||_1 of the
+        # matrix's eigenvalue
+        solved, bisections = [], []
+
+        def spy(*args, _fn=pctengine.solve_effective_mass, **kwargs):
+            solved.append(_fn(*args, **kwargs))
+            return solved[-1]
+
+        def dstebz(*args, _fn=eigensolver.dstebz):
+            if args[7] == 0:
+                bisections.append(args[2])
+            return _fn(*args)
+
+        monkeypatch.setattr(pctengine, "solve_effective_mass", spy)
+        monkeypatch.setattr(eigensolver, "dstebz", dstebz)
+        text, code = cli.cmd_verify(load_runs([preset_run(spec)]))
+        assert code == 1 and json.loads(text)["pass"] is False
+        assert bisections == [1]
+        (res,) = solved
+        rows = np.abs(res.diag)
+        rows[:-1] += np.abs(res.off)
+        rows[1:] += np.abs(res.off)
+        tight = eigvalsh_tridiagonal(res.diag, res.off, select="i", select_range=(0, 2), tol=1e-13)
+        assert np.all(np.abs(res.energies - tight) <= np.finfo(float).eps * np.max(rows))
 
 
 class TestTransform:

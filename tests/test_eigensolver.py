@@ -389,13 +389,14 @@ class TestCertifiedRefinement:
 
     @staticmethod
     def count_sturm_calls(monkeypatch):
-        """The eigenvalue counts of the Sturm counts: stebz calls by value
-        range (range 1), not the bisection fallback's by index (range 2)."""
+        """The eigenvalue counts of the Sturm counts: stebz calls with an
+        absolute tolerance (args[7]) wider than their interval, not a
+        bisection's, which passes 0 for stebz's default."""
         counts = []
 
         def counted(*args, _fn=eigensolver.dstebz):
             out = _fn(*args)
-            if args[2] == 1:
+            if args[7] > 0:
                 counts.append(out[0])
             return out
 
@@ -414,7 +415,7 @@ class TestCertifiedRefinement:
         counts = self.count_sturm_calls(monkeypatch)
 
         def refuse(*args, _fn=eigensolver.dstebz):
-            if args[2] == 2:
+            if args[7] == 0:
                 raise AssertionError("fell back to bisection")
             return _fn(*args)
 
@@ -513,7 +514,7 @@ class TestCertifiedRefinement:
             problems.append((grid, 1.0 + 0.5 / (1.0 + mid * mid), 0.5 * grid.points**2, guesses))
 
         def refuse(*args, _fn=eigensolver.dstebz):
-            if args[2] == 2:
+            if args[7] == 0:
                 raise AssertionError("fell back to bisection")
             return _fn(*args)
 
@@ -533,22 +534,25 @@ class TestCertifiedRefinement:
 
 class TestSeparationBound:
     """With ``bound``, a value between the wanted eigenvalues and the next,
-    the first step is one Sturm count up to it: a count other than the
-    number of levels goes straight to bisection, without refining, and
-    refined intervals at or below it are certified by that same count."""
+    the first step is one Sturm count up to it.  A count other than the
+    number of levels goes to one bisection, without refining, inside a
+    bracket that further counts certify; refined intervals at or below it
+    are certified by that same count."""
 
     LEVELS = TestCertifiedRefinement.LEVELS
 
     @pytest.fixture
     def case(self, monkeypatch):
-        """(solve, the lowest LEVELS + 2 eigenvalues, the LAPACK call log,
-        the bisection energies):
-        ``solve(bound)`` solves the seeded problem with read-only guesses
-        and checks that they are unchanged."""
+        """(solve, the lowest LEVELS + 3 eigenvalues, the LAPACK call log):
+        ``solve(bound)`` solves the seeded problem with read-only guesses,
+        checks that they are unchanged and gives the result.  A stebz call
+        is a count, logged as ("count", its upper end, the count), when its
+        absolute tolerance (args[7]) is positive, and otherwise a bisection,
+        logged as ("bisect", its range kind, lower end, upper end)."""
         grid, m, v = TestCertifiedRefinement.problem()
         plain = solve_effective_mass(grid, m, v, self.LEVELS)
         exact = eigvalsh_tridiagonal(
-            plain.diag, plain.off, select="i", select_range=(0, self.LEVELS + 1), tol=1e-13
+            plain.diag, plain.off, select="i", select_range=(0, self.LEVELS + 2), tol=1e-13
         )
         guesses = np.array(TestCertifiedRefinement.hermite_functions(grid, range(self.LEVELS)))
         kept = guesses.copy()
@@ -561,8 +565,10 @@ class TestSeparationBound:
 
         def dstebz(*args, _fn=eigensolver.dstebz):
             out = _fn(*args)
-            # value range (1): a count up to args[4]; index range (2): bisection
-            log.append(("count", args[4], out[0]) if args[2] == 1 else ("bisect",))
+            if args[7] > 0:
+                log.append(("count", args[4], out[0]))
+            else:
+                log.append(("bisect", args[2], args[3], args[4]))
             return out
 
         monkeypatch.setattr(eigensolver, "dgtsv", dgtsv)
@@ -572,25 +578,74 @@ class TestSeparationBound:
             log.clear()
             res = solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses, bound=bound)
             assert np.array_equal(guesses, kept)
-            return res.energies
+            return res
 
-        return solve, exact, log, plain.energies
+        return solve, exact, log
 
-    @pytest.mark.parametrize("gap", [-1, 1], ids=["one-too-few", "one-too-many"])
-    def test_count_off_goes_straight_to_bisection(self, case, gap):
-        solve, exact, log, bisected = case
-        # between the eigenvalues LEVELS - 1 + gap and LEVELS + gap
-        top = self.LEVELS - 1 + gap
-        bound = 0.5 * (exact[top] + exact[top + 1])
-        energies = solve(bound)
-        assert log == [("count", bound, self.LEVELS + gap), ("bisect",)]
-        assert np.array_equal(energies, bisected)
+    @staticmethod
+    def gershgorin(res):
+        """(the lowest Gershgorin disc edge, ||T||_1) of a solve's matrix."""
+        rows = np.zeros(res.diag.size)
+        rows[:-1] += np.abs(res.off)
+        rows[1:] += np.abs(res.off)
+        return float(np.min(res.diag - rows)), float(np.max(np.abs(res.diag) + rows))
+
+    def assert_bracketed(self, res, exact, log, bound, count):
+        """The solve counted at ``bound`` first, refined nothing, and found
+        the lowest eigenvalues to bisection's tolerance by one value-range
+        bisection over a bracket whose ends the counts certify; its lower
+        end is returned."""
+        assert log[0] == ("count", bound, count)
+        assert ("dgtsv",) not in log
+        *counts, (kind, *ends) = log
+        assert kind == "bisect" and ends[0] == 1
+        assert all(entry[0] == "count" for entry in counts)
+        lo, hi = ends[1:]
+        at = {x: n for _, x, n in counts}
+        gl, norm = self.gershgorin(res)
+        assert lo <= gl or at[lo] == 0
+        assert at.get(hi, 0) >= self.LEVELS or hi > exact[self.LEVELS - 1]
+        tol = np.finfo(float).eps * norm
+        assert np.all(np.abs(res.energies - exact[: self.LEVELS]) <= tol)
+        return lo
+
+    @pytest.mark.parametrize(
+        "below", [0, 3, 5, 6], ids=["none", "one-too-few", "one-too-many", "two-too-many"]
+    )
+    def test_count_off_bisects_inside_a_bracket(self, case, below):
+        solve, exact, log = case
+        # ``below`` eigenvalues up to the bound: half the lowest one, or
+        # halfway between the eigenvalues below - 1 and below
+        bound = 0.5 * exact[0] if below == 0 else 0.5 * (exact[below - 1] + exact[below])
+        res = solve(bound)
+        lo = self.assert_bracketed(res, exact, log, bound, below)
+        if below == 0:
+            # no eigenvalue up to the bound: the lower end starts there and
+            # only rises, with the upper end's counts of 0
+            assert lo >= bound
+        else:
+            # this matrix's lowest Gershgorin edge is about 0, within 8 |bound|
+            # below the bound: the lower end stops there, without a count
+            assert lo <= self.gershgorin(res)[0]
+            assert all(n > 0 for _, _, n in log[1:-1])
+
+    def test_zero_bound_steps_from_the_tolerance(self, case):
+        solve, exact, log = case
+        res = solve(0.0)
+        assert self.assert_bracketed(res, exact, log, 0.0, 0) >= 0.0
+        # the upper end steps up from 0 by doubling steps, none of them zero,
+        # until it holds the levels
+        counts = [n for _, _, n in log[1:-1]]
+        up = counts.index(next(n for n in counts if n >= self.LEVELS)) + 1
+        steps = [x for _, x, _ in log[1 : 1 + up]]
+        assert steps[0] > 0.0
+        assert steps == [steps[0] * 2**k for k in range(up)]
 
     def test_certified_by_the_count_at_the_bound(self, case):
-        solve, exact, log, _ = case
-        unbounded = solve(None)
+        solve, exact, log = case
+        unbounded = solve(None).energies
         bound = 0.5 * (exact[self.LEVELS - 1] + exact[self.LEVELS])
-        energies = solve(bound)
+        energies = solve(bound).energies
         stebz = [entry for entry in log if entry[0] != "dgtsv"]
         assert stebz == [("count", bound, self.LEVELS)]
         assert len(log) > 1
@@ -598,14 +653,14 @@ class TestSeparationBound:
         np.testing.assert_allclose(energies, exact[: self.LEVELS], rtol=1e-12, atol=0)
 
     def test_interval_above_the_bound_is_counted_at_its_top(self, case):
-        solve, exact, log, _ = case
-        unbounded = solve(None)
+        solve, exact, log = case
+        unbounded = solve(None).energies
         ((_, top, count),) = [entry for entry in log if entry[0] == "count"]
         assert count == self.LEVELS
         # above the top eigenvalue, below the top interval's upper end
         bound = 0.5 * (exact[self.LEVELS - 1] + top)
         assert exact[self.LEVELS - 1] < bound < top
-        energies = solve(bound)
+        energies = solve(bound).energies
         counts = [entry for entry in log if entry[0] != "dgtsv"]
         assert counts == [("count", bound, self.LEVELS), ("count", top, self.LEVELS)]
         assert np.array_equal(energies, unbounded)

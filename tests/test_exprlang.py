@@ -289,6 +289,19 @@ class TestValueWalk:
                     warnings.simplefilter("error")
                     walk(ast, at, params)
 
+    @pytest.mark.parametrize("source, x", [("x^(-400)", 0.1), ("x^(-1e200)", 0.5)])
+    def test_negative_integer_power_underflow_is_inf(self, source, x):
+        # x^|n| underflows to 0 at a nonzero x: the power is +inf, not a
+        # division by zero, in both walks and without a warning
+        ast = parse(source)
+        for at in (x, np.array([x, 1.0])):
+            assert_value_matches_jet(lambda: eval_value(ast, at), lambda: eval_jet(ast, at))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = eval_value(ast, at)
+                eval_jet(ast, at)
+            assert np.ravel(value)[0] == np.inf
+
     @pytest.mark.parametrize(
         "source,x,error",
         [
