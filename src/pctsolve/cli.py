@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, massmodel, refpotentials
+from .eigensolver import MIN_GRID_POINTS
 from .errors import ConfigError, DomainError, PctError
 from .massmodel import MassProfile
 from .pctengine import TargetSystem, printed_target_potential, standard_profile_values, verify
@@ -126,8 +127,8 @@ def _parse_run(cfg, path):
     _known(grid_cfg, f"{path}.grid", ("n_points", "levels"))
     n_points = grid_cfg.get("n_points", 8001)
     _require(n_points, f"{path}.grid.n_points", int, "an integer")
-    if n_points < 16:
-        _fail(f"{path}.grid.n_points", "must be >= 16")
+    if n_points < MIN_GRID_POINTS:
+        _fail(f"{path}.grid.n_points", f"must be >= {MIN_GRID_POINTS}")
     if n_points > MAX_GRID_POINTS:
         _fail(f"{path}.grid.n_points", f"must be <= {MAX_GRID_POINTS}")
     levels = grid_cfg.get("levels", 3)

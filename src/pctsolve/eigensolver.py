@@ -21,17 +21,19 @@ eigenvalues from the next one (``pctengine.verify`` takes it from the
 analytic spectrum), makes its Sturm count at ``bound`` first.  A count
 other than the number of guesses means the matrix's spectrum below
 ``bound`` is not the expected one.  The solve then skips the refinement and
-bisects inside a bracket (lo, hi] that Sturm counts certify: none of the
-eigenvalues lies up to lo and at least the wanted number up to hi.  Its
-ends step away from ``bound`` by doubling steps, capped at the Gershgorin
-bounds.  Otherwise intervals at or below ``bound`` are certified by that
-same count, and only an interval reaching above it is counted again at its
-top.  A solve without guesses, or whose guesses fail the certificate, finds
-the lowest eigenvalues by bisection (LAPACK ``stebz``) over the Gershgorin
-interval.  Both bisections run to stebz's default absolute tolerance
-ulp * ||T||_1.  Either way the eigenvectors cost an inverse iteration on
-top, so they are computed on the first access to ``EigenResult.states``
-and never for a caller that reads only the energies.
+bisects inside a bracket (lo, hi] from two doubling walks away from
+``bound``, capped at the Gershgorin bounds: lo is the highest point whose
+Sturm count is 0, hi the lowest whose count is the wanted number or more.
+Otherwise intervals at or below ``bound`` are certified by that same
+count, and only an interval reaching above it is counted again at its top.
+A count up to a point at or below the Gershgorin lower bound is 0 without
+a stebz call; a failed LAPACK call raises ``PctError``.  A solve without
+guesses, or whose guesses fail the certificate, finds the lowest
+eigenvalues by bisection (LAPACK ``stebz``) over the Gershgorin interval.
+Both bisections run to stebz's default absolute tolerance ulp * ||T||_1.
+Either way the eigenvectors cost an inverse iteration on top, so they are
+computed on the first access to ``EigenResult.states`` and never for a
+caller that reads only the energies.
 
 The refinement works on unnormalised iterates, in arrays each thread keeps
 from one solve to the next.  Its inner products are ``np.einsum`` sums of products, one pass
@@ -55,8 +57,9 @@ calls and arguments of scipy's ``eigvalsh_tridiagonal`` and
 bisection runs over another interval, so its values are not scipy's bits:
 bit-identity with ``eigvalsh_tridiagonal`` holds only for solves without
 ``bound``, and for those whose count at ``bound`` is the number of guesses
-and whose guesses fail the certificate.  Like scipy's ``check_finite``, a solve rejects a matrix with
-a non-finite entry, here as ``RangeOverflowError``.
+and whose guesses fail the certificate.  Like scipy's ``check_finite``, a
+solve rejects a matrix with a non-finite entry, here as
+``RangeOverflowError``.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigError, GridMismatchError, RangeOverflowError
+from .errors import ArgumentError, ConfigError, GridMismatchError, PctError, RangeOverflowError
 
 
 def _load_flapack():
@@ -97,6 +100,9 @@ def _load_flapack():
 _flapack = _load_flapack()
 dgtsv, dstebz, dstein = _flapack.dgtsv, _flapack.dstebz, _flapack.dstein
 
+#: the smallest grid a solve accepts
+MIN_GRID_POINTS = 16
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -109,8 +115,8 @@ class Grid:
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ConfigError("grid requires x_min < x_max")
-        if self.n_points < 16:
-            raise ConfigError("grid requires at least 16 points")
+        if self.n_points < MIN_GRID_POINTS:
+            raise ConfigError(f"grid requires at least {MIN_GRID_POINTS} points")
 
     @property
     def h(self):
@@ -129,10 +135,10 @@ class EigenResult:
     passed the certificate, and otherwise bisection values, which carry
     bisection's absolute tolerance ulp * ||T||_1 (large for a matrix with
     steep walls: about 4e-4 at ||T||_1 = 1.9e12).  A solve given ``bound``
-    whose Sturm count at it differs from the number of levels always gives
-    bisection values, from a bracket certified by Sturm counts: within that
-    tolerance of the eigenvalues, but not bit-identical to scipy's
-    ``eigvalsh_tridiagonal``, which the other bisections are.
+    whose Sturm count at it differs from the number of levels gives the
+    values of one bisection inside a bracket whose two ends Sturm counts
+    certify: within that tolerance of the eigenvalues, but not bit-identical
+    to scipy's ``eigvalsh_tridiagonal``, which the other bisections are.
 
     ``states`` holds the matching eigenvectors as L2-normalized columns of
     shape (n_points, n_levels), zero at both ends, each signed so that its
@@ -175,16 +181,12 @@ class EigenResult:
 
 #: Rayleigh-quotient steps (tridiagonal solves) per guess at most
 _RQI_STEPS = 4
-#: a Sturm count's cost in bisection halvings: stebz's set-up passes over the
-#: matrix and two counts, against one count per halving (4.9 to 5.3 measured
-#: at 1 001, 20 001 and 40 001 points on a 2-vCPU Intel Xeon VM)
-_COUNT_HALVINGS = 5
 _EPS = np.finfo(float).eps
 
 
 def _check_info(info, routine):
     if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info={info})")
+        raise PctError(f"LAPACK {routine} failed (info={info})")
 
 
 def _bisect(diag, off, n_levels, order):
@@ -274,77 +276,45 @@ def _rayleigh_refine(diag, off, row_abs_sq, floor_scale, x, tx, tmp):
     return best
 
 
-def _count_up_to(diag, off, lo, hi):
-    """The number of eigenvalues in (lo, hi] by one Sturm count, or None if
-    stebz fails (as it does for hi <= lo)."""
-    # an absolute tolerance wider than (lo, hi] makes stebz count, not bisect
-    count, _, _, _, info = dstebz(diag, off, 1, lo, hi, 1, 1, 2.0 * (hi - lo), b"E")
-    return count if info == 0 else None
+def _count_up_to(diag, off, gl, x):
+    """The number of eigenvalues up to x by one Sturm count, gl lying below
+    every eigenvalue: 0 for x <= gl, without calling stebz."""
+    if x <= gl:
+        return 0
+    # an absolute tolerance wider than (gl, x] makes stebz count, not bisect
+    count, _, _, _, info = dstebz(diag, off, 1, gl, x, 1, 1, 2.0 * (x - gl), b"E")
+    _check_info(info, "dstebz")
+    return count
 
 
 def _bracketed_bisect(diag, off, n_levels, bound, count, gl, gu):
     """The lowest n_levels eigenvalues by one stebz bisection over (lo, hi]
-    at its default tolerance, or None if a Sturm count fails or the
-    bisection finds fewer.
+    at its default tolerance.
 
-    Sturm counts certify the bracket: no eigenvalue lies at or below lo, and
-    at least n_levels lie up to hi, so those found are the lowest ones.
-    ``count`` is the count up to ``bound``, already made; gl and gu bound
-    the spectrum from below and above.  Each end steps away from ``bound``
-    by doubling steps, capped at gl and gu.  Then, since stebz bisects
-    every eigenvalue in the bracket, counts halve its top while the counts
-    made so far cost less than bisecting its extra eigenvalues would.  On a
-    matrix with steep walls the Gershgorin interval is about 1e14 wide, and
-    the bracket saves most of bisection's halvings.
+    ``count`` is the Sturm count up to ``bound``, already made; gl and gu
+    bound the spectrum.  lo walks down from ``bound`` by 8 |bound|,
+    16 |bound|, ... and hi up by |bound|, 2 |bound|, ..., capped at gl and
+    gu, until counts show no eigenvalue up to lo and at least n_levels up to
+    hi.  On a matrix with steep walls the Gershgorin interval is about 1e14
+    wide, and the bracket saves most of bisection's halvings.
     """
-    tol = _EPS * gu
-    # |bound| sets the first steps (8 times it downward); a zero bound is
-    # legal, and no step is finer than the bisection's tolerance
-    scale = max(abs(bound), tol)
-    # (x, the number of eigenvalues up to x), from counts and the bounds
-    known = [(gl, 0), (bound, count), (gu, diag.size)]
+    # |bound| sets the first steps; a zero bound is legal, and no step is
+    # finer than the bisection's tolerance
+    scale = max(abs(bound), _EPS * gu)
+    lo, n = bound, count
     step = 8.0 * scale
-    while count > 0 and bound - step > gl:
-        n = _count_up_to(diag, off, gl, bound - step)
-        if n is None:
-            return None
-        known.append((bound - step, n))
-        if n == 0:
-            break
+    while n > 0:
+        lo = max(bound - step, gl)
+        n = _count_up_to(diag, off, gl, lo)
         step *= 2.0
+    hi, n = bound, count
     step = scale
-    while count < n_levels and bound + step < gu:
-        n = _count_up_to(diag, off, gl, bound + step)
-        if n is None:
-            return None
-        known.append((bound + step, n))
-        if n >= n_levels:
-            break
+    while n < n_levels:
+        hi = min(bound + step, gu)
+        n = diag.size if hi == gu else _count_up_to(diag, off, gl, hi)
         step *= 2.0
-    lo = max(x for x, n in known if n == 0)
-    below = max(x for x, n in known if n < n_levels)
-    hi, n_hi = min((x, n) for x, n in known if n >= n_levels)
-    spent = 0
-    while n_hi > n_levels:
-        x = 0.5 * (below + hi)
-        if not below < x < hi:
-            break
-        # bisection pays about log2((hi - lo) / tol) halvings per eigenvalue
-        if spent >= (n_hi - n_levels) * math.log2((hi - lo) / tol):
-            break
-        n = _count_up_to(diag, off, gl, x)
-        if n is None:
-            return None
-        spent += _COUNT_HALVINGS
-        if n >= n_levels:
-            hi, n_hi = x, n
-        else:
-            below = x
-            if n == 0:
-                lo = x
-    m, w, _, _, info = dstebz(diag, off, 1, lo, hi, 1, 1, 0.0, b"E")
-    if info != 0 or m < n_levels:
-        return None
+    _, w, _, _, info = dstebz(diag, off, 1, lo, hi, 1, 1, 0.0, b"E")
+    _check_info(info, "dstebz")
     return w[:n_levels]
 
 
@@ -358,10 +328,10 @@ def _certified_energies(diag, off, guesses, bound=None):
     lowest ones.  Given ``bound``, a value expected to separate the wanted
     eigenvalues from the rest, the first step is a Sturm count up to it: a
     count other than len(guesses) gives, before any refinement, the
-    bracketed bisection's values instead (None if it fails).  When every
-    interval then lies at or below ``bound``, that same count is the
-    certificate; an interval reaching above it is counted up to its top, as
-    without ``bound``.  The guesses themselves are left unchanged.
+    bracketed bisection's values instead.  When every interval then lies at
+    or below ``bound``, that same count is the certificate; an interval
+    reaching above it is counted up to its top, as without ``bound``.  The
+    guesses themselves are left unchanged.
     """
     x, tx, tmp, row_abs = _workspace(diag.size)
     # every eigenvalue lies above the lowest Gershgorin disc edge, here
@@ -377,8 +347,6 @@ def _certified_energies(diag, off, guesses, bound=None):
     n_levels = len(guesses)
     if bound is not None:
         count = _count_up_to(diag, off, gl, bound)
-        if count is None:
-            return None
         if count != n_levels:
             return _bracketed_bisect(
                 diag, off, n_levels, bound, count, gl, row_max * (1.0 + 4.0 * _EPS)
@@ -428,8 +396,8 @@ def solve_effective_mass(
     they seed the certified refinement (see the module docstring).
     ``bound``, used only with guesses, is a value expected to lie between
     the n_levels-th eigenvalue and the next: a solve with fewer or more
-    eigenvalues up to it bisects, without refining, inside a bracket that
-    Sturm counts certify.
+    eigenvalues up to it bisects, without refining, inside a bracket whose
+    two ends Sturm counts certify.  A failed LAPACK call raises ``PctError``.
     """
     v = np.asarray(potential_values, dtype=float)
     m = np.asarray(mass_at_midpoints, dtype=float)

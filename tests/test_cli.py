@@ -408,6 +408,29 @@ class TestVerify:
         cfg = write_config(tmp_path, {"schema_version": 1, "runs": [run]})
         assert cli.main(["verify", cfg, "-o", str(tmp_path / "r.json")]) == 3
 
+    def test_separation_below_the_spectrum_keeps_stdout_json(self, tmp_path, capfd):
+        # on [0.6, 1.5] the analytic separation lies below the matrix's
+        # lowest Gershgorin edge: the count there is 0 without a stebz call,
+        # so LAPACK prints nothing before the report
+        mass = {"kind": "asymptotically_vanishing", "alpha": 8.0, "q": 1.0, "domain": [0.6, 1.5]}
+        cfg = write_config(tmp_path, basic_config(mass=mass, grid={"n_points": 2001, "levels": 3}))
+        assert cli.main(["verify", cfg]) == 1
+        out, err = capfd.readouterr()
+        assert json.loads(out)["pass"] is False
+        assert "illegal value" not in out + err
+
+    def test_lapack_failure_is_a_pct_error(self, tmp_path, capsys, monkeypatch):
+        # a stebz failure reaches pct as one line and exit 3, not a traceback
+        def failing(*args, _fn=eigensolver.dstebz):
+            return _fn(*args)[:4] + (1,)
+
+        monkeypatch.setattr(eigensolver, "dstebz", failing)
+        cfg = write_config(tmp_path, basic_config(grid={"n_points": 2001, "levels": 3}))
+        assert cli.main(["verify", cfg, "-o", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric error: LAPACK dstebz failed (info=1)\n"
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestWorkCounts:
     """Each grid-sized field is evaluated once per run, and the midpoint

@@ -548,7 +548,8 @@ class TestSeparationBound:
         checks that they are unchanged and gives the result.  A stebz call
         is a count, logged as ("count", its upper end, the count), when its
         absolute tolerance (args[7]) is positive, and otherwise a bisection,
-        logged as ("bisect", its range kind, lower end, upper end)."""
+        logged as ("bisect", its range kind, lower end, upper end).  Every
+        value-range call must have its lower end below its upper end."""
         grid, m, v = TestCertifiedRefinement.problem()
         plain = solve_effective_mass(grid, m, v, self.LEVELS)
         exact = eigvalsh_tridiagonal(
@@ -564,6 +565,7 @@ class TestSeparationBound:
             return _fn(*args, **kwargs)
 
         def dstebz(*args, _fn=eigensolver.dstebz):
+            assert args[2] != 1 or args[3] < args[4], "empty value range"
             out = _fn(*args)
             if args[7] > 0:
                 log.append(("count", args[4], out[0]))
@@ -640,6 +642,21 @@ class TestSeparationBound:
         steps = [x for _, x, _ in log[1 : 1 + up]]
         assert steps[0] > 0.0
         assert steps == [steps[0] * 2**k for k in range(up)]
+
+    def test_bound_below_the_gershgorin_edge(self, case):
+        solve, exact, log = case
+        gl, norm = self.gershgorin(solve(None))
+        bound = gl - 1.0
+        res = solve(bound)
+        # no eigenvalue up to the bound, known without a count: the upper
+        # end alone is counted, and the bisection starts at the bound
+        assert ("dgtsv",) not in log
+        *counts, (kind, *ends) = log
+        assert kind == "bisect" and ends[:2] == [1, bound]
+        assert all(entry[0] == "count" and entry[1] > bound for entry in counts)
+        assert counts[-1][2] >= self.LEVELS
+        tol = np.finfo(float).eps * norm
+        assert np.all(np.abs(res.energies - exact[: self.LEVELS]) <= tol)
 
     def test_certified_by_the_count_at_the_bound(self, case):
         solve, exact, log = case
