@@ -24,16 +24,16 @@ other than the number of guesses means the matrix's spectrum below
 bisects inside a bracket (lo, hi] from two doubling walks away from
 ``bound``, capped at the Gershgorin bounds: lo is the highest point whose
 Sturm count is 0, hi the lowest whose count is the wanted number or more.
-Otherwise intervals at or below ``bound`` are certified by that same
-count, and only an interval reaching above it is counted again at its top.
-A count up to a point at or below the Gershgorin lower bound is 0 without
-a stebz call; a failed LAPACK call raises ``PctError``.  A solve without
-guesses, or whose guesses fail the certificate, finds the lowest
-eigenvalues by bisection (LAPACK ``stebz``) over the Gershgorin interval.
-Both bisections run to stebz's default absolute tolerance ulp * ||T||_1.
-Either way the eigenvectors cost an inverse iteration on top, so they are
-computed on the first access to ``EigenResult.states`` and never for a
-caller that reads only the energies.
+A ``bound`` within the bisection's tolerance ulp * ||T||_1 of 0 gives the
+walks no scale to step by, so that solve bisects over the Gershgorin
+interval instead.  Otherwise intervals at or below ``bound`` are certified
+by that same count, and only an interval reaching above it is counted
+again at its top.  A count up to a point at or below the Gershgorin lower
+bound is 0 without a stebz call; a failed LAPACK call raises ``PctError``.
+A solve without guesses, or whose guesses fail the certificate, finds the
+lowest eigenvalues by bisection (LAPACK ``stebz``) over the Gershgorin
+interval.  Both bisections run to stebz's default absolute tolerance
+ulp * ||T||_1.  A solve gives eigenvalues only, never eigenvectors.
 
 The refinement works on unnormalised iterates, in arrays each thread keeps
 from one solve to the next.  Its inner products are ``np.einsum`` sums of products, one pass
@@ -42,29 +42,28 @@ for milliseconds on a busy host (8 ms at 40 000 points, against 0.03 ms for
 ``np.sum(x * x)``, on a 2-vCPU Intel Xeon VM).  Their rounding is carried
 into the certified radii.
 
-The LAPACK routines (``dgtsv``, ``dstebz``, ``dstein``) come from scipy's
-compiled ``scipy.linalg._flapack`` extension, loaded directly from
-``scipy/linalg`` (found from the top-level package's spec, which imports
-nothing) and registered under its own name, so a later ``import
-scipy.linalg`` shares the very same module.  No scipy package init runs:
-``scipy.linalg``'s loads scipy's array-API layer (``numpy.f2py``,
-``numpy.testing``, ``numpy.ma``) and, on a 2-vCPU Intel Xeon VM (Python
-3.11.7, numpy 2.4.6, scipy 1.17.1), doubled the start-up of a ``pct
-verify`` process (0.26 s to 0.50 s) and raised its peak RSS from 45.7 MB
-to 68.6 MB.  The Gershgorin-range bisection and the eigenvectors use the
-calls and arguments of scipy's ``eigvalsh_tridiagonal`` and
-``eigh_tridiagonal``, so they are bit-identical to them.  The bracketed
+The LAPACK routines (``dgtsv``, ``dstebz``) come from scipy's compiled
+``scipy.linalg._flapack`` extension, loaded directly from ``scipy/linalg``
+(found from the top-level package's spec, which imports nothing) and
+registered under its own name, so a later ``import scipy.linalg`` shares
+the very same module.  No scipy package init runs: ``scipy.linalg``'s
+loads scipy's array-API layer (``numpy.f2py``, ``numpy.testing``,
+``numpy.ma``) and, on a 2-vCPU Intel Xeon VM (Python 3.11.7, numpy 2.4.6,
+scipy 1.17.1), doubled the start-up of a ``pct verify`` process (0.26 s to
+0.50 s) and raised its peak RSS from 45.7 MB to 68.6 MB.  The
+Gershgorin-range bisection uses the call and arguments of scipy's
+``eigvalsh_tridiagonal``, so it is bit-identical to it.  The bracketed
 bisection runs over another interval, so its values are not scipy's bits:
 bit-identity with ``eigvalsh_tridiagonal`` holds only for solves without
-``bound``, and for those whose count at ``bound`` is the number of guesses
-and whose guesses fail the certificate.  Like scipy's ``check_finite``, a
+``bound``, for those whose ``bound`` is within the bisection's tolerance of
+0, and for those whose count at ``bound`` is the number of guesses and
+whose guesses fail the certificate.  Like scipy's ``check_finite``, a
 solve rejects a matrix with a non-finite entry, here as
 ``RangeOverflowError``.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -98,7 +97,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgtsv, dstebz, dstein = _flapack.dgtsv, _flapack.dstebz, _flapack.dstein
+dgtsv, dstebz = _flapack.dgtsv, _flapack.dstebz
 
 #: the smallest grid a solve accepts
 MIN_GRID_POINTS = 16
@@ -129,54 +128,23 @@ class Grid:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Lowest eigenvalues of a tridiagonal problem, ascending, and its states.
+    """Lowest eigenvalues of a tridiagonal problem, ascending, and its matrix.
 
     ``energies`` are certified Rayleigh quotients when the solve's guesses
     passed the certificate, and otherwise bisection values, which carry
     bisection's absolute tolerance ulp * ||T||_1 (large for a matrix with
     steep walls: about 4e-4 at ||T||_1 = 1.9e12).  A solve given ``bound``
-    whose Sturm count at it differs from the number of levels gives the
-    values of one bisection inside a bracket whose two ends Sturm counts
-    certify: within that tolerance of the eigenvalues, but not bit-identical
-    to scipy's ``eigvalsh_tridiagonal``, which the other bisections are.
-
-    ``states`` holds the matching eigenvectors as L2-normalized columns of
-    shape (n_points, n_levels), zero at both ends, each signed so that its
-    first appreciable sample is positive.  They are computed on first access
-    (the eigenvalues stay the ones already found) and then kept.
+    farther than that tolerance from 0, whose Sturm count at it differs
+    from the number of levels, gives the values of one bisection inside a
+    bracket whose two ends Sturm counts certify: within that tolerance of
+    the eigenvalues, but not bit-identical to scipy's
+    ``eigvalsh_tridiagonal``, which the other bisections are.
     """
 
-    grid: Grid
     energies: np.ndarray
     #: the interior matrix: diagonal and off-diagonal
     diag: np.ndarray
     off: np.ndarray
-
-    @functools.cached_property
-    def states(self):
-        n_levels = self.energies.size
-        # scipy's eigh_tridiagonal: block-ordered bisection, inverse
-        # iteration, then ascending order
-        w, iblock, isplit = _bisect(self.diag, self.off, n_levels, b"B")
-        vecs, info = dstein(self.diag, self.off, w, iblock, isplit)
-        _check_info(info, "dstein")
-        vecs = vecs[:, np.argsort(w)]
-        h = self.grid.h
-        states = np.zeros((self.grid.n_points, n_levels))
-        for k in range(n_levels):
-            v = vecs[:, k]
-            interior = np.concatenate([[0.0], v, [0.0]])
-            norm = math.sqrt(np.trapezoid(interior * interior, dx=h))
-            interior /= norm
-            # deterministic sign: first appreciable sample positive
-            idx = np.argmax(np.abs(interior) > 1e-8 * np.max(np.abs(interior)))
-            if interior[idx] < 0:
-                interior = -interior
-            states[:, k] = interior
-        return states
-
-    def state(self, n):
-        return self.states[:, n]
 
 
 #: Rayleigh-quotient steps (tridiagonal solves) per guess at most
@@ -189,13 +157,12 @@ def _check_info(info, routine):
         raise PctError(f"LAPACK {routine} failed (info={info})")
 
 
-def _bisect(diag, off, n_levels, order):
-    """The lowest n_levels eigenvalues by stebz bisection at its default
-    tolerance, called as scipy's eigh_tridiagonal calls it: (w, iblock,
-    isplit), w ascending for ``order`` b"E" and by block for b"B"."""
-    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, n_levels, 0.0, order)
+def _bisect(diag, off, n_levels):
+    """The lowest n_levels eigenvalues, ascending, by stebz bisection at its
+    default tolerance, called as scipy's eigvalsh_tridiagonal calls it."""
+    m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, 1, n_levels, 0.0, b"E")
     _check_info(info, "dstebz")
-    return w[:m], iblock, isplit
+    return w[:m]
 
 
 def _tridiagonal_product(diag, off, x, out, tmp):
@@ -296,11 +263,14 @@ def _bracketed_bisect(diag, off, n_levels, bound, count, gl, gu):
     16 |bound|, ... and hi up by |bound|, 2 |bound|, ..., capped at gl and
     gu, until counts show no eigenvalue up to lo and at least n_levels up to
     hi.  On a matrix with steep walls the Gershgorin interval is about 1e14
-    wide, and the bracket saves most of bisection's halvings.
+    wide, and the bracket saves most of bisection's halvings.  A bound
+    within the bisection's tolerance of 0 gives no scale to step by: the
+    walks would take some 40 counts to leave it, dearer than the
+    Gershgorin-range bisection, which is returned instead.
     """
-    # |bound| sets the first steps; a zero bound is legal, and no step is
-    # finer than the bisection's tolerance
-    scale = max(abs(bound), _EPS * gu)
+    scale = abs(bound)
+    if scale <= _EPS * gu:
+        return _bisect(diag, off, n_levels)
     lo, n = bound, count
     step = 8.0 * scale
     while n > 0:
@@ -379,7 +349,7 @@ def _certified_energies(diag, off, guesses, bound=None):
 
 
 def solve_constant_mass(grid, potential_values, n_levels):
-    """Lowest eigenpairs of -(1/2) psi'' + V psi with Dirichlet ends: the
+    """Lowest eigenvalues of -(1/2) psi'' + V psi with Dirichlet ends: the
     effective-mass solve at m = 1, whose matrix entries 2/(2h^2) = 1/h^2 and
     1/(-2h^2) = -0.5/h^2 are exact."""
     return solve_effective_mass(grid, np.ones(grid.n_points - 1), potential_values, n_levels)
@@ -388,7 +358,7 @@ def solve_constant_mass(grid, potential_values, n_levels):
 def solve_effective_mass(
     grid, mass_at_midpoints, potential_values, n_levels, guesses=None, bound=None
 ):
-    """Lowest eigenpairs of -(1/2)(psi'/m)' + V psi, mass sampled at midpoints.
+    """Lowest eigenvalues of -(1/2)(psi'/m)' + V psi, mass sampled at midpoints.
 
     ``mass_at_midpoints`` holds m(x_i + h/2) for i = 0..n-2; the flux
     coefficients a = 1/m keep the stencil symmetric.  ``guesses``, if given,
@@ -428,8 +398,8 @@ def solve_effective_mass(
             )
         vals = _certified_energies(diag, off, guesses, bound)
     if vals is None:
-        vals = _bisect(diag, off, n_levels, b"E")[0]
-    return EigenResult(grid, vals, diag, off)
+        vals = _bisect(diag, off, n_levels)
+    return EigenResult(vals, diag, off)
 
 
 def d1_numerator(values):
@@ -459,22 +429,24 @@ def residual_norm(grid, psi, energy, mass_values, potential_values, mass_d1=None
     Derivatives of psi (and of m, unless ``mass_d1`` supplies m' at the grid
     nodes) use 4th-order central differences; the outermost two nodes on
     each side are excluded, and only the interior is computed, in place and
-    in the operation order of the formula.
+    in the operation order of the formula.  Every sample array must have the
+    grid's n_points entries.
     """
-    psi = np.asarray(psi, dtype=float)
-    m = np.asarray(mass_values, dtype=float)
-    v = np.asarray(potential_values, dtype=float)
+    psi, m, v = (np.asarray(a, dtype=float) for a in (psi, mass_values, potential_values))
+    m1 = None if mass_d1 is None else np.asarray(mass_d1, dtype=float)
+    if any(a is not None and a.shape != (grid.n_points,) for a in (psi, m, v, m1)):
+        raise GridMismatchError("residual samples do not match the grid")
     h = grid.h
     sl = slice(2, -2)
     p1 = d1_numerator(psi)
     p1 /= 12 * h
     p2 = d2_numerator(psi)
     p2 /= 12 * h * h
-    if mass_d1 is None:
+    if m1 is None:
         m1 = d1_numerator(m)
         m1 /= 12 * h
     else:
-        m1 = np.asarray(mass_d1, dtype=float)[sl]
+        m1 = m1[sl]
     w = np.empty_like(p1)
     p1 *= np.divide(m1, m[sl], out=w)  # r = p2 - (m1 / m) p1 + 2 m (E - v) psi
     p2 -= p1

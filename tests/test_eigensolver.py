@@ -15,10 +15,9 @@ from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from test_cli import README_RUNS
 
 import pctsolve
-from pctsolve import cli, eigensolver
+from pctsolve import eigensolver
 from pctsolve.eigensolver import (
     Grid,
-    node_count,
     overlap,
     residual_norm,
     solve_constant_mass,
@@ -53,22 +52,6 @@ class TestConstantMass:
         res = solve_constant_mass(grid, np.zeros(grid.n_points), 3)
         exact = np.array([1, 4, 9]) * math.pi**2 / 2.0
         assert np.allclose(res.energies, exact, rtol=1e-5)
-
-    def test_states_orthonormal_and_noded(self):
-        grid = Grid(-8.0, 8.0, 2001)
-        res = solve_constant_mass(grid, 0.5 * grid.points**2, 3)
-        for i in range(3):
-            assert node_count(res.state(i)) == i
-            for j in range(3):
-                assert overlap(grid, res.state(i), res.state(j)) == pytest.approx(
-                    1.0 if i == j else 0.0, abs=1e-8
-                )
-
-    def test_sign_convention_deterministic(self):
-        grid = Grid(-8.0, 8.0, 1001)
-        a = solve_constant_mass(grid, 0.5 * grid.points**2, 2)
-        b = solve_constant_mass(grid, 0.5 * grid.points**2, 2)
-        assert np.array_equal(a.states, b.states)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(-5, 5))
@@ -225,7 +208,7 @@ class TestLapackLoading:
             text, code = cli.cmd_verify(cli.load_config({config!r}))
             assert code == 0 and json.loads(text)["pass"] is True
             grid = Grid(-8.0, 8.0, 501)
-            assert solve_constant_mass(grid, 0.5 * grid.points**2, 2).states.shape == (501, 2)
+            assert solve_constant_mass(grid, 0.5 * grid.points**2, 2).energies.shape == (2,)
             seen.append("scipy.linalg" in sys.modules)
             print(json.dumps(seen))
             """
@@ -242,11 +225,11 @@ class TestLapackLoading:
             from scipy.linalg import lapack
             print(json.dumps([eigensolver._flapack is lapack._flapack] + [
                 getattr(eigensolver, name) is getattr(lapack, name)
-                for name in ("dgtsv", "dstebz", "dstein")
+                for name in ("dgtsv", "dstebz")
             ]))
             """
         )
-        assert same == [True, True, True, True]
+        assert same == [True, True, True]
 
 
 class TestResidual:
@@ -279,6 +262,26 @@ class TestResidual:
         b = residual_norm(grid, psi, -1.0, m, v)
         assert a == pytest.approx(b, rel=1e-6)
 
+    @pytest.mark.parametrize("short", ["psi", "mass", "potential", "mass_d1"])
+    def test_samples_must_match_the_grid(self, short):
+        # 10 samples on a 16-point grid: a short psi would be differenced
+        # with the grid's h, a short mass broadcast against it
+        grid = Grid(0.0, 1.0, 16)
+        args = {"psi": np.ones(16), "mass": np.ones(16), "potential": np.ones(16), "mass_d1": None}
+        args[short] = np.ones(10)
+        with pytest.raises(GridMismatchError):
+            residual_norm(
+                grid, args["psi"], 1.0, args["mass"], args["potential"], mass_d1=args["mass_d1"]
+            )
+
+    def test_too_few_samples_raise_without_a_warning(self):
+        # 4 samples leave no interior node: the mean of nothing, nan
+        grid = Grid(0.0, 1.0, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GridMismatchError):
+                residual_norm(grid, np.ones(4), 1.0, np.ones(4), np.ones(4))
+
 
 class TestOverlap:
     def test_one_pass_trapezoid_rule(self):
@@ -295,11 +298,10 @@ class TestOverlap:
         assert overlap(grid, ends, np.ones_like(x)) == grid.h
 
 
-class TestLazyStates:
-    """Energies come from bisection alone; eigenvectors only on demand."""
+class TestBisection:
+    """A solve without guesses gives scipy's eigvalsh_tridiagonal values."""
 
-    @staticmethod
-    def problem():
+    def test_energies_are_eigvalsh_tridiagonal_values(self):
         grid = Grid(-8.0, 8.0, 3001)
         mid = 0.5 * (grid.points[:-1] + grid.points[1:])
         m = 1.0 + 0.5 / (1.0 + mid * mid)
@@ -308,62 +310,24 @@ class TestLazyStates:
         h = grid.h
         diag = (a[:-1] + a[1:]) / (2.0 * h * h) + v[1:-1]
         off = -a[1:-1] / (2.0 * h * h)
-        return grid, m, v, diag, off
-
-    def test_energies_are_the_eigenpair_solver_values(self):
-        grid, m, v, diag, off = self.problem()
         res = solve_effective_mass(grid, m, v, 4)
-        vals, _ = eigh_tridiagonal(diag, off, select="i", select_range=(0, 3))
+        vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 3))
         assert np.array_equal(res.energies, vals)
 
-    def test_states_match_eager_eigenvectors(self):
-        grid, m, v, diag, off = self.problem()
-        res = solve_effective_mass(grid, m, v, 4)
-        _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 3))
-        expected = np.zeros((grid.n_points, 4))
-        for k in range(4):
-            psi = np.concatenate([[0.0], vecs[:, k], [0.0]])
-            psi /= math.sqrt(np.trapezoid(psi * psi, dx=grid.h))
-            idx = np.argmax(np.abs(psi) > 1e-8 * np.max(np.abs(psi)))
-            if psi[idx] < 0:
-                psi = -psi
-            expected[:, k] = psi
-        assert np.array_equal(res.states, expected)
-        assert res.states is res.states
-        assert np.array_equal(res.state(2), expected[:, 2])
-
-    def test_split_matrix_states_in_ascending_order(self):
+    def test_split_matrix_energies_in_ascending_order(self):
         # an infinite midpoint mass decouples the two halves, and the right
-        # half's well is deeper: bisection finds its levels in a later block
+        # half's well is 0.3 deeper: its levels 0.2 and 1.2 interleave with
+        # the left half's 0.5 and 1.5
         grid = Grid(-8.0, 8.0, 801)
         x = grid.points
         m = np.ones(grid.n_points - 1)
         m[399] = np.inf
         v = 0.5 * (x + 4.0) ** 2 * (x < 0) + (0.5 * (x - 4.0) ** 2 - 0.3) * (x >= 0)
         res = solve_effective_mass(grid, m, v, 4)
-        _, vecs = eigh_tridiagonal(res.diag, res.off, select="i", select_range=(0, 3))
         assert res.off[398] == 0.0
-        for k in range(4):
-            psi = np.concatenate([[0.0], vecs[:, k], [0.0]])
-            assert np.array_equal(np.abs(res.state(k)) > 0, np.abs(psi) > 0)
-            assert node_count(res.state(k)) == k // 2
-
-    def test_verify_never_computes_eigenvectors(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("eigenvectors computed")
-
-        monkeypatch.setattr(eigensolver, "dstein", refuse)
-        run = {
-            "name": "coth-pt",
-            "mass": {"kind": "coth_sq", "alpha": 1.0, "q": 2.0},
-            "reference": {"kind": "poschl_teller", "U0": 6.0, "alpha": 1.0},
-            "grid": {"n_points": 2001, "levels": 3},
-        }
-        config = cli.load_config(json.dumps({"schema_version": 1, "runs": [run]}))
-        text, code = cli.cmd_verify(config)
-        assert code == 0 and json.loads(text)["pass"] is True
-        with pytest.raises(AssertionError, match="eigenvectors computed"):
-            solve_constant_mass(Grid(0.0, 1.0, 64), np.zeros(64), 1).states
+        vals = eigvalsh_tridiagonal(res.diag, res.off, select="i", select_range=(0, 3))
+        assert np.array_equal(res.energies, vals)
+        np.testing.assert_allclose(res.energies, [0.2, 0.5, 1.2, 1.5], atol=1e-3)
 
 
 class TestCertifiedRefinement:
@@ -536,19 +500,21 @@ class TestSeparationBound:
     """With ``bound``, a value between the wanted eigenvalues and the next,
     the first step is one Sturm count up to it.  A count other than the
     number of levels goes to one bisection, without refining, inside a
-    bracket that further counts certify; refined intervals at or below it
-    are certified by that same count."""
+    bracket that further counts certify, or at a bound of 0 over the
+    Gershgorin interval; refined intervals at or below it are certified by
+    that same count."""
 
     LEVELS = TestCertifiedRefinement.LEVELS
 
     @pytest.fixture
     def case(self, monkeypatch):
         """(solve, the lowest LEVELS + 3 eigenvalues, the LAPACK call log):
-        ``solve(bound)`` solves the seeded problem with read-only guesses,
-        checks that they are unchanged and gives the result.  A stebz call
-        is a count, logged as ("count", its upper end, the count), when its
-        absolute tolerance (args[7]) is positive, and otherwise a bisection,
-        logged as ("bisect", its range kind, lower end, upper end).  Every
+        ``solve(bound, shift=0.0)`` solves the seeded problem, its potential
+        shifted by ``shift``, with read-only guesses, checks that they are
+        unchanged and gives the result.  A stebz call is a count, logged as
+        ("count", its upper end, the count), when its absolute tolerance
+        (args[7]) is positive, and otherwise a bisection, logged as
+        ("bisect", its range kind, lower end, upper end).  Every
         value-range call must have its lower end below its upper end."""
         grid, m, v = TestCertifiedRefinement.problem()
         plain = solve_effective_mass(grid, m, v, self.LEVELS)
@@ -576,9 +542,11 @@ class TestSeparationBound:
         monkeypatch.setattr(eigensolver, "dgtsv", dgtsv)
         monkeypatch.setattr(eigensolver, "dstebz", dstebz)
 
-        def solve(bound):
+        def solve(bound, shift=0.0):
             log.clear()
-            res = solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses, bound=bound)
+            res = solve_effective_mass(
+                grid, m, v + shift, self.LEVELS, guesses=guesses, bound=bound
+            )
             assert np.array_equal(guesses, kept)
             return res
 
@@ -631,17 +599,18 @@ class TestSeparationBound:
             assert lo <= self.gershgorin(res)[0]
             assert all(n > 0 for _, _, n in log[1:-1])
 
-    def test_zero_bound_steps_from_the_tolerance(self, case):
-        solve, exact, log = case
-        res = solve(0.0)
-        assert self.assert_bracketed(res, exact, log, 0.0, 0) >= 0.0
-        # the upper end steps up from 0 by doubling steps, none of them zero,
-        # until it holds the levels
-        counts = [n for _, _, n in log[1:-1]]
-        up = counts.index(next(n for n in counts if n >= self.LEVELS)) + 1
-        steps = [x for _, x, _ in log[1 : 1 + up]]
-        assert steps[0] > 0.0
-        assert steps == [steps[0] * 2**k for k in range(up)]
+    @pytest.mark.parametrize("shift, below", [(0.0, 0), (-1.0, 1)], ids=["above", "straddling"])
+    def test_zero_bound_bisects_over_the_gershgorin_interval(self, case, shift, below):
+        # a bound of 0 gives the bracket's walks no scale to step by: after
+        # the count at 0, the solve bisects by index as it does without
+        # guesses, whether the eigenvalues all lie above 0 or straddle it
+        solve, _, log = case
+        res = solve(0.0, shift)
+        assert log == [("count", 0.0, below), ("bisect", 2, 0.0, 1.0)]
+        vals = eigvalsh_tridiagonal(
+            res.diag, res.off, select="i", select_range=(0, self.LEVELS - 1)
+        )
+        assert np.array_equal(res.energies, vals)
 
     def test_bound_below_the_gershgorin_edge(self, case):
         solve, exact, log = case
