@@ -175,6 +175,8 @@ def load_config(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: not valid JSON ({exc})")
+    except RecursionError:
+        raise ConfigError("config: not valid JSON (nested too deeply to read)")
     _require(doc, "config", dict, "an object")
     _known(doc, "config", ("schema_version", "runs", "output"))
     version = doc.get("schema_version")
@@ -338,9 +340,9 @@ def main(argv=None):
         p.add_argument("-o", "--output", default=None, help="output file path")
     args = parser.parse_args(argv)
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             config = load_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

@@ -8,32 +8,24 @@ position-dependent-mass problem in kinetic ordering
 are discretized on a uniform grid with Dirichlet ends.  The flux form keeps
 the matrix symmetric tridiagonal.
 
-A solve given guesses of the lowest states (``guesses``) refines each one by
+A seeded solve is given guesses of the lowest states (``guesses``) and
+``bound``, a value expected to separate the wanted eigenvalues from the next
+(``pctengine.verify`` takes both from the analytic solution).  One Sturm
+count (LAPACK ``stebz`` without bisection) up to ``bound`` certifies it:
+when the count is the number of guesses, each guess is refined by
 Rayleigh-quotient iteration, one tridiagonal solve (LAPACK ``gtsv``) per
-step, and keeps the result only if it is certified: the intervals
-[mu_k - r_k, mu_k + r_k] (r_k the residual norm) are pairwise disjoint, and
-one Sturm count (LAPACK ``stebz`` without bisection) finds exactly as many
-eigenvalues up to the top of the highest interval.  The energies are then
-the mu_k, each within r_k of a distinct one of the lowest eigenvalues.
-
-A solve given ``bound`` as well, a value expected to separate the wanted
-eigenvalues from the next one (``pctengine.verify`` takes it from the
-analytic spectrum), makes its Sturm count at ``bound`` first.  A count
-other than the number of guesses means the matrix's spectrum below
-``bound`` is not the expected one.  The solve then skips the refinement and
-bisects inside a bracket (lo, hi] from two doubling walks away from
-``bound``, capped at the Gershgorin bounds: lo is the highest point whose
-Sturm count is 0, hi the lowest whose count is the wanted number or more.
-A ``bound`` within the bisection's tolerance ulp * ||T||_1 of 0 gives the
-walks no scale to step by, so that solve bisects over the Gershgorin
-interval instead.  Otherwise intervals at or below ``bound`` are certified
-by that same count, and only an interval reaching above it is counted
-again at its top.  A count up to a point at or below the Gershgorin lower
-bound is 0 without a stebz call; a failed LAPACK call raises ``PctError``.
-A solve without guesses, or whose guesses fail the certificate, finds the
-lowest eigenvalues by bisection (LAPACK ``stebz``) over the Gershgorin
-interval.  Both bisections run to stebz's default absolute tolerance
-ulp * ||T||_1.  A solve gives eigenvalues only, never eigenvectors.
+step, and the mu_k are kept if the intervals [mu_k - r_k, mu_k + r_k] (r_k
+the residual norm) are pairwise disjoint and end at or below ``bound``: each
+holds a distinct eigenvalue, and the count leaves no other below.  Any
+other outcome bisects inside a bracket (lo, hi] from two doubling walks away
+from ``bound``, capped at the Gershgorin bounds: lo is the highest point
+whose Sturm count is 0, hi the lowest whose count is the wanted number or
+more.  A ``bound`` within the bisection's tolerance ulp * ||T||_1 of 0
+gives the walks no scale to step by, so that solve bisects over the
+Gershgorin interval instead, as an unseeded solve does.  Both bisections run
+to stebz's default absolute tolerance.  A count up to a point at or below
+the Gershgorin lower bound is 0 without a stebz call; a failed LAPACK call
+raises ``PctError``.  A solve gives eigenvalues only, never eigenvectors.
 
 The refinement works on unnormalised iterates, in arrays each thread keeps
 from one solve to the next.  Its inner products are ``np.einsum`` sums of products, one pass
@@ -52,14 +44,10 @@ loads scipy's array-API layer (``numpy.f2py``, ``numpy.testing``,
 scipy 1.17.1), doubled the start-up of a ``pct verify`` process (0.26 s to
 0.50 s) and raised its peak RSS from 45.7 MB to 68.6 MB.  The
 Gershgorin-range bisection uses the call and arguments of scipy's
-``eigvalsh_tridiagonal``, so it is bit-identical to it.  The bracketed
-bisection runs over another interval, so its values are not scipy's bits:
-bit-identity with ``eigvalsh_tridiagonal`` holds only for solves without
-``bound``, for those whose ``bound`` is within the bisection's tolerance of
-0, and for those whose count at ``bound`` is the number of guesses and
-whose guesses fail the certificate.  Like scipy's ``check_finite``, a
-solve rejects a matrix with a non-finite entry, here as
-``RangeOverflowError``.
+``eigvalsh_tridiagonal``, so bit-identity with it holds for unseeded solves
+and for those whose ``bound`` is within the bisection's tolerance of 0 only.
+Like scipy's ``check_finite``, a solve rejects a matrix with a non-finite
+entry, here as ``RangeOverflowError``.
 """
 
 from __future__ import annotations
@@ -112,8 +100,9 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise ConfigError("grid requires x_min < x_max")
+        # NaN fails the test, as does a width that overflows to inf
+        if not 0.0 < self.x_max - self.x_min < math.inf:
+            raise ConfigError("grid requires x_min < x_max a finite distance apart")
         if self.n_points < MIN_GRID_POINTS:
             raise ConfigError(f"grid requires at least {MIN_GRID_POINTS} points")
 
@@ -133,12 +122,10 @@ class EigenResult:
     ``energies`` are certified Rayleigh quotients when the solve's guesses
     passed the certificate, and otherwise bisection values, which carry
     bisection's absolute tolerance ulp * ||T||_1 (large for a matrix with
-    steep walls: about 4e-4 at ||T||_1 = 1.9e12).  A solve given ``bound``
-    farther than that tolerance from 0, whose Sturm count at it differs
-    from the number of levels, gives the values of one bisection inside a
-    bracket whose two ends Sturm counts certify: within that tolerance of
-    the eigenvalues, but not bit-identical to scipy's
-    ``eigvalsh_tridiagonal``, which the other bisections are.
+    steep walls: about 4e-4 at ||T||_1 = 1.9e12).  An unseeded solve's are
+    scipy's ``eigvalsh_tridiagonal`` values bit for bit; a seeded solve
+    falls back to the bisection inside a bracket, whose values are not,
+    unless its ``bound`` is within that tolerance of 0.
     """
 
     energies: np.ndarray
@@ -288,20 +275,19 @@ def _bracketed_bisect(diag, off, n_levels, bound, count, gl, gu):
     return w[:n_levels]
 
 
-def _certified_energies(diag, off, guesses, bound=None):
-    """The lowest len(guesses) eigenvalues refined from the interiors of
-    ``guesses`` (grid samples, ends included), or None unless certified.
+def _certified_energies(diag, off, guesses, bound):
+    """The lowest len(guesses) eigenvalues, refined from the interiors of
+    ``guesses`` (grid samples, ends included) where one Sturm count
+    certifies them, and otherwise by the bracketed bisection.
 
-    Certified: the intervals mu_k +- r_k are pairwise disjoint, so each holds
-    a distinct eigenvalue, and exactly that many eigenvalues lie in
-    (Gershgorin lower bound, top of the highest interval], so they are the
-    lowest ones.  Given ``bound``, a value expected to separate the wanted
-    eigenvalues from the rest, the first step is a Sturm count up to it: a
-    count other than len(guesses) gives, before any refinement, the
-    bracketed bisection's values instead.  When every interval then lies at
-    or below ``bound``, that same count is the certificate; an interval
-    reaching above it is counted up to its top, as without ``bound``.  The
-    guesses themselves are left unchanged.
+    ``bound`` is a value expected to separate the wanted eigenvalues from
+    the rest.  The count up to it comes first; only when it is len(guesses)
+    are the guesses refined, and the refined mu_k are kept when the
+    intervals mu_k +- r_k are pairwise disjoint, so each holds a distinct
+    eigenvalue, and the highest ends at or below ``bound``, so that count
+    leaves no other eigenvalue below them (Sylvester's law of inertia).
+    Any other outcome gives ``_bracketed_bisect``'s values.  The guesses
+    themselves are left unchanged.
     """
     x, tx, tmp, row_abs = _workspace(diag.size)
     # every eigenvalue lies above the lowest Gershgorin disc edge, here
@@ -315,37 +301,30 @@ def _certified_energies(diag, off, guesses, bound=None):
     row_max = float(np.max(row_abs))
     gl -= 2.0 * _EPS * row_max
     n_levels = len(guesses)
-    if bound is not None:
-        count = _count_up_to(diag, off, gl, bound)
-        if count != n_levels:
-            return _bracketed_bisect(
-                diag, off, n_levels, bound, count, gl, row_max * (1.0 + 4.0 * _EPS)
-            )
-    # the row sums scaled below 1 by an exact power of two before squaring,
-    # so no square overflows; scaling by a power of two commutes with
-    # rounding, so the floor is the unscaled one bit for bit wherever that
-    # one neither overflows nor underflows
-    exp = max(math.frexp(row_max)[1], 0)
-    row_abs *= math.ldexp(1.0, -exp)
-    row_abs_sq = np.multiply(row_abs, row_abs, out=row_abs)
-    floor_scale = math.ldexp(4.0 * _EPS, exp)
-    refined = []
-    for g in guesses:
-        np.copyto(x, g[1:-1])
-        refined.append(_rayleigh_refine(diag, off, row_abs_sq, floor_scale, x, tx, tmp))
-    mu, r = np.array(refined).T
-    order = np.argsort(mu)
-    mu, r = mu[order], r[order]
-    if not np.all(np.isfinite(r)):
-        return None
-    if np.any(mu[1:] - r[1:] <= mu[:-1] + r[:-1]):
-        return None
-    top = float(mu[-1] + r[-1])
-    if bound is not None and top <= bound:
-        return mu
-    if _count_up_to(diag, off, gl, top) != n_levels:
-        return None
-    return mu
+    count = _count_up_to(diag, off, gl, bound)
+    if count == n_levels:
+        # the row sums scaled below 1 by an exact power of two before
+        # squaring, so no square overflows; scaling by a power of two
+        # commutes with rounding, so the floor is the unscaled one bit for
+        # bit wherever that one neither overflows nor underflows
+        exp = max(math.frexp(row_max)[1], 0)
+        row_abs *= math.ldexp(1.0, -exp)
+        row_abs_sq = np.multiply(row_abs, row_abs, out=row_abs)
+        floor_scale = math.ldexp(4.0 * _EPS, exp)
+        refined = []
+        for g in guesses:
+            np.copyto(x, g[1:-1])
+            refined.append(_rayleigh_refine(diag, off, row_abs_sq, floor_scale, x, tx, tmp))
+        mu, r = np.array(refined).T
+        order = np.argsort(mu)
+        mu, r = mu[order], r[order]
+        if (
+            np.all(np.isfinite(r))
+            and np.all(mu[1:] - r[1:] > mu[:-1] + r[:-1])
+            and mu[-1] + r[-1] <= bound
+        ):
+            return mu
+    return _bracketed_bisect(diag, off, n_levels, bound, count, gl, row_max * (1.0 + 4.0 * _EPS))
 
 
 def solve_constant_mass(grid, potential_values, n_levels):
@@ -361,14 +340,17 @@ def solve_effective_mass(
     """Lowest eigenvalues of -(1/2)(psi'/m)' + V psi, mass sampled at midpoints.
 
     ``mass_at_midpoints`` holds m(x_i + h/2) for i = 0..n-2; the flux
-    coefficients a = 1/m keep the stencil symmetric.  ``guesses``, if given,
-    holds n_levels samples on the grid of states close to the lowest ones;
-    they seed the certified refinement (see the module docstring).
-    ``bound``, used only with guesses, is a value expected to lie between
-    the n_levels-th eigenvalue and the next: a solve with fewer or more
-    eigenvalues up to it bisects, without refining, inside a bracket whose
-    two ends Sturm counts certify.  A failed LAPACK call raises ``PctError``.
+    coefficients a = 1/m keep the stencil symmetric.  ``guesses`` and
+    ``bound`` come together or not at all (``ArgumentError`` otherwise):
+    n_levels samples on the grid of states close to the lowest ones, and a
+    value expected to lie between the n_levels-th eigenvalue and the next.
+    They seed the certified refinement, one Sturm count at ``bound``
+    certifying it; every other outcome bisects inside a bracket whose two
+    ends Sturm counts certify (see the module docstring).  A failed LAPACK
+    call raises ``PctError``.
     """
+    if (guesses is None) != (bound is None):
+        raise ArgumentError("guesses and bound must be given together")
     v = np.asarray(potential_values, dtype=float)
     m = np.asarray(mass_at_midpoints, dtype=float)
     if v.shape != (grid.n_points,):
@@ -389,17 +371,14 @@ def solve_effective_mass(
         raise ArgumentError(f"n_levels must be between 1 and the {diag.size} interior points")
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise RangeOverflowError("the finite-difference matrix has a non-finite entry")
-    vals = None
-    if guesses is not None:
-        guesses = [np.asarray(g, dtype=float) for g in guesses]
-        if len(guesses) != n_levels or any(g.shape != (grid.n_points,) for g in guesses):
-            raise GridMismatchError(
-                f"guesses must be {n_levels} arrays of the grid's {grid.n_points} points"
-            )
-        vals = _certified_energies(diag, off, guesses, bound)
-    if vals is None:
-        vals = _bisect(diag, off, n_levels)
-    return EigenResult(vals, diag, off)
+    if guesses is None:
+        return EigenResult(_bisect(diag, off, n_levels), diag, off)
+    guesses = [np.asarray(g, dtype=float) for g in guesses]
+    if len(guesses) != n_levels or any(g.shape != (grid.n_points,) for g in guesses):
+        raise GridMismatchError(
+            f"guesses must be {n_levels} arrays of the grid's {grid.n_points} points"
+        )
+    return EigenResult(_certified_energies(diag, off, guesses, bound), diag, off)
 
 
 def d1_numerator(values):

@@ -249,6 +249,10 @@ class MassProfile:
         if self.x_min is not None and self.x_max is not None:
             if not self.x_min < self.x_max:
                 raise ConfigError("mass profile domain is empty", field="domain")
+            if not math.isfinite(self.x_max - self.x_min):
+                raise ConfigError(
+                    "mass profile domain is too wide: x_max - x_min is not finite", field="domain"
+                )
         lo, hi = self.natural_domain()
         for name, v in (("x_min", self.x_min), ("x_max", self.x_max)):
             if v is not None and not (lo < v < hi or v == hi == math.inf):

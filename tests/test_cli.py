@@ -288,6 +288,50 @@ class TestConfigValidation:
         assert err.startswith("error: config.runs[1].mass: ") and err.count("\n") == 1
         assert says in err
 
+    @pytest.mark.parametrize(
+        "content, says",
+        [
+            (b'{\xff', "error: cannot read config: 'utf-8' codec can't decode byte 0xff"),
+            (b"[" * 100000 + b"]" * 100000, "error: config: not valid JSON (nested too deeply"),
+        ],
+        ids=["not-utf8", "nested-too-deeply"],
+    )
+    def test_unreadable_config_is_one_error_line(self, tmp_path, capsys, content, says):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(content)
+        assert cli.main(["verify", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(says) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "mass, reference",
+        [
+            ({"kind": "asymptotically_vanishing", "alpha": 8.0, "q": 1.0}, None),
+            (
+                {"kind": "custom", "expression": "1"},
+                {"kind": "poschl_teller", "U0": 6.0, "alpha": 1.0},
+            ),
+        ],
+        ids=["asymptotically-vanishing", "custom"],
+    )
+    def test_domain_wider_than_a_float_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, mass, reference
+    ):
+        # -1e308 and 1e308 are finite, but their difference is not
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved a run with an invalid config")
+
+        monkeypatch.setattr(cli, "verify", refuse)
+        run = {"mass": {**mass, "domain": [-1e308, 1e308]}}
+        if reference is not None:
+            run["reference"] = reference
+        cfg = write_config(tmp_path, basic_config(**run))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["verify", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.runs[0].mass.domain: ") and err.count("\n") == 1
+
     def test_grid_bound_is_inclusive(self):
         grid = {"n_points": cli.MAX_GRID_POINTS, "levels": 3}
         assert cli.load_config(json.dumps(basic_config(grid=grid)))["runs"][0]["n_points"] == 1000001

@@ -38,6 +38,16 @@ class TestGrid:
         with pytest.raises(ConfigError):
             Grid(0.0, 1.0, 8)
 
+    @pytest.mark.parametrize(
+        "x_min, x_max",
+        [(0.0, math.inf), (-1e308, 1e308), (math.nan, 1.0)],
+        ids=["infinite-end", "width-overflows", "nan-end"],
+    )
+    def test_width_must_be_finite(self, x_min, x_max):
+        # an infinite width gives h = inf, and a solve on it a silent [0.]
+        with pytest.raises(ConfigError, match="finite distance"):
+            Grid(x_min, x_max, 100)
+
 
 class TestConstantMass:
     def test_harmonic_oscillator(self):
@@ -101,9 +111,10 @@ class TestMatrixChecks:
         grid = Grid(-8.0, 8.0, 1001)
         v = 0.5 * grid.points**2
         v[500] = bad
-        guesses = [np.exp(-0.5 * grid.points**2)] if seeded else None
+        # the oscillator's separation of levels 0 and 1 is 1
+        seed = {"guesses": [np.exp(-0.5 * grid.points**2)], "bound": 1.0} if seeded else {}
         with pytest.raises(RangeOverflowError):
-            solve_effective_mass(grid, np.ones(1000), v, 1, guesses=guesses)
+            solve_effective_mass(grid, np.ones(1000), v, 1, **seed)
         with pytest.raises(RangeOverflowError):
             solve_constant_mass(grid, v, 1)
 
@@ -124,14 +135,18 @@ class TestMatrixChecks:
     def test_huge_finite_entries_refined_without_warning(self):
         # the |T| row sums reach 1e200, whose squares leave the float range
         # unless scaled first; the refinement cannot certify (T v overflows
-        # in its norm) and the solve falls back to bisection, warning-free
+        # in its norm) and the solve falls back, warning-free, to bisection:
+        # a bound of 1 is within its tolerance ulp * ||T||_1 of 0, so over
+        # the Gershgorin interval, as without guesses
         grid = Grid(-5.0, 5.0, 1001)
         x = grid.points
         v = 0.5 * x * x
         v[[100, 900]] = 1e200
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = solve_effective_mass(grid, np.ones(1000), v, 1, guesses=[np.exp(-0.5 * x * x)])
+            res = solve_effective_mass(
+                grid, np.ones(1000), v, 1, guesses=[np.exp(-0.5 * x * x)], bound=1.0
+            )
             plain = solve_effective_mass(grid, np.ones(1000), v, 1)
         assert np.array_equal(res.energies, plain.energies)
 
@@ -153,7 +168,7 @@ class TestMatrixChecks:
         monkeypatch.setattr(
             eigensolver, "_rayleigh_refine", lambda *a: radii.append(refine(*a)[1]) or (0.0, 1.0)
         )
-        solve_effective_mass(grid, m, v, 1, guesses=[np.concatenate([[0.0], u, [0.0]])])
+        solve_effective_mass(grid, m, v, 1, guesses=[np.concatenate([[0.0], u, [0.0]])], bound=1.0)
         tu = d * u
         tu[:-1] += e * u[1:]
         tu[1:] += e * u[:-1]
@@ -330,12 +345,24 @@ class TestBisection:
         np.testing.assert_allclose(res.energies, [0.2, 0.5, 1.2, 1.5], atol=1e-3)
 
 
+def gershgorin(res):
+    """(the lowest Gershgorin disc edge, ||T||_1) of a solve's matrix."""
+    rows = np.zeros(res.diag.size)
+    rows[:-1] += np.abs(res.off)
+    rows[1:] += np.abs(res.off)
+    return float(np.min(res.diag - rows)), float(np.max(np.abs(res.diag) + rows))
+
+
 class TestCertifiedRefinement:
     """Guessed states are refined by Rayleigh-quotient iteration; the result
-    is used only when certified, and otherwise the solve is the bisection
-    path unchanged."""
+    is used only when one Sturm count at the bound certifies it, and
+    otherwise the solve bisects inside a bracket below the bound."""
 
     LEVELS = 4
+    #: the constant-mass oscillator's separation of levels LEVELS - 1 and
+    #: LEVELS, (LEVELS - 1/2 + LEVELS + 1/2) / 2, which also separates
+    #: ``problem``'s: 3.108 < 4 < 4.032
+    BOUND = float(LEVELS)
 
     @staticmethod
     def problem():
@@ -367,11 +394,25 @@ class TestCertifiedRefinement:
         monkeypatch.setattr(eigensolver, "dstebz", counted)
         return counts
 
-    def assert_fell_back(self, guesses):
+    def assert_fell_back(self, monkeypatch, guesses):
+        """The solve made one value-range bisection up to BOUND, whose
+        energies are within its tolerance ulp * ||T||_1 of a tight one."""
         grid, m, v = self.problem()
-        res = solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses)
-        plain = solve_effective_mass(grid, m, v, self.LEVELS)
-        assert np.array_equal(res.energies, plain.energies)
+        ranges = []
+
+        def bisections(*args, _fn=eigensolver.dstebz):
+            if args[7] == 0:
+                ranges.append((args[2], args[4]))
+            return _fn(*args)
+
+        monkeypatch.setattr(eigensolver, "dstebz", bisections)
+        res = solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses, bound=self.BOUND)
+        assert ranges == [(1, self.BOUND)]
+        tight = eigvalsh_tridiagonal(
+            res.diag, res.off, select="i", select_range=(0, self.LEVELS - 1), tol=1e-13
+        )
+        tol = np.finfo(float).eps * gershgorin(res)[1]
+        assert np.all(np.abs(res.energies - tight) <= tol)
 
     def test_good_guesses_give_the_tight_bisection_values(self, monkeypatch):
         grid, m, v = self.problem()
@@ -384,7 +425,7 @@ class TestCertifiedRefinement:
             return _fn(*args)
 
         monkeypatch.setattr(eigensolver, "dstebz", refuse)
-        res = solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses)
+        res = solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses, bound=self.BOUND)
         tight = eigvalsh_tridiagonal(
             res.diag, res.off, select="i", select_range=(0, self.LEVELS - 1), tol=1e-13
         )
@@ -394,16 +435,19 @@ class TestCertifiedRefinement:
     def test_guesses_missing_the_ground_state_fail(self, monkeypatch):
         grid, _, _ = self.problem()
         counts = self.count_sturm_calls(monkeypatch)
-        self.assert_fell_back(self.hermite_functions(grid, range(1, self.LEVELS + 1)))
-        # the refined states are the next levels up: one eigenvalue too many
-        assert counts == [self.LEVELS + 1]
+        guesses = self.hermite_functions(grid, range(1, self.LEVELS + 1))
+        self.assert_fell_back(monkeypatch, guesses)
+        # the refined states are the next levels up, the highest above the
+        # bound; the bracket's lower end, 8 |bound| below it, lies under the
+        # Gershgorin edge (about 0) and takes no count
+        assert counts == [self.LEVELS]
 
     def test_duplicate_guesses_fail(self, monkeypatch):
         grid, _, _ = self.problem()
         counts = self.count_sturm_calls(monkeypatch)
-        self.assert_fell_back(self.hermite_functions(grid, (0, 1, 1, 2)))
-        # two intervals hold the same eigenvalue: rejected before counting
-        assert counts == []
+        self.assert_fell_back(monkeypatch, self.hermite_functions(grid, (0, 1, 1, 2)))
+        # two intervals hold the same eigenvalue: only the count at the bound
+        assert counts == [self.LEVELS]
 
     @pytest.mark.parametrize("bad", [math.nan, 0.0])
     def test_unusable_guess_falls_back(self, monkeypatch, bad):
@@ -411,8 +455,8 @@ class TestCertifiedRefinement:
         guesses = self.hermite_functions(grid, range(self.LEVELS))
         guesses[2] = np.full(grid.n_points, bad)
         counts = self.count_sturm_calls(monkeypatch)
-        self.assert_fell_back(guesses)
-        assert counts == []
+        self.assert_fell_back(monkeypatch, guesses)
+        assert counts == [self.LEVELS]
 
     @pytest.mark.parametrize("first", [0, 1], ids=["certified", "fallback"])
     def test_guesses_left_unchanged(self, monkeypatch, first):
@@ -421,8 +465,8 @@ class TestCertifiedRefinement:
         kept = guesses.copy()
         guesses.flags.writeable = False
         counts = self.count_sturm_calls(monkeypatch)
-        solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses)
-        assert counts == [self.LEVELS + first]
+        solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses, bound=self.BOUND)
+        assert counts == [self.LEVELS]
         assert np.array_equal(guesses, kept)
 
     def test_concurrent_solves_share_no_workspace(self):
@@ -437,7 +481,7 @@ class TestCertifiedRefinement:
                  self.hermite_functions(grid, range(self.LEVELS)))
             )
         want = [
-            solve_effective_mass(g, m, v, self.LEVELS, guesses=s).energies
+            solve_effective_mass(g, m, v, self.LEVELS, guesses=s, bound=self.BOUND).energies
             for g, m, v, s in problems
         ]
         failures = []
@@ -445,8 +489,8 @@ class TestCertifiedRefinement:
         def worker(k):
             for _ in range(20):
                 g, m, v, s = problems[k % len(problems)]
-                got = solve_effective_mass(g, m, v, self.LEVELS, guesses=s).energies
-                if not np.array_equal(got, want[k % len(problems)]):
+                got = solve_effective_mass(g, m, v, self.LEVELS, guesses=s, bound=self.BOUND)
+                if not np.array_equal(got.energies, want[k % len(problems)]):
                     failures.append(k)
 
         interval = sys.getswitchinterval()
@@ -484,7 +528,7 @@ class TestCertifiedRefinement:
 
         monkeypatch.setattr(eigensolver, "dstebz", refuse)
         got = [
-            solve_effective_mass(g, m, v, self.LEVELS, guesses=s).energies
+            solve_effective_mass(g, m, v, self.LEVELS, guesses=s, bound=self.BOUND).energies
             for g, m, v, s in problems + problems
         ]
         assert np.array_equal(got[0], got[2])
@@ -493,16 +537,25 @@ class TestCertifiedRefinement:
     def test_guess_shape_checked(self):
         grid, m, v = self.problem()
         with pytest.raises(GridMismatchError):
-            solve_effective_mass(grid, m, v, 2, guesses=self.hermite_functions(grid, range(3)))
+            solve_effective_mass(
+                grid, m, v, 2, guesses=self.hermite_functions(grid, range(3)), bound=2.0
+            )
+
+    @pytest.mark.parametrize("given", ["guesses", "bound"])
+    def test_guesses_and_bound_come_together(self, given):
+        grid, m, v = self.problem()
+        seed = {"guesses": self.hermite_functions(grid, range(self.LEVELS)), "bound": self.BOUND}
+        with pytest.raises(ArgumentError, match="together"):
+            solve_effective_mass(grid, m, v, self.LEVELS, **{given: seed[given]})
 
 
 class TestSeparationBound:
-    """With ``bound``, a value between the wanted eigenvalues and the next,
-    the first step is one Sturm count up to it.  A count other than the
-    number of levels goes to one bisection, without refining, inside a
-    bracket that further counts certify, or at a bound of 0 over the
-    Gershgorin interval; refined intervals at or below it are certified by
-    that same count."""
+    """The first step is one Sturm count up to ``bound``, a value between the
+    wanted eigenvalues and the next.  A count other than the number of
+    levels goes to one bisection, without refining, inside a bracket that
+    further counts certify, or at a bound of 0 over the Gershgorin interval;
+    refined intervals at or below it are certified by that same count, and
+    an interval reaching above it goes to the bracket below it."""
 
     LEVELS = TestCertifiedRefinement.LEVELS
 
@@ -552,14 +605,6 @@ class TestSeparationBound:
 
         return solve, exact, log
 
-    @staticmethod
-    def gershgorin(res):
-        """(the lowest Gershgorin disc edge, ||T||_1) of a solve's matrix."""
-        rows = np.zeros(res.diag.size)
-        rows[:-1] += np.abs(res.off)
-        rows[1:] += np.abs(res.off)
-        return float(np.min(res.diag - rows)), float(np.max(np.abs(res.diag) + rows))
-
     def assert_bracketed(self, res, exact, log, bound, count):
         """The solve counted at ``bound`` first, refined nothing, and found
         the lowest eigenvalues to bisection's tolerance by one value-range
@@ -572,7 +617,7 @@ class TestSeparationBound:
         assert all(entry[0] == "count" for entry in counts)
         lo, hi = ends[1:]
         at = {x: n for _, x, n in counts}
-        gl, norm = self.gershgorin(res)
+        gl, norm = gershgorin(res)
         assert lo <= gl or at[lo] == 0
         assert at.get(hi, 0) >= self.LEVELS or hi > exact[self.LEVELS - 1]
         tol = np.finfo(float).eps * norm
@@ -596,7 +641,7 @@ class TestSeparationBound:
         else:
             # this matrix's lowest Gershgorin edge is about 0, within 8 |bound|
             # below the bound: the lower end stops there, without a count
-            assert lo <= self.gershgorin(res)[0]
+            assert lo <= gershgorin(res)[0]
             assert all(n > 0 for _, _, n in log[1:-1])
 
     @pytest.mark.parametrize("shift, below", [(0.0, 0), (-1.0, 1)], ids=["above", "straddling"])
@@ -614,7 +659,7 @@ class TestSeparationBound:
 
     def test_bound_below_the_gershgorin_edge(self, case):
         solve, exact, log = case
-        gl, norm = self.gershgorin(solve(None))
+        gl, norm = gershgorin(solve(0.5 * (exact[self.LEVELS - 1] + exact[self.LEVELS])))
         bound = gl - 1.0
         res = solve(bound)
         # no eigenvalue up to the bound, known without a count: the upper
@@ -629,24 +674,41 @@ class TestSeparationBound:
 
     def test_certified_by_the_count_at_the_bound(self, case):
         solve, exact, log = case
-        unbounded = solve(None).energies
+        # the refinement does not depend on the bound
+        other = solve(TestCertifiedRefinement.BOUND).energies
         bound = 0.5 * (exact[self.LEVELS - 1] + exact[self.LEVELS])
         energies = solve(bound).energies
         stebz = [entry for entry in log if entry[0] != "dgtsv"]
         assert stebz == [("count", bound, self.LEVELS)]
         assert len(log) > 1
-        assert np.array_equal(energies, unbounded)
+        assert np.array_equal(energies, other)
         np.testing.assert_allclose(energies, exact[: self.LEVELS], rtol=1e-12, atol=0)
 
-    def test_interval_above_the_bound_is_counted_at_its_top(self, case):
+    def test_interval_above_the_bound_bisects_below_it(self, case, monkeypatch):
         solve, exact, log = case
-        unbounded = solve(None).energies
-        ((_, top, count),) = [entry for entry in log if entry[0] == "count"]
-        assert count == self.LEVELS
+        # shifted down by 3.3, the bound lies near -0.19 and the Gershgorin
+        # edge near -3.3: the walk down counts 2 eigenvalues up to 8 |bound|
+        # below the bound and none up to 16 |bound| below it
+        shift = -3.3
+        exact = exact + shift
+        refined = []
+        refine = eigensolver._rayleigh_refine
+        monkeypatch.setattr(
+            eigensolver, "_rayleigh_refine", lambda *a: refined.append(refine(*a)) or refined[-1]
+        )
+        solve(0.5 * (exact[self.LEVELS - 1] + exact[self.LEVELS]), shift)
+        mu, r = max(refined)
         # above the top eigenvalue, below the top interval's upper end
-        bound = 0.5 * (exact[self.LEVELS - 1] + top)
-        assert exact[self.LEVELS - 1] < bound < top
-        energies = solve(bound).energies
-        counts = [entry for entry in log if entry[0] != "dgtsv"]
-        assert counts == [("count", bound, self.LEVELS), ("count", top, self.LEVELS)]
-        assert np.array_equal(energies, unbounded)
+        bound = 0.5 * (exact[self.LEVELS - 1] + mu + r)
+        assert exact[self.LEVELS - 1] < bound < mu + r
+        res = solve(bound, shift)
+        # the one count at the bound, the refinement, the counts walking down
+        # to none, and one bisection up to the bound itself
+        solves = log.count(("dgtsv",))
+        assert solves > 0 and log[1 : 1 + solves] == [("dgtsv",)] * solves
+        (_, at, n), *walk, (kind, *ends) = [log[0], *log[1 + solves :]]
+        assert (at, n) == (bound, self.LEVELS)
+        assert [(kind, n) for kind, _, n in walk] == [("count", 2), ("count", 0)]
+        assert kind == "bisect" and ends == [1, walk[-1][1], bound]
+        tol = np.finfo(float).eps * gershgorin(res)[1]
+        assert np.all(np.abs(res.energies - exact[: self.LEVELS]) <= tol)

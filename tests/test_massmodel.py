@@ -182,6 +182,14 @@ class TestValidation:
             (lambda: MassProfile.custom("1", math.nan, 1.0), "domain"),
             (lambda: MassProfile.custom("1", None, None), "domain"),
             (lambda: MassProfile("tanh_sq", 1.0, 1.0, x_min=2.0, x_max=1.0), "domain"),
+            # both ends finite, but their difference overflows to inf
+            (lambda: MassProfile.custom("1", -1e308, 1e308), "domain"),
+            (
+                lambda: MassProfile(
+                    "asymptotically_vanishing", 1.0, 1.0, x_min=-1e308, x_max=1e308
+                ),
+                "domain",
+            ),
             # tanh_sq at alpha = q = 1 lives on x > 0
             (lambda: MassProfile("tanh_sq", 1.0, 1.0, x_min=-1.0, x_max=5.0), "domain"),
         ],
@@ -197,6 +205,8 @@ class TestValidation:
             "custom-lo-nan",
             "custom-domain-missing",
             "domain-empty",
+            "custom-domain-too-wide",
+            "vanishing-domain-too-wide",
             "domain-below-branch-point",
         ],
     )
