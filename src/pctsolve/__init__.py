@@ -7,7 +7,6 @@ independent finite-difference eigensolver verifies the construction.
 """
 
 from .eigensolver import (
-    EigenResult,
     Grid,
     overlap,
     residual_norm,
@@ -42,7 +41,6 @@ __all__ = [
     "ArgumentError",
     "ConfigError",
     "DomainError",
-    "EigenResult",
     "ExprSyntaxError",
     "Grid",
     "GridMismatchError",

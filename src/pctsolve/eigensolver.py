@@ -115,28 +115,10 @@ class Grid:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    """Lowest eigenvalues of a tridiagonal problem, ascending, and its matrix.
-
-    ``energies`` are certified Rayleigh quotients when the solve's guesses
-    passed the certificate, and otherwise bisection values, which carry
-    bisection's absolute tolerance ulp * ||T||_1 (large for a matrix with
-    steep walls: about 4e-4 at ||T||_1 = 1.9e12).  An unseeded solve's are
-    scipy's ``eigvalsh_tridiagonal`` values bit for bit; a seeded solve
-    falls back to the bisection inside a bracket, whose values are not,
-    unless its ``bound`` is within that tolerance of 0.
-    """
-
-    energies: np.ndarray
-    #: the interior matrix: diagonal and off-diagonal
-    diag: np.ndarray
-    off: np.ndarray
-
-
 #: Rayleigh-quotient steps (tridiagonal solves) per guess at most
 _RQI_STEPS = 4
 _EPS = np.finfo(float).eps
+_MAX = sys.float_info.max
 
 
 def _check_info(info, routine):
@@ -235,8 +217,10 @@ def _count_up_to(diag, off, gl, x):
     every eigenvalue: 0 for x <= gl, without calling stebz."""
     if x <= gl:
         return 0
-    # an absolute tolerance wider than (gl, x] makes stebz count, not bisect
-    count, _, _, _, info = dstebz(diag, off, 1, gl, x, 1, 1, 2.0 * (x - gl), b"E")
+    # an absolute tolerance wider than (gl, x] makes stebz count, not bisect;
+    # the largest float is wider than any finite interval, and, unlike a
+    # multiple of the width, it cannot overflow
+    count, _, _, _, info = dstebz(diag, off, 1, gl, x, 1, 1, _MAX, b"E")
     _check_info(info, "dstebz")
     return count
 
@@ -327,30 +311,11 @@ def _certified_energies(diag, off, guesses, bound):
     return _bracketed_bisect(diag, off, n_levels, bound, count, gl, row_max * (1.0 + 4.0 * _EPS))
 
 
-def solve_constant_mass(grid, potential_values, n_levels):
-    """Lowest eigenvalues of -(1/2) psi'' + V psi with Dirichlet ends: the
-    effective-mass solve at m = 1, whose matrix entries 2/(2h^2) = 1/h^2 and
-    1/(-2h^2) = -0.5/h^2 are exact."""
-    return solve_effective_mass(grid, np.ones(grid.n_points - 1), potential_values, n_levels)
-
-
-def solve_effective_mass(
-    grid, mass_at_midpoints, potential_values, n_levels, guesses=None, bound=None
-):
-    """Lowest eigenvalues of -(1/2)(psi'/m)' + V psi, mass sampled at midpoints.
-
-    ``mass_at_midpoints`` holds m(x_i + h/2) for i = 0..n-2; the flux
-    coefficients a = 1/m keep the stencil symmetric.  ``guesses`` and
-    ``bound`` come together or not at all (``ArgumentError`` otherwise):
-    n_levels samples on the grid of states close to the lowest ones, and a
-    value expected to lie between the n_levels-th eigenvalue and the next.
-    They seed the certified refinement, one Sturm count at ``bound``
-    certifying it; every other outcome bisects inside a bracket whose two
-    ends Sturm counts certify (see the module docstring).  A failed LAPACK
-    call raises ``PctError``.
-    """
-    if (guesses is None) != (bound is None):
-        raise ArgumentError("guesses and bound must be given together")
+def tridiagonal_matrix(grid, mass_at_midpoints, potential_values, n_levels):
+    """(diag, off), the interior rows of the matrix of -(1/2)(psi'/m)' + V psi
+    with Dirichlet ends, checked for a solve of its lowest n_levels
+    eigenvalues.  ``mass_at_midpoints`` holds m(x_i + h/2) for i = 0..n-2;
+    the flux coefficients a = 1/m keep the stencil symmetric."""
     v = np.asarray(potential_values, dtype=float)
     m = np.asarray(mass_at_midpoints, dtype=float)
     if v.shape != (grid.n_points,):
@@ -371,14 +336,54 @@ def solve_effective_mass(
         raise ArgumentError(f"n_levels must be between 1 and the {diag.size} interior points")
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise RangeOverflowError("the finite-difference matrix has a non-finite entry")
+    return diag, off
+
+
+def solve_constant_mass(grid, potential_values, n_levels):
+    """Lowest eigenvalues of -(1/2) psi'' + V psi with Dirichlet ends: the
+    effective-mass solve at m = 1, whose matrix entries 2/(2h^2) = 1/h^2 and
+    1/(-2h^2) = -0.5/h^2 are exact, h^2 the rounded product h * h."""
+    return solve_effective_mass(grid, np.ones(grid.n_points - 1), potential_values, n_levels)
+
+
+def solve_effective_mass(
+    grid, mass_at_midpoints, potential_values, n_levels, guesses=None, bound=None
+):
+    """The lowest n_levels eigenvalues of -(1/2)(psi'/m)' + V psi, ascending,
+    mass sampled at midpoints (see ``tridiagonal_matrix``).
+
+    ``guesses`` and ``bound`` come together or not at all (``ArgumentError``
+    otherwise, or for a bound that is not finite): n_levels samples on the
+    grid of states close to the lowest ones, and a value expected to lie
+    between the n_levels-th eigenvalue and the next.  They seed the
+    certified refinement, one Sturm count at ``bound`` certifying it; every
+    other outcome bisects inside a bracket whose two ends Sturm counts
+    certify (see the module docstring).  A failed LAPACK call raises
+    ``PctError``.
+
+    The energies are certified Rayleigh quotients when the guesses passed
+    the certificate, and otherwise bisection values, which carry bisection's
+    absolute tolerance ulp * ||T||_1 (large for a matrix with steep walls:
+    about 4e-4 at ||T||_1 = 1.9e12).  An unseeded solve's are scipy's
+    ``eigvalsh_tridiagonal`` values bit for bit; a seeded solve falls back
+    to the bisection inside a bracket, whose values are not, unless its
+    ``bound`` is within that tolerance of 0.
+    """
+    if (guesses is None) != (bound is None):
+        raise ArgumentError("guesses and bound must be given together")
+    if bound is not None:
+        bound = float(bound)
+        if not math.isfinite(bound):
+            raise ArgumentError(f"bound must be finite, not {bound}")
+    diag, off = tridiagonal_matrix(grid, mass_at_midpoints, potential_values, n_levels)
     if guesses is None:
-        return EigenResult(_bisect(diag, off, n_levels), diag, off)
+        return _bisect(diag, off, n_levels)
     guesses = [np.asarray(g, dtype=float) for g in guesses]
     if len(guesses) != n_levels or any(g.shape != (grid.n_points,) for g in guesses):
         raise GridMismatchError(
             f"guesses must be {n_levels} arrays of the grid's {grid.n_points} points"
         )
-    return EigenResult(_certified_energies(diag, off, guesses, bound), diag, off)
+    return _certified_energies(diag, off, guesses, bound)
 
 
 def d1_numerator(values):
@@ -402,18 +407,16 @@ def d2_numerator(values):
     return out
 
 
-def residual_norm(grid, psi, energy, mass_values, potential_values, mass_d1=None):
+def residual_norm(grid, psi, energy, mass_values, potential_values):
     """RMS residual of psi'' - (m'/m) psi' + 2 m (E - V) psi on interior nodes.
 
-    Derivatives of psi (and of m, unless ``mass_d1`` supplies m' at the grid
-    nodes) use 4th-order central differences; the outermost two nodes on
-    each side are excluded, and only the interior is computed, in place and
-    in the operation order of the formula.  Every sample array must have the
-    grid's n_points entries.
+    Derivatives of psi and m use 4th-order central differences; the
+    outermost two nodes on each side are excluded, and only the interior is
+    computed, in place and in the operation order of the formula.  Every
+    sample array must have the grid's n_points entries.
     """
     psi, m, v = (np.asarray(a, dtype=float) for a in (psi, mass_values, potential_values))
-    m1 = None if mass_d1 is None else np.asarray(mass_d1, dtype=float)
-    if any(a is not None and a.shape != (grid.n_points,) for a in (psi, m, v, m1)):
+    if any(a.shape != (grid.n_points,) for a in (psi, m, v)):
         raise GridMismatchError("residual samples do not match the grid")
     h = grid.h
     sl = slice(2, -2)
@@ -421,11 +424,8 @@ def residual_norm(grid, psi, energy, mass_values, potential_values, mass_d1=None
     p1 /= 12 * h
     p2 = d2_numerator(psi)
     p2 /= 12 * h * h
-    if m1 is None:
-        m1 = d1_numerator(m)
-        m1 /= 12 * h
-    else:
-        m1 = m1[sl]
+    m1 = d1_numerator(m)
+    m1 /= 12 * h
     w = np.empty_like(p1)
     p1 *= np.divide(m1, m[sl], out=w)  # r = p2 - (m1 / m) p1 + 2 m (E - v) psi
     p2 -= p1
@@ -451,11 +451,3 @@ def overlap(grid, psi_a, psi_b):
     if a.shape != (grid.n_points,) or b.shape != (grid.n_points,):
         raise GridMismatchError("state samples do not match the grid")
     return float(trapezoid_dot(a, b, grid.h))
-
-
-def node_count(psi, threshold=1e-6):
-    """Number of sign changes of psi, ignoring near-zero samples."""
-    psi = np.asarray(psi, dtype=float)
-    big = np.abs(psi) > threshold * np.max(np.abs(psi))
-    signs = np.sign(psi[big])
-    return int(np.sum(signs[1:] * signs[:-1] < 0))

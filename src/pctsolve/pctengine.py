@@ -175,7 +175,7 @@ def verify(ts, n_points, levels):
     xs = grid.points
     m_mid = np.asarray(ts.profile.mass(0.5 * (xs[:-1] + xs[1:])), dtype=float)
     m, v = fields.mass, fields.potential
-    result = solve_effective_mass(
+    energies = solve_effective_mass(
         grid, m_mid, v, levels, guesses=states, bound=ts.reference.separation(levels)
     )
     residuals = []
@@ -201,16 +201,18 @@ def verify(ts, n_points, levels):
     for i in range(levels):
         for j in range(i, levels):
             gram[i][j] = gram[j][i] = overlap(grid, states[i], states[j])
-    return Verification(
-        grid, fields, states, result.energies, tuple(residuals), tuple(map(tuple, gram))
-    )
+    return Verification(grid, fields, states, energies, tuple(residuals), tuple(map(tuple, gram)))
 
 
 # ---------------------------------------------------------------------------
 # consistency check of the transformation algebra
 
 
-def pct_identity_residual(profile: MassProfile, x, h=1e-3):
+#: ``pct_identity_residual``'s stencil step at x is this times 1 + |x|
+_IDENTITY_STEP = 1e-3
+
+
+def pct_identity_residual(profile: MassProfile, x):
     """Residual of the reduction of (1/2m) F(f, g) to the correction term.
 
     F(f, g) = g''/g - (f''/f') (g'/g) with g = m^{-1/4} and f' = sqrt(m);
@@ -221,7 +223,7 @@ def pct_identity_residual(profile: MassProfile, x, h=1e-3):
     x = np.asarray(x, dtype=float)
     lo, hi = profile.domain()
     dist = np.minimum(x - lo, hi - x)  # inf on unbounded sides
-    step = np.asarray(np.minimum(h * (1.0 + np.abs(x)), dist / 2.5))
+    step = np.asarray(np.minimum(_IDENTITY_STEP * (1.0 + np.abs(x)), dist / 2.5))
     if np.any(step <= 0):
         raise DomainError("sample point too close to the profile boundary")
     # the five samples of each x along the first axis, the stencils' axis

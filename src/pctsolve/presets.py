@@ -1,5 +1,6 @@
 """Canonical parameter sets: reference problems, mass profiles, and the
-profile x reference combination table used by the verification suite and CLI.
+profile x reference combination table used by the tests, the benchmark
+workloads and the CI checks (the CLI reads configs, not presets).
 
 Reference parameters are fixed (Morse D=8, a=1; Poeschl-Teller U0=6, a=1;
 Hulthen V0=2, a=0.5).  One row per mass-profile family x reference pair

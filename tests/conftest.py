@@ -1,4 +1,4 @@
-"""Shared fixtures and the acceptance-criteria summary hook."""
+"""Shared fixtures and helpers, and the acceptance-criteria summary hook."""
 
 import sys
 from pathlib import Path
@@ -40,6 +40,14 @@ def assert_value_matches_jet(value, jet):
         v, j = np.asarray(v, dtype=float), np.asarray(j, dtype=float)
         assert v.shape == j.shape
         assert np.array_equal(v.view(np.int64), j.view(np.int64)), (v, j)
+
+
+def node_count(psi, threshold=1e-6):
+    """Number of sign changes of psi, ignoring near-zero samples."""
+    psi = np.asarray(psi, dtype=float)
+    big = np.abs(psi) > threshold * np.max(np.abs(psi))
+    signs = np.sign(psi[big])
+    return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
 def record_criterion(number, ok, detail):

@@ -32,9 +32,9 @@ def test_criterion_1_reference_solver_agreement():
         ref = presets.make_reference(kind, **presets.REFERENCE_PARAMS[kind])
         grid = presets.REFERENCE_GRIDS[kind]
         assert grid.n_points <= 8001
-        result = solve_constant_mass(grid, np.asarray(ref.potential(grid.points)), 3)
+        energies = solve_constant_mass(grid, np.asarray(ref.potential(grid.points)), 3)
         for n in range(3):
-            rel = abs(result.energies[n] - ref.energy(n)) / abs(ref.energy(n))
+            rel = abs(energies[n] - ref.energy(n)) / abs(ref.energy(n))
             worst = max(worst, rel)
     elapsed = time.time() - start
     ok = worst < 1e-4 and elapsed < 10.0
@@ -125,14 +125,12 @@ def test_criterion_3_analytic_state_residual():
         grid = Grid(lo, hi, n_points)
         assert grid.h <= 1e-3
         x = grid.points
-        jet = ts.profile.mass_jet(x)
-        m = np.asarray(jet.value, dtype=float)
-        m1 = np.asarray(jet.d1, dtype=float)
+        m = np.asarray(ts.profile.mass_jet(x).value, dtype=float)
         v = np.asarray(ts.potential(x), dtype=float)
         for n in (0, 1):
             psi = np.asarray(ts.wavefunction(n, x), dtype=float)
             psi = psi / np.max(np.abs(psi))
-            r = residual_norm(grid, psi, ts.energy(n), m, v, mass_d1=m1)
+            r = residual_norm(grid, psi, ts.energy(n), m, v)
             worst = max(worst, r)
     ok = worst < 1e-4
     record_criterion(

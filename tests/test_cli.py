@@ -595,14 +595,15 @@ class TestVerifyAccuracy:
         solved = []
 
         def spy(*args, _fn=pctengine.solve_effective_mass, **kwargs):
-            solved.append(_fn(*args, **kwargs))
-            return solved[-1]
+            solved.append(args)
+            return _fn(*args, **kwargs)
 
         monkeypatch.setattr(pctengine, "solve_effective_mass", spy)
         text, _ = cli.cmd_verify(load_runs([run]))
         reported = [level["numerical"] for level in json.loads(text)["runs"][0]["levels"]]
-        (res,) = solved
-        tight = eigvalsh_tridiagonal(res.diag, res.off, select="i", select_range=(0, 2), tol=1e-13)
+        (args,) = solved
+        diag, off = eigensolver.tridiagonal_matrix(*args)
+        tight = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 2), tol=1e-13)
         np.testing.assert_allclose(reported, tight, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize(
@@ -616,8 +617,8 @@ class TestVerifyAccuracy:
         solved, bisections = [], []
 
         def spy(*args, _fn=pctengine.solve_effective_mass, **kwargs):
-            solved.append(_fn(*args, **kwargs))
-            return solved[-1]
+            solved.append((args, _fn(*args, **kwargs)))
+            return solved[-1][1]
 
         def dstebz(*args, _fn=eigensolver.dstebz):
             if args[7] == 0:
@@ -629,12 +630,13 @@ class TestVerifyAccuracy:
         text, code = cli.cmd_verify(load_runs([preset_run(spec)]))
         assert code == 1 and json.loads(text)["pass"] is False
         assert bisections == [1]
-        (res,) = solved
-        rows = np.abs(res.diag)
-        rows[:-1] += np.abs(res.off)
-        rows[1:] += np.abs(res.off)
-        tight = eigvalsh_tridiagonal(res.diag, res.off, select="i", select_range=(0, 2), tol=1e-13)
-        assert np.all(np.abs(res.energies - tight) <= np.finfo(float).eps * np.max(rows))
+        ((args, energies),) = solved
+        diag, off = eigensolver.tridiagonal_matrix(*args)
+        rows = np.abs(diag)
+        rows[:-1] += np.abs(off)
+        rows[1:] += np.abs(off)
+        tight = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 2), tol=1e-13)
+        assert np.all(np.abs(energies - tight) <= np.finfo(float).eps * np.max(rows))
 
 
 class TestTransform:

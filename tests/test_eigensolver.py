@@ -53,24 +53,46 @@ class TestConstantMass:
     def test_harmonic_oscillator(self):
         # -(1/2) psi'' + (1/2) x^2 psi = E psi  ->  E_n = n + 1/2
         grid = Grid(-10.0, 10.0, 16001)
-        res = solve_constant_mass(grid, 0.5 * grid.points**2, 4)
-        assert np.allclose(res.energies, [0.5, 1.5, 2.5, 3.5], rtol=1e-6)
+        energies = solve_constant_mass(grid, 0.5 * grid.points**2, 4)
+        assert np.allclose(energies, [0.5, 1.5, 2.5, 3.5], rtol=1e-6)
 
     def test_particle_in_a_box(self):
         # V = 0 with Dirichlet walls: E_n = (n+1)^2 pi^2 / (2 L^2)
         grid = Grid(0.0, 1.0, 2001)
-        res = solve_constant_mass(grid, np.zeros(grid.n_points), 3)
+        energies = solve_constant_mass(grid, np.zeros(grid.n_points), 3)
         exact = np.array([1, 4, 9]) * math.pi**2 / 2.0
-        assert np.allclose(res.energies, exact, rtol=1e-5)
+        assert np.allclose(energies, exact, rtol=1e-5)
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(-5, 5))
     def test_potential_shift_shifts_energies(self, c):
         grid = Grid(-6.0, 6.0, 501)
         v = 0.5 * grid.points**2
-        base = solve_constant_mass(grid, v, 2).energies
-        shifted = solve_constant_mass(grid, v + c, 2).energies
+        base = solve_constant_mass(grid, v, 2)
+        shifted = solve_constant_mass(grid, v + c, 2)
         assert np.allclose(shifted, base + c, rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.floats(-50.0, 50.0),
+        st.floats(1e-2, 1e2),
+        st.integers(16, 2001),
+        st.floats(-1e3, 1e3),
+    )
+    def test_unit_mass_entries_are_exact(self, x_min, width, n_points, c):
+        # at m = 1 the flux-form entries (1 + 1)/(2h^2) and 1/(-2h^2) are the
+        # three-point stencil's 1/h^2 and -0.5/h^2 bit for bit, h^2 the
+        # rounded product h * h (Python's h**2 goes through C pow, which can
+        # be an ulp away from it)
+        grid = Grid(x_min, x_min + width, n_points)
+        v = 0.5 * grid.points**2 + c
+        diag, off = eigensolver.tridiagonal_matrix(grid, np.ones(n_points - 1), v, 1)
+        hh = grid.h * grid.h
+        assert np.array_equal(diag, 1 / hh + v[1:-1])
+        assert np.array_equal(off, np.full(n_points - 3, -0.5 / hh))
+        # so the solve is the textbook constant-mass one
+        textbook = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 1))
+        assert np.array_equal(solve_constant_mass(grid, v, 2), textbook)
 
 
 class TestEffectiveMass:
@@ -80,15 +102,15 @@ class TestEffectiveMass:
         mid = np.ones(grid.n_points - 1)
         a = solve_effective_mass(grid, mid, v, 3)
         b = solve_constant_mass(grid, v, 3)
-        assert np.allclose(a.energies, b.energies, rtol=1e-10)
+        assert np.allclose(a, b, rtol=1e-10)
 
     def test_heavy_box_scaling(self):
         # constant mass M: box levels scale as 1/M
         grid = Grid(0.0, 1.0, 2001)
         v = np.zeros(grid.n_points)
-        res = solve_effective_mass(grid, np.full(grid.n_points - 1, 4.0), v, 2)
+        energies = solve_effective_mass(grid, np.full(grid.n_points - 1, 4.0), v, 2)
         exact = np.array([1, 4]) * math.pi**2 / 8.0
-        assert np.allclose(res.energies, exact, rtol=1e-5)
+        assert np.allclose(energies, exact, rtol=1e-5)
 
     def test_validation(self):
         grid = Grid(0.0, 1.0, 64)
@@ -130,7 +152,7 @@ class TestMatrixChecks:
         grid = Grid(-8.0, 8.0, 1001)
         v = 0.5 * grid.points**2
         v[[100, 101]] = 1e308
-        np.testing.assert_allclose(solve_constant_mass(grid, v, 2).energies, [0.5, 1.5], rtol=1e-4)
+        np.testing.assert_allclose(solve_constant_mass(grid, v, 2), [0.5, 1.5], rtol=1e-4)
 
     def test_huge_finite_entries_refined_without_warning(self):
         # the |T| row sums reach 1e200, whose squares leave the float range
@@ -148,7 +170,7 @@ class TestMatrixChecks:
                 grid, np.ones(1000), v, 1, guesses=[np.exp(-0.5 * x * x)], bound=1.0
             )
             plain = solve_effective_mass(grid, np.ones(1000), v, 1)
-        assert np.array_equal(res.energies, plain.energies)
+        assert np.array_equal(res, plain)
 
     def test_rounding_floor_is_the_unscaled_one(self, monkeypatch):
         # one Rayleigh step from an eigenvector, where the rounding floor
@@ -158,8 +180,7 @@ class TestMatrixChecks:
         mid = 0.5 * (grid.points[:-1] + grid.points[1:])
         m = 1.0 + 0.5 / (1.0 + mid * mid)
         v = 0.5 * grid.points**2
-        plain = solve_effective_mass(grid, m, v, 1)
-        d, e = plain.diag, plain.off
+        d, e = eigensolver.tridiagonal_matrix(grid, m, v, 1)
         _, vec = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
         u = vec[:, 0]
         radii = []
@@ -184,7 +205,7 @@ class TestMatrixChecks:
 
     def test_more_levels_than_interior_points(self):
         grid = Grid(0.0, 1.0, 16)
-        assert solve_constant_mass(grid, np.zeros(16), 14).energies.size == 14
+        assert solve_constant_mass(grid, np.zeros(16), 14).size == 14
         with pytest.raises(ArgumentError):
             solve_constant_mass(grid, np.zeros(16), 15)
 
@@ -223,7 +244,7 @@ class TestLapackLoading:
             text, code = cli.cmd_verify(cli.load_config({config!r}))
             assert code == 0 and json.loads(text)["pass"] is True
             grid = Grid(-8.0, 8.0, 501)
-            assert solve_constant_mass(grid, 0.5 * grid.points**2, 2).energies.shape == (2,)
+            assert solve_constant_mass(grid, 0.5 * grid.points**2, 2).shape == (2,)
             seen.append("scipy.linalg" in sys.modules)
             print(json.dumps(seen))
             """
@@ -255,7 +276,7 @@ class TestResidual:
         psi = np.exp(-0.5 * x * x)
         v = 0.5 * x * x
         ones = np.ones_like(x)
-        r = residual_norm(grid, psi, 0.5, ones, v, mass_d1=0.0 * ones)
+        r = residual_norm(grid, psi, 0.5, ones, v)
         assert r < 1e-9
 
     def test_wrong_energy_large_residual(self):
@@ -263,31 +284,18 @@ class TestResidual:
         x = grid.points
         psi = np.exp(-0.5 * x * x)
         ones = np.ones_like(x)
-        r = residual_norm(grid, psi, 1.7, ones, 0.5 * x * x, mass_d1=0.0 * ones)
+        r = residual_norm(grid, psi, 1.7, ones, 0.5 * x * x)
         assert r > 1e-2
 
-    def test_numerical_mass_derivative_agrees(self):
-        grid = Grid(0.5, 4.0, 8001)
-        x = grid.points
-        m = 1.0 + 0.3 * np.sin(x)
-        m1 = 0.3 * np.cos(x)
-        psi = np.exp(-((x - 2.0) ** 2))
-        v = x.copy()
-        a = residual_norm(grid, psi, -1.0, m, v, mass_d1=m1)
-        b = residual_norm(grid, psi, -1.0, m, v)
-        assert a == pytest.approx(b, rel=1e-6)
-
-    @pytest.mark.parametrize("short", ["psi", "mass", "potential", "mass_d1"])
+    @pytest.mark.parametrize("short", ["psi", "mass", "potential"])
     def test_samples_must_match_the_grid(self, short):
         # 10 samples on a 16-point grid: a short psi would be differenced
         # with the grid's h, a short mass broadcast against it
         grid = Grid(0.0, 1.0, 16)
-        args = {"psi": np.ones(16), "mass": np.ones(16), "potential": np.ones(16), "mass_d1": None}
+        args = {"psi": np.ones(16), "mass": np.ones(16), "potential": np.ones(16)}
         args[short] = np.ones(10)
         with pytest.raises(GridMismatchError):
-            residual_norm(
-                grid, args["psi"], 1.0, args["mass"], args["potential"], mass_d1=args["mass_d1"]
-            )
+            residual_norm(grid, args["psi"], 1.0, args["mass"], args["potential"])
 
     def test_too_few_samples_raise_without_a_warning(self):
         # 4 samples leave no interior node: the mean of nothing, nan
@@ -325,9 +333,9 @@ class TestBisection:
         h = grid.h
         diag = (a[:-1] + a[1:]) / (2.0 * h * h) + v[1:-1]
         off = -a[1:-1] / (2.0 * h * h)
-        res = solve_effective_mass(grid, m, v, 4)
+        energies = solve_effective_mass(grid, m, v, 4)
         vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 3))
-        assert np.array_equal(res.energies, vals)
+        assert np.array_equal(energies, vals)
 
     def test_split_matrix_energies_in_ascending_order(self):
         # an infinite midpoint mass decouples the two halves, and the right
@@ -338,19 +346,20 @@ class TestBisection:
         m = np.ones(grid.n_points - 1)
         m[399] = np.inf
         v = 0.5 * (x + 4.0) ** 2 * (x < 0) + (0.5 * (x - 4.0) ** 2 - 0.3) * (x >= 0)
-        res = solve_effective_mass(grid, m, v, 4)
-        assert res.off[398] == 0.0
-        vals = eigvalsh_tridiagonal(res.diag, res.off, select="i", select_range=(0, 3))
-        assert np.array_equal(res.energies, vals)
-        np.testing.assert_allclose(res.energies, [0.2, 0.5, 1.2, 1.5], atol=1e-3)
+        energies = solve_effective_mass(grid, m, v, 4)
+        diag, off = eigensolver.tridiagonal_matrix(grid, m, v, 4)
+        assert off[398] == 0.0
+        vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 3))
+        assert np.array_equal(energies, vals)
+        np.testing.assert_allclose(energies, [0.2, 0.5, 1.2, 1.5], atol=1e-3)
 
 
-def gershgorin(res):
-    """(the lowest Gershgorin disc edge, ||T||_1) of a solve's matrix."""
-    rows = np.zeros(res.diag.size)
-    rows[:-1] += np.abs(res.off)
-    rows[1:] += np.abs(res.off)
-    return float(np.min(res.diag - rows)), float(np.max(np.abs(res.diag) + rows))
+def gershgorin(diag, off):
+    """(the lowest Gershgorin disc edge, ||T||_1) of a tridiagonal matrix."""
+    rows = np.zeros(diag.size)
+    rows[:-1] += np.abs(off)
+    rows[1:] += np.abs(off)
+    return float(np.min(diag - rows)), float(np.max(np.abs(diag) + rows))
 
 
 class TestCertifiedRefinement:
@@ -370,6 +379,12 @@ class TestCertifiedRefinement:
         mid = 0.5 * (grid.points[:-1] + grid.points[1:])
         m = 1.0 + 0.5 / (1.0 + mid * mid)
         return grid, m, 0.5 * grid.points**2
+
+    @classmethod
+    def matrix(cls, shift=0.0):
+        """(diag, off) of ``problem``, its potential shifted by ``shift``."""
+        grid, m, v = cls.problem()
+        return eigensolver.tridiagonal_matrix(grid, m, v + shift, cls.LEVELS)
 
     @staticmethod
     def hermite_functions(grid, levels):
@@ -406,13 +421,15 @@ class TestCertifiedRefinement:
             return _fn(*args)
 
         monkeypatch.setattr(eigensolver, "dstebz", bisections)
-        res = solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses, bound=self.BOUND)
+        energies = solve_effective_mass(
+            grid, m, v, self.LEVELS, guesses=guesses, bound=self.BOUND
+        )
         assert ranges == [(1, self.BOUND)]
         tight = eigvalsh_tridiagonal(
-            res.diag, res.off, select="i", select_range=(0, self.LEVELS - 1), tol=1e-13
+            *self.matrix(), select="i", select_range=(0, self.LEVELS - 1), tol=1e-13
         )
-        tol = np.finfo(float).eps * gershgorin(res)[1]
-        assert np.all(np.abs(res.energies - tight) <= tol)
+        tol = np.finfo(float).eps * gershgorin(*self.matrix())[1]
+        assert np.all(np.abs(energies - tight) <= tol)
 
     def test_good_guesses_give_the_tight_bisection_values(self, monkeypatch):
         grid, m, v = self.problem()
@@ -425,11 +442,13 @@ class TestCertifiedRefinement:
             return _fn(*args)
 
         monkeypatch.setattr(eigensolver, "dstebz", refuse)
-        res = solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses, bound=self.BOUND)
-        tight = eigvalsh_tridiagonal(
-            res.diag, res.off, select="i", select_range=(0, self.LEVELS - 1), tol=1e-13
+        energies = solve_effective_mass(
+            grid, m, v, self.LEVELS, guesses=guesses, bound=self.BOUND
         )
-        np.testing.assert_allclose(res.energies, tight, rtol=1e-12, atol=0)
+        tight = eigvalsh_tridiagonal(
+            *self.matrix(), select="i", select_range=(0, self.LEVELS - 1), tol=1e-13
+        )
+        np.testing.assert_allclose(energies, tight, rtol=1e-12, atol=0)
         assert counts == [self.LEVELS]
 
     def test_guesses_missing_the_ground_state_fail(self, monkeypatch):
@@ -481,7 +500,7 @@ class TestCertifiedRefinement:
                  self.hermite_functions(grid, range(self.LEVELS)))
             )
         want = [
-            solve_effective_mass(g, m, v, self.LEVELS, guesses=s, bound=self.BOUND).energies
+            solve_effective_mass(g, m, v, self.LEVELS, guesses=s, bound=self.BOUND)
             for g, m, v, s in problems
         ]
         failures = []
@@ -490,7 +509,7 @@ class TestCertifiedRefinement:
             for _ in range(20):
                 g, m, v, s = problems[k % len(problems)]
                 got = solve_effective_mass(g, m, v, self.LEVELS, guesses=s, bound=self.BOUND)
-                if not np.array_equal(got.energies, want[k % len(problems)]):
+                if not np.array_equal(got, want[k % len(problems)]):
                     failures.append(k)
 
         interval = sys.getswitchinterval()
@@ -528,7 +547,7 @@ class TestCertifiedRefinement:
 
         monkeypatch.setattr(eigensolver, "dstebz", refuse)
         got = [
-            solve_effective_mass(g, m, v, self.LEVELS, guesses=s, bound=self.BOUND).energies
+            solve_effective_mass(g, m, v, self.LEVELS, guesses=s, bound=self.BOUND)
             for g, m, v, s in problems + problems
         ]
         assert np.array_equal(got[0], got[2])
@@ -547,6 +566,28 @@ class TestCertifiedRefinement:
         seed = {"guesses": self.hermite_functions(grid, range(self.LEVELS)), "bound": self.BOUND}
         with pytest.raises(ArgumentError, match="together"):
             solve_effective_mass(grid, m, v, self.LEVELS, **{given: seed[given]})
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 1e308])
+    def test_bound_must_be_finite(self, bound):
+        # a bound that is not finite is the caller's error, not a LAPACK
+        # failure; one of 1e308 is counted up to without overflowing the
+        # count's tolerance, twice the counted width, and falls back to the
+        # bisection inside the bracket (gl, 1e308]
+        grid = Grid(-5.0, 5.0, 1001)
+        x = grid.points
+        m, v = np.ones(1000), 0.5 * x * x
+        seed = {"guesses": [np.exp(-0.5 * x * x)], "bound": bound}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not math.isfinite(bound):
+                with pytest.raises(ArgumentError, match="bound"):
+                    solve_effective_mass(grid, m, v, 1, **seed)
+                return
+            (energy,) = solve_effective_mass(grid, m, v, 1, **seed)
+        diag, off = eigensolver.tridiagonal_matrix(grid, m, v, 1)
+        (tight,) = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0), tol=1e-13)
+        assert energy == pytest.approx(0.49999688, abs=1e-8)
+        assert abs(energy - tight) <= np.finfo(float).eps * gershgorin(diag, off)[1]
 
 
 class TestSeparationBound:
@@ -570,9 +611,11 @@ class TestSeparationBound:
         ("bisect", its range kind, lower end, upper end).  Every
         value-range call must have its lower end below its upper end."""
         grid, m, v = TestCertifiedRefinement.problem()
-        plain = solve_effective_mass(grid, m, v, self.LEVELS)
         exact = eigvalsh_tridiagonal(
-            plain.diag, plain.off, select="i", select_range=(0, self.LEVELS + 2), tol=1e-13
+            *TestCertifiedRefinement.matrix(),
+            select="i",
+            select_range=(0, self.LEVELS + 2),
+            tol=1e-13,
         )
         guesses = np.array(TestCertifiedRefinement.hermite_functions(grid, range(self.LEVELS)))
         kept = guesses.copy()
@@ -597,15 +640,15 @@ class TestSeparationBound:
 
         def solve(bound, shift=0.0):
             log.clear()
-            res = solve_effective_mass(
+            energies = solve_effective_mass(
                 grid, m, v + shift, self.LEVELS, guesses=guesses, bound=bound
             )
             assert np.array_equal(guesses, kept)
-            return res
+            return energies
 
         return solve, exact, log
 
-    def assert_bracketed(self, res, exact, log, bound, count):
+    def assert_bracketed(self, energies, exact, log, bound, count):
         """The solve counted at ``bound`` first, refined nothing, and found
         the lowest eigenvalues to bisection's tolerance by one value-range
         bisection over a bracket whose ends the counts certify; its lower
@@ -617,11 +660,11 @@ class TestSeparationBound:
         assert all(entry[0] == "count" for entry in counts)
         lo, hi = ends[1:]
         at = {x: n for _, x, n in counts}
-        gl, norm = gershgorin(res)
+        gl, norm = gershgorin(*TestCertifiedRefinement.matrix())
         assert lo <= gl or at[lo] == 0
         assert at.get(hi, 0) >= self.LEVELS or hi > exact[self.LEVELS - 1]
         tol = np.finfo(float).eps * norm
-        assert np.all(np.abs(res.energies - exact[: self.LEVELS]) <= tol)
+        assert np.all(np.abs(energies - exact[: self.LEVELS]) <= tol)
         return lo
 
     @pytest.mark.parametrize(
@@ -632,8 +675,7 @@ class TestSeparationBound:
         # ``below`` eigenvalues up to the bound: half the lowest one, or
         # halfway between the eigenvalues below - 1 and below
         bound = 0.5 * exact[0] if below == 0 else 0.5 * (exact[below - 1] + exact[below])
-        res = solve(bound)
-        lo = self.assert_bracketed(res, exact, log, bound, below)
+        lo = self.assert_bracketed(solve(bound), exact, log, bound, below)
         if below == 0:
             # no eigenvalue up to the bound: the lower end starts there and
             # only rises, with the upper end's counts of 0
@@ -641,7 +683,7 @@ class TestSeparationBound:
         else:
             # this matrix's lowest Gershgorin edge is about 0, within 8 |bound|
             # below the bound: the lower end stops there, without a count
-            assert lo <= gershgorin(res)[0]
+            assert lo <= gershgorin(*TestCertifiedRefinement.matrix())[0]
             assert all(n > 0 for _, _, n in log[1:-1])
 
     @pytest.mark.parametrize("shift, below", [(0.0, 0), (-1.0, 1)], ids=["above", "straddling"])
@@ -650,18 +692,18 @@ class TestSeparationBound:
         # the count at 0, the solve bisects by index as it does without
         # guesses, whether the eigenvalues all lie above 0 or straddle it
         solve, _, log = case
-        res = solve(0.0, shift)
+        energies = solve(0.0, shift)
         assert log == [("count", 0.0, below), ("bisect", 2, 0.0, 1.0)]
         vals = eigvalsh_tridiagonal(
-            res.diag, res.off, select="i", select_range=(0, self.LEVELS - 1)
+            *TestCertifiedRefinement.matrix(shift), select="i", select_range=(0, self.LEVELS - 1)
         )
-        assert np.array_equal(res.energies, vals)
+        assert np.array_equal(energies, vals)
 
     def test_bound_below_the_gershgorin_edge(self, case):
         solve, exact, log = case
-        gl, norm = gershgorin(solve(0.5 * (exact[self.LEVELS - 1] + exact[self.LEVELS])))
+        gl, norm = gershgorin(*TestCertifiedRefinement.matrix())
         bound = gl - 1.0
-        res = solve(bound)
+        energies = solve(bound)
         # no eigenvalue up to the bound, known without a count: the upper
         # end alone is counted, and the bisection starts at the bound
         assert ("dgtsv",) not in log
@@ -670,14 +712,14 @@ class TestSeparationBound:
         assert all(entry[0] == "count" and entry[1] > bound for entry in counts)
         assert counts[-1][2] >= self.LEVELS
         tol = np.finfo(float).eps * norm
-        assert np.all(np.abs(res.energies - exact[: self.LEVELS]) <= tol)
+        assert np.all(np.abs(energies - exact[: self.LEVELS]) <= tol)
 
     def test_certified_by_the_count_at_the_bound(self, case):
         solve, exact, log = case
         # the refinement does not depend on the bound
-        other = solve(TestCertifiedRefinement.BOUND).energies
+        other = solve(TestCertifiedRefinement.BOUND)
         bound = 0.5 * (exact[self.LEVELS - 1] + exact[self.LEVELS])
-        energies = solve(bound).energies
+        energies = solve(bound)
         stebz = [entry for entry in log if entry[0] != "dgtsv"]
         assert stebz == [("count", bound, self.LEVELS)]
         assert len(log) > 1
@@ -701,7 +743,7 @@ class TestSeparationBound:
         # above the top eigenvalue, below the top interval's upper end
         bound = 0.5 * (exact[self.LEVELS - 1] + mu + r)
         assert exact[self.LEVELS - 1] < bound < mu + r
-        res = solve(bound, shift)
+        energies = solve(bound, shift)
         # the one count at the bound, the refinement, the counts walking down
         # to none, and one bisection up to the bound itself
         solves = log.count(("dgtsv",))
@@ -710,5 +752,5 @@ class TestSeparationBound:
         assert (at, n) == (bound, self.LEVELS)
         assert [(kind, n) for kind, _, n in walk] == [("count", 2), ("count", 0)]
         assert kind == "bisect" and ends == [1, walk[-1][1], bound]
-        tol = np.finfo(float).eps * gershgorin(res)[1]
-        assert np.all(np.abs(res.energies - exact[: self.LEVELS]) <= tol)
+        tol = np.finfo(float).eps * gershgorin(*TestCertifiedRefinement.matrix(shift))[1]
+        assert np.all(np.abs(energies - exact[: self.LEVELS]) <= tol)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import assert_value_matches_jet
+from exprsource import to_source
 from hypothesis import given, settings, strategies as st
 
 from pctsolve import exprlang
@@ -25,7 +26,6 @@ from pctsolve.exprlang import (
     eval_jet,
     eval_value,
     parse,
-    to_source,
 )
 from pctsolve.massmodel import MassProfile
 

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import node_count
 from hypothesis import given, settings, strategies as st
 from test_cli import README_RUNS, load_runs, preset_run
 
 from pctsolve import cli, eigensolver, massmodel, presets
-from pctsolve.eigensolver import Grid, node_count
+from pctsolve.eigensolver import Grid
 from pctsolve.errors import ConfigError, DomainError
 from pctsolve.massmodel import MappingFunction, MassProfile
 from pctsolve.pctengine import (

@@ -4,8 +4,9 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from conftest import node_count
 
-from pctsolve.eigensolver import Grid, node_count, residual_norm
+from pctsolve.eigensolver import Grid, residual_norm
 from pctsolve.errors import ArgumentError, ConfigError, DomainError
 from pctsolve.refpotentials import Hulthen, Morse, PoschlTeller, make_reference
 
@@ -117,7 +118,7 @@ class TestEigenfunctions:
         for n in range(min(ref.n_max, 2) + 1):
             phi = np.asarray(ref.eigenfunction(n, y), dtype=float)
             phi = phi / np.max(np.abs(phi))
-            r = residual_norm(grid, phi, ref.energy(n), ones, v, mass_d1=0.0 * ones)
+            r = residual_norm(grid, phi, ref.energy(n), ones, v)
             assert r < 1e-5, (name, n, r)
 
     @pytest.mark.parametrize("name", sorted(REF_GRIDS))
