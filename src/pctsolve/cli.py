@@ -31,8 +31,8 @@ SCHEMA_VERSION = 1
 
 _DEFAULT_TOLERANCES = {"energy_rel": 1e-3, "residual": None, "orthonormality": 1e-3}
 
-#: the largest grid a run may ask for; a verify run peaks at about 200 bytes
-#: per point (76 MB at 200 001 points), so about 200 MB at this bound
+#: the largest grid a run may ask for: a ``pct verify`` process peaks near
+#: 33.5 MB + 190 bytes per point (70 MB at 200 001 points, 212 MB here)
 MAX_GRID_POINTS = 1_000_001
 
 
@@ -226,11 +226,10 @@ def cmd_transform(config):
             lines.append(f"# E{n} = {_fmt(ts.energy(n))}")
         header = ["x", "m", "f", "V"] + [f"psi{n}" for n in range(levels)]
         lines.append(",".join(header))
-        grid, fields, states = ts.sample(run["n_points"], levels)
-        xs = grid.points
-        m, f, v = fields.mass, fields.f, fields.potential
-        for i in range(grid.n_points):
-            row = [xs[i], m[i], f[i], v[i]] + [s[i] for s in states]
+        _, fields = ts.sample(run["n_points"], levels)
+        xs, m, f, v = fields.x, fields.mass, fields.f, fields.potential
+        for i in range(xs.size):
+            row = [xs[i], m[i], f[i], v[i]] + [s[i] for s in fields.states]
             lines.append(",".join(_fmt(c) for c in row))
     return "\n".join(lines) + "\n", 0
 
@@ -259,7 +258,7 @@ def _verify_one(run):
     report["pass"] = report["pass"] and dev < tol["orthonormality"]
     if run["check_q1_reduction"]:
         fields = check.fields
-        m_std, f_std, corr_std = standard_profile_values(ts.profile, check.grid.points)
+        m_std, f_std, corr_std = standard_profile_values(ts.profile, fields.x)
         f_dev = np.max(np.abs(f_std - fields.f))
         m_dev = np.max(np.abs(m_std - fields.mass) / (1.0 + np.abs(m_std)))
         c_dev = np.max(np.abs(corr_std - fields.correction) / (1.0 + np.abs(corr_std)))
@@ -290,8 +289,8 @@ def cmd_discrepancy(config):
     lines = []
     for run in config["runs"]:
         ts, _ = _build(run)
-        xs = np.linspace(ts.x_min, ts.x_max, run["n_points"])
-        v_pipe = np.asarray(ts.potential(xs), dtype=float)
+        _, fields = ts.sample(run["n_points"], 0)
+        xs, v_pipe = fields.x, fields.potential
         v_printed = np.asarray(
             printed_target_potential(ts.profile, ts.reference, xs), dtype=float
         )

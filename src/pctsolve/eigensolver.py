@@ -20,10 +20,11 @@ holds a distinct eigenvalue, and the count leaves no other below.  Any
 other outcome bisects inside a bracket (lo, hi] from two doubling walks away
 from ``bound``, capped at the Gershgorin bounds: lo is the highest point
 whose Sturm count is 0, hi the lowest whose count is the wanted number or
-more.  A ``bound`` within the bisection's tolerance ulp * ||T||_1 of 0
-gives the walks no scale to step by, so that solve bisects over the
-Gershgorin interval instead, as an unseeded solve does.  Both bisections run
-to stebz's default absolute tolerance.  A count up to a point at or below
+more.  A ``bound`` within ulp * ||T||_1 of 0 gives the walks no scale to
+step by, so that solve bisects over the Gershgorin interval instead, to
+LAPACK's tightest absolute tolerance: a huge ||T||_1 sends most seeded
+solves there.  Unseeded and bracketed bisections run to stebz's default
+absolute tolerance, ulp * ||T||_1.  A count up to a point at or below
 the Gershgorin lower bound is 0 without a stebz call; a failed LAPACK call
 raises ``PctError``.  A solve gives eigenvalues only, never eigenvectors.
 
@@ -42,10 +43,9 @@ the very same module.  No scipy package init runs: ``scipy.linalg``'s
 loads scipy's array-API layer (``numpy.f2py``, ``numpy.testing``,
 ``numpy.ma``) and, on a 2-vCPU Intel Xeon VM (Python 3.11.7, numpy 2.4.6,
 scipy 1.17.1), doubled the start-up of a ``pct verify`` process (0.26 s to
-0.50 s) and raised its peak RSS from 45.7 MB to 68.6 MB.  The
-Gershgorin-range bisection uses the call and arguments of scipy's
-``eigvalsh_tridiagonal``, so bit-identity with it holds for unseeded solves
-and for those whose ``bound`` is within the bisection's tolerance of 0 only.
+0.50 s) and raised its peak RSS from 45.7 MB to 68.6 MB.  An unseeded solve
+uses the call and arguments of scipy's ``eigvalsh_tridiagonal``, so its
+values are scipy's bit for bit; a seeded solve's bisections are not.
 Like scipy's ``check_finite``, a solve rejects a matrix with a non-finite
 entry, here as ``RangeOverflowError``.
 """
@@ -126,10 +126,11 @@ def _check_info(info, routine):
         raise PctError(f"LAPACK {routine} failed (info={info})")
 
 
-def _bisect(diag, off, n_levels):
-    """The lowest n_levels eigenvalues, ascending, by stebz bisection at its
-    default tolerance, called as scipy's eigvalsh_tridiagonal calls it."""
-    m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, 1, n_levels, 0.0, b"E")
+def _bisect(diag, off, n_levels, abstol):
+    """The lowest n_levels eigenvalues, ascending, by stebz bisection over
+    the Gershgorin interval to absolute tolerance ``abstol``; at 0, stebz's
+    default ulp * ||T||_1, this is scipy's eigvalsh_tridiagonal call."""
+    m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, 1, n_levels, abstol, b"E")
     _check_info(info, "dstebz")
     return w[:m]
 
@@ -237,11 +238,13 @@ def _bracketed_bisect(diag, off, n_levels, bound, count, gl, gu):
     wide, and the bracket saves most of bisection's halvings.  A bound
     within the bisection's tolerance of 0 gives no scale to step by: the
     walks would take some 40 counts to leave it, dearer than the
-    Gershgorin-range bisection, which is returned instead.
+    Gershgorin-range bisection, returned instead at LAPACK's tightest
+    tolerance, twice the underflow threshold: ulp * ||T||_1 can dwarf the
+    eigenvalues (about 2e184 on a matrix with entries near 1e200).
     """
     scale = abs(bound)
     if scale <= _EPS * gu:
-        return _bisect(diag, off, n_levels)
+        return _bisect(diag, off, n_levels, 2.0 * sys.float_info.min)
     lo, n = bound, count
     step = 8.0 * scale
     while n > 0:
@@ -364,10 +367,9 @@ def solve_effective_mass(
     The energies are certified Rayleigh quotients when the guesses passed
     the certificate, and otherwise bisection values, which carry bisection's
     absolute tolerance ulp * ||T||_1 (large for a matrix with steep walls:
-    about 4e-4 at ||T||_1 = 1.9e12).  An unseeded solve's are scipy's
-    ``eigvalsh_tridiagonal`` values bit for bit; a seeded solve falls back
-    to the bisection inside a bracket, whose values are not, unless its
-    ``bound`` is within that tolerance of 0.
+    about 4e-4 at ||T||_1 = 1.9e12), or a tighter one where ``bound`` is
+    within it of 0.  Only an unseeded solve's are scipy's
+    ``eigvalsh_tridiagonal`` values bit for bit.
     """
     if (guesses is None) != (bound is None):
         raise ArgumentError("guesses and bound must be given together")
@@ -377,7 +379,7 @@ def solve_effective_mass(
             raise ArgumentError(f"bound must be finite, not {bound}")
     diag, off = tridiagonal_matrix(grid, mass_at_midpoints, potential_values, n_levels)
     if guesses is None:
-        return _bisect(diag, off, n_levels)
+        return _bisect(diag, off, n_levels, 0.0)
     guesses = [np.asarray(g, dtype=float) for g in guesses]
     if len(guesses) != n_levels or any(g.shape != (grid.n_points,) for g in guesses):
         raise GridMismatchError(

@@ -42,11 +42,12 @@ _DECAY = 1e-8
 class Fields:
     """A target system sampled at x (see ``TargetSystem.fields``)."""
 
+    x: object
     mass: object
     f: object
     correction: object
     potential: object
-    #: unnormalized Psi_n(x), one per requested level
+    #: Psi_n(x) per requested level (``sample`` scales them to unit norm)
     states: tuple
 
 
@@ -110,7 +111,7 @@ class TargetSystem:
                 m_root4 * np.asarray(phi, dtype=float)
                 for phi in self.reference.eigenfunction(levels, f)
             )
-        return Fields(m, f, corr, self.reference.potential(f) + corr, states)
+        return Fields(x, m, f, corr, self.reference.potential(f) + corr, states)
 
     def potential(self, x):
         """V_ref(f(x)) plus the mass-induced correction."""
@@ -125,14 +126,13 @@ class TargetSystem:
         return self.fields(x, (n,)).states[0]
 
     def sample(self, n_points, levels):
-        """(grid, fields, states) on the uniform n_points grid of the domain:
-        the fields with Psi_0..Psi_{levels-1}, and those states scaled to unit
-        trapezoid norm."""
+        """(grid, fields) on the uniform n_points grid of the domain, the
+        fields with Psi_0..Psi_{levels-1} scaled to unit trapezoid norm."""
         grid = Grid(self.x_min, self.x_max, n_points)
         fields = self.fields(grid.points, range(levels))
-        h = grid.h
-        states = tuple(psi / math.sqrt(trapezoid_dot(psi, psi, h)) for psi in fields.states)
-        return grid, fields, states
+        for psi in fields.states:
+            psi /= math.sqrt(trapezoid_dot(psi, psi, grid.h))
+        return grid, fields
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +145,8 @@ class Verification:
     ``verify``)."""
 
     grid: Grid
+    #: the sampled target, its states at unit trapezoid norm
     fields: Fields
-    #: Psi_n scaled to unit trapezoid norm on the grid
-    states: tuple
     #: the solver's lowest eigenvalues, ascending
     energies: np.ndarray
     #: per level, the RMS ODE residual of Psi_n over its peak, or None where
@@ -171,8 +170,8 @@ def verify(ts, n_points, levels):
     energies, seeded by the analytic states and bounded by the analytic
     separation from the next level, and evaluate those states' ODE residuals
     and overlaps."""
-    grid, fields, states = ts.sample(n_points, levels)
-    xs = grid.points
+    grid, fields = ts.sample(n_points, levels)
+    xs, states = fields.x, fields.states
     m_mid = np.asarray(ts.profile.mass(0.5 * (xs[:-1] + xs[1:])), dtype=float)
     m, v = fields.mass, fields.potential
     energies = solve_effective_mass(
@@ -201,7 +200,7 @@ def verify(ts, n_points, levels):
     for i in range(levels):
         for j in range(i, levels):
             gram[i][j] = gram[j][i] = overlap(grid, states[i], states[j])
-    return Verification(grid, fields, states, energies, tuple(residuals), tuple(map(tuple, gram)))
+    return Verification(grid, fields, energies, tuple(residuals), tuple(map(tuple, gram)))
 
 
 # ---------------------------------------------------------------------------

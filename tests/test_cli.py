@@ -540,13 +540,13 @@ class TestWorkCounts:
         assert len(checked) == len(runs)
         for ts, check, run_calls in checked:
             assert len(run_calls) == 3
-            points = check.grid.points
+            points = check.fields.x
             for n, (sub, psi, energy, m, v) in enumerate(run_calls):
                 (i0,) = np.flatnonzero(points == sub.x_min)
                 window = slice(i0, i0 + sub.n_points)
                 assert points[window][-1] == sub.x_max
                 assert energy == ts.energy(n)
-                assert np.array_equal(psi, check.states[n][window])
+                assert np.array_equal(psi, check.fields.states[n][window])
                 assert np.array_equal(m, check.fields.mass[window])
                 assert np.array_equal(v, check.fields.potential[window])
 
@@ -554,6 +554,13 @@ class TestWorkCounts:
         config = self.config()
         counts = self.count_calls(monkeypatch)
         cli.cmd_transform(config)
+        assert counts["mass_jet", self.N] == 1
+        assert counts["forward", self.N] == 1
+
+    def test_discrepancy(self, monkeypatch):
+        config = self.config()
+        counts = self.count_calls(monkeypatch)
+        cli.cmd_discrepancy(config)
         assert counts["mass_jet", self.N] == 1
         assert counts["forward", self.N] == 1
 

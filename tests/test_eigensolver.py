@@ -158,8 +158,9 @@ class TestMatrixChecks:
         # the |T| row sums reach 1e200, whose squares leave the float range
         # unless scaled first; the refinement cannot certify (T v overflows
         # in its norm) and the solve falls back, warning-free, to bisection:
-        # a bound of 1 is within its tolerance ulp * ||T||_1 of 0, so over
-        # the Gershgorin interval, as without guesses
+        # a bound of 1 is within ulp * ||T||_1 (about 2e184) of 0, so over
+        # the Gershgorin interval, to the tightest tolerance.  The walls at
+        # nodes 100 and 900 cut the well to the grid between them
         grid = Grid(-5.0, 5.0, 1001)
         x = grid.points
         v = 0.5 * x * x
@@ -169,8 +170,8 @@ class TestMatrixChecks:
             res = solve_effective_mass(
                 grid, np.ones(1000), v, 1, guesses=[np.exp(-0.5 * x * x)], bound=1.0
             )
-            plain = solve_effective_mass(grid, np.ones(1000), v, 1)
-        assert np.array_equal(res, plain)
+            walled = solve_constant_mass(Grid(x[100], x[900], 801), v[100:901], 1)
+        np.testing.assert_allclose(res, walled, rtol=1e-10)
 
     def test_rounding_floor_is_the_unscaled_one(self, monkeypatch):
         # one Rayleigh step from an eigenvector, where the rounding floor
@@ -607,7 +608,7 @@ class TestSeparationBound:
         shifted by ``shift``, with read-only guesses, checks that they are
         unchanged and gives the result.  A stebz call is a count, logged as
         ("count", its upper end, the count), when its absolute tolerance
-        (args[7]) is positive, and otherwise a bisection, logged as
+        (args[7]) is the largest float, and otherwise a bisection, logged as
         ("bisect", its range kind, lower end, upper end).  Every
         value-range call must have its lower end below its upper end."""
         grid, m, v = TestCertifiedRefinement.problem()
@@ -629,7 +630,7 @@ class TestSeparationBound:
         def dstebz(*args, _fn=eigensolver.dstebz):
             assert args[2] != 1 or args[3] < args[4], "empty value range"
             out = _fn(*args)
-            if args[7] > 0:
+            if args[7] == sys.float_info.max:
                 log.append(("count", args[4], out[0]))
             else:
                 log.append(("bisect", args[2], args[3], args[4]))
@@ -689,13 +690,17 @@ class TestSeparationBound:
     @pytest.mark.parametrize("shift, below", [(0.0, 0), (-1.0, 1)], ids=["above", "straddling"])
     def test_zero_bound_bisects_over_the_gershgorin_interval(self, case, shift, below):
         # a bound of 0 gives the bracket's walks no scale to step by: after
-        # the count at 0, the solve bisects by index as it does without
-        # guesses, whether the eigenvalues all lie above 0 or straddle it
+        # the count at 0, the solve bisects by index over the Gershgorin
+        # interval to the tightest tolerance, whether the eigenvalues all lie
+        # above 0 or straddle it
         solve, _, log = case
         energies = solve(0.0, shift)
         assert log == [("count", 0.0, below), ("bisect", 2, 0.0, 1.0)]
         vals = eigvalsh_tridiagonal(
-            *TestCertifiedRefinement.matrix(shift), select="i", select_range=(0, self.LEVELS - 1)
+            *TestCertifiedRefinement.matrix(shift),
+            select="i",
+            select_range=(0, self.LEVELS - 1),
+            tol=2 * sys.float_info.min,
         )
         assert np.array_equal(energies, vals)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from test_cli import README_RUNS, load_runs, preset_run
 
 from pctsolve import cli, eigensolver, massmodel, presets
-from pctsolve.eigensolver import Grid
+from pctsolve.eigensolver import Grid, trapezoid_dot
 from pctsolve.errors import ConfigError, DomainError
 from pctsolve.massmodel import MappingFunction, MassProfile
 from pctsolve.pctengine import (
@@ -178,7 +178,7 @@ class TestFields:
     """One field evaluation gives the same bits as composing V and Psi_n from
     separate mass, f and correction evaluations."""
 
-    @pytest.mark.parametrize(
+    SYSTEMS = pytest.mark.parametrize(
         "profile, reference, domain",
         [
             (MassProfile("coth_sq", 1.0, 2.0), PT_REF, None),
@@ -186,10 +186,13 @@ class TestFields:
             (MassProfile.custom("1/(1 + a*x^2)", -20.0, 20.0, {"a": 0.25}), MORSE_REF, None),
         ],
     )
+
+    @SYSTEMS
     def test_matches_separate_evaluations(self, profile, reference, domain):
         ts = TargetSystem.build(profile, reference, domain)
         xs = np.linspace(ts.x_min, ts.x_max, 301)
         fields = ts.fields(xs, range(3))
+        assert fields.x is xs
         f = ts.mapping.forward(xs)
         y = np.maximum(f, 1e-300) if isinstance(reference, Hulthen) else f
         corr = profile.correction(xs)
@@ -203,6 +206,20 @@ class TestFields:
             psi = m**0.25 * np.asarray(reference.eigenfunction(n, y), dtype=float)
             assert np.array_equal(fields.states[n], psi)
             assert np.array_equal(ts.wavefunction(n, xs), psi)
+
+    @SYSTEMS
+    def test_sample_scales_the_states_to_unit_norm(self, profile, reference, domain):
+        # the grid's fields, each state divided by its trapezoid norm
+        ts = TargetSystem.build(profile, reference, domain)
+        grid, fields = ts.sample(2001, 3)
+        raw = ts.fields(grid.points, range(3))
+        assert np.array_equal(fields.x, grid.points)
+        for name in ("mass", "f", "correction", "potential"):
+            assert np.array_equal(getattr(fields, name), getattr(raw, name))
+        assert len(fields.states) == 3
+        for got, psi in zip(fields.states, raw.states):
+            assert np.array_equal(got, psi / math.sqrt(trapezoid_dot(psi, psi, grid.h)))
+            assert trapezoid_dot(got, got, grid.h) == pytest.approx(1.0, abs=1e-14)
 
     def test_scalar_x(self):
         ts = TargetSystem.build(MassProfile("tanh_sq", 0.5, 1.0), MORSE_REF, (1.0, 10.0))
