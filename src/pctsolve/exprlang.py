@@ -6,8 +6,13 @@ with its exact first and second derivatives (``eval_jet``), or the value
 alone (``eval_value``), bit-identical to the jet's value.  Supported
 functions: exp, ln, sqrt, sin, cos, sinh, cosh, tanh, coth and the
 q-deformed sinhq, coshq, tanhq, cothq, sechq, cschq, whose q is the
-parameter table entry ``q`` (finite and > 0).  Precedence: ``^``
-(right-assoc) > unary minus > ``* /`` > ``+ -``.
+parameter table entry ``q`` (finite and > 0).  Each function is one table
+row, its value function and its derivatives from the argument and that
+value; a jet takes its value from the value function, so both walks raise
+the same error where the value is undefined.  Precedence: ``^``
+(right-assoc) > unary minus > ``* /`` > ``+ -``.  An expression nested too
+deeply for Python's recursion limit is an ``ExprSyntaxError`` when parsed
+and a ``DomainError`` when evaluated.
 """
 
 from __future__ import annotations
@@ -208,7 +213,11 @@ class _Parser:
 
 def parse(source: str) -> ExprAst:
     """Parse an expression string into an immutable AST."""
-    return _Parser(source).parse()
+    parser = _Parser(source)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", parser.peek().offset) from None
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +236,11 @@ class Jet2:
         o = _jet(other)
         return Jet2(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Jet2(-self.value, -self.d1, -self.d2)
 
     def __sub__(self, other):
         return self + (-_jet(other))
-
-    def __rsub__(self, other):
-        return _jet(other) + (-self)
 
     def __mul__(self, other):
         o = _jet(other)
@@ -250,9 +254,6 @@ class Jet2:
 
     def __truediv__(self, other):
         return _jet_div(self, _jet(other))
-
-    def __rtruediv__(self, other):
-        return _jet_div(_jet(other), self)
 
 
 def _jet(v) -> Jet2:
@@ -340,120 +341,76 @@ def _chain(u: Jet2, f0, f1, f2) -> Jet2:
     return Jet2(f0, f1 * u.d1, f2 * u.d1 * u.d1 + f1 * u.d2)
 
 
-def _jet_exp(u):
-    e = np.exp(u.value)
-    return _chain(u, e, e, e)
+# One row per function: name -> (value, derivatives).  value(v) is the
+# function with its domain check; derivatives(v, f) gives (f', f'') from the
+# argument v and the value f just computed.  The q rows take q last and look
+# qmath's functions up at call time, so a wrapper installed on qmath
+# (perfbench's tracer) sees every call.  Their derivatives use qmath's
+# overflow-safe forms (cosh_q^2 - sinh_q^2 = q gives every derivative in terms
+# of the ratios), and qmath raises PoleError at the poles of cothq and cschq.
 
 
-def _jet_ln(u):
-    v = u.value
-    f0 = _ln(v)
+def _ln_derivatives(v, f):
     # v * v underflows to 0 for a tiny v > 0 (a parameter, a Python float):
     # -1/v^2 is then -inf, as numpy gives, not a ZeroDivisionError
     v2 = v * v
-    f2 = -math.inf if np.ndim(v2) == 0 and v2 == 0.0 else -1.0 / v2
-    return _chain(u, f0, 1.0 / v, f2)
+    return 1.0 / v, -math.inf if np.ndim(v2) == 0 and v2 == 0.0 else -1.0 / v2
 
 
-def _jet_sqrt(u):
-    r = _sqrt(u.value)
-    return _chain(u, r, 0.5 / r, -0.25 / (r * u.value))
+def _tanh_like(t, d1):
+    """(t', t'') of a ratio t with t' = d1 and d1' = -2 t d1 (tanh, coth and
+    their q forms)."""
+    return d1, -2.0 * t * d1
 
 
-def _jet_sin(u):
-    s, c = np.sin(u.value), np.cos(u.value)
-    return _chain(u, s, c, -s)
+def _sechq_derivatives(v, sh, q):
+    t = qmath.tanh_q(v, q)
+    return -t * sh, sh * (t * t - q * sh * sh)
 
 
-def _jet_cos(u):
-    s, c = np.sin(u.value), np.cos(u.value)
-    return _chain(u, c, -s, -c)
+def _cschq_derivatives(v, cs, q):
+    ct = qmath.coth_q(v, q)
+    return -ct * cs, cs * (ct * ct + q * cs * cs)
 
 
-def _jet_sinh(u):
-    s, c = np.sinh(u.value), np.cosh(u.value)
-    return _chain(u, s, c, s)
-
-
-def _jet_cosh(u):
-    s, c = np.sinh(u.value), np.cosh(u.value)
-    return _chain(u, c, s, c)
-
-
-def _jet_tanh(u):
-    t = np.tanh(u.value)
-    sech2 = 1.0 - t * t
-    return _chain(u, t, sech2, -2.0 * t * sech2)
-
-
-def _jet_coth(u):
-    ct = _coth(u.value)
-    csch2 = 1.0 - ct * ct  # = -1/sinh^2
-    return _chain(u, ct, csch2, -2.0 * ct * csch2)
-
-
-def _jet_sinhq(u, q):
-    s, c = qmath.sinh_q(u.value, q), qmath.cosh_q(u.value, q)
-    return _chain(u, s, c, s)
-
-
-def _jet_coshq(u, q):
-    s, c = qmath.sinh_q(u.value, q), qmath.cosh_q(u.value, q)
-    return _chain(u, c, s, c)
-
-
-# The ratio jets use qmath's overflow-safe forms (cosh_q^2 - sinh_q^2 = q
-# gives every derivative in terms of the ratios), and qmath raises PoleError
-# at the poles of cothq and cschq.
-
-
-def _jet_tanhq(u, q):
-    t = qmath.tanh_q(u.value, q)
-    d1 = q * qmath.sech_sq_q(u.value, q)
-    return _chain(u, t, d1, -2.0 * t * d1)
-
-
-def _jet_cothq(u, q):
-    ct = qmath.coth_q(u.value, q)
-    d1 = -q * qmath.csch_sq_q(u.value, q)
-    return _chain(u, ct, d1, -2.0 * ct * d1)
-
-
-def _jet_sechq(u, q):
-    sh, t = qmath.sech_q(u.value, q), qmath.tanh_q(u.value, q)
-    return _chain(u, sh, -t * sh, sh * (t * t - q * sh * sh))
-
-
-def _jet_cschq(u, q):
-    cs, ct = qmath.csch_q(u.value, q), qmath.coth_q(u.value, q)
-    return _chain(u, cs, -ct * cs, cs * (ct * ct + q * cs * cs))
-
-
-#: name -> (value function, jet function), indexed by the walk's ``jets``
-_PLAIN_FUNCS = {
-    "exp": (np.exp, _jet_exp),
-    "ln": (_ln, _jet_ln),
-    "sqrt": (_sqrt, _jet_sqrt),
-    "sin": (np.sin, _jet_sin),
-    "cos": (np.cos, _jet_cos),
-    "sinh": (np.sinh, _jet_sinh),
-    "cosh": (np.cosh, _jet_cosh),
-    "tanh": (np.tanh, _jet_tanh),
-    "coth": (_coth, _jet_coth),
+_FUNCTIONS = {
+    "exp": (np.exp, lambda v, e: (e, e)),
+    "ln": (_ln, _ln_derivatives),
+    "sqrt": (_sqrt, lambda v, r: (0.5 / r, -0.25 / (r * v))),
+    "sin": (np.sin, lambda v, s: (np.cos(v), -s)),
+    "cos": (np.cos, lambda v, c: (-np.sin(v), -c)),
+    "sinh": (np.sinh, lambda v, s: (np.cosh(v), s)),
+    "cosh": (np.cosh, lambda v, c: (np.sinh(v), c)),
+    "tanh": (np.tanh, lambda v, t: _tanh_like(t, 1.0 - t * t)),
+    # 1 - coth^2 = -1/sinh^2
+    "coth": (_coth, lambda v, ct: _tanh_like(ct, 1.0 - ct * ct)),
+    "sinhq": (lambda v, q: qmath.sinh_q(v, q), lambda v, s, q: (qmath.cosh_q(v, q), s)),
+    "coshq": (lambda v, q: qmath.cosh_q(v, q), lambda v, c, q: (qmath.sinh_q(v, q), c)),
+    "tanhq": (
+        lambda v, q: qmath.tanh_q(v, q),
+        lambda v, t, q: _tanh_like(t, q * qmath.sech_sq_q(v, q)),
+    ),
+    "cothq": (
+        lambda v, q: qmath.coth_q(v, q),
+        lambda v, ct, q: _tanh_like(ct, -q * qmath.csch_sq_q(v, q)),
+    ),
+    "sechq": (lambda v, q: qmath.sech_q(v, q), _sechq_derivatives),
+    "cschq": (lambda v, q: qmath.csch_q(v, q), _cschq_derivatives),
 }
 
-# the value functions are qmath's own, looked up at call time as in the jets,
-# so a wrapper installed on qmath (perfbench's tracer) sees every call
-_Q_FUNCS = {
-    "sinhq": (lambda v, q: qmath.sinh_q(v, q), _jet_sinhq),
-    "coshq": (lambda v, q: qmath.cosh_q(v, q), _jet_coshq),
-    "tanhq": (lambda v, q: qmath.tanh_q(v, q), _jet_tanhq),
-    "cothq": (lambda v, q: qmath.coth_q(v, q), _jet_cothq),
-    "sechq": (lambda v, q: qmath.sech_q(v, q), _jet_sechq),
-    "cschq": (lambda v, q: qmath.csch_q(v, q), _jet_cschq),
-}
+#: the functions whose row takes the parameter q
+_Q_FUNCTIONS = frozenset({"sinhq", "coshq", "tanhq", "cothq", "sechq", "cschq"})
 
-FUNCTION_NAMES = frozenset(_PLAIN_FUNCS) | frozenset(_Q_FUNCS)
+
+def _apply(name, u: Jet2, *q) -> Jet2:
+    """The jet of function ``name`` at the jet u: its value first, so the jet
+    raises the value's error where it has one."""
+    value, derivatives = _FUNCTIONS[name]
+    f = value(u.value, *q)
+    return _chain(u, f, *derivatives(u.value, f, *q))
+
+
+FUNCTION_NAMES = frozenset(_FUNCTIONS)
 
 
 def _exponent_constant(v: Jet2) -> bool:
@@ -462,7 +419,7 @@ def _exponent_constant(v: Jet2) -> bool:
 
 def _jet_pow(u: Jet2, v: Jet2) -> Jet2:
     if not _exponent_constant(v):
-        return _jet_exp(v * _jet_ln(u))
+        return _apply("exp", v * _apply("ln", u))
     k = v.value
     # the value first, so the jet raises the value's error where it has one
     f0 = _power(u.value, k)
@@ -489,8 +446,7 @@ def eval_jet(ast: ExprAst, x, params=None) -> Jet2:
     precision (no truncation error).  What overflows is inf (NaN where inf
     meets 0) without a numpy warning: a mass profile's validation rejects it.
     """
-    with np.errstate(all="ignore"):
-        return _walk(ast, x, params or {}, True)
+    return _evaluate(ast, x, params, True)
 
 
 def eval_value(ast: ExprAst, x, params=None):
@@ -500,8 +456,15 @@ def eval_value(ast: ExprAst, x, params=None):
     value itself is undefined; an error only a derivative would hit (for
     example at a pole of m' alone) is left to ``eval_jet``.
     """
+    return _evaluate(ast, x, params, False)
+
+
+def _evaluate(ast, x, params, jets):
     with np.errstate(all="ignore"):
-        return _walk(ast, x, params or {}, False)
+        try:
+            return _walk(ast, x, params or {}, jets)
+        except RecursionError:
+            raise DomainError("expression nested too deeply to evaluate") from None
 
 
 def _param(params, name):
@@ -530,9 +493,8 @@ def _walk(node: ExprAst, x, params, jets):
         return -_walk(node.operand, x, params, jets)
     if isinstance(node, Call):
         u = _walk(node.arg, x, params, jets)
-        if node.func in _Q_FUNCS:
-            return _Q_FUNCS[node.func][jets](u, _param(params, "q"))
-        return _PLAIN_FUNCS[node.func][jets](u)
+        q = (_param(params, "q"),) if node.func in _Q_FUNCTIONS else ()
+        return _apply(node.func, u, *q) if jets else _FUNCTIONS[node.func][0](u, *q)
     lhs = _walk(node.lhs, x, params, jets)
     if node.op == "^":
         # the power jet's branch depends on the exponent's derivatives, so

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
-from pctsolve import cli, eigensolver, pctengine, presets
+from pctsolve import cli, eigensolver, exprlang, pctengine, presets
 from pctsolve.errors import ConfigError
 from pctsolve.massmodel import MappingFunction, MassProfile
 from pctsolve.refpotentials import PoschlTeller
@@ -302,6 +302,28 @@ class TestConfigValidation:
         assert cli.main(["verify", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(says) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["verify", "transform"])
+    @pytest.mark.parametrize(
+        "expression, says",
+        [
+            ("(" * 199 + "1+x*x" + ")" * 199, "expression nested too deeply at offset"),
+            ("+".join(["1"] * 1000), "expression nested too deeply to evaluate"),
+            ("-" * 1000 + "1", "expression nested too deeply at offset"),
+            ("^".join(["x"] * 1000), "expression nested too deeply at offset"),
+            ("sin(" * 400 + "x" + ")" * 400, "expression nested too deeply at offset"),
+        ],
+        ids=["199-parentheses", "1000-term-sum", "1000-unary-minuses", "1000-power-chain", "400-sin-calls"],
+    )
+    def test_deeply_nested_expression_is_one_error_line(
+        self, tmp_path, capsys, command, expression, says
+    ):
+        mass = {"kind": "custom", "expression": expression, "domain": [1.0, 3.0]}
+        cfg = write_config(tmp_path, basic_config(mass=mass))
+        assert cli.main([command, cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.runs[0].mass: ") and err.count("\n") == 1
+        assert says in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "mass, reference",
@@ -644,6 +666,61 @@ class TestVerifyAccuracy:
         rows[1:] += np.abs(off)
         tight = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 2), tol=1e-13)
         assert np.all(np.abs(energies - tight) <= np.finfo(float).eps * np.max(rows))
+
+
+#: one custom run per expression function, and one power with an exponent in
+#: x (the exp(v ln u) path), each a Morse well through the whole PCT check
+FUNCTION_RUNS = [
+    {
+        "name": name,
+        "mass": {"kind": "custom", "expression": expression, "parameters": {"q": 2.0}, "domain": domain},
+        "reference": {"kind": "morse", "D": 8.0, "alpha": 1.0},
+        "grid": {"n_points": 4001, "levels": 3},
+    }
+    for name, expression, domain in [
+        ("sin", "1.5 + sin(x)", [-8.0, 8.0]),
+        ("cos", "1.5 + cos(x)", [-8.0, 8.0]),
+        ("exp", "exp(-x*x/100)", [-8.0, 8.0]),
+        ("ln", "ln(2 + x*x/16)", [-8.0, 8.0]),
+        ("sqrt", "sqrt(1 + x*x/16)", [-8.0, 8.0]),
+        ("sinh", "4 + sinh(x/4)", [-8.0, 8.0]),
+        ("cosh", "cosh(x/4)", [-8.0, 8.0]),
+        ("tanh", "2 + tanh(x)", [-8.0, 8.0]),
+        ("coth", "coth(x)", [0.5, 16.0]),
+        ("sinhq", "8 + sinhq(x/4)", [-8.0, 8.0]),
+        ("coshq", "coshq(x/4)", [-8.0, 8.0]),
+        ("tanhq", "2 + tanhq(x)", [-8.0, 8.0]),
+        ("cothq", "cothq(x)", [1.0, 16.0]),
+        ("sechq", "1 + sechq(x)", [-8.0, 8.0]),
+        ("cschq", "1 + cschq(x)", [1.0, 16.0]),
+        ("pow", "(x/8)^(x/8)", [2.0, 18.0]),
+    ]
+]
+
+
+class TestExpressionFunctions:
+    def test_every_function_has_a_run(self):
+        def calls(node):
+            if isinstance(node, exprlang.Call):
+                return {node.func} | calls(node.arg)
+            if isinstance(node, exprlang.Neg):
+                return calls(node.operand)
+            if isinstance(node, exprlang.BinOp):
+                return calls(node.lhs) | calls(node.rhs)
+            return set()
+
+        asts = [exprlang.parse(run["mass"]["expression"]) for run in FUNCTION_RUNS]
+        assert set().union(*map(calls, asts)) == exprlang.FUNCTION_NAMES
+        assert {run["name"] for run in FUNCTION_RUNS} == exprlang.FUNCTION_NAMES | {"pow"}
+
+    @pytest.mark.parametrize("run", FUNCTION_RUNS, ids=lambda run: run["name"])
+    def test_run_passes(self, tmp_path, run):
+        cfg = write_config(tmp_path, {"schema_version": 1, "runs": [run]})
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", cfg, "-o", str(out)]) == 0
+        (report,) = json.loads(out.read_text())["runs"]
+        assert report["pass"] is True
+        assert all(abs(level["rel_error"]) < 1e-3 for level in report["levels"])
 
 
 class TestTransform:

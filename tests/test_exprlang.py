@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import math
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from pctsolve import exprlang
 from pctsolve.errors import (
     DomainError,
     ExprSyntaxError,
+    PctError,
     PoleError,
     UnboundParameterError,
     UnknownFunctionError,
@@ -301,6 +303,35 @@ class TestValueWalk:
                 value = eval_value(ast, at)
                 eval_jet(ast, at)
             assert np.ravel(value)[0] == np.inf
+
+    @pytest.mark.parametrize("name", sorted(exprlang.FUNCTION_NAMES))
+    def test_jet_raises_the_value_error(self, name):
+        # a jet takes its value from the function's value function, so where
+        # the value raises (overflow, a pole, ln or sqrt of a value <= 0, an
+        # invalid q) the jet raises the same error, message included
+        ast = parse(f"{name}(x)")
+        raised = 0
+        for q in (0.5, 1.0, 2.0, -1.0):
+            params = {"q": q}
+            # x = ln(q)/2 is the pole of cothq and cschq
+            for x in (-800.0, -1.0, 0.0, 0.5 * math.log(abs(q)), 800.0):
+                for at in (x, np.array([2.5, x])):
+                    try:
+                        eval_value(ast, at, params)
+                    except PctError as exc:
+                        with pytest.raises(type(exc)) as err:
+                            eval_jet(ast, at, params)
+                        assert str(err.value) == str(exc)
+                        raised += 1
+        assert (raised > 0) == (name not in {"exp", "sin", "cos", "sinh", "cosh", "tanh"})
+
+    def test_nesting_too_deep_is_an_expression_error(self):
+        with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+            parse("(" * 400 + "x" + ")" * 400)
+        ast = parse("+".join(["x"] * 2000))
+        for walk in (eval_value, eval_jet):
+            with pytest.raises(DomainError, match="nested too deeply"):
+                walk(ast, 1.0)
 
     @pytest.mark.parametrize(
         "source,x,error",

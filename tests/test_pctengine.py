@@ -99,11 +99,11 @@ class TestTargetSystem:
 
 
 def elementwise_outside(x, lo, hi):
-    """The domain rule point by point: some x below lo - 1e-12 (1 + |x|) or
-    above hi + 1e-12 (1 + |x|)."""
+    """The domain rule point by point: some x not within
+    [lo - 1e-12 (1 + |lo|), hi + 1e-12 (1 + |hi|)], NaN included."""
     x = np.asarray(x, dtype=float)
-    eps = 1e-12 * (1.0 + np.abs(x))
-    return bool(np.any(x < lo - eps) or np.any(x > hi + eps))
+    inside = (x >= lo - 1e-12 * (1.0 + abs(lo))) & (x <= hi + 1e-12 * (1.0 + abs(hi)))
+    return not bool(np.all(inside))
 
 
 def near(end):
@@ -118,7 +118,8 @@ def near(end):
 
 class TestDomainCheck:
     """The domain checks test min(x) and max(x) alone; their verdict is the
-    elementwise rule's, NaN, +-inf and empty arrays included."""
+    elementwise rule's, NaN, +-inf and empty arrays included.  A NaN, or an
+    infinite x beyond a finite end, is outside."""
 
     PROFILE = MassProfile.custom("1 + x^2", -2.5, 7.0)
     BUILTIN = MassProfile("tanh_sq", 0.7, 0.5)
@@ -168,10 +169,17 @@ class TestDomainCheck:
     @pytest.mark.parametrize("fill", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_hide_no_outlier(self, fill):
         ts = self.TARGET
-        assert not self.raises(ts._check_x, np.array([fill, 0.5]))
+        assert self.raises(ts._check_x, np.array([fill, 0.5]))
         assert self.raises(ts._check_x, np.array([fill, 0.5, 3.5]))
         assert self.raises(ts._check_x, np.array([-1.5, fill, 0.5]))
         assert not self.raises(ts._check_x, np.array([]))
+
+    def test_infinite_point_beyond_a_finite_end(self):
+        # a tolerance scaled by |x| would be infinite here and pass the check
+        with pytest.raises(DomainError):
+            TargetSystem.build(MassProfile("coth_sq", 1.0, 2.0), PT_REF).potential(np.inf)
+        with pytest.raises(DomainError):
+            MassProfile("tanh_sq", 1.0, 1.0).mass(-np.inf)
 
 
 class TestFields:
