@@ -93,7 +93,12 @@ MIN_GRID_POINTS = 16
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid with n_points nodes spanning [x_min, x_max]."""
+    """Uniform grid with n_points nodes spanning [x_min, x_max].
+
+    The one rule for uniform points, a solve's and the knots of a custom
+    mass's f table (``massmodel.MappingFunction``) alike: consecutive points
+    are distinct, and h^2 is a normal float, since the matrix divides by
+    2 h^2."""
 
     x_min: float
     x_max: float
@@ -105,6 +110,14 @@ class Grid:
             raise ConfigError("grid requires x_min < x_max a finite distance apart")
         if self.n_points < MIN_GRID_POINTS:
             raise ConfigError(f"grid requires at least {MIN_GRID_POINTS} points")
+        span = f"{self.n_points} grid points on [{self.x_min!r}, {self.x_max!r}]"
+        if not self.h * self.h >= sys.float_info.min:
+            raise ConfigError(f"{span}: the spacing h = {self.h:.3g} is too small, h^2 underflows")
+        # above 4 eps max(|x_min|, |x_max|), h outweighs the rounding of any
+        # two neighbours (a few eps each), so only a finer grid is looked at
+        wide = self.h > 4.0 * _EPS * max(abs(self.x_min), abs(self.x_max))
+        if not (wide or np.all(np.diff(self.points) > 0)):
+            raise ConfigError(f"{span}: consecutive points coincide, the domain is too narrow")
 
     @property
     def h(self):

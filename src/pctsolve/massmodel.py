@@ -31,6 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import exprlang, qmath
+from .eigensolver import Grid
 from .errors import ConfigError, DomainError, PctError, require_positive
 from .exprlang import Jet2
 from .qmath import _ret
@@ -290,7 +291,10 @@ class MassProfile:
             hi = max(hi, lo + 1.0)
         xs = np.linspace(lo, hi, _VALIDATION_SAMPLES)
         try:
-            jet = self.mass_jet(xs)
+            # a family jet may overflow here (coth_sq at alpha = 1e300): the
+            # finiteness check below reports it, not a RuntimeWarning
+            with np.errstate(all="ignore"):
+                jet = self.mass_jet(xs)
         except PctError as exc:
             raise ConfigError(f"mass profile not evaluable on its domain: {exc}")
         vals = np.asarray(jet.value, dtype=float)
@@ -380,7 +384,8 @@ class MappingFunction:
     """The strictly increasing coordinate change y = f(x) with f' = sqrt(m).
 
     Closed forms for the built-in profiles.  A custom profile gets a table of
-    f at uniform knots over its domain, f = 0 at the middle knot: each panel
+    f at uniform knots over its domain (a ``Grid``'s points, so a domain too
+    narrow for them is a ``ConfigError``), f = 0 at the middle knot: each panel
     is integrated with 8-point Gauss-Legendre, and the panel count doubles
     until every panel agrees with the sum of its two halves.  f(x) is the
     value at the nearest knot plus a Gauss-Legendre integral from that knot
@@ -393,10 +398,10 @@ class MappingFunction:
         if profile.kind == CUSTOM:
             lo, hi = profile.domain()
             n = _TABLE_PANELS
-            knots = np.linspace(lo, hi, n + 1)
+            knots = Grid(lo, hi, n + 1).points
             whole = _integrate_sqrt_m(profile, knots[:-1], knots[1:])
             while True:
-                knots = np.linspace(lo, hi, 2 * n + 1)
+                knots = Grid(lo, hi, 2 * n + 1).points
                 halves = _integrate_sqrt_m(profile, knots[:-1], knots[1:])
                 if np.all(np.abs(halves[0::2] + halves[1::2] - whole) <= _TABLE_TOL):
                     break

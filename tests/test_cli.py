@@ -55,6 +55,20 @@ def preset_run(spec):
     }
 
 
+def run_module(*argv):
+    """``python -W error -m pctsolve.cli *argv`` in a child process: main's
+    return value reaches the shell through ``sys.exit(main())``."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pctsolve.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
 def load_runs(runs):
     return cli.load_config(json.dumps({"schema_version": 1, "runs": runs}))
 
@@ -104,15 +118,7 @@ class TestConfigValidation:
             grid={"n_points": 16, "levels": 40},
         )
         cfg = write_config(tmp_path, doc)
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "pctsolve.cli", "verify", cfg],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        out = run_module("verify", cfg)
         assert out.returncode == 2, out.stderr
         assert out.stderr.startswith("error: config.runs[0].grid.levels:"), out.stderr
         assert "Warning" not in out.stderr
@@ -354,6 +360,46 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: config.runs[0].mass.domain: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "mass, says",
+        [
+            (
+                {"kind": "custom", "expression": "1", "domain": [1.0, 1.0 + 2e-16]},
+                "consecutive points coincide",
+            ),
+            (
+                {"kind": "asymptotically_vanishing", "alpha": 8.0, "q": 1.0, "domain": [1.0, 1.0 + 2e-16]},
+                "consecutive points coincide",
+            ),
+            ({"kind": "custom", "expression": "1", "domain": [0.0, 1e-300]}, "h^2 underflows"),
+            (
+                {"kind": "asymptotically_vanishing", "alpha": 8.0, "q": 1.0, "domain": [0.0, 1e-300]},
+                "h^2 underflows",
+            ),
+            ({"kind": "coth_sq", "alpha": 1e300, "q": 1.0}, "non-finite values"),
+            ({"kind": "asymptotically_vanishing", "alpha": 1e-300, "q": 1.0}, "non-finite values"),
+        ],
+        ids=[
+            "custom-narrow",
+            "builtin-narrow",
+            "custom-spacing-underflows",
+            "builtin-spacing-underflows",
+            "coth_sq-alpha-1e300",
+            "asymptotically_vanishing-alpha-1e-300",
+        ],
+    )
+    def test_degenerate_mass_is_one_error_line(self, tmp_path, capsys, mass, says):
+        # a domain too narrow for 201 distinct points (or for a custom f
+        # table's knots), one whose h^2 underflows, and a family jet that
+        # overflows on the domain: exit 2, one line, no warning
+        cfg = write_config(tmp_path, basic_config(mass=mass, grid={"n_points": 201, "levels": 3}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["verify", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err
+
     def test_grid_bound_is_inclusive(self):
         grid = {"n_points": cli.MAX_GRID_POINTS, "levels": 3}
         assert cli.load_config(json.dumps(basic_config(grid=grid)))["runs"][0]["n_points"] == 1000001
@@ -416,6 +462,18 @@ class TestVerify:
         assert cli.main(["verify", cfg, "-o", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["runs"][0]["q1_reduction_max_dev"] < 1e-12
+
+    def test_module_exit_code_reaches_the_shell(self, tmp_path):
+        cfg = write_config(tmp_path, README_CONFIG)
+        out = run_module("verify", cfg)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["pass"] is True and out.stderr == ""
+        mass = {("alhpa" if k == "alpha" else k): v for k, v in README_RUNS[0]["mass"].items()}
+        runs = [dict(README_RUNS[0], mass=mass), README_RUNS[1]]
+        out = run_module("verify", write_config(tmp_path, {"schema_version": 1, "runs": runs}))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: config.runs[0].mass.alhpa: unknown key")
+        assert out.stdout == ""
 
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, basic_config())
@@ -725,13 +783,17 @@ class TestExpressionFunctions:
 
 class TestTransform:
     def test_csv_header_and_spectrum(self, tmp_path):
-        cfg = write_config(tmp_path, basic_config())
-        out = tmp_path / "out.csv"
-        assert cli.main(["transform", cfg, "-o", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "# run: asym-morse"
-        assert lines[1] == "# E0 = -6.125"
-        assert "x,m,f,V,psi0,psi1,psi2" in lines[:6]
+        # one block per run, each headed by its name, energies and columns
+        for runs, ground_energies in (([basic_run()], ["-6.125"]), (README_RUNS, ["-4.5", "-6.125"])):
+            cfg = write_config(tmp_path, {"schema_version": 1, "runs": runs})
+            out = tmp_path / "out.csv"
+            assert cli.main(["transform", cfg, "-o", str(out)]) == 0
+            blocks = out.read_text().split("# run: ")
+            assert blocks[0] == "" and len(blocks) == len(runs) + 1
+            for run, e0, block in zip(runs, ground_energies, blocks[1:]):
+                lines = block.splitlines()
+                assert lines[:2] == [run["name"], f"# E0 = {e0}"]
+                assert [line for line in lines if line.startswith("x,")] == ["x,m,f,V,psi0,psi1,psi2"]
 
     def test_identity_mass_gives_shifted_reference(self, tmp_path):
         doc = {
@@ -774,17 +836,21 @@ class TestTransform:
 
 class TestDiscrepancy:
     def test_audit_produced_and_deterministic(self, tmp_path):
-        doc = basic_config(grid={"n_points": 64, "levels": 3})
-        doc["runs"][0]["mass"]["alpha"] = 1.0
-        doc["runs"][0]["mass"]["domain"] = [-3.0, 3.0]
-        cfg = write_config(tmp_path, doc)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert cli.main(["discrepancy", cfg, "-o", str(a)]) == 0
-        assert cli.main(["discrepancy", cfg, "-o", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-        text = a.read_text().splitlines()
-        assert text[1].startswith("# verdict: ")
-        assert text[2] == "x,V_construction,V_printed,abs_deviation"
+        # a 64-point run, and the README config cut to its built-in run
+        small = basic_run(
+            mass={"kind": "asymptotically_vanishing", "alpha": 1.0, "q": 1.0, "domain": [-3.0, 3.0]},
+            grid={"n_points": 64, "levels": 3},
+        )
+        for run in (small, README_RUNS[0]):
+            cfg = write_config(tmp_path, {"schema_version": 1, "runs": [run]})
+            a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+            assert cli.main(["discrepancy", cfg, "-o", str(a)]) == 0
+            assert cli.main(["discrepancy", cfg, "-o", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes()
+            text = a.read_text().splitlines()
+            assert text[1].startswith("# verdict: ")
+            assert sum(line.startswith("# verdict: ") for line in text) == 1
+            assert text[2] == "x,V_construction,V_printed,abs_deviation"
 
     def test_custom_profile_rejected(self, tmp_path):
         doc = {

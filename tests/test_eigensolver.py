@@ -37,6 +37,30 @@ class TestGrid:
             Grid(1.0, 0.0, 100)
         with pytest.raises(ConfigError):
             Grid(0.0, 1.0, 8)
+        with pytest.raises(ConfigError, match="consecutive points coincide"):
+            Grid(1.0, 1.0 + 2e-16, 201)
+        with pytest.raises(ConfigError, match="h\\^2 underflows"):
+            Grid(0.0, 1e-300, 201)
+
+    def test_accepts_only_distinct_points(self):
+        # Grid looks at its points only when h <= 4 eps max(|x_min|, |x_max|);
+        # coincident neighbours appear below about 1 eps
+        rng = np.random.default_rng(7)
+        eps = np.finfo(float).eps
+        rejected = 0
+        for _ in range(2000):
+            n = int(rng.integers(16, 3000))
+            x_min = float(rng.uniform(-1.0, 1.0) * 2.0 ** rng.integers(-300, 300))
+            x_max = x_min + float(rng.uniform(0.5, 6.0)) * eps * abs(x_min) * (n - 1)
+            distinct = bool(np.all(np.diff(np.linspace(x_min, x_max, n)) > 0))
+            try:
+                Grid(x_min, x_max, n)
+            except ConfigError:
+                rejected += 1
+                assert not distinct
+            else:
+                assert distinct
+        assert 0 < rejected < 2000
 
     @pytest.mark.parametrize(
         "x_min, x_max",
