@@ -209,6 +209,20 @@ def _build(run):
     return ts, run["levels"]
 
 
+def _each_run(config, work):
+    """[work(run) for each run], an error of run i reported at config.runs[i]:
+    a ConfigError (a DomainError at build time is one), else a PctError."""
+    results = []
+    for i, run in enumerate(config["runs"]):
+        try:
+            results.append(work(run))
+        except (ConfigError, DomainError) as exc:
+            _fail(f"config.runs[{i}]", str(exc))
+        except PctError as exc:
+            raise PctError(f"config.runs[{i}]: {exc}") from exc
+    return results
+
+
 def _fmt(v):
     return "%.17g" % float(v)
 
@@ -217,21 +231,23 @@ def _fmt(v):
 # subcommands
 
 
+def _transform_one(run):
+    ts, levels = _build(run)
+    lines = [f"# run: {run['name']}"]
+    for n in range(levels):
+        lines.append(f"# E{n} = {_fmt(ts.energy(n))}")
+    header = ["x", "m", "f", "V"] + [f"psi{n}" for n in range(levels)]
+    lines.append(",".join(header))
+    _, fields = ts.sample(run["n_points"], levels)
+    xs, m, f, v = fields.x, fields.mass, fields.f, fields.potential
+    for i in range(xs.size):
+        row = [xs[i], m[i], f[i], v[i]] + [s[i] for s in fields.states]
+        lines.append(",".join(_fmt(c) for c in row))
+    return "\n".join(lines) + "\n"
+
+
 def cmd_transform(config):
-    lines = []
-    for run in config["runs"]:
-        ts, levels = _build(run)
-        lines.append(f"# run: {run['name']}")
-        for n in range(levels):
-            lines.append(f"# E{n} = {_fmt(ts.energy(n))}")
-        header = ["x", "m", "f", "V"] + [f"psi{n}" for n in range(levels)]
-        lines.append(",".join(header))
-        _, fields = ts.sample(run["n_points"], levels)
-        xs, m, f, v = fields.x, fields.mass, fields.f, fields.potential
-        for i in range(xs.size):
-            row = [xs[i], m[i], f[i], v[i]] + [s[i] for s in fields.states]
-            lines.append(",".join(_fmt(c) for c in row))
-    return "\n".join(lines) + "\n", 0
+    return "".join(_each_run(config, _transform_one)), 0
 
 
 def _verify_one(run):
@@ -267,7 +283,7 @@ def _verify_one(run):
 
 
 def cmd_verify(config):
-    reports = [_verify_one(run) for run in config["runs"]]
+    reports = _each_run(config, _verify_one)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
@@ -275,6 +291,21 @@ def cmd_verify(config):
         "pass": all(r["pass"] for r in reports),
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n", 0 if doc["pass"] else 1
+
+
+def _discrepancy_one(run):
+    ts, _ = _build(run)
+    _, fields = ts.sample(run["n_points"], 0)
+    xs, v_pipe = fields.x, fields.potential
+    v_printed = np.asarray(printed_target_potential(ts.profile, ts.reference, xs), dtype=float)
+    dev = np.abs(v_pipe - v_printed)
+    max_dev = float(np.max(dev))
+    verdict = "MATCH" if max_dev < 1e-9 else "MISMATCH"
+    lines = [f"# run: {run['name']}", f"# verdict: {verdict} max_deviation={_fmt(max_dev)}"]
+    lines.append("x,V_construction,V_printed,abs_deviation")
+    for i in range(xs.size):
+        lines.append(",".join(_fmt(c) for c in (xs[i], v_pipe[i], v_printed[i], dev[i])))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_discrepancy(config):
@@ -286,25 +317,7 @@ def cmd_discrepancy(config):
                 "discrepancy audit needs a built-in profile "
                 "(no printed formula exists for custom masses)",
             )
-    lines = []
-    for run in config["runs"]:
-        ts, _ = _build(run)
-        _, fields = ts.sample(run["n_points"], 0)
-        xs, v_pipe = fields.x, fields.potential
-        v_printed = np.asarray(
-            printed_target_potential(ts.profile, ts.reference, xs), dtype=float
-        )
-        dev = np.abs(v_pipe - v_printed)
-        max_dev = float(np.max(dev))
-        verdict = "MATCH" if max_dev < 1e-9 else "MISMATCH"
-        lines.append(f"# run: {run['name']}")
-        lines.append(f"# verdict: {verdict} max_deviation={_fmt(max_dev)}")
-        lines.append("x,V_construction,V_printed,abs_deviation")
-        for i in range(xs.size):
-            lines.append(
-                ",".join(_fmt(c) for c in (xs[i], v_pipe[i], v_printed[i], dev[i]))
-            )
-    return "\n".join(lines) + "\n", 0
+    return "".join(_each_run(config, _discrepancy_one)), 0
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +367,7 @@ def main(argv=None):
         return 2
     try:
         text, code = _COMMANDS[args.command](config)
-    except (ConfigError, DomainError) as exc:
-        # domain violations at build time are config mistakes, not numerics
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PctError as exc:

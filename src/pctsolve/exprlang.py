@@ -12,12 +12,15 @@ value; a jet takes its value from the value function, so both walks raise
 the same error where the value is undefined.  Precedence: ``^``
 (right-assoc) > unary minus > ``* /`` > ``+ -``.  An expression nested too
 deeply for Python's recursion limit is an ``ExprSyntaxError`` when parsed
-and a ``DomainError`` when evaluated.
+and a ``DomainError`` when evaluated.  Every value of a walk is numpy's:
+x, the constants and parameters, and the q-functions' results (a scalar x
+gives a ``numpy.float64``).  So one arithmetic applies throughout: a power
+that overflows is inf and x/0 is +-inf or NaN, where a Python float would
+raise.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -259,7 +262,7 @@ class Jet2:
 def _jet(v) -> Jet2:
     if isinstance(v, Jet2):
         return v
-    return Jet2(v, 0.0, 0.0)
+    return Jet2(v, np.float64(0.0), np.float64(0.0))
 
 
 # Each function's value formula and domain check is written once, as the
@@ -300,30 +303,21 @@ def _integer_exponent(k):
     return int(k) if np.ndim(k) == 0 and float(k).is_integer() else None
 
 
-def _pow(b, e):
-    """b^e, overflowing to inf as numpy does also for a scalar base (a
-    parameter, a Python float), where Python raises OverflowError."""
-    try:
-        return b**e
-    except OverflowError:
-        return float(np.float64(b) ** e)
-
-
 def _power(b, k):
     """b^k for an exponent k constant in x: the value of the power jet."""
     n = _integer_exponent(k)
     if n is None:
         if np.any(np.asarray(b) <= 0):
             raise DomainError("non-integer power of a non-positive base")
-        return _pow(b, k)
+        return b**k
     if n == 0:
         return 1.0 + 0.0 * b  # keeps b's shape
     if n < 0:
         if not np.all(b):
             raise DomainError("division by zero in expression")
         # 1/b^|n|: where b^|n| underflows to +-0 for a nonzero b, +-inf
-        return np.divide(1.0, _pow(b, -n))
-    return _pow(b, n)
+        return 1.0 / b**-n
+    return b**n
 
 
 def _jet_div(u: Jet2, v: Jet2) -> Jet2:
@@ -350,13 +344,6 @@ def _chain(u: Jet2, f0, f1, f2) -> Jet2:
 # of the ratios), and qmath raises PoleError at the poles of cothq and cschq.
 
 
-def _ln_derivatives(v, f):
-    # v * v underflows to 0 for a tiny v > 0 (a parameter, a Python float):
-    # -1/v^2 is then -inf, as numpy gives, not a ZeroDivisionError
-    v2 = v * v
-    return 1.0 / v, -math.inf if np.ndim(v2) == 0 and v2 == 0.0 else -1.0 / v2
-
-
 def _tanh_like(t, d1):
     """(t', t'') of a ratio t with t' = d1 and d1' = -2 t d1 (tanh, coth and
     their q forms)."""
@@ -375,7 +362,7 @@ def _cschq_derivatives(v, cs, q):
 
 _FUNCTIONS = {
     "exp": (np.exp, lambda v, e: (e, e)),
-    "ln": (_ln, _ln_derivatives),
+    "ln": (_ln, lambda v, f: (1.0 / v, -1.0 / (v * v))),
     "sqrt": (_sqrt, lambda v, r: (0.5 / r, -0.25 / (r * v))),
     "sin": (np.sin, lambda v, s: (np.cos(v), -s)),
     "cos": (np.cos, lambda v, c: (-np.sin(v), -c)),
@@ -402,12 +389,16 @@ _FUNCTIONS = {
 _Q_FUNCTIONS = frozenset({"sinhq", "coshq", "tanhq", "cothq", "sechq", "cschq"})
 
 
+def _value(name, v, *q):
+    """Function ``name`` at v, a float64 also where qmath gives a Python float."""
+    return np.float64(_FUNCTIONS[name][0](v, *q))
+
+
 def _apply(name, u: Jet2, *q) -> Jet2:
     """The jet of function ``name`` at the jet u: its value first, so the jet
     raises the value's error where it has one."""
-    value, derivatives = _FUNCTIONS[name]
-    f = value(u.value, *q)
-    return _chain(u, f, *derivatives(u.value, f, *q))
+    f = _value(name, u.value, *q)
+    return _chain(u, f, *_FUNCTIONS[name][1](u.value, f, *q))
 
 
 FUNCTION_NAMES = frozenset(_FUNCTIONS)
@@ -428,14 +419,9 @@ def _jet_pow(u: Jet2, v: Jet2) -> Jet2:
         return _jet(1.0) + 0.0 * u  # keeps array shape
     if n is not None and n < 0:
         # f0 is 1/u^|n|, also where u^|n| underflows
-        return _jet_quotient(_jet(1.0), _jet_pow(u, _jet(float(-n))), f0)
-    if n is None:
-        f1 = k * _pow(u.value, k - 1.0)
-        f2 = k * (k - 1.0) * _pow(u.value, k - 2.0)
-    else:
-        # float(n): n (n - 1) as a Python int need not fit a float
-        f1 = n * _pow(u.value, n - 1)
-        f2 = float(n) * (n - 1) * (_pow(u.value, n - 2) if n >= 2 else 0.0)
+        return _jet_quotient(_jet(1.0), _jet_pow(u, -v), f0)
+    f1 = k * u.value ** (k - 1.0)
+    f2 = k * (k - 1.0) * (u.value ** (k - 2.0) if n is None or n >= 2 else 0.0)
     return _chain(u, f0, f1, f2)
 
 
@@ -479,22 +465,21 @@ def _walk(node: ExprAst, x, params, jets):
     # self-referencing nested function forms a reference cycle that keeps x
     # alive until the cyclic GC runs
     if isinstance(node, Num):
-        return _jet(node.value) if jets else node.value
+        value = np.float64(node.value)
+        return _jet(value) if jets else value
     if isinstance(node, Var):
-        x = np.asarray(x, dtype=float)
-        if not x.ndim:
-            x = float(x)
-            return Jet2(x, 1.0, 0.0) if jets else x
-        return Jet2(x, np.ones_like(x), np.zeros_like(x)) if jets else x
+        x = np.asarray(x, dtype=float)  # [()] takes a 0-d x to a float64
+        return Jet2(x[()], np.ones_like(x)[()], np.zeros_like(x)[()]) if jets else x[()]
     if isinstance(node, Param):
-        value = _param(params, node.name)
+        value = np.float64(_param(params, node.name))
         return _jet(value) if jets else value
     if isinstance(node, Neg):
         return -_walk(node.operand, x, params, jets)
     if isinstance(node, Call):
         u = _walk(node.arg, x, params, jets)
+        # q stays a Python float: qmath's messages show it with repr
         q = (_param(params, "q"),) if node.func in _Q_FUNCTIONS else ()
-        return _apply(node.func, u, *q) if jets else _FUNCTIONS[node.func][0](u, *q)
+        return _apply(node.func, u, *q) if jets else _value(node.func, u, *q)
     lhs = _walk(node.lhs, x, params, jets)
     if node.op == "^":
         # the power jet's branch depends on the exponent's derivatives, so

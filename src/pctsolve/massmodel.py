@@ -44,9 +44,9 @@ CUSTOM = "custom"
 _VALIDATION_SAMPLES = 401
 
 
-def outside(x, lo, hi):
-    """Whether some x lies below lo - 1e-12 (1 + |lo|) or above
-    hi + 1e-12 (1 + |hi|), or is NaN.
+def outside(x, lo, hi, tol=1e-12):
+    """Whether some x lies below lo - tol (1 + |lo|) or above
+    hi + tol (1 + |hi|), or is NaN.
 
     The tolerances come from the bounds, so min(x) and max(x) decide: a NaN
     makes both NaN and fails, and an infinite x fails beyond a finite end.
@@ -55,7 +55,7 @@ def outside(x, lo, hi):
     if x.size == 0:
         return False
     return not (
-        np.min(x) >= lo - 1e-12 * (1.0 + abs(lo)) and np.max(x) <= hi + 1e-12 * (1.0 + abs(hi))
+        np.min(x) >= lo - tol * (1.0 + abs(lo)) and np.max(x) <= hi + tol * (1.0 + abs(hi))
     )
 
 
@@ -457,8 +457,7 @@ class MappingFunction:
         """The unique x in the domain with f(x) = y."""
         y = np.asarray(y, dtype=float)
         y_lo, y_hi = self.y_range()
-        eps = 1e-9 * (1.0 + np.abs(y))
-        if np.any(y < y_lo - eps) or np.any(y > y_hi + eps):
+        if outside(y, y_lo, y_hi, 1e-9):
             raise DomainError(f"y outside the mapping range [{y_lo}, {y_hi}]")
         p = self.profile
         if p.kind == CUSTOM:

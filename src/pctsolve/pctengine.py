@@ -83,12 +83,7 @@ class TargetSystem:
                 f"[{y_lo:.6g}, {y_hi:.6g}] outside the reference domain "
                 f"({r_lo}, {r_hi})"
             )
-        ts = cls(profile, reference, mapping, x_min, x_max)
-        xs = np.linspace(x_min, x_max, 201)
-        corr = np.asarray(profile.correction(xs), dtype=float)
-        if not np.all(np.isfinite(corr)):
-            raise ConfigError("correction potential is not finite on the domain")
-        return ts
+        return cls(profile, reference, mapping, x_min, x_max)
 
     def _check_x(self, x):
         if massmodel.outside(x, self.x_min, self.x_max):
@@ -127,11 +122,18 @@ class TargetSystem:
 
     def sample(self, n_points, levels):
         """(grid, fields) on the uniform n_points grid of the domain, the
-        fields with Psi_0..Psi_{levels-1} scaled to unit trapezoid norm."""
+        fields with Psi_0..Psi_{levels-1} scaled to unit trapezoid norm; a
+        ConfigError where V or a state's norm overflows, or a norm is 0."""
         grid = Grid(self.x_min, self.x_max, n_points)
-        fields = self.fields(grid.points, range(levels))
-        for psi in fields.states:
-            psi /= math.sqrt(trapezoid_dot(psi, psi, grid.h))
+        with np.errstate(all="ignore"):
+            fields = self.fields(grid.points, range(levels))
+            norms = [trapezoid_dot(psi, psi, grid.h) for psi in fields.states]
+        if not np.all(np.isfinite(fields.potential)):
+            raise ConfigError(f"the target potential V is not finite on the {n_points}-point grid")
+        for n, (psi, norm) in enumerate(zip(fields.states, norms)):
+            if not (math.isfinite(norm) and norm > 0):
+                raise ConfigError(f"Psi_{n} has no finite, nonzero norm on the grid")
+            psi /= math.sqrt(norm)
         return grid, fields
 
 

@@ -361,23 +361,64 @@ class TestConfigValidation:
         assert err.startswith("error: config.runs[0].mass.domain: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "mass, says",
+        "runs, path, says",
         [
             (
-                {"kind": "custom", "expression": "1", "domain": [1.0, 1.0 + 2e-16]},
+                [{"mass": {"kind": "custom", "expression": "1", "domain": [1.0, 1.0 + 2e-16]}}],
+                "config.runs[0]",
+                "1025 grid points on [1.0, 1.0000000000000002]: consecutive points coincide",
+            ),
+            (
+                [{"mass": {"kind": "asymptotically_vanishing", "alpha": 8.0, "q": 1.0, "domain": [1.0, 1.0 + 2e-16]}}],
+                "config.runs[0]",
                 "consecutive points coincide",
             ),
             (
-                {"kind": "asymptotically_vanishing", "alpha": 8.0, "q": 1.0, "domain": [1.0, 1.0 + 2e-16]},
-                "consecutive points coincide",
-            ),
-            ({"kind": "custom", "expression": "1", "domain": [0.0, 1e-300]}, "h^2 underflows"),
-            (
-                {"kind": "asymptotically_vanishing", "alpha": 8.0, "q": 1.0, "domain": [0.0, 1e-300]},
+                [{"mass": {"kind": "custom", "expression": "1", "domain": [0.0, 1e-300]}}],
+                "config.runs[0]",
                 "h^2 underflows",
             ),
-            ({"kind": "coth_sq", "alpha": 1e300, "q": 1.0}, "non-finite values"),
-            ({"kind": "asymptotically_vanishing", "alpha": 1e-300, "q": 1.0}, "non-finite values"),
+            (
+                [{"mass": {"kind": "asymptotically_vanishing", "alpha": 8.0, "q": 1.0, "domain": [0.0, 1e-300]}}],
+                "config.runs[0]",
+                "h^2 underflows",
+            ),
+            ([{"mass": {"kind": "coth_sq", "alpha": 1e300, "q": 1.0}}], "config.runs[0].mass", "non-finite values"),
+            (
+                [{"mass": {"kind": "asymptotically_vanishing", "alpha": 1e-300, "q": 1.0}}],
+                "config.runs[0].mass",
+                "non-finite values",
+            ),
+            (
+                [{}, {"mass": {"kind": "custom", "expression": "1", "domain": [1.0, 1.0 + 2e-16]}}],
+                "config.runs[1]",
+                "consecutive points coincide",
+            ),
+            (
+                [{"reference": {"kind": "morse", "D": 1e300, "alpha": 1.0}}],
+                "config.runs[0]",
+                "the target potential V is not finite on the 201-point grid",
+            ),
+            (
+                [
+                    {
+                        "mass": {"kind": "asymptotically_vanishing", "alpha": 8.0, "q": 1.0, "domain": [-1.0, 1.0]},
+                        "reference": {"kind": "morse", "D": 1e300, "alpha": 1.0},
+                    }
+                ],
+                "config.runs[0]",
+                "Psi_2 has no finite, nonzero norm on the grid",
+            ),
+            (
+                [
+                    {
+                        "mass": {"kind": "custom", "expression": "exp(-700*x^2)", "domain": [-1.0, 1.0]},
+                        "reference": {"kind": "poschl_teller", "U0": 6.0, "alpha": 1.0},
+                    }
+                ],
+                "config.runs[0]",
+                "the target potential V is not finite on the 201-point grid",
+            ),
         ],
         ids=[
             "custom-narrow",
@@ -386,18 +427,32 @@ class TestConfigValidation:
             "builtin-spacing-underflows",
             "coth_sq-alpha-1e300",
             "asymptotically_vanishing-alpha-1e-300",
+            "second-run-narrow",
+            "morse-D-1e300",
+            "morse-D-1e300-state-norm-overflows",
+            "correction-overflows",
         ],
     )
-    def test_degenerate_mass_is_one_error_line(self, tmp_path, capsys, mass, says):
+    def test_degenerate_mass_is_one_error_line(self, tmp_path, capsys, runs, path, says):
         # a domain too narrow for 201 distinct points (or for a custom f
-        # table's knots), one whose h^2 underflows, and a family jet that
-        # overflows on the domain: exit 2, one line, no warning
-        cfg = write_config(tmp_path, basic_config(mass=mass, grid={"n_points": 201, "levels": 3}))
+        # table's knots), one whose h^2 underflows, a family jet that
+        # overflows on the domain, and fields that overflow on the grid (V,
+        # or a state's norm): exit 2, one line naming the run, no warning;
+        # a run after one that passed fails the same way
+        doc = {
+            "schema_version": 1,
+            "runs": [
+                basic_run(name=f"run{i}", grid={"n_points": 201, "levels": 3}, **run)
+                for i, run in enumerate(runs)
+            ],
+        }
+        cfg = write_config(tmp_path, doc)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["verify", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert err.count("config.runs[") == 1
         assert says in err
 
     def test_grid_bound_is_inclusive(self):
@@ -520,8 +575,9 @@ class TestVerify:
         cfg = write_config(tmp_path, doc)
         assert cli.main(["verify", cfg, "-o", str(tmp_path / "r.json")]) == 2
 
-    def test_non_finite_potential_is_a_pct_error(self, tmp_path, monkeypatch):
-        # one inf in V reaches the solver: exit 3, not a traceback
+    def test_non_finite_potential_is_a_pct_error(self, tmp_path, capsys, monkeypatch):
+        # one inf in V is found when the run is sampled, before the solver
+        # sees it: exit 2 and one line naming the run, not a traceback
         def with_inf(self, y, _fn=PoschlTeller.potential):
             v = np.array(_fn(self, y), dtype=float)
             v[v.size // 2] = np.inf
@@ -530,7 +586,9 @@ class TestVerify:
         monkeypatch.setattr(PoschlTeller, "potential", with_inf)
         run = dict(README_RUNS[0], grid={"n_points": 2001, "levels": 3})
         cfg = write_config(tmp_path, {"schema_version": 1, "runs": [run]})
-        assert cli.main(["verify", cfg, "-o", str(tmp_path / "r.json")]) == 3
+        assert cli.main(["verify", cfg, "-o", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: config.runs[0]: the target potential V is not finite on the 2001-point grid\n"
 
     def test_separation_below_the_spectrum_keeps_stdout_json(self, tmp_path, capfd):
         # on [0.6, 1.5] the analytic separation lies below the matrix's
@@ -552,7 +610,7 @@ class TestVerify:
         cfg = write_config(tmp_path, basic_config(grid={"n_points": 2001, "levels": 3}))
         assert cli.main(["verify", cfg, "-o", str(tmp_path / "r.json")]) == 3
         err = capsys.readouterr().err
-        assert err == "numeric error: LAPACK dstebz failed (info=1)\n"
+        assert err == "numeric error: config.runs[0]: LAPACK dstebz failed (info=1)\n"
         assert not (tmp_path / "r.json").exists()
 
 
@@ -588,8 +646,9 @@ class TestWorkCounts:
         counts = self.count_calls(monkeypatch)
         cli.cmd_verify(config)
         assert counts["mass_jet", self.N] == 1
+        # the run's one mass jet: its fields are checked on its own grid
+        assert sum(n for (name, _), n in counts.items() if name == "mass_jet") == 1
         assert counts["mass", self.N - 1] == 1
-        assert counts["mass_jet", self.N - 1] == 0
         assert counts["forward", self.N] == 1
 
     @pytest.mark.parametrize(
@@ -620,6 +679,9 @@ class TestWorkCounts:
         assert len(checked) == len(runs)
         for ts, check, run_calls in checked:
             assert len(run_calls) == 3
+            # about 1e-5 at most on these runs; a window taken where the
+            # grid does not resolve the state gives residuals near 1
+            assert max(check.residuals) < 1e-4
             points = check.fields.x
             for n, (sub, psi, energy, m, v) in enumerate(run_calls):
                 (i0,) = np.flatnonzero(points == sub.x_min)

@@ -201,9 +201,15 @@ class TestJets:
 
 def _expressions():
     """ASTs over x, a parameter and every function, with exponents that may
-    contain x."""
+    contain x, and leaves at which powers and functions overflow or
+    underflow."""
     leaves = st.one_of(
-        st.builds(Num, st.sampled_from([-2.5, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0])),
+        st.builds(
+            Num,
+            st.sampled_from(
+                [-2.5, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 1e300, -1e300, 1e-300, 1e200, 400.0, -400.0]
+            ),
+        ),
         st.just(Var()),
         st.just(Param("a")),
     )
@@ -290,6 +296,27 @@ class TestValueWalk:
                 with warnings.catch_warnings(), contextlib.suppress(DomainError):
                     warnings.simplefilter("error")
                     walk(ast, at, params)
+
+    @pytest.mark.parametrize(
+        "source, params",
+        [
+            ("sinhq(x)^(1e300)", {"q": 1.0}),
+            ("coshq(x)^(-1e300)", {"q": 1.0}),
+            ("a^1000 + x", {"a": 10.0}),
+            ("ln(a)*x", {"a": 1e-200}),
+        ],
+    )
+    def test_every_value_is_numpy(self, source, params):
+        # a q-function's result, a parameter and a scalar x are float64s, so
+        # what overflows is inf and 1/0 is inf also at a scalar x: no
+        # OverflowError or ZeroDivisionError, and no warning
+        ast = parse(source)
+        for at in (2.0, _XS):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value, jet = eval_value(ast, at, params), eval_jet(ast, at, params)
+            assert type(value) is (np.ndarray if np.ndim(at) else np.float64)
+            assert_value_matches_jet(lambda: value, lambda: jet)
 
     @pytest.mark.parametrize("source, x", [("x^(-400)", 0.1), ("x^(-1e200)", 0.5)])
     def test_negative_integer_power_underflow_is_inf(self, source, x):

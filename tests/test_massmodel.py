@@ -267,11 +267,27 @@ class TestMapping:
         assert x == pytest.approx(400.0 + math.log(2.0), rel=1e-12)
 
     def test_inverse_out_of_range(self):
-        profile = MassProfile("tanh_sq", 1.0, 4.0)
-        mapping = MappingFunction(profile)
-        # mapping infimum is ln(sqrt(q))/alpha = ln 2
-        with pytest.raises(DomainError):
-            mapping.inverse(0.0)
+        # NaN, and a y beyond a finite end of the range (-inf, +inf or a
+        # finite y: tanh_sq's infimum at q = 4 is ln(sqrt(q))/alpha = ln 2),
+        # as a scalar and among valid points
+        for profile in (
+            MassProfile("tanh_sq", 1.0, 4.0),
+            MassProfile("tanh_sq", 1.0, 2.0),
+            MassProfile("coth_sq", 1.0, 1.0),
+            MassProfile("asymptotically_vanishing", 8.0, 1.0, x_min=-1.0, x_max=1.0),
+            MassProfile.custom("1 + x^2", -1.0, 1.0),
+        ):
+            mapping = MappingFunction(profile)
+            y_lo, y_hi = mapping.y_range()
+            inside = float(mapping.forward(sample_points(profile)[0]))
+            bad = [math.nan]
+            for end, sign in ((y_lo, -1.0), (y_hi, 1.0)):
+                if math.isfinite(end):
+                    bad += [end + sign, sign * math.inf]
+            for y in bad:
+                for at in (y, np.array([inside, y])):
+                    with pytest.raises(DomainError, match="y outside the mapping range"):
+                        mapping.inverse(at)
 
     def test_custom_constant_mass_is_linear(self):
         profile = MassProfile.custom("4.0", -2.0, 2.0)
