@@ -343,9 +343,7 @@ def tridiagonal_matrix(grid, mass_at_midpoints, potential_values, n_levels):
         raise ConfigError("mass must be positive at every midpoint")
     a = 1.0 / m
     h = grid.h
-    diag = np.add(a[:-1], a[1:])
-    diag /= 2.0 * h * h
-    diag += v[1:-1]
+    diag = (a[:-1] + a[1:]) / (2.0 * h * h) + v[1:-1]
     # a / (-c) is -a / c bit for bit
     off = a[1:-1] / (-2.0 * h * h)
     if not 1 <= n_levels <= diag.size:
@@ -401,55 +399,36 @@ def solve_effective_mass(
     return _certified_energies(diag, off, guesses, bound)
 
 
-def d1_numerator(values):
+def d1_numerator(v):
     """12 h times the 4th-order central first derivative of uniform samples
-    (along the first axis), at the interior nodes 2..n-3."""
-    out, scratch = -values[4:], np.empty_like(values[4:])
-    out += np.multiply(values[3:-1], 8, out=scratch)
-    out -= np.multiply(values[1:-3], 8, out=scratch)
-    out += values[:-4]
-    return out
+    v (along the first axis), at the interior nodes 2..n-3."""
+    return -v[4:] + 8 * v[3:-1] - 8 * v[1:-3] + v[:-4]
 
 
-def d2_numerator(values):
+def d2_numerator(v):
     """12 h^2 times the 4th-order central second derivative of uniform
-    samples (along the first axis), at the interior nodes 2..n-3."""
-    out, scratch = -values[4:], np.empty_like(values[4:])
-    out += np.multiply(values[3:-1], 16, out=scratch)
-    out -= np.multiply(values[2:-2], 30, out=scratch)
-    out += np.multiply(values[1:-3], 16, out=scratch)
-    out -= values[:-4]
-    return out
+    samples v (along the first axis), at the interior nodes 2..n-3."""
+    return -v[4:] + 16 * v[3:-1] - 30 * v[2:-2] + 16 * v[1:-3] - v[:-4]
 
 
 def residual_norm(grid, psi, energy, mass_values, potential_values):
     """RMS residual of psi'' - (m'/m) psi' + 2 m (E - V) psi on interior nodes.
 
     Derivatives of psi and m use 4th-order central differences; the
-    outermost two nodes on each side are excluded, and only the interior is
-    computed, in place and in the operation order of the formula.  Every
-    sample array must have the grid's n_points entries.
+    outermost two nodes on each side are excluded, and the residual is
+    computed on the interior only, as written above.  Every sample array
+    must have the grid's n_points entries.
     """
     psi, m, v = (np.asarray(a, dtype=float) for a in (psi, mass_values, potential_values))
     if any(a.shape != (grid.n_points,) for a in (psi, m, v)):
         raise GridMismatchError("residual samples do not match the grid")
     h = grid.h
-    sl = slice(2, -2)
-    p1 = d1_numerator(psi)
-    p1 /= 12 * h
-    p2 = d2_numerator(psi)
-    p2 /= 12 * h * h
-    m1 = d1_numerator(m)
-    m1 /= 12 * h
-    w = np.empty_like(p1)
-    p1 *= np.divide(m1, m[sl], out=w)  # r = p2 - (m1 / m) p1 + 2 m (E - v) psi
-    p2 -= p1
-    np.multiply(m[sl], 2.0, out=w)
-    w *= np.subtract(energy, v[sl], out=p1)
-    w *= psi[sl]
-    p2 += w
-    p2 *= p2
-    return math.sqrt(float(np.mean(p2)))
+    p1 = d1_numerator(psi) / (12 * h)
+    p2 = d2_numerator(psi) / (12 * h * h)
+    m1 = d1_numerator(m) / (12 * h)
+    psi, m, v = psi[2:-2], m[2:-2], v[2:-2]
+    r = p2 - m1 / m * p1 + m * 2.0 * (energy - v) * psi
+    return math.sqrt(float(np.mean(r * r)))
 
 
 def trapezoid_dot(a, b, h):

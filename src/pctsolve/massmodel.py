@@ -457,7 +457,8 @@ class MappingFunction:
         """The unique x in the domain with f(x) = y."""
         y = np.asarray(y, dtype=float)
         y_lo, y_hi = self.y_range()
-        if outside(y, y_lo, y_hi, 1e-9):
+        # an infinite y is outside every range: f(x) is finite at each x
+        if outside(y, y_lo, y_hi, 1e-9) or not np.all(np.isfinite(y)):
             raise DomainError(f"y outside the mapping range [{y_lo}, {y_hi}]")
         p = self.profile
         if p.kind == CUSTOM:

@@ -308,29 +308,25 @@ def printed_target_potential(profile: MassProfile, reference, x):
         raise ConfigError("no printed target potential exists for custom profiles")
     x = np.asarray(x, dtype=float)
     a, q = profile.alpha, profile.q
+    # the correction term and the argument w of the leading term, per family
     if profile.kind == massmodel.ASYMPTOTICALLY_VANISHING:
         corr = (1.0 + q / (x * x + q)) / (8.0 * a * a)
-        root = x + np.sqrt(x * x + q)
-        if isinstance(reference, Morse):
-            base = reference.D * ((1.0 + a * a * root) ** 2 - 1.0)
-        elif isinstance(reference, PoschlTeller):
-            base = -reference.U0 / (x * x + q)
-        else:
-            base = -reference.V0 / (-1.0 + a * a * root)
-        return base + corr
-    s = qmath.sinh_q(a * x, q)
-    c = qmath.cosh_q(a * x, q)
-    if profile.kind == massmodel.TANH_SQ:
+        w = a * a * (x + np.sqrt(x * x + q))
+    elif profile.kind == massmodel.TANH_SQ:
+        s = qmath.sinh_q(a * x, q)
         corr = -(a * a / 2.0) / s**4 * (1.25 + s * s)
-        w = c
+        w = qmath.cosh_q(a * x, q)
     else:
-        corr = -(a * a / 2.0) * (1.0 / (s * s) + 2.25 / c**4)
-        w = s
+        w = qmath.sinh_q(a * x, q)
+        corr = -(a * a / 2.0) * (1.0 / (w * w) + 2.25 / qmath.cosh_q(a * x, q) ** 4)
+    # the leading term, per reference
     if isinstance(reference, Morse):
         base = reference.D * ((1.0 + w) ** 2 - 1.0)
     elif isinstance(reference, PoschlTeller):
-        base = -4.0 * reference.U0 / (w + 1.0 / w) ** 2
+        if profile.kind == massmodel.ASYMPTOTICALLY_VANISHING:
+            base = -reference.U0 / (x * x + q)
+        else:
+            base = -4.0 * reference.U0 / (w + 1.0 / w) ** 2
     else:
         base = -reference.V0 / (-1.0 + w)
     return base + corr
-

@@ -1,4 +1,5 @@
-"""Shared fixtures and helpers, and the acceptance-criteria summary hook."""
+"""Shared fixtures and helpers, and the terminal-summary hook for the
+acceptance criteria and the golden report values."""
 
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ from pctsolve.errors import PctError, PoleError
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 CRITERION_RESULTS = {}
+#: per golden field, its largest (deviation, fraction of tolerance, where)
+GOLDEN_SPREAD = {}
 
 
 def _outcome(fn):
@@ -52,11 +55,22 @@ def record_criterion(number, ok, detail):
     CRITERION_RESULTS[number] = (bool(ok), detail)
 
 
+def record_golden(field, largest):
+    """Register a golden field's largest (deviation, fraction of its
+    tolerance, where) for the summary."""
+    GOLDEN_SPREAD[field] = largest
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not CRITERION_RESULTS:
-        return
-    terminalreporter.section("acceptance criteria")
-    for number in sorted(CRITERION_RESULTS):
-        ok, detail = CRITERION_RESULTS[number]
-        verdict = "PASS" if ok else "FAIL"
-        terminalreporter.write_line(f"criterion {number}: {verdict} - {detail}")
+    if CRITERION_RESULTS:
+        terminalreporter.section("acceptance criteria")
+        for number in sorted(CRITERION_RESULTS):
+            ok, detail = CRITERION_RESULTS[number]
+            verdict = "PASS" if ok else "FAIL"
+            terminalreporter.write_line(f"criterion {number}: {verdict} - {detail}")
+    if GOLDEN_SPREAD:
+        terminalreporter.section("golden report values")
+        for field, (dev, share, where) in GOLDEN_SPREAD.items():
+            terminalreporter.write_line(
+                f"{field}: largest deviation {dev:.3g} ({share:.3g} of tolerance) at {where}"
+            )
