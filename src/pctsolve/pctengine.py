@@ -31,7 +31,7 @@ from .eigensolver import (
     solve_effective_mass,
     trapezoid_dot,
 )
-from .errors import ConfigError, DomainError
+from .errors import ArgumentError, ConfigError, DomainError
 from .massmodel import MappingFunction, MassProfile
 from .refpotentials import Morse, PoschlTeller
 
@@ -67,7 +67,7 @@ class TargetSystem:
         lowest ``levels`` states."""
         mapping = MappingFunction(profile)
         if domain is None:
-            domain = suggest_domain(profile, reference, levels, mapping=mapping)
+            domain = suggest_domain(mapping, reference, levels)
         x_min, x_max = float(domain[0]), float(domain[1])
         if not x_min < x_max:
             raise ConfigError("target domain is empty")
@@ -75,13 +75,12 @@ class TargetSystem:
         if x_min < lo or x_max > hi:
             raise ConfigError("target domain exceeds the mass profile domain")
         y_lo, y_hi = float(mapping.forward(x_min)), float(mapping.forward(x_max))
-        r_lo, r_hi = reference.y_domain()
         # the reference domain is open: a half line excludes its end point
-        if not r_lo < y_lo <= y_hi < r_hi:
+        if not reference.y_lo < y_lo <= y_hi < math.inf:
             raise DomainError(
                 "reference-domain violation: f maps the target domain to "
                 f"[{y_lo:.6g}, {y_hi:.6g}] outside the reference domain "
-                f"({r_lo}, {r_hi})"
+                f"({reference.y_lo}, inf)"
             )
         return cls(profile, reference, mapping, x_min, x_max)
 
@@ -245,19 +244,19 @@ def pct_identity_residual(profile: MassProfile, x):
 # domain suggestion
 
 
-def suggest_domain(profile, reference, n_levels=3, mapping=None):
-    """Default x-domain: the highest requested reference state, pushed through
-    f^{-1}, decays below 1e-8 (relative) at both ends."""
-    if mapping is None:
-        mapping = MappingFunction(profile)
+def suggest_domain(mapping, reference, n_levels=3):
+    """Default x-domain of the target with mapping f: the highest of the
+    lowest ``n_levels`` reference states, pushed through f^{-1}, decays below
+    1e-8 (relative) at both ends.  f^{-1} keeps the ends in the profile's
+    domain."""
+    if isinstance(n_levels, bool) or not isinstance(n_levels, (int, np.integer)) or n_levels < 1:
+        raise ArgumentError(f"n_levels must be an integer >= 1, got {n_levels!r}")
     n_top = min(n_levels - 1, reference.n_max)
-    r_lo, r_hi = reference.y_domain()
     m_lo, m_hi = mapping.y_range()
-    y_lo = max(r_lo, m_lo)
-    y_hi = min(r_hi, m_hi)
+    y_lo = max(reference.y_lo, m_lo)
     # probe window for the reference states
     probe_lo = y_lo + 1e-9 if math.isfinite(y_lo) else -80.0
-    probe_hi = min(y_hi, 200.0)
+    probe_hi = min(m_hi, 200.0)
     ys = np.linspace(probe_lo, probe_hi, 8001)
     total = np.zeros_like(ys)
     for phi in reference.eigenfunction(range(n_top + 1), ys):
@@ -267,12 +266,9 @@ def suggest_domain(profile, reference, n_levels=3, mapping=None):
     w_lo, w_hi = ys[max(i0 - 1, 0)], ys[min(i1 + 1, len(ys) - 1)]
     # hard walls stay in the window: a reference half-line's here, a mapping
     # infimum's by the probe's start
-    if math.isfinite(r_lo):
-        w_lo = max(m_lo + 1e-9, r_lo + _DECAY)
-    x_lo = float(mapping.inverse(w_lo))
-    x_hi = float(mapping.inverse(w_hi))
-    lo, hi = profile.domain()
-    return max(x_lo, lo), min(x_hi, hi)
+    if math.isfinite(reference.y_lo):
+        w_lo = max(m_lo + 1e-9, reference.y_lo + _DECAY)
+    return float(mapping.inverse(w_lo)), float(mapping.inverse(w_hi))
 
 
 # ---------------------------------------------------------------------------

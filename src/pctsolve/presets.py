@@ -1,6 +1,7 @@
-"""Canonical parameter sets: reference problems, mass profiles, and the
-profile x reference combination table used by the tests, the benchmark
-workloads and the CI checks (the CLI reads configs, not presets).
+"""The profile x reference combination table, as data: the tests and the
+benchmark workloads read its rows and write each as a config run, which
+``cli.load_config`` and ``TargetSystem.build`` turn into a target like any
+other run (the CLI reads configs, not presets).
 
 Reference parameters are fixed (Morse D=8, a=1; Poeschl-Teller U0=6, a=1;
 Hulthen V0=2, a=0.5).  One row per mass-profile family x reference pair
@@ -21,22 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .eigensolver import Grid
-from .massmodel import BUILTIN_KINDS, MassProfile
-from .pctengine import TargetSystem
-from .refpotentials import REFERENCE_KINDS, make_reference
+from .massmodel import BUILTIN_KINDS
+from .refpotentials import REFERENCE_KINDS
 
 REFERENCE_PARAMS = {
     "morse": {"D": 8.0, "alpha": 1.0},
     "poschl_teller": {"U0": 6.0, "alpha": 1.0},
     "hulthen": {"V0": 2.0, "alpha": 0.5},
-}
-
-#: constant-mass verification grids for the three references
-REFERENCE_GRIDS = {
-    "morse": Grid(-3.5, 8.0, 8001),
-    "poschl_teller": Grid(-12.0, 12.0, 8001),
-    "hulthen": Grid(1e-8, 30.0, 8001),
 }
 
 PROFILE_KINDS = BUILTIN_KINDS
@@ -64,16 +56,6 @@ class ComboSpec:
     @property
     def name(self):
         return f"{self.profile_kind}-{self.reference_kind}-q{self.q:g}"
-
-    def profile(self):
-        return MassProfile(self.profile_kind, self.mass_alpha, self.q)
-
-    def reference(self):
-        return make_reference(self.reference_kind, **REFERENCE_PARAMS[self.reference_kind])
-
-    def build(self):
-        """The TargetSystem of this combination."""
-        return TargetSystem.build(self.profile(), self.reference(), self.domain)
 
 
 #: one row per profile x reference pair: the mass alpha ({q: alpha} where
@@ -108,22 +90,3 @@ def _spec(profile_kind, reference_kind, q):
 COMBO_TABLE = tuple(
     _spec(p, r, q) for p in PROFILE_KINDS for r in REFERENCE_KINDS for q in Q_VALUES
 )
-
-
-def combo(profile_kind, reference_kind, q=None):
-    """Look up a ComboSpec; q defaults to 1, or to the pair's smallest
-    feasible q where q = 1 is infeasible."""
-    pair = (profile_kind, reference_kind)
-    specs = [s for s in COMBO_TABLE if (s.profile_kind, s.reference_kind) == pair]
-    if q is None:
-        feasible = [s.q for s in specs if s.feasible]
-        q = 1.0 if 1.0 in feasible else min(feasible, default=1.0)
-    for spec in specs:
-        if spec.q == q:
-            return spec
-    raise KeyError((profile_kind, reference_kind, q))
-
-
-def default_combos():
-    """The nine profile x reference pairs at their default (feasible) q."""
-    return tuple(combo(p, r) for p in PROFILE_KINDS for r in REFERENCE_KINDS)

@@ -52,14 +52,12 @@ class Reference:
         if self.n_max < 0:
             raise ConfigError(f"{self.kind} well too shallow to bind a state")
 
-    def y_domain(self):
-        return (self.y_lo, math.inf)
-
     def _points(self, y):
-        """y as a float array inside the reference domain."""
+        """y as a float array inside the reference domain (y_lo, inf), where
+        no NaN is."""
         y = np.asarray(y, dtype=float)
-        if self.y_lo > -math.inf and np.any(y <= self.y_lo):
-            raise DomainError(f"{self.kind} reference is defined for y > {self.y_lo:g} only")
+        if y.size and not (self.y_lo < np.min(y) and np.max(y) < math.inf):
+            raise DomainError(f"{self.kind} reference is defined for {self.y_lo:g} < y < inf only")
         return y
 
     def _per_level(self, n, value):

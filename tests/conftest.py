@@ -1,20 +1,65 @@
 """Shared fixtures and helpers, and the terminal-summary hook for the
 acceptance criteria and the golden report values."""
 
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from pctsolve import cli, presets
 from pctsolve.errors import PctError, PoleError
+from pctsolve.pctengine import TargetSystem
 
 # the benchmark's modules (perfbench/tracing.py, perfbench/workloads.py)
 # import under their own names
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+#: the rows of ``presets.COMBO_TABLE`` by run name
+PRESETS = {spec.name: spec for spec in presets.COMBO_TABLE}
+
+#: the nine default runs: each profile x reference pair at q = 1 or, where
+#: q = 1 is infeasible, at the pair's smallest feasible q
+DEFAULT_RUNS = (
+    "asymptotically_vanishing-morse-q1",
+    "asymptotically_vanishing-poschl_teller-q1",
+    "asymptotically_vanishing-hulthen-q1",
+    "tanh_sq-morse-q0.5",
+    "tanh_sq-poschl_teller-q0.5",
+    "tanh_sq-hulthen-q1",
+    "coth_sq-morse-q1",
+    "coth_sq-poschl_teller-q1",
+    "coth_sq-hulthen-q1",
+)
+
 CRITERION_RESULTS = {}
 #: per golden field, its largest (deviation, fraction of tolerance, where)
 GOLDEN_SPREAD = {}
+
+
+def preset_run(spec):
+    """The config run of a ``presets.ComboSpec``."""
+    mass = {"kind": spec.profile_kind, "alpha": spec.mass_alpha, "q": spec.q}
+    if spec.domain is not None:
+        mass["domain"] = list(spec.domain)
+    return {
+        "name": spec.name,
+        "mass": mass,
+        "reference": {"kind": spec.reference_kind, **presets.REFERENCE_PARAMS[spec.reference_kind]},
+        "grid": {"n_points": spec.n_points, "levels": 3},
+    }
+
+
+def load_runs(runs):
+    return cli.load_config(json.dumps({"schema_version": 1, "runs": runs}))
+
+
+def preset_target(spec):
+    """The TargetSystem of a ``presets.ComboSpec``, built as ``pct verify``
+    builds it: its config run through ``cli.load_config``, then
+    ``TargetSystem.build``."""
+    (run,) = load_runs([preset_run(spec)])["runs"]
+    return TargetSystem.build(run["profile"], run["reference"], run["domain"], run["levels"])
 
 
 def _outcome(fn):

@@ -14,23 +14,31 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import DEFAULT_RUNS, PRESETS, preset_target, record_criterion
 from pctsolve import cli, presets, qmath
 from pctsolve.eigensolver import Grid, residual_norm, solve_constant_mass
 from pctsolve.exprlang import eval_jet, parse
 from pctsolve.massmodel import MappingFunction, MassProfile
 from pctsolve.pctengine import pct_identity_residual, standard_profile_values, verify
+from pctsolve.refpotentials import REFERENCE_KINDS, make_reference
 
 # ---------------------------------------------------------------------------
 # 1. constant-mass solver vs closed-form spectra
+
+#: constant-mass verification grids for the three references
+REFERENCE_GRIDS = {
+    "morse": Grid(-3.5, 8.0, 8001),
+    "poschl_teller": Grid(-12.0, 12.0, 8001),
+    "hulthen": Grid(1e-8, 30.0, 8001),
+}
 
 
 def test_criterion_1_reference_solver_agreement():
     start = time.time()
     worst = 0.0
-    for kind in presets.REFERENCE_KINDS:
-        ref = presets.make_reference(kind, **presets.REFERENCE_PARAMS[kind])
-        grid = presets.REFERENCE_GRIDS[kind]
+    for kind in REFERENCE_KINDS:
+        ref = make_reference(kind, **presets.REFERENCE_PARAMS[kind])
+        grid = REFERENCE_GRIDS[kind]
         assert grid.n_points <= 8001
         energies = solve_constant_mass(grid, np.asarray(ref.potential(grid.points)), 3)
         for n in range(3):
@@ -69,7 +77,7 @@ def _combo_params():
 @pytest.mark.parametrize("spec", list(_combo_params()))
 def test_criterion_2_isospectrality(spec):
     start = time.time()
-    ts = spec.build()
+    ts = preset_target(spec)
     # the check `pct verify` runs: certified runs report the matrix
     # eigenvalues, the rest fall back to bisection
     energies = verify(ts, spec.n_points, 3).energies
@@ -118,8 +126,8 @@ def _residual_window(ts, n_points):
 
 def test_criterion_3_analytic_state_residual():
     worst = 0.0
-    for spec in presets.default_combos():
-        ts = spec.build()
+    for spec in (PRESETS[name] for name in DEFAULT_RUNS):
+        ts = preset_target(spec)
         lo, hi = _residual_window(ts, spec.n_points)
         n_points = max(int(math.ceil((hi - lo) / 1e-3)) + 1, 2001)
         grid = Grid(lo, hi, n_points)
@@ -212,7 +220,7 @@ def test_criterion_5_q_identities():
         worst = max(worst, float(np.max(np.abs(c * c - s * s - q) / scale)))
     # q = 1 reduction: deformed evaluation vs plain hyperbolics
     reduction = 0.0
-    ref = presets.make_reference("morse", **presets.REFERENCE_PARAMS["morse"])
+    ref = make_reference("morse", **presets.REFERENCE_PARAMS["morse"])
     for kind, alpha in (
         ("asymptotically_vanishing", 8.0),
         ("tanh_sq", 1.0),
@@ -249,8 +257,8 @@ def test_criterion_5_q_identities():
 
 def test_criterion_6_orthonormality():
     worst = max(
-        verify(spec.build(), spec.n_points, 3).orthonormality_max_dev
-        for spec in presets.default_combos()
+        verify(preset_target(spec), spec.n_points, 3).orthonormality_max_dev
+        for spec in (PRESETS[name] for name in DEFAULT_RUNS)
     )
     ok = worst < 1e-3
     record_criterion(

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import DEFAULT_RUNS, PRESETS, load_runs, preset_run
 from scipy.linalg import eigvalsh_tridiagonal
 
 from pctsolve import cli, eigensolver, exprlang, pctengine, presets
@@ -42,19 +43,6 @@ def basic_config(**overrides):
 README_RUNS = README_CONFIG["runs"]
 
 
-def preset_run(spec):
-    """The config run of a ``presets.ComboSpec``."""
-    mass = {"kind": spec.profile_kind, "alpha": spec.mass_alpha, "q": spec.q}
-    if spec.domain is not None:
-        mass["domain"] = list(spec.domain)
-    return {
-        "name": spec.name,
-        "mass": mass,
-        "reference": {"kind": spec.reference_kind, **presets.REFERENCE_PARAMS[spec.reference_kind]},
-        "grid": {"n_points": spec.n_points, "levels": 3},
-    }
-
-
 def run_module(*argv):
     """``python -W error -m pctsolve.cli *argv`` in a child process: main's
     return value reaches the shell through ``sys.exit(main())``."""
@@ -67,10 +55,6 @@ def run_module(*argv):
         capture_output=True,
         text=True,
     )
-
-
-def load_runs(runs):
-    return cli.load_config(json.dumps({"schema_version": 1, "runs": runs}))
 
 
 class TestConfigValidation:
@@ -653,7 +637,7 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize(
         "runs",
-        [README_RUNS, [preset_run(spec) for spec in presets.default_combos()]],
+        [README_RUNS, [preset_run(PRESETS[name]) for name in DEFAULT_RUNS]],
         ids=["readme", "default-combos"],
     )
     def test_residual_mass_derivative_is_the_stencil(self, monkeypatch, runs):
@@ -708,7 +692,7 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize(
         "runs",
-        [README_RUNS, [preset_run(spec) for spec in presets.default_combos()]],
+        [README_RUNS, [preset_run(PRESETS[name]) for name in DEFAULT_RUNS]],
         ids=["readme", "default-combos"],
     )
     def test_verify_certifies_without_bisection(self, monkeypatch, runs):
@@ -737,7 +721,7 @@ class TestVerifyAccuracy:
 
     @pytest.mark.parametrize(
         "run",
-        [preset_run(presets.combo("tanh_sq", "hulthen", 1.0)), README_RUNS[1]],
+        [preset_run(PRESETS["tanh_sq-hulthen-q1"]), README_RUNS[1]],
         ids=["tanh_sq-hulthen-q1", "readme-custom"],
     )
     def test_energies_match_tight_bisection(self, monkeypatch, run):

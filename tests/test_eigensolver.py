@@ -22,6 +22,7 @@ from pctsolve.eigensolver import (
     residual_norm,
     solve_constant_mass,
     solve_effective_mass,
+    tridiagonal_matrix,
 )
 from pctsolve.errors import ArgumentError, ConfigError, GridMismatchError, RangeOverflowError
 
@@ -141,6 +142,8 @@ class TestEffectiveMass:
         v = np.zeros(64)
         with pytest.raises(GridMismatchError):
             solve_effective_mass(grid, np.ones(64), v, 1)
+        with pytest.raises(GridMismatchError, match="potential"):
+            tridiagonal_matrix(grid, np.ones(63), np.zeros(63), 1)
         with pytest.raises(ConfigError):
             solve_effective_mass(grid, np.zeros(63), v, 1)
         with pytest.raises(ArgumentError):
@@ -344,6 +347,11 @@ class TestOverlap:
         ends = np.zeros_like(x)
         ends[[0, -1]] = 1.0
         assert overlap(grid, ends, np.ones_like(x)) == grid.h
+
+    def test_samples_must_match_the_grid(self):
+        grid = Grid(0.0, 1.0, 16)
+        with pytest.raises(GridMismatchError):
+            overlap(grid, np.ones(16), np.ones(15))
 
 
 class TestBisection:

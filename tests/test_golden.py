@@ -1,6 +1,7 @@
 """The reports keep their values: ``pct verify`` on the README and the
-27-run sweep configs and ``pct discrepancy`` on criterion 9's audit config,
-against tests/golden.json (written by tests/make_golden.py).
+27-run sweep configs and on the sweep's seven feasible q = 1 runs,
+``pct transform`` on the README config and ``pct discrepancy`` on criterion
+9's audit config, against tests/golden.json (written by tests/make_golden.py).
 
 Each field is compared at its own tolerance, wide enough for the spread of
 numpy, scipy and libm versions and narrow enough to catch a changed
@@ -12,13 +13,20 @@ log shows the spread on that job's versions.
 import json
 import math
 
-from conftest import record_golden
+from conftest import PRESETS, record_golden
 from make_golden import GOLDEN, reports
 from pctsolve import presets
+from pctsolve.refpotentials import make_reference
 
 #: runs whose solve bisects (the refinement's certificate fails); their
 #: energies carry bisection's tolerance ulp * ||T||_1, 2.0e-2 to 3.2e-2 here
 _BISECTED = {spec.name for spec in presets.COMBO_TABLE if not spec.feasible}
+
+
+def _closed_form(name, n):
+    """E_n of a sweep run: its reference's closed-form energy."""
+    kind = PRESETS[name].reference_kind
+    return make_reference(kind, **presets.REFERENCE_PARAMS[kind]).energy(n)
 
 
 def _rel(a, b):
@@ -52,6 +60,13 @@ def _compare(golden, got):
                     check("bisected energy", f"{where} E{n}", abs(e - e0), 0.05)
                 else:
                     check("energy", f"{where} E{n}", _rel(e, e0), 1e-9)
+            # the energies' tolerances carried through |E - E_n| / |E_n|
+            for n, (r, r0) in enumerate(zip(run["rel_errors"], want["rel_errors"])):
+                if run["name"] in _BISECTED:
+                    tol = 0.05 / abs(_closed_form(run["name"], n))
+                    check("bisected rel_error", f"{where} E{n}", abs(r - r0), tol)
+                else:
+                    check("rel_error", f"{where} E{n}", abs(r - r0), 1e-9)
             # the Gram matrix is symmetric bit for bit: its upper triangle
             for i, (row, row0) in enumerate(zip(run["gram"], want["gram"])):
                 for j in range(i, len(row)):
@@ -61,6 +76,21 @@ def _compare(golden, got):
                 if r is not None and r0 is not None:
                     # norms near the stencil's rounding floor move with libm
                     check("residual", f"{where} r{n}", abs(r - r0), 0.5 * r0 + 1e-7)
+    report = "verify_q1_reduction"
+    exact(report, [r["name"] for r in got[report]], [r["name"] for r in golden[report]])
+    for run, want in zip(got[report], golden[report]):
+        # rounding-level deviations; a broken reduction moves them past 1e-12
+        dev = abs(run["q1_reduction_max_dev"] - want["q1_reduction_max_dev"])
+        check("q1_reduction_max_dev", f"{report} {run['name']}", dev, 1e-12)
+    report = "transform_readme"
+    exact(report, [r["name"] for r in got[report]], [r["name"] for r in golden[report]])
+    for run, want in zip(got[report], golden[report]):
+        exact(f"{report} {run['name']} rows", len(run["rows"]), len(want["rows"]))
+        for i, (row, row0) in enumerate(zip(run["rows"], want["rows"])):
+            # |delta| / max(1, |v|): the first coth-pt row lies 3.2e-9 from the
+            # coth_sq branch point, where one ulp of x moves m by 3.4e-8 of m
+            dev = max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(row, row0))
+            check("transform row", f"{report} {run['name']} row {i}", dev, 1e-7)
     report = "discrepancy_audit"
     exact(report, [r["name"] for r in got[report]], [r["name"] for r in golden[report]])
     for run, want in zip(got[report], golden[report]):

@@ -192,6 +192,7 @@ class TestValidation:
             ),
             # tanh_sq at alpha = q = 1 lives on x > 0
             (lambda: MassProfile("tanh_sq", 1.0, 1.0, x_min=-1.0, x_max=5.0), "domain"),
+            (lambda: MassProfile("custom", x_min=-1.0, x_max=1.0), "expression"),
         ],
         ids=[
             "tanh-alpha-inf",
@@ -208,6 +209,7 @@ class TestValidation:
             "custom-domain-too-wide",
             "vanishing-domain-too-wide",
             "domain-below-branch-point",
+            "custom-expression-missing",
         ],
     )
     def test_config_error_names_its_field(self, make, field):

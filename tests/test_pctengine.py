@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import node_count
+from conftest import load_runs, node_count, preset_run
 from hypothesis import given, settings, strategies as st
-from test_cli import README_RUNS, load_runs, preset_run
+from test_cli import README_RUNS
 
 from pctsolve import cli, eigensolver, massmodel, presets
 from pctsolve.eigensolver import Grid, trapezoid_dot
-from pctsolve.errors import ConfigError, DomainError
+from pctsolve.errors import ArgumentError, ConfigError, DomainError
 from pctsolve.massmodel import MappingFunction, MassProfile
 from pctsolve.pctengine import (
     TargetSystem,
@@ -80,13 +80,33 @@ class TestTargetSystem:
 
     def test_suggest_domain_decays_reference_states(self):
         profile = MassProfile("asymptotically_vanishing", 8.0, 1.0)
-        lo, hi = suggest_domain(profile, MORSE_REF)
+        lo, hi = suggest_domain(MappingFunction(profile), MORSE_REF)
         ts = TargetSystem.build(profile, MORSE_REF, (lo, hi))
         xs = np.linspace(lo, hi, 4001)
         for n in range(3):
             psi = np.abs(np.asarray(ts.wavefunction(n, xs)))
             edge = max(psi[0], psi[-1])
             assert edge < 1e-5 * np.max(psi)
+
+    @pytest.mark.parametrize("levels", [0, -1, 2.0, True])
+    def test_suggest_domain_needs_a_level(self, levels):
+        # no level to decay: the whole probe window would map back
+        profile = MassProfile("asymptotically_vanishing", 8.0, 1.0)
+        with pytest.raises(ArgumentError, match="n_levels"):
+            suggest_domain(MappingFunction(profile), MORSE_REF, levels)
+        with pytest.raises(ArgumentError, match="n_levels"):
+            TargetSystem.build(profile, MORSE_REF, levels=levels)
+
+    @pytest.mark.parametrize(
+        "domain, message",
+        [((2.0, 1.0), "is empty"), ((-1.0, 1.0), "exceeds the mass profile domain")],
+        ids=["empty", "beyond-the-profile"],
+    )
+    def test_domain_checked_before_the_mapping(self, domain, message):
+        # tanh_sq at alpha = q = 1 lives on x > 0
+        profile = MassProfile("tanh_sq", 1.0, 1.0)
+        with pytest.raises(ConfigError, match=message):
+            TargetSystem.build(profile, MORSE_REF, domain)
 
     def test_composite_value_cross_check(self):
         # V(x) must equal V_ref(f(x)) and the correction composed separately
@@ -256,6 +276,11 @@ class TestAlgebraIdentity:
             xs = (lo if math.isfinite(lo) else 0.0) + np.linspace(1.0, 6.0, 25)
             assert np.max(pct_identity_residual(profile, xs)) < 1e-7
 
+    def test_no_stencil_at_the_branch_point(self):
+        # tanh_sq at alpha = q = 1: m -> 0 at x = 0, the domain's end
+        with pytest.raises(DomainError, match="too close"):
+            pct_identity_residual(MassProfile("tanh_sq", 1.0, 1.0), 0.0)
+
     def test_smooth_custom_profile(self):
         profile = MassProfile.custom("1.5 + 0.5*cos(x)", -3.0, 3.0)
         xs = np.linspace(-2.5, 2.5, 50)
@@ -266,6 +291,10 @@ class TestStandardEvaluation:
     def test_requires_q_one(self):
         with pytest.raises(ConfigError):
             standard_profile_values(MassProfile("tanh_sq", 1.0, 2.0), 1.0)
+
+    def test_custom_profile_rejected(self):
+        with pytest.raises(ConfigError, match="custom"):
+            standard_profile_values(MassProfile.custom("1.0", -1.0, 1.0), 0.0)
 
     def test_matches_deformed_at_q_one(self):
         for kind in ("asymptotically_vanishing", "tanh_sq", "coth_sq"):

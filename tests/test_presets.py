@@ -1,35 +1,22 @@
-import pytest
+from conftest import DEFAULT_RUNS, PRESETS
 
 from pctsolve import presets
 
 
 class TestDefaultQ:
-    """combo() without q takes q = 1, or the pair's smallest feasible q."""
-
-    def test_default_combos_are_the_nine_pairs(self):
-        assert [spec.name for spec in presets.default_combos()] == [
-            "asymptotically_vanishing-morse-q1",
-            "asymptotically_vanishing-poschl_teller-q1",
-            "asymptotically_vanishing-hulthen-q1",
-            "tanh_sq-morse-q0.5",
-            "tanh_sq-poschl_teller-q0.5",
-            "tanh_sq-hulthen-q1",
-            "coth_sq-morse-q1",
-            "coth_sq-poschl_teller-q1",
-            "coth_sq-hulthen-q1",
-        ]
+    """The nine default runs take each pair at q = 1, or at the pair's
+    smallest feasible q where q = 1 is infeasible."""
 
     def test_default_combos_are_feasible(self):
-        assert all(spec.feasible for spec in presets.default_combos())
-
-    def test_infeasible_at_q1_takes_the_smallest_feasible_q(self):
-        spec = presets.combo("tanh_sq", "morse")
-        assert spec is presets.combo("tanh_sq", "morse", 0.5)
-        assert spec.q == 0.5 and spec.feasible
-        assert not presets.combo("tanh_sq", "morse", 1.0).feasible
-
-    def test_unknown_combination(self):
-        with pytest.raises(KeyError):
-            presets.combo("tanh_sq", "morse", 3.0)
-        with pytest.raises(KeyError):
-            presets.combo("custom", "morse")
+        feasible_q = {}
+        for spec in presets.COMBO_TABLE:
+            if spec.feasible:
+                feasible_q.setdefault((spec.profile_kind, spec.reference_kind), []).append(spec.q)
+        defaults = [PRESETS[name] for name in DEFAULT_RUNS]
+        assert all(spec.feasible for spec in defaults)
+        # one run per pair, in table order
+        assert [(s.profile_kind, s.reference_kind) for s in defaults] == list(feasible_q)
+        assert len(feasible_q) == len(presets.PROFILE_KINDS) * len(presets.REFERENCE_KINDS)
+        for spec in defaults:
+            qs = feasible_q[spec.profile_kind, spec.reference_kind]
+            assert spec.q == (1.0 if 1.0 in qs else min(qs))

@@ -144,6 +144,20 @@ class TestEigenfunctions:
             HULTHEN.potential(np.array([-0.5, 1.0]))
         with pytest.raises(DomainError):
             HULTHEN.eigenfunction(0, np.array([0.0, 1.0]))
+        # an empty y lies inside every domain
+        assert HULTHEN.potential(np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("ref", [MORSE, PT, HULTHEN], ids=lambda r: type(r).__name__)
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+    def test_non_finite_y_rejected(self, ref, bad):
+        # the domain is y_lo < y < inf; NaN fails both comparisons
+        for y in (bad, np.array([1.0, bad, 2.0])):
+            with pytest.raises(DomainError):
+                ref.potential(y)
+            with pytest.raises(DomainError):
+                ref.eigenfunction(0, y)
+            with pytest.raises(DomainError):
+                ref.eigenfunction([0, 1], y)
 
 
 #: two parameter sets per reference, the second a deep well, each with
