@@ -243,7 +243,9 @@ class Jet2:
         return Jet2(-self.value, -self.d1, -self.d2)
 
     def __sub__(self, other):
-        return self + (-_jet(other))
+        # a - b, not a + (-b): the negation flips a NaN's sign bit
+        o = _jet(other)
+        return Jet2(self.value - o.value, self.d1 - o.d1, self.d2 - o.d2)
 
     def __mul__(self, other):
         o = _jet(other)

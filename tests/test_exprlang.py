@@ -279,6 +279,13 @@ class TestValueWalk:
         for at in (_XS, 0.0, -1.0, 1.5):
             assert_value_matches_jet(lambda: eval_value(ast, at), lambda: eval_jet(ast, at))
 
+    def test_difference_keeps_the_nan_sign(self):
+        # inf - inf is a NaN with its sign bit set; subtracting it from x
+        # keeps that bit in both walks
+        ast = parse("x - (1e300^x - x^1e200)")
+        for at in (2.0, _XS):
+            assert_value_matches_jet(lambda: eval_value(ast, at), lambda: eval_jet(ast, at))
+
     @pytest.mark.parametrize(
         "source, params",
         [("x^(0.5/a)", {"a": -3.34e-238}), ("2 + x^(1e200)", {}), ("a^(1e200) + x", {"a": -2.0})],

@@ -7,6 +7,30 @@ class TestDefaultQ:
     """The nine default runs take each pair at q = 1, or at the pair's
     smallest feasible q where q = 1 is infeasible."""
 
+    def test_default_combos_are_the_nine_pairs(self):
+        # the default of each pair, read off COMBO_TABLE alone
+        feasible_q = {}
+        for spec in presets.COMBO_TABLE:
+            if spec.feasible:
+                feasible_q.setdefault((spec.profile_kind, spec.reference_kind), []).append(spec.q)
+        names = []
+        for spec in presets.COMBO_TABLE:
+            qs = feasible_q.get((spec.profile_kind, spec.reference_kind), [])
+            if spec.q == (1.0 if 1.0 in qs else min(qs, default=None)):
+                names.append(spec.name)
+        assert names == [
+            "asymptotically_vanishing-morse-q1",
+            "asymptotically_vanishing-poschl_teller-q1",
+            "asymptotically_vanishing-hulthen-q1",
+            "tanh_sq-morse-q0.5",
+            "tanh_sq-poschl_teller-q0.5",
+            "tanh_sq-hulthen-q1",
+            "coth_sq-morse-q1",
+            "coth_sq-poschl_teller-q1",
+            "coth_sq-hulthen-q1",
+        ]
+        assert tuple(names) == DEFAULT_RUNS
+
     def test_default_combos_are_feasible(self):
         feasible_q = {}
         for spec in presets.COMBO_TABLE:
