@@ -33,7 +33,7 @@ from .pctengine import (
     suggest_domain,
     verify,
 )
-from .refpotentials import Hulthen, Morse, PoschlTeller, make_reference
+from .refpotentials import Hulthen, Morse, PoschlTeller
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "TargetSystem",
     "UnboundParameterError",
     "UnknownFunctionError",
-    "make_reference",
     "overlap",
     "pct_identity_residual",
     "printed_target_potential",

@@ -25,7 +25,7 @@ from . import __version__, massmodel, refpotentials
 from .eigensolver import MIN_GRID_POINTS
 from .errors import ConfigError, DomainError, PctError
 from .massmodel import MassProfile
-from .pctengine import TargetSystem, printed_target_potential, standard_profile_values, verify
+from .pctengine import TargetSystem, printed_target_potential, verify
 
 SCHEMA_VERSION = 1
 
@@ -205,8 +205,7 @@ def load_config(text):
 
 def _build(run):
     """The run's target system and the number of its levels to check."""
-    ts = TargetSystem.build(run["profile"], run["reference"], run["domain"], run["levels"])
-    return ts, run["levels"]
+    return TargetSystem.build(run["profile"], run["reference"], run["levels"]), run["levels"]
 
 
 def _each_run(config, work):
@@ -274,7 +273,8 @@ def _verify_one(run):
     report["pass"] = report["pass"] and dev < tol["orthonormality"]
     if run["check_q1_reduction"]:
         fields = check.fields
-        m_std, f_std, corr_std = standard_profile_values(ts.profile, fields.x)
+        profile = ts.profile
+        m_std, f_std, corr_std = massmodel.FAMILIES[profile.kind].standard(fields.x, profile.alpha)
         f_dev = np.max(np.abs(f_std - fields.f))
         m_dev = np.max(np.abs(m_std - fields.mass) / (1.0 + np.abs(m_std)))
         c_dev = np.max(np.abs(corr_std - fields.correction) / (1.0 + np.abs(corr_std)))
@@ -352,36 +352,30 @@ def main(argv=None):
         p.add_argument("-o", "--output", default=None, help="output file path")
     args = parser.parse_args(argv)
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            config = load_config(fh.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out_path = args.output or config["output_path"]
-    problem = out_path and _unwritable(out_path)
-    if problem:
-        print(f"error: cannot write output: {problem}", file=sys.stderr)
-        return 2
-    try:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                config = load_config(fh.read())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config: {exc}")
+        out_path = args.output or config["output_path"]
+        problem = out_path and _unwritable(out_path)
+        if problem:
+            raise ConfigError(f"cannot write output: {problem}")
         text, code = _COMMANDS[args.command](config)
+        if out_path:
+            try:
+                with open(out_path, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output: {exc}")
+        else:
+            sys.stdout.write(text)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PctError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -63,6 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, ConfigError, GridMismatchError, PctError, RangeOverflowError
+from .errors import require_count
 
 
 def _load_flapack():
@@ -108,8 +109,7 @@ class Grid:
         # NaN fails the test, as does a width that overflows to inf
         if not 0.0 < self.x_max - self.x_min < math.inf:
             raise ConfigError("grid requires x_min < x_max a finite distance apart")
-        if self.n_points < MIN_GRID_POINTS:
-            raise ConfigError(f"grid requires at least {MIN_GRID_POINTS} points")
+        require_count("grid n_points", self.n_points, MIN_GRID_POINTS, ConfigError)
         span = f"{self.n_points} grid points on [{self.x_min!r}, {self.x_max!r}]"
         if not self.h * self.h >= sys.float_info.min:
             raise ConfigError(f"{span}: the spacing h = {self.h:.3g} is too small, h^2 underflows")
@@ -346,7 +346,8 @@ def tridiagonal_matrix(grid, mass_at_midpoints, potential_values, n_levels):
     diag = (a[:-1] + a[1:]) / (2.0 * h * h) + v[1:-1]
     # a / (-c) is -a / c bit for bit
     off = a[1:-1] / (-2.0 * h * h)
-    if not 1 <= n_levels <= diag.size:
+    require_count("n_levels", n_levels, 1)
+    if n_levels > diag.size:
         raise ArgumentError(f"n_levels must be between 1 and the {diag.size} interior points")
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise RangeOverflowError("the finite-difference matrix has a non-finite entry")

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all pctsolve modules."""
 
 import math
+import numbers
 
 
 class PctError(Exception):
@@ -38,6 +39,13 @@ def require_positive(owner, name, value):
     ConfigError naming the field ``name`` of ``owner`` unless value is."""
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{owner} needs {name} finite and > 0", field=name)
+
+
+def require_count(name, value, least, error=ArgumentError):
+    """The one rule for a count or index argument: an integer (a numpy
+    integer too, never a bool) >= least, else ``error`` saying so."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class GridMismatchError(PctError, ValueError):

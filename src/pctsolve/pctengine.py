@@ -9,6 +9,9 @@ spectrum exactly:
     V(x)  = V_ref(f(x)) + (1/8m)[m''/m - (7/4)(m'/m)^2]
     Psi_n(x) = m(x)^{1/4} Phi_n(f(x))
 
+A target spans its mass profile's domain when the profile bounds both ends,
+else the window ``suggest_domain`` gives, where its lowest states decay.
+
 The module also carries a verbatim evaluator for a published table of
 per-case composite potentials, used only by the discrepancy audit — several
 of those printed formulas disagree with the construction above.
@@ -31,7 +34,7 @@ from .eigensolver import (
     solve_effective_mass,
     trapezoid_dot,
 )
-from .errors import ArgumentError, ConfigError, DomainError
+from .errors import ConfigError, DomainError, require_count
 from .massmodel import MappingFunction, MassProfile
 from .refpotentials import Morse, PoschlTeller
 
@@ -62,18 +65,17 @@ class TargetSystem:
     x_max: float
 
     @classmethod
-    def build(cls, profile, reference, domain=None, levels=3):
-        """The target on ``domain``, or on the domain suggested for its
-        lowest ``levels`` states."""
+    def build(cls, profile, reference, levels=3):
+        """The target on its profile's domain when both ends are set, as a
+        custom profile's are, else on the one ``suggest_domain`` gives for
+        its lowest ``levels`` states.  A narrower window of a custom profile
+        is a profile with that domain, whose f = 0 at its midpoint: a
+        different, still exactly solvable, target."""
         mapping = MappingFunction(profile)
-        if domain is None:
-            domain = suggest_domain(mapping, reference, levels)
-        x_min, x_max = float(domain[0]), float(domain[1])
-        if not x_min < x_max:
-            raise ConfigError("target domain is empty")
-        lo, hi = profile.domain()
-        if x_min < lo or x_max > hi:
-            raise ConfigError("target domain exceeds the mass profile domain")
+        if profile.x_min is not None and profile.x_max is not None:
+            x_min, x_max = profile.x_min, profile.x_max
+        else:
+            x_min, x_max = suggest_domain(mapping, reference, levels)
         y_lo, y_hi = float(mapping.forward(x_min)), float(mapping.forward(x_max))
         # the reference domain is open: a half line excludes its end point
         if not reference.y_lo < y_lo <= y_hi < math.inf:
@@ -123,6 +125,7 @@ class TargetSystem:
         """(grid, fields) on the uniform n_points grid of the domain, the
         fields with Psi_0..Psi_{levels-1} scaled to unit trapezoid norm; a
         ConfigError where V or a state's norm overflows, or a norm is 0."""
+        require_count("levels", levels, 0)
         grid = Grid(self.x_min, self.x_max, n_points)
         with np.errstate(all="ignore"):
             fields = self.fields(grid.points, range(levels))
@@ -249,8 +252,7 @@ def suggest_domain(mapping, reference, n_levels=3):
     lowest ``n_levels`` reference states, pushed through f^{-1}, decays below
     1e-8 (relative) at both ends.  f^{-1} keeps the ends in the profile's
     domain."""
-    if isinstance(n_levels, bool) or not isinstance(n_levels, (int, np.integer)) or n_levels < 1:
-        raise ArgumentError(f"n_levels must be an integer >= 1, got {n_levels!r}")
+    require_count("n_levels", n_levels, 1)
     n_top = min(n_levels - 1, reference.n_max)
     m_lo, m_hi = mapping.y_range()
     y_lo = max(reference.y_lo, m_lo)
@@ -269,24 +271,6 @@ def suggest_domain(mapping, reference, n_levels=3):
     if math.isfinite(reference.y_lo):
         w_lo = max(m_lo + 1e-9, reference.y_lo + _DECAY)
     return float(mapping.inverse(w_lo)), float(mapping.inverse(w_hi))
-
-
-# ---------------------------------------------------------------------------
-# deformation-free (q = 1) evaluation path
-
-
-def standard_profile_values(profile: MassProfile, x):
-    """(m, f, correction) via plain numpy hyperbolics; requires q = 1.
-
-    Used to confirm that the deformed evaluation collapses to the standard
-    one when the deformation parameter is 1.
-    """
-    if profile.kind == massmodel.CUSTOM:
-        raise ConfigError("custom profiles have no standard-hyperbolic form")
-    if profile.q != 1.0:
-        raise ConfigError("standard evaluation requires q = 1")
-    x = np.asarray(x, dtype=float)
-    return massmodel.FAMILIES[profile.kind].standard(x, profile.alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,6 @@ REFERENCE_PARAMS = {
 PROFILE_KINDS = BUILTIN_KINDS
 Q_VALUES = (0.5, 1.0, 2.0)
 
-_TANH_HALF_LINE_REASON = (
-    "mapping range is a half line missing y < 0 where the reference "
-    "states live; the Dirichlet problem converges to a different spectrum"
-)
-
 
 @dataclass(frozen=True)
 class ComboSpec:
@@ -51,7 +46,6 @@ class ComboSpec:
     n_points: int
     domain: Optional[tuple] = None  # explicit (x_min, x_max); else suggested
     feasible: bool = True
-    reason: str = ""
 
     @property
     def name(self):
@@ -83,7 +77,7 @@ def _spec(profile_kind, reference_kind, q):
         alpha = alpha[q]
     spec = ComboSpec(profile_kind, reference_kind, q, alpha, n_points, domain)
     if q in infeasible_q:
-        spec = replace(spec, domain=None, feasible=False, reason=_TANH_HALF_LINE_REASON)
+        spec = replace(spec, domain=None, feasible=False)
     return spec
 
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, PoleError, RangeOverflowError
+from .errors import DomainError, PoleError, RangeOverflowError, require_count
 
 #: denominators smaller than this trigger a PoleError
 POLE_THRESHOLD = 1e-300
@@ -147,17 +147,12 @@ def arccosh_q(y, q):
     return _ret(np.arccosh(t) - x0)
 
 
-def _check_degree(n):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ArgumentError(f"polynomial degree must be a non-negative integer, got {n!r}")
-
-
 def laguerre_assoc(n, t, z):
     """Generalized Laguerre polynomial L_n^t(z) by the three-term recurrence
 
         (k+1) L_{k+1} = (2k + 1 + t - z) L_k - (k + t) L_{k-1}.
     """
-    _check_degree(n)
+    require_count("polynomial degree", n, 0)
     z = _as_float(z)
     p_prev = np.ones_like(z)
     if n == 0:
@@ -170,7 +165,7 @@ def laguerre_assoc(n, t, z):
 
 def jacobi(n, a, b, z):
     """Jacobi polynomial P_n^{(a,b)}(z) by the standard three-term recurrence."""
-    _check_degree(n)
+    require_count("polynomial degree", n, 0)
     z = _as_float(z)
     p_prev = np.ones_like(z)
     if n == 0:

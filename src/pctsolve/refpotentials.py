@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigError, DomainError, require_positive
+from .errors import ArgumentError, ConfigError, DomainError, require_count, require_positive
 from .qmath import jacobi, laguerre_assoc
 
 
@@ -67,8 +67,7 @@ class Reference:
         levels = (n,) if single else tuple(n)
         n_max = self.n_max
         for k in levels:
-            if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 0:
-                raise ArgumentError(f"level index must be a non-negative integer, got {k!r}")
+            require_count("level index", k, 0)
             if k > n_max:
                 raise ArgumentError(
                     f"{self.kind} potential with these parameters has levels 0..{n_max}, got n={k}"
@@ -85,6 +84,7 @@ class Reference:
         """A value between E_{levels-1} and the next level: the midpoint of the
         two, or for the top bound state half its energy, since the continuum
         starts at 0."""
+        require_count("levels", levels, 1)
         top = self.energy(levels - 1)
         if levels - 1 < self.n_max:
             return 0.5 * (top + self.energy(levels))
@@ -236,12 +236,3 @@ REFERENCES = {cls.kind: cls for cls in (Morse, PoschlTeller, Hulthen)}
 
 REFERENCE_KINDS = tuple(REFERENCES)
 
-
-def make_reference(kind, **params):
-    """Factory keyed by kind string; raises ConfigError for unknown kinds."""
-    if kind not in REFERENCE_KINDS:
-        raise ConfigError(f"unknown reference potential kind {kind!r}")
-    try:
-        return REFERENCES[kind](**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for reference {kind!r}: {exc}")

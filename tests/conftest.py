@@ -59,7 +59,7 @@ def preset_target(spec):
     builds it: its config run through ``cli.load_config``, then
     ``TargetSystem.build``."""
     (run,) = load_runs([preset_run(spec)])["runs"]
-    return TargetSystem.build(run["profile"], run["reference"], run["domain"], run["levels"])
+    return TargetSystem.build(run["profile"], run["reference"], run["levels"])
 
 
 def _outcome(fn):

@@ -18,9 +18,9 @@ from conftest import DEFAULT_RUNS, PRESETS, preset_target, record_criterion
 from pctsolve import cli, presets, qmath
 from pctsolve.eigensolver import Grid, residual_norm, solve_constant_mass
 from pctsolve.exprlang import eval_jet, parse
-from pctsolve.massmodel import MappingFunction, MassProfile
-from pctsolve.pctengine import pct_identity_residual, standard_profile_values, verify
-from pctsolve.refpotentials import REFERENCE_KINDS, make_reference
+from pctsolve.massmodel import FAMILIES, MappingFunction, MassProfile
+from pctsolve.pctengine import pct_identity_residual, verify
+from pctsolve.refpotentials import REFERENCE_KINDS, REFERENCES, Morse
 
 # ---------------------------------------------------------------------------
 # 1. constant-mass solver vs closed-form spectra
@@ -37,7 +37,7 @@ def test_criterion_1_reference_solver_agreement():
     start = time.time()
     worst = 0.0
     for kind in REFERENCE_KINDS:
-        ref = make_reference(kind, **presets.REFERENCE_PARAMS[kind])
+        ref = REFERENCES[kind](**presets.REFERENCE_PARAMS[kind])
         grid = REFERENCE_GRIDS[kind]
         assert grid.n_points <= 8001
         energies = solve_constant_mass(grid, np.asarray(ref.potential(grid.points)), 3)
@@ -70,7 +70,7 @@ def _combo_params():
             yield pytest.param(
                 spec,
                 id=spec.name,
-                marks=pytest.mark.xfail(reason=spec.reason, strict=True),
+                marks=pytest.mark.xfail(reason="f maps onto a half line without y < 0", strict=True),
             )
 
 
@@ -220,7 +220,7 @@ def test_criterion_5_q_identities():
         worst = max(worst, float(np.max(np.abs(c * c - s * s - q) / scale)))
     # q = 1 reduction: deformed evaluation vs plain hyperbolics
     reduction = 0.0
-    ref = make_reference("morse", **presets.REFERENCE_PARAMS["morse"])
+    ref = Morse(**presets.REFERENCE_PARAMS["morse"])
     for kind, alpha in (
         ("asymptotically_vanishing", 8.0),
         ("tanh_sq", 1.0),
@@ -229,7 +229,7 @@ def test_criterion_5_q_identities():
         profile = MassProfile(kind, alpha, 1.0)
         lo, _ = profile.domain()
         x = (lo if math.isfinite(lo) else -2.0) + np.linspace(0.5, 5.5, 401)
-        m_std, f_std, corr_std = standard_profile_values(profile, x)
+        m_std, f_std, corr_std = FAMILIES[kind].standard(x, alpha)
         mapping = MappingFunction(profile)
         m = np.asarray(profile.mass(x), dtype=float)
         f = np.asarray(mapping.forward(x), dtype=float)

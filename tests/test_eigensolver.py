@@ -38,6 +38,8 @@ class TestGrid:
             Grid(1.0, 0.0, 100)
         with pytest.raises(ConfigError):
             Grid(0.0, 1.0, 8)
+        with pytest.raises(ConfigError, match="n_points must be an integer"):
+            Grid(0.0, 1.0, 16.0)
         with pytest.raises(ConfigError, match="consecutive points coincide"):
             Grid(1.0, 1.0 + 2e-16, 201)
         with pytest.raises(ConfigError, match="h\\^2 underflows"):
@@ -236,6 +238,9 @@ class TestMatrixChecks:
         assert solve_constant_mass(grid, np.zeros(16), 14).size == 14
         with pytest.raises(ArgumentError):
             solve_constant_mass(grid, np.zeros(16), 15)
+        for bad in (True, 2.5):
+            with pytest.raises(ArgumentError, match="n_levels must be an integer"):
+                solve_constant_mass(grid, np.zeros(16), bad)
 
 
 def _run_fresh(code):

@@ -16,7 +16,7 @@ import math
 from conftest import PRESETS, record_golden
 from make_golden import GOLDEN, reports
 from pctsolve import presets
-from pctsolve.refpotentials import make_reference
+from pctsolve.refpotentials import REFERENCES
 
 #: runs whose solve bisects (the refinement's certificate fails); their
 #: energies carry bisection's tolerance ulp * ||T||_1, 2.0e-2 to 3.2e-2 here
@@ -26,7 +26,7 @@ _BISECTED = {spec.name for spec in presets.COMBO_TABLE if not spec.feasible}
 def _closed_form(name, n):
     """E_n of a sweep run: its reference's closed-form energy."""
     kind = PRESETS[name].reference_kind
-    return make_reference(kind, **presets.REFERENCE_PARAMS[kind]).energy(n)
+    return REFERENCES[kind](**presets.REFERENCE_PARAMS[kind]).energy(n)
 
 
 def _rel(a, b):

@@ -9,12 +9,11 @@ from test_cli import README_RUNS
 from pctsolve import cli, eigensolver, massmodel, presets
 from pctsolve.eigensolver import Grid, trapezoid_dot
 from pctsolve.errors import ArgumentError, ConfigError, DomainError
-from pctsolve.massmodel import MappingFunction, MassProfile
+from pctsolve.massmodel import FAMILIES, MappingFunction, MassProfile
 from pctsolve.pctengine import (
     TargetSystem,
     pct_identity_residual,
     printed_target_potential,
-    standard_profile_values,
     suggest_domain,
     verify,
 )
@@ -30,7 +29,7 @@ class TestIdentityTransform:
 
     def build(self):
         profile = MassProfile.custom("1.0", -8.0, 8.0)
-        return TargetSystem.build(profile, PT_REF, (-8.0, 8.0))
+        return TargetSystem.build(profile, PT_REF)
 
     def test_potential_is_shifted_reference(self):
         ts = self.build()
@@ -61,27 +60,28 @@ class TestTargetSystem:
 
     def test_hulthen_reference_domain_violation(self):
         # f(x_min) <= 0 must be rejected
-        profile = MassProfile("asymptotically_vanishing", 8.0, 1.0)
+        profile = MassProfile("asymptotically_vanishing", 8.0, 1.0, -1.0, 5.0)
         with pytest.raises(DomainError):
-            TargetSystem.build(profile, HULTHEN_REF, (-1.0, 5.0))
+            TargetSystem.build(profile, HULTHEN_REF)
 
     def test_hulthen_wall_on_the_domain_edge(self):
         # f(0) = 0 exactly: the open half line y > 0 excludes the left end
-        profile = MassProfile("asymptotically_vanishing", 8.0, 1.0)
+        profile = MassProfile("asymptotically_vanishing", 8.0, 1.0, 0.0, 5.0)
         assert MappingFunction(profile).forward(0.0) == 0.0
         with pytest.raises(DomainError, match="reference-domain violation"):
-            TargetSystem.build(profile, HULTHEN_REF, (0.0, 5.0))
+            TargetSystem.build(profile, HULTHEN_REF)
 
     def test_out_of_domain_evaluation(self):
-        profile = MassProfile("asymptotically_vanishing", 8.0, 1.0)
-        ts = TargetSystem.build(profile, MORSE_REF, (-1.0, 3.0))
+        profile = MassProfile("asymptotically_vanishing", 8.0, 1.0, -1.0, 3.0)
+        ts = TargetSystem.build(profile, MORSE_REF)
         with pytest.raises(DomainError):
             ts.potential(4.0)
 
     def test_suggest_domain_decays_reference_states(self):
         profile = MassProfile("asymptotically_vanishing", 8.0, 1.0)
         lo, hi = suggest_domain(MappingFunction(profile), MORSE_REF)
-        ts = TargetSystem.build(profile, MORSE_REF, (lo, hi))
+        ts = TargetSystem.build(profile, MORSE_REF)
+        assert (ts.x_min, ts.x_max) == (lo, hi)
         xs = np.linspace(lo, hi, 4001)
         for n in range(3):
             psi = np.abs(np.asarray(ts.wavefunction(n, xs)))
@@ -98,20 +98,17 @@ class TestTargetSystem:
             TargetSystem.build(profile, MORSE_REF, levels=levels)
 
     @pytest.mark.parametrize(
-        "domain, message",
-        [((2.0, 1.0), "is empty"), ((-1.0, 1.0), "exceeds the mass profile domain")],
-        ids=["empty", "beyond-the-profile"],
+        "n_points, levels, error", [(2001.0, 3, ConfigError), (2001, 2.0, ArgumentError)]
     )
-    def test_domain_checked_before_the_mapping(self, domain, message):
-        # tanh_sq at alpha = q = 1 lives on x > 0
-        profile = MassProfile("tanh_sq", 1.0, 1.0)
-        with pytest.raises(ConfigError, match=message):
-            TargetSystem.build(profile, MORSE_REF, domain)
+    def test_verify_takes_integer_counts(self, n_points, levels, error):
+        profile = MassProfile("asymptotically_vanishing", 8.0, 1.0, -1.0, 3.0)
+        with pytest.raises(error, match="must be an integer"):
+            verify(TargetSystem.build(profile, MORSE_REF), n_points, levels)
 
     def test_composite_value_cross_check(self):
         # V(x) must equal V_ref(f(x)) and the correction composed separately
-        profile = MassProfile("tanh_sq", 0.5, 1.0)
-        ts = TargetSystem.build(profile, MORSE_REF, (1.0, 10.0))
+        profile = MassProfile("tanh_sq", 0.5, 1.0, 1.0, 10.0)
+        ts = TargetSystem.build(profile, MORSE_REF)
         x = 2.25
         f = float(ts.mapping.forward(x))
         expected = float(MORSE_REF.potential(f)) + float(profile.correction(x))
@@ -144,7 +141,7 @@ class TestDomainCheck:
     PROFILE = MassProfile.custom("1 + x^2", -2.5, 7.0)
     BUILTIN = MassProfile("tanh_sq", 0.7, 0.5)
     TARGET = TargetSystem.build(
-        MassProfile("asymptotically_vanishing", 8.0, 1.0), MORSE_REF, (-1.0, 3.0)
+        MassProfile("asymptotically_vanishing", 8.0, 1.0, -1.0, 3.0), MORSE_REF
     )
 
     @staticmethod
@@ -207,38 +204,38 @@ class TestFields:
     separate mass, f and correction evaluations."""
 
     SYSTEMS = pytest.mark.parametrize(
-        "profile, reference, domain",
+        "profile, reference",
         [
-            (MassProfile("coth_sq", 1.0, 2.0), PT_REF, None),
-            (MassProfile("asymptotically_vanishing", 8.0, 1.0), HULTHEN_REF, None),
-            (MassProfile.custom("1/(1 + a*x^2)", -20.0, 20.0, {"a": 0.25}), MORSE_REF, None),
+            (MassProfile("coth_sq", 1.0, 2.0), PT_REF),
+            (MassProfile("asymptotically_vanishing", 8.0, 1.0), HULTHEN_REF),
+            (MassProfile.custom("1/(1 + a*x^2)", -20.0, 20.0, {"a": 0.25}), MORSE_REF),
         ],
+        ids=[f"profile{i}-reference{i}-None" for i in range(3)],
     )
 
     @SYSTEMS
-    def test_matches_separate_evaluations(self, profile, reference, domain):
-        ts = TargetSystem.build(profile, reference, domain)
+    def test_matches_separate_evaluations(self, profile, reference):
+        ts = TargetSystem.build(profile, reference)
         xs = np.linspace(ts.x_min, ts.x_max, 301)
         fields = ts.fields(xs, range(3))
         assert fields.x is xs
         f = ts.mapping.forward(xs)
-        y = np.maximum(f, 1e-300) if isinstance(reference, Hulthen) else f
         corr = profile.correction(xs)
         m = np.asarray(profile.mass(xs), dtype=float)
         assert np.array_equal(fields.mass, m)
         assert np.array_equal(fields.f, f)
         assert np.array_equal(fields.correction, corr)
-        assert np.array_equal(fields.potential, reference.potential(y) + corr)
+        assert np.array_equal(fields.potential, reference.potential(f) + corr)
         assert np.array_equal(ts.potential(xs), fields.potential)
         for n in range(3):
-            psi = m**0.25 * np.asarray(reference.eigenfunction(n, y), dtype=float)
+            psi = m**0.25 * np.asarray(reference.eigenfunction(n, f), dtype=float)
             assert np.array_equal(fields.states[n], psi)
             assert np.array_equal(ts.wavefunction(n, xs), psi)
 
     @SYSTEMS
-    def test_sample_scales_the_states_to_unit_norm(self, profile, reference, domain):
+    def test_sample_scales_the_states_to_unit_norm(self, profile, reference):
         # the grid's fields, each state divided by its trapezoid norm
-        ts = TargetSystem.build(profile, reference, domain)
+        ts = TargetSystem.build(profile, reference)
         grid, fields = ts.sample(2001, 3)
         raw = ts.fields(grid.points, range(3))
         assert np.array_equal(fields.x, grid.points)
@@ -250,7 +247,7 @@ class TestFields:
             assert trapezoid_dot(got, got, grid.h) == pytest.approx(1.0, abs=1e-14)
 
     def test_scalar_x(self):
-        ts = TargetSystem.build(MassProfile("tanh_sq", 0.5, 1.0), MORSE_REF, (1.0, 10.0))
+        ts = TargetSystem.build(MassProfile("tanh_sq", 0.5, 1.0, 1.0, 10.0), MORSE_REF)
         fields = ts.fields(2.25, (0,))
         assert np.ndim(fields.potential) == 0 and np.ndim(fields.states[0]) == 0
         assert fields.potential == ts.potential(2.25)
@@ -288,20 +285,12 @@ class TestAlgebraIdentity:
 
 
 class TestStandardEvaluation:
-    def test_requires_q_one(self):
-        with pytest.raises(ConfigError):
-            standard_profile_values(MassProfile("tanh_sq", 1.0, 2.0), 1.0)
-
-    def test_custom_profile_rejected(self):
-        with pytest.raises(ConfigError, match="custom"):
-            standard_profile_values(MassProfile.custom("1.0", -1.0, 1.0), 0.0)
-
     def test_matches_deformed_at_q_one(self):
         for kind in ("asymptotically_vanishing", "tanh_sq", "coth_sq"):
             profile = MassProfile(kind, 1.3, 1.0)
             lo, _ = profile.domain()
             xs = (lo if math.isfinite(lo) else -2.0) + np.linspace(0.5, 4.5, 21)
-            m_std, f_std, corr_std = standard_profile_values(profile, xs)
+            m_std, f_std, corr_std = FAMILIES[kind].standard(xs, profile.alpha)
             mapping = MappingFunction(profile)
             assert np.allclose(m_std, profile.mass(xs), rtol=1e-13)
             assert np.allclose(f_std, mapping.forward(xs), rtol=1e-12, atol=1e-13)
@@ -317,8 +306,8 @@ class TestPrintedFormulas:
     def test_asym_poschl_teller_leading_term(self):
         # the published composite: -U0/(x^2+q) plus a correction of opposite
         # sign, so construction minus printed equals twice the correction
-        profile = MassProfile("asymptotically_vanishing", 1.0, 1.0)
-        ts = TargetSystem.build(profile, PT_REF, (-4.0, 4.0))
+        profile = MassProfile("asymptotically_vanishing", 1.0, 1.0, -4.0, 4.0)
+        ts = TargetSystem.build(profile, PT_REF)
         xs = np.linspace(-3.5, 3.5, 41)
         printed = np.asarray(printed_target_potential(profile, PT_REF, xs))
         corr = (1.0 + 1.0 / (xs * xs + 1.0)) / 8.0

@@ -22,7 +22,6 @@ PUBLIC = [
     "TargetSystem",
     "UnboundParameterError",
     "UnknownFunctionError",
-    "make_reference",
     "overlap",
     "pct_identity_residual",
     "printed_target_potential",

@@ -8,7 +8,7 @@ from conftest import node_count
 
 from pctsolve.eigensolver import Grid, residual_norm
 from pctsolve.errors import ArgumentError, ConfigError, DomainError
-from pctsolve.refpotentials import Hulthen, Morse, PoschlTeller, make_reference
+from pctsolve.refpotentials import REFERENCES, Hulthen, Morse, PoschlTeller
 
 MORSE = Morse(D=8.0, alpha=1.0)
 PT = PoschlTeller(U0=6.0, alpha=1.0)
@@ -57,7 +57,7 @@ class TestSpectra:
 
 class TestReferenceRules:
     """The rules every reference shares: parameter and binding checks at
-    construction, and the level dispatch of ``energy``."""
+    construction, and the level checks of ``energy`` and ``separation``."""
 
     @pytest.mark.parametrize(
         "kind, name, shallow, deeper",
@@ -72,8 +72,8 @@ class TestReferenceRules:
         # the threshold is where kappa_0 reaches 0: dbar = 1/2 (Morse), s = 0
         # (Poeschl-Teller), beta = 1 (Hulthen); a level needs kappa > 1e-12
         with pytest.raises(ConfigError, match=f"{kind} well too shallow to bind a state"):
-            make_reference(kind, **{name: shallow})
-        deeper = make_reference(kind, **{name: deeper})
+            REFERENCES[kind](**{name: shallow})
+        deeper = REFERENCES[kind](**{name: deeper})
         assert deeper.n_max == 0
         assert deeper.energy(0) < 0.0
 
@@ -98,6 +98,9 @@ class TestReferenceRules:
         for bad in (ref.n_max + 1, -1, 1.0, True, [0], ()):
             with pytest.raises(ArgumentError):
                 ref.energy(bad)
+        for bad in (0, 2.0, True):
+            with pytest.raises(ArgumentError, match=f"levels must be an integer >= 1, got {bad!r}"):
+                ref.separation(bad)
 
 
 REF_GRIDS = {
@@ -254,16 +257,3 @@ class TestClosedFormNorms:
         assert MORSE.eigenfunction(0, np.linspace(-3.5, 10.0, 2701))[700] == alone
         assert alone == pytest.approx(0.98848658, rel=1e-8)
 
-
-class TestFactory:
-    def test_make_reference(self):
-        assert make_reference("morse", D=8.0, alpha=1.0) == MORSE
-        assert make_reference("hulthen", V0=2.0, alpha=0.5) == HULTHEN
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            make_reference("coulomb", Z=1.0)
-
-    def test_bad_fields(self):
-        with pytest.raises(ConfigError):
-            make_reference("morse", depth=8.0)
