@@ -11,22 +11,37 @@ the matrix symmetric tridiagonal.
 A seeded solve is given guesses of the lowest states (``guesses``) and
 ``bound``, a value expected to separate the wanted eigenvalues from the next
 (``pctengine.verify`` takes both from the analytic solution).  One Sturm
-count (LAPACK ``stebz`` without bisection) up to ``bound`` certifies it:
-when the count is the number of guesses, each guess is refined by
-Rayleigh-quotient iteration, one tridiagonal solve (LAPACK ``gtsv``) per
-step, and the mu_k are kept if the intervals [mu_k - r_k, mu_k + r_k] (r_k
-the residual norm) are pairwise disjoint and end at or below ``bound``: each
-holds a distinct eigenvalue, and the count leaves no other below.  Any
-other outcome bisects inside a bracket (lo, hi] from two doubling walks away
-from ``bound``, capped at the Gershgorin bounds: lo is the highest point
-whose Sturm count is 0, hi the lowest whose count is the wanted number or
-more.  A ``bound`` within ulp * ||T||_1 of 0 gives the walks no scale to
-step by, so that solve bisects over the Gershgorin interval instead, to
-LAPACK's tightest absolute tolerance: a huge ||T||_1 sends most seeded
-solves there.  Unseeded and bracketed bisections run to stebz's default
-absolute tolerance, ulp * ||T||_1.  A count up to a point at or below
-the Gershgorin lower bound is 0 without a stebz call; a failed LAPACK call
-raises ``PctError``.  A solve gives eigenvalues only, never eigenvectors.
+count up to ``bound`` certifies it: when the count is the number of
+guesses, each guess is refined by Rayleigh-quotient iteration, one
+tridiagonal solve (LAPACK ``gtsv``) per step, and the mu_k are kept if the
+intervals [mu_k - r_k, mu_k + r_k] (r_k the residual norm) are pairwise
+disjoint and end at or below ``bound``: each holds a distinct eigenvalue,
+and the count leaves no other below.  Any other outcome bisects (LAPACK
+``stebz``) inside a bracket (lo, hi] from two doubling walks away from
+``bound``, capped at the Gershgorin bounds: lo is the highest point whose
+Sturm count is 0, hi the lowest whose count is the wanted number or more.
+A ``bound`` within ulp * ||T||_1 of 0 gives the walks no scale to step by,
+so that solve bisects over the Gershgorin interval instead, to LAPACK's
+tightest absolute tolerance: a huge ||T||_1 sends most seeded solves there.
+Unseeded and bracketed bisections run to stebz's default absolute
+tolerance, ulp * ||T||_1.  A failed LAPACK call raises ``PctError``.  A
+solve gives eigenvalues only, never eigenvectors.
+
+A Sturm count up to x is the number of non-positive pivots of the LDL^T
+factorisation of T - x I, by Sylvester's law of inertia the number of
+eigenvalues up to x.  LAPACK ``pttrf`` factorises one shifted copy in place
+and stops at its first pivot <= 0; the count takes that pivot as negative (a
+zero one too, as stebz does), updates the next diagonal entry as pttrf would
+and restarts on the rest.  Pivot d_i is (a_i - x) - (e_{i-1} / d_{i-1})
+e_{i-1}, a and e T's diagonal and off-diagonal, from four operations each
+rounded once, so the computed count is the exact one of a matrix whose
+entries differ from those of T - x I by a few ulps each (Kahan 1966;
+Demmel, Dhillon and Ren, ETNA 3, 1995): it is T's count at any x more than
+a few ulp * ||T||_1 from every eigenvalue, as stebz's recurrence is, in one
+pass where a stebz count makes three.  Every caller needs only whether a
+count is 0, the wanted number of levels or more, so a count stops at one
+pivot past that number.  A count up to a point at or below the Gershgorin
+lower bound is 0 without a factorisation.
 
 The refinement works on unnormalised iterates, in arrays each thread keeps
 from one solve to the next.  Its inner products are ``np.einsum`` sums of products, one pass
@@ -35,11 +50,11 @@ for milliseconds on a busy host (8 ms at 40 000 points, against 0.03 ms for
 ``np.sum(x * x)``, on a 2-vCPU Intel Xeon VM).  Their rounding is carried
 into the certified radii.
 
-The LAPACK routines (``dgtsv``, ``dstebz``) come from scipy's compiled
-``scipy.linalg._flapack`` extension, loaded directly from ``scipy/linalg``
-(found from the top-level package's spec, which imports nothing) and
-registered under its own name, so a later ``import scipy.linalg`` shares
-the very same module.  No scipy package init runs: ``scipy.linalg``'s
+The LAPACK routines (``dgtsv``, ``dpttrf``, ``dstebz``) come from scipy's
+compiled ``scipy.linalg._flapack`` extension, loaded directly from
+``scipy/linalg`` (found from the top-level package's spec, which imports
+nothing) and registered under its own name: a later ``import scipy.linalg``
+shares the very same module.  No scipy package init runs: ``scipy.linalg``'s
 loads scipy's array-API layer (``numpy.f2py``, ``numpy.testing``,
 ``numpy.ma``) and, on a 2-vCPU Intel Xeon VM (Python 3.11.7, numpy 2.4.6,
 scipy 1.17.1), doubled the start-up of a ``pct verify`` process (0.26 s to
@@ -86,7 +101,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgtsv, dstebz = _flapack.dgtsv, _flapack.dstebz
+dgtsv, dpttrf, dstebz = _flapack.dgtsv, _flapack.dpttrf, _flapack.dstebz
 
 #: the smallest grid a solve accepts
 MIN_GRID_POINTS = 16
@@ -131,7 +146,6 @@ class Grid:
 #: Rayleigh-quotient steps (tridiagonal solves) per guess at most
 _RQI_STEPS = 4
 _EPS = np.finfo(float).eps
-_MAX = sys.float_info.max
 
 
 def _check_info(info, routine):
@@ -226,17 +240,38 @@ def _rayleigh_refine(diag, off, row_abs_sq, floor_scale, x, tx, tmp):
     return best
 
 
-def _count_up_to(diag, off, gl, x):
-    """The number of eigenvalues up to x by one Sturm count, gl lying below
-    every eigenvalue: 0 for x <= gl, without calling stebz."""
+def _count_up_to(diag, off, gl, x, most):
+    """The number of eigenvalues up to x by one LDL^T count, gl lying below
+    every eigenvalue: 0 for x <= gl, without a factorisation, and ``most``
+    + 1 once that many pivots <= 0 are seen (see the module docstring)."""
     if x <= gl:
         return 0
-    # an absolute tolerance wider than (gl, x] makes stebz count, not bisect;
-    # the largest float is wider than any finite interval, and, unlike a
-    # multiple of the width, it cannot overflow
-    count, _, _, _, info = dstebz(diag, off, 1, gl, x, 1, 1, _MAX, b"E")
-    _check_info(info, "dstebz")
-    return count
+    # a shift past the float range gives an infinite entry of the right sign
+    with np.errstate(over="ignore"):
+        d = diag - x
+    e = off.copy()
+    n = d.size
+    count = start = 0
+    while start < n - 1:
+        _, _, info = dpttrf(d[start:], e[start:], overwrite_d=1, overwrite_e=1)
+        if info <= 0:
+            _check_info(info, "dpttrf")
+            return count
+        count += 1
+        j = start + info - 1
+        if count > most or j == n - 1:
+            return count
+        # pttrf stopped before it wrote e[j]: the copy's tail is still T's
+        p, b = float(d[j]), float(off[j])
+        if p < 0.0:
+            d[j + 1] = float(d[j + 1]) - b / p * b
+        elif b != 0.0:
+            # a zero pivot is the limit of negative ones: the next pivot is
+            # +inf, positive, and the update past it is 0
+            j += 1
+        start = j + 1
+    # the wrapper takes no 1 x 1 matrix: a last row left alone is its pivot
+    return count + int(start == n - 1 and d[-1] <= 0.0)
 
 
 def _bracketed_bisect(diag, off, n_levels, bound, count, gl, gu):
@@ -254,6 +289,11 @@ def _bracketed_bisect(diag, off, n_levels, bound, count, gl, gu):
     Gershgorin-range bisection, returned instead at LAPACK's tightest
     tolerance, twice the underflow threshold: ulp * ||T||_1 can dwarf the
     eigenvalues (about 2e184 on a matrix with entries near 1e200).
+
+    The counts that certify the bracket are LDL^T counts and the bisection
+    runs stebz's own recurrence; at an hi within rounding of an eigenvalue
+    the two can disagree, and a bisection that finds fewer than n_levels
+    eigenvalues in (lo, hi] raises ``PctError``.
     """
     scale = abs(bound)
     if scale <= _EPS * gu:
@@ -262,16 +302,21 @@ def _bracketed_bisect(diag, off, n_levels, bound, count, gl, gu):
     step = 8.0 * scale
     while n > 0:
         lo = max(bound - step, gl)
-        n = _count_up_to(diag, off, gl, lo)
+        n = _count_up_to(diag, off, gl, lo, n_levels)
         step *= 2.0
     hi, n = bound, count
     step = scale
     while n < n_levels:
         hi = min(bound + step, gu)
-        n = diag.size if hi == gu else _count_up_to(diag, off, gl, hi)
+        n = diag.size if hi == gu else _count_up_to(diag, off, gl, hi, n_levels)
         step *= 2.0
-    _, w, _, _, info = dstebz(diag, off, 1, lo, hi, 1, 1, 0.0, b"E")
+    m, w, _, _, info = dstebz(diag, off, 1, lo, hi, 1, 1, 0.0, b"E")
     _check_info(info, "dstebz")
+    if m < n_levels:
+        raise PctError(
+            f"the bisection over ({lo!r}, {hi!r}] found {m} eigenvalues, not the {n_levels}"
+            " its bracket's counts certify"
+        )
     return w[:n_levels]
 
 
@@ -301,7 +346,7 @@ def _certified_energies(diag, off, guesses, bound):
     row_max = float(np.max(row_abs))
     gl -= 2.0 * _EPS * row_max
     n_levels = len(guesses)
-    count = _count_up_to(diag, off, gl, bound)
+    count = _count_up_to(diag, off, gl, bound, n_levels)
     if count == n_levels:
         # the row sums scaled below 1 by an exact power of two before
         # squaring, so no square overflows; scaling by a power of two

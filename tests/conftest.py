@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pctsolve import cli, presets
+from pctsolve import cli, eigensolver, presets
 from pctsolve.errors import PctError, PoleError
 from pctsolve.pctengine import TargetSystem
 
@@ -60,6 +60,26 @@ def preset_target(spec):
     ``TargetSystem.build``."""
     (run,) = load_runs([preset_run(spec)])["runs"]
     return TargetSystem.build(run["profile"], run["reference"], run["levels"])
+
+
+def count_log(monkeypatch, log=None):
+    """Log the eigensolver's Sturm counts to ``log`` (a new list if None) as
+    ("count", x, the count up to x), in call order, and return it.
+
+    A logged count is one that factorises: a ``_count_up_to`` call at or
+    below the Gershgorin edge returns 0 without one and is left out.  The
+    count is the one the solver sees, capped at one past the number of
+    levels of the solve (its ``most`` + 1)."""
+    log = [] if log is None else log
+
+    def counted(diag, off, gl, x, most, _fn=eigensolver._count_up_to):
+        n = _fn(diag, off, gl, x, most)
+        if x > gl:
+            log.append(("count", x, n))
+        return n
+
+    monkeypatch.setattr(eigensolver, "_count_up_to", counted)
+    return log
 
 
 def _outcome(fn):

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import DEFAULT_RUNS, PRESETS, load_runs, preset_run
+from conftest import DEFAULT_RUNS, PRESETS, count_log, load_runs, preset_run
 from scipy.linalg import eigvalsh_tridiagonal
 
 from pctsolve import cli, eigensolver, exprlang, pctengine, presets
@@ -183,6 +183,43 @@ class TestConfigValidation:
         monkeypatch.setattr(cli, "verify", refuse)
         assert cli.main(["verify", write_config(tmp_path, doc)]) == 2
         assert f"error: {path}: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, path, kinds",
+        [
+            (
+                basic_config(mass={"kind": "cosh_sq", "alpha": 8.0, "q": 1.0}),
+                "mass",
+                ("asymptotically_vanishing", "tanh_sq", "coth_sq", "custom"),
+            ),
+            (
+                basic_config(mass={"alpha": 8.0, "q": 1.0}),
+                "mass",
+                ("asymptotically_vanishing", "tanh_sq", "coth_sq", "custom"),
+            ),
+            (
+                basic_config(reference={"kind": "harmonic", "D": 8.0, "alpha": 1.0}),
+                "reference",
+                ("morse", "poschl_teller", "hulthen"),
+            ),
+            (
+                basic_config(reference={"D": 8.0, "alpha": 1.0}),
+                "reference",
+                ("morse", "poschl_teller", "hulthen"),
+            ),
+        ],
+        ids=["mass-unknown", "mass-missing", "reference-unknown", "reference-missing"],
+    )
+    def test_unknown_or_missing_kind_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, doc, path, kinds
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved a run with an invalid config")
+
+        monkeypatch.setattr(cli, "verify", refuse)
+        assert cli.main(["verify", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config.runs[0].{path}.kind: must be one of {kinds}\n"
 
     @pytest.mark.parametrize(
         "reference",
@@ -576,8 +613,8 @@ class TestVerify:
 
     def test_separation_below_the_spectrum_keeps_stdout_json(self, tmp_path, capfd):
         # on [0.6, 1.5] the analytic separation lies below the matrix's
-        # lowest Gershgorin edge: the count there is 0 without a stebz call,
-        # so LAPACK prints nothing before the report
+        # lowest Gershgorin edge: the count there is 0 without a
+        # factorisation, so LAPACK prints nothing before the report
         mass = {"kind": "asymptotically_vanishing", "alpha": 8.0, "q": 1.0, "domain": [0.6, 1.5]}
         cfg = write_config(tmp_path, basic_config(mass=mass, grid={"n_points": 2001, "levels": 3}))
         assert cli.main(["verify", cfg]) == 1
@@ -586,12 +623,16 @@ class TestVerify:
         assert "illegal value" not in out + err
 
     def test_lapack_failure_is_a_pct_error(self, tmp_path, capsys, monkeypatch):
-        # a stebz failure reaches pct as one line and exit 3, not a traceback
+        # a stebz failure reaches pct as one line and exit 3, not a
+        # traceback, on a run whose count at the separation is off, so that
+        # it bisects
         def failing(*args, _fn=eigensolver.dstebz):
             return _fn(*args)[:4] + (1,)
 
         monkeypatch.setattr(eigensolver, "dstebz", failing)
-        cfg = write_config(tmp_path, basic_config(grid={"n_points": 2001, "levels": 3}))
+        spec = next(spec for spec in presets.COMBO_TABLE if not spec.feasible)
+        run = dict(preset_run(spec), grid={"n_points": 2001, "levels": 3})
+        cfg = write_config(tmp_path, {"schema_version": 1, "runs": [run]})
         assert cli.main(["verify", cfg, "-o", str(tmp_path / "r.json")]) == 3
         err = capsys.readouterr().err
         assert err == "numeric error: config.runs[0]: LAPACK dstebz failed (info=1)\n"
@@ -699,19 +740,19 @@ class TestWorkCounts:
         """The analytic states seed the eigensolve: one Sturm count per run
         and no bisection."""
         config = load_runs(runs)
-        counts = collections.Counter()
+        bisections = []
 
         def counted(*args, _fn=eigensolver.dstebz):
-            # stebz with an absolute tolerance (args[7]) wider than its
-            # interval is a Sturm count; a bisection passes 0, its default
-            counts["sturm" if args[7] > 0 else "bisection"] += 1
+            # every stebz call is a bisection
+            bisections.append(args)
             return _fn(*args)
 
         monkeypatch.setattr(eigensolver, "dstebz", counted)
+        counts = count_log(monkeypatch)
         text, code = cli.cmd_verify(config)
         assert code == 0 and json.loads(text)["pass"] is True
-        assert counts["bisection"] == 0
-        assert counts["sturm"] == len(runs)
+        assert bisections == []
+        assert len(counts) == len(runs)
 
 
 class TestVerifyAccuracy:
@@ -754,8 +795,7 @@ class TestVerifyAccuracy:
             return solved[-1][1]
 
         def dstebz(*args, _fn=eigensolver.dstebz):
-            if args[7] == 0:
-                bisections.append(args[2])
+            bisections.append(args[2])
             return _fn(*args)
 
         monkeypatch.setattr(pctengine, "solve_effective_mass", spy)

@@ -9,7 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import count_log
+from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial.hermite import hermval
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from test_cli import README_RUNS
@@ -24,7 +25,13 @@ from pctsolve.eigensolver import (
     solve_effective_mass,
     tridiagonal_matrix,
 )
-from pctsolve.errors import ArgumentError, ConfigError, GridMismatchError, RangeOverflowError
+from pctsolve.errors import (
+    ArgumentError,
+    ConfigError,
+    GridMismatchError,
+    PctError,
+    RangeOverflowError,
+)
 
 
 class TestGrid:
@@ -294,11 +301,11 @@ class TestLapackLoading:
             from scipy.linalg import lapack
             print(json.dumps([eigensolver._flapack is lapack._flapack] + [
                 getattr(eigensolver, name) is getattr(lapack, name)
-                for name in ("dgtsv", "dstebz")
+                for name in ("dgtsv", "dpttrf", "dstebz")
             ]))
             """
         )
-        assert same == [True, True, True]
+        assert same == [True, True, True, True]
 
 
 class TestResidual:
@@ -400,6 +407,101 @@ def gershgorin(diag, off):
     return float(np.min(diag - rows)), float(np.max(np.abs(diag) + rows))
 
 
+def stebz_count(diag, off, x):
+    """stebz's count of the eigenvalues up to x: a value-range call from
+    below the Gershgorin interval whose absolute tolerance, the largest
+    float, is wider than that range, so that stebz counts and does not
+    bisect."""
+    gl, norm = gershgorin(diag, off)
+    lo = gl - norm - 1.0
+    if x <= lo:
+        return 0
+    m, _, _, _, info = eigensolver.dstebz(diag, off, 1, lo, x, 1, 1, sys.float_info.max, b"E")
+    assert info == 0
+    return m
+
+
+#: a tridiagonal entry: 0, an integer, or a float of either sign between
+#: 1e-3 and 1e3
+_ENTRY = st.one_of(
+    st.just(0.0), st.integers(-4, 4).map(float), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)
+)
+
+
+class TestSturmCount:
+    """The LDL^T count up to x is stebz's count, and the eigenvalues' (of
+    the dense matrix, by numpy), at every x more than 8 n eps ||T||_1 from
+    each eigenvalue, without a floating-point warning.  Capped at ``most``,
+    it is the count or ``most`` + 1, whichever is less."""
+
+    @staticmethod
+    def assert_counts_agree(diag, off, shifts):
+        diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+        exact = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        margin = 8 * diag.size * np.finfo(float).eps * gershgorin(diag, off)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in shifts:
+                # a distance past the float range is inf, and far enough
+                with np.errstate(over="ignore"):
+                    assert np.min(np.abs(exact - x)) > margin, x
+                count = eigensolver._count_up_to(diag, off, -math.inf, x, diag.size)
+                assert count == stebz_count(diag, off, x) == np.sum(exact <= x), x
+                for most in range(diag.size):
+                    capped = eigensolver._count_up_to(diag, off, -math.inf, x, most)
+                    assert capped == min(count, most + 1), (x, most)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 24).flatmap(
+            lambda n: st.tuples(
+                st.lists(_ENTRY, min_size=n, max_size=n),
+                st.lists(_ENTRY, min_size=n - 1, max_size=n - 1),
+            )
+        ),
+        st.integers(-200, 200),
+        st.integers(0, 24),
+        st.floats(0.0, 1.0),
+    )
+    def test_equals_stebz(self, matrix, exponent, k, t):
+        # scaled by 2^exponent; x a point of the k-th gap of the spectrum,
+        # ||T||_1 wide at either end
+        diag, off = (np.ldexp(np.array(v), exponent) for v in matrix)
+        exact = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        norm = gershgorin(diag, off)[1]
+        ends = np.concatenate([[exact[0] - norm], exact, [exact[-1] + norm]])
+        k = min(k, diag.size)
+        x = float(ends[k] + t * (ends[k + 1] - ends[k]))
+        assume(np.min(np.abs(exact - x)) > 8 * diag.size * np.finfo(float).eps * norm)
+        self.assert_counts_agree(diag, off, [x])
+
+    @pytest.mark.parametrize(
+        "diag, off, shifts",
+        [
+            # pivots exactly 0: at x = 1 rows 0, 2, 4 and 6, at x = 0 and 3
+            # rows 2 and 6; in the second matrix at x = 1 row 2, at x = 4
+            # rows 2 and 5
+            ([1.0, 2.0] * 4, [1.0] * 7, [0.0, 1.0, 3.0]),
+            ([2.0, 3.0, 2.0, 0.0, 2.0, 4.0, 1.0], [1.0, 1.0, 2.0, 1.0, 0.0, 1.0], [1.0, 4.0]),
+            # a zero pivot in the next-to-last row: the last one's is +inf
+            ([1.0, 5.0], [2.0], [0.0, 1.0, 6.0]),
+            # walls of 1e200 in a well: ||T||_1 leaves only shifts far from
+            # the well's eigenvalues
+            ([2.0] * 3 + [1e200] + [2.0] * 4 + [1e200] + [2.0] * 3, [-1.0] * 11,
+             [-1e199, 1e199, 5e199, 3e200]),
+            # off-diagonals near 1e-160, whose squares are subnormal
+            ([1.0, 2.0, 2.0, 3.0, 0.5], [1e-160, -3e-160, 1e-160, 2e-160],
+             [0.75, 1.0 - 1e-12, 1.0 + 1e-12, 1.5, 2.0 - 1e-12, 2.0 + 1e-12, 2.5, 4.0]),
+            # T - x I overflows at the ends: an infinite pivot of the right sign
+            ([-1.5e308, 1.0, 2.0, 1.5e308], [1.0, 1.0, 1.0], [-1e308, 1e308]),
+        ],
+        ids=["integer-zero-pivots", "integer-zero-pivots-2", "zero-pivot-next-to-last",
+             "walls-1e200", "off-diagonals-1e-160", "shift-past-the-float-range"],
+    )
+    def test_equals_stebz_on_edge_cases(self, diag, off, shifts):
+        self.assert_counts_agree(diag, off, shifts)
+
+
 class TestCertifiedRefinement:
     """Guessed states are refined by Rayleigh-quotient iteration; the result
     is used only when one Sturm count at the bound certifies it, and
@@ -431,22 +533,6 @@ class TestCertifiedRefinement:
         x = grid.points
         return [hermval(x, np.eye(n + 1)[n]) * np.exp(-0.5 * x * x) for n in levels]
 
-    @staticmethod
-    def count_sturm_calls(monkeypatch):
-        """The eigenvalue counts of the Sturm counts: stebz calls with an
-        absolute tolerance (args[7]) wider than their interval, not a
-        bisection's, which passes 0 for stebz's default."""
-        counts = []
-
-        def counted(*args, _fn=eigensolver.dstebz):
-            out = _fn(*args)
-            if args[7] > 0:
-                counts.append(out[0])
-            return out
-
-        monkeypatch.setattr(eigensolver, "dstebz", counted)
-        return counts
-
     def assert_fell_back(self, monkeypatch, guesses):
         """The solve made one value-range bisection up to BOUND, whose
         energies are within its tolerance ulp * ||T||_1 of a tight one."""
@@ -454,8 +540,7 @@ class TestCertifiedRefinement:
         ranges = []
 
         def bisections(*args, _fn=eigensolver.dstebz):
-            if args[7] == 0:
-                ranges.append((args[2], args[4]))
+            ranges.append((args[2], args[4]))
             return _fn(*args)
 
         monkeypatch.setattr(eigensolver, "dstebz", bisections)
@@ -472,12 +557,10 @@ class TestCertifiedRefinement:
     def test_good_guesses_give_the_tight_bisection_values(self, monkeypatch):
         grid, m, v = self.problem()
         guesses = self.hermite_functions(grid, range(self.LEVELS))
-        counts = self.count_sturm_calls(monkeypatch)
+        counts = count_log(monkeypatch)
 
-        def refuse(*args, _fn=eigensolver.dstebz):
-            if args[7] == 0:
-                raise AssertionError("fell back to bisection")
-            return _fn(*args)
+        def refuse(*args):
+            raise AssertionError("fell back to bisection")
 
         monkeypatch.setattr(eigensolver, "dstebz", refuse)
         energies = solve_effective_mass(
@@ -487,33 +570,33 @@ class TestCertifiedRefinement:
             *self.matrix(), select="i", select_range=(0, self.LEVELS - 1), tol=1e-13
         )
         np.testing.assert_allclose(energies, tight, rtol=1e-12, atol=0)
-        assert counts == [self.LEVELS]
+        assert counts == [("count", self.BOUND, self.LEVELS)]
 
     def test_guesses_missing_the_ground_state_fail(self, monkeypatch):
         grid, _, _ = self.problem()
-        counts = self.count_sturm_calls(monkeypatch)
+        counts = count_log(monkeypatch)
         guesses = self.hermite_functions(grid, range(1, self.LEVELS + 1))
         self.assert_fell_back(monkeypatch, guesses)
         # the refined states are the next levels up, the highest above the
         # bound; the bracket's lower end, 8 |bound| below it, lies under the
         # Gershgorin edge (about 0) and takes no count
-        assert counts == [self.LEVELS]
+        assert counts == [("count", self.BOUND, self.LEVELS)]
 
     def test_duplicate_guesses_fail(self, monkeypatch):
         grid, _, _ = self.problem()
-        counts = self.count_sturm_calls(monkeypatch)
+        counts = count_log(monkeypatch)
         self.assert_fell_back(monkeypatch, self.hermite_functions(grid, (0, 1, 1, 2)))
         # two intervals hold the same eigenvalue: only the count at the bound
-        assert counts == [self.LEVELS]
+        assert counts == [("count", self.BOUND, self.LEVELS)]
 
     @pytest.mark.parametrize("bad", [math.nan, 0.0])
     def test_unusable_guess_falls_back(self, monkeypatch, bad):
         grid, _, _ = self.problem()
         guesses = self.hermite_functions(grid, range(self.LEVELS))
         guesses[2] = np.full(grid.n_points, bad)
-        counts = self.count_sturm_calls(monkeypatch)
+        counts = count_log(monkeypatch)
         self.assert_fell_back(monkeypatch, guesses)
-        assert counts == [self.LEVELS]
+        assert counts == [("count", self.BOUND, self.LEVELS)]
 
     @pytest.mark.parametrize("first", [0, 1], ids=["certified", "fallback"])
     def test_guesses_left_unchanged(self, monkeypatch, first):
@@ -521,9 +604,9 @@ class TestCertifiedRefinement:
         guesses = np.array(self.hermite_functions(grid, range(first, first + self.LEVELS)))
         kept = guesses.copy()
         guesses.flags.writeable = False
-        counts = self.count_sturm_calls(monkeypatch)
+        counts = count_log(monkeypatch)
         solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses, bound=self.BOUND)
-        assert counts == [self.LEVELS]
+        assert counts == [("count", self.BOUND, self.LEVELS)]
         assert np.array_equal(guesses, kept)
 
     def test_concurrent_solves_share_no_workspace(self):
@@ -578,10 +661,8 @@ class TestCertifiedRefinement:
             ]
             problems.append((grid, 1.0 + 0.5 / (1.0 + mid * mid), 0.5 * grid.points**2, guesses))
 
-        def refuse(*args, _fn=eigensolver.dstebz):
-            if args[7] == 0:
-                raise AssertionError("fell back to bisection")
-            return _fn(*args)
+        def refuse(*args):
+            raise AssertionError("fell back to bisection")
 
         monkeypatch.setattr(eigensolver, "dstebz", refuse)
         got = [
@@ -608,8 +689,7 @@ class TestCertifiedRefinement:
     @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf, 1e308])
     def test_bound_must_be_finite(self, bound):
         # a bound that is not finite is the caller's error, not a LAPACK
-        # failure; one of 1e308 is counted up to without overflowing the
-        # count's tolerance, twice the counted width, and falls back to the
+        # failure; one of 1e308 is counted up to, and falls back to the
         # bisection inside the bracket (gl, 1e308]
         grid = Grid(-5.0, 5.0, 1001)
         x = grid.points
@@ -643,11 +723,11 @@ class TestSeparationBound:
         """(solve, the lowest LEVELS + 3 eigenvalues, the LAPACK call log):
         ``solve(bound, shift=0.0)`` solves the seeded problem, its potential
         shifted by ``shift``, with read-only guesses, checks that they are
-        unchanged and gives the result.  A stebz call is a count, logged as
-        ("count", its upper end, the count), when its absolute tolerance
-        (args[7]) is the largest float, and otherwise a bisection, logged as
-        ("bisect", its range kind, lower end, upper end).  Every
-        value-range call must have its lower end below its upper end."""
+        unchanged and gives the result.  A Sturm count is logged as
+        ("count", its upper end, the count) by ``conftest.count_log``, a
+        gtsv solve as ("dgtsv",) and a stebz call, always a bisection, as
+        ("bisect", its range kind, lower end, upper end).  Every value-range
+        bisection must have its lower end below its upper end."""
         grid, m, v = TestCertifiedRefinement.problem()
         exact = eigvalsh_tridiagonal(
             *TestCertifiedRefinement.matrix(),
@@ -666,15 +746,12 @@ class TestSeparationBound:
 
         def dstebz(*args, _fn=eigensolver.dstebz):
             assert args[2] != 1 or args[3] < args[4], "empty value range"
-            out = _fn(*args)
-            if args[7] == sys.float_info.max:
-                log.append(("count", args[4], out[0]))
-            else:
-                log.append(("bisect", args[2], args[3], args[4]))
-            return out
+            log.append(("bisect", args[2], args[3], args[4]))
+            return _fn(*args)
 
         monkeypatch.setattr(eigensolver, "dgtsv", dgtsv)
         monkeypatch.setattr(eigensolver, "dstebz", dstebz)
+        count_log(monkeypatch, log)
 
         def solve(bound, shift=0.0):
             log.clear()
@@ -713,7 +790,10 @@ class TestSeparationBound:
         # ``below`` eigenvalues up to the bound: half the lowest one, or
         # halfway between the eigenvalues below - 1 and below
         bound = 0.5 * exact[0] if below == 0 else 0.5 * (exact[below - 1] + exact[below])
-        lo = self.assert_bracketed(solve(bound), exact, log, bound, below)
+        # a count stops one past the number of levels: 6 up to the bound is
+        # seen as 5, more than the 4 levels
+        seen = min(below, self.LEVELS + 1)
+        lo = self.assert_bracketed(solve(bound), exact, log, bound, seen)
         if below == 0:
             # no eigenvalue up to the bound: the lower end starts there and
             # only rises, with the upper end's counts of 0
@@ -755,6 +835,21 @@ class TestSeparationBound:
         assert counts[-1][2] >= self.LEVELS
         tol = np.finfo(float).eps * norm
         assert np.all(np.abs(energies - exact[: self.LEVELS]) <= tol)
+
+    def test_bisection_short_of_the_levels_is_an_error(self, case, monkeypatch):
+        # a count that overstates above the bound stops the walk up at
+        # 2 |bound| with 2 eigenvalues below it: the bisection's own count
+        # falls short of the 4 levels
+        solve, exact, _ = case
+        bound = 0.5 * (exact[0] + exact[1])
+        count = eigensolver._count_up_to
+
+        def overstated(diag, off, gl, x, most):
+            return most + 1 if x > bound else count(diag, off, gl, x, most)
+
+        monkeypatch.setattr(eigensolver, "_count_up_to", overstated)
+        with pytest.raises(PctError, match=r"found 2 eigenvalues, not the 4"):
+            solve(bound)
 
     def test_certified_by_the_count_at_the_bound(self, case):
         solve, exact, log = case

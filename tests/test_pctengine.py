@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from conftest import load_runs, node_count, preset_run
+from conftest import count_log, load_runs, node_count, preset_run
 from hypothesis import given, settings, strategies as st
 from test_cli import README_RUNS
 
-from pctsolve import cli, eigensolver, massmodel, presets
+from pctsolve import cli, massmodel, presets
 from pctsolve.eigensolver import Grid, trapezoid_dot
 from pctsolve.errors import ArgumentError, ConfigError, DomainError
 from pctsolve.massmodel import FAMILIES, MappingFunction, MassProfile
@@ -342,17 +342,7 @@ class TestSpectralSeparation:
     def test_count_at_the_separation_classifies_the_presets(self, monkeypatch):
         # the count differs from the number of checked levels on exactly the
         # runs presets lists as infeasible, and on none of the README's
-        counts = []
-
-        def dstebz(*args, _fn=eigensolver.dstebz):
-            out = _fn(*args)
-            # a Sturm count passes an absolute tolerance (args[7]) wider
-            # than its interval; a bisection passes 0
-            if args[7] > 0:
-                counts.append((args[4], out[0]))
-            return out
-
-        monkeypatch.setattr(eigensolver, "dstebz", dstebz)
+        counts = count_log(monkeypatch)
         runs = load_runs([preset_run(spec) for spec in presets.COMBO_TABLE] + README_RUNS)
         at_separation = {}
         for run in runs["runs"]:
@@ -360,7 +350,7 @@ class TestSpectralSeparation:
             counts.clear()
             verify(ts, run["n_points"], levels)
             # the seeded solve's first Sturm count is the one at the separation
-            bound, count = counts[0]
+            _, bound, count = counts[0]
             assert bound == ts.reference.separation(levels)
             at_separation[run["name"]] = count
         infeasible = {spec.name for spec in presets.COMBO_TABLE if not spec.feasible}
