@@ -12,8 +12,9 @@ A seeded solve is given guesses of the lowest states (``guesses``) and
 ``bound``, a value expected to separate the wanted eigenvalues from the next
 (``pctengine.verify`` takes both from the analytic solution).  One Sturm
 count up to ``bound`` certifies it: when the count is the number of
-guesses, each guess is refined by Rayleigh-quotient iteration, one
-tridiagonal solve (LAPACK ``gtsv``) per step, and the mu_k are kept if the
+guesses, each guess is refined by Rayleigh-quotient iteration, one solve
+of (T - mu I) y = x per step through the count's LDL^T factorisation
+(LAPACK ``pttrs`` on it), and the mu_k are kept if the
 intervals [mu_k - r_k, mu_k + r_k] (r_k the residual norm) are pairwise
 disjoint and end at or below ``bound``: each holds a distinct eigenvalue,
 and the count leaves no other below.  Any other outcome bisects (LAPACK
@@ -43,6 +44,15 @@ count is 0, the wanted number of levels or more, so a count stops at one
 pivot past that number.  A count up to a point at or below the Gershgorin
 lower bound is 0 without a factorisation.
 
+A Rayleigh step's solve runs the same restarted factorisation to the end,
+storing each restart's multiplier e_j / p as pttrf would, and hands the
+pivots and multipliers to ``pttrs``.  Inverse iteration needs no pivoting
+on a symmetric tridiagonal T - mu I (Parlett, The Symmetric Eigenvalue
+Problem, ch. 4; Dhillon and Parlett, Linear Algebra Appl. 387, 1, 2004):
+a large solution is the point, and the honest residual bounds whatever the
+factorisation loses.  A zero pivot fails the solve, and the iteration
+stops with its best step so far.
+
 The refinement works on unnormalised iterates, in arrays each thread keeps
 from one solve to the next.  Its inner products are ``np.einsum`` sums of products, one pass
 without a temporary array, and not BLAS calls: a threaded BLAS dot can stall
@@ -50,7 +60,7 @@ for milliseconds on a busy host (8 ms at 40 000 points, against 0.03 ms for
 ``np.sum(x * x)``, on a 2-vCPU Intel Xeon VM).  Their rounding is carried
 into the certified radii.
 
-The LAPACK routines (``dgtsv``, ``dpttrf``, ``dstebz``) come from scipy's
+The LAPACK routines (``dpttrf``, ``dpttrs``, ``dstebz``) come from scipy's
 compiled ``scipy.linalg._flapack`` extension, loaded directly from
 ``scipy/linalg`` (found from the top-level package's spec, which imports
 nothing) and registered under its own name: a later ``import scipy.linalg``
@@ -101,7 +111,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dgtsv, dpttrf, dstebz = _flapack.dgtsv, _flapack.dpttrf, _flapack.dstebz
+dpttrf, dpttrs, dstebz = _flapack.dpttrf, _flapack.dpttrs, _flapack.dstebz
 
 #: the smallest grid a solve accepts
 MIN_GRID_POINTS = 16
@@ -233,45 +243,75 @@ def _rayleigh_refine(diag, off, row_abs_sq, floor_scale, x, tx, tmp):
         best = (mu, r)
         if computed <= floor or step == _RQI_STEPS:
             break
-        # the shifted diagonal is this step's own array: solve in place
-        _, _, _, x, info = dgtsv(off, diag - mu, off, x, overwrite_d=1, overwrite_b=1)
-        if info != 0:
+        if not _solve_shifted(diag, off, mu, x):
             break
     return best
 
 
-def _count_up_to(diag, off, gl, x, most):
-    """The number of eigenvalues up to x by one LDL^T count, gl lying below
-    every eigenvalue: 0 for x <= gl, without a factorisation, and ``most``
-    + 1 once that many pivots <= 0 are seen (see the module docstring)."""
-    if x <= gl:
-        return 0
+def _ldlt(diag, off, x, most):
+    """The LDL^T factorisation of T - x I, restarted past each pivot <= 0,
+    in new arrays: (d, e, count, solvable), d the pivots, e the multipliers,
+    count the number of pivots <= 0 (see the module docstring).
+
+    The factorisation stops once count reaches ``most`` + 1.  A zero pivot
+    counts as negative, as in stebz; solvable is False when a pivot <= 0
+    was zero or -inf, and otherwise, with count <= ``most``, d and e are
+    the whole factorisation, as LAPACK ``pttrs`` takes it."""
     # a shift past the float range gives an infinite entry of the right sign
     with np.errstate(over="ignore"):
         d = diag - x
     e = off.copy()
     n = d.size
     count = start = 0
+    solvable = True
     while start < n - 1:
         _, _, info = dpttrf(d[start:], e[start:], overwrite_d=1, overwrite_e=1)
         if info <= 0:
             _check_info(info, "dpttrf")
-            return count
+            return d, e, count, solvable
         count += 1
         j = start + info - 1
+        p = float(d[j])
+        solvable = solvable and -math.inf < p < 0.0
         if count > most or j == n - 1:
-            return count
+            return d, e, count, solvable
         # pttrf stopped before it wrote e[j]: the copy's tail is still T's
-        p, b = float(d[j]), float(off[j])
+        b = float(off[j])
         if p < 0.0:
-            d[j + 1] = float(d[j + 1]) - b / p * b
+            e[j] = mult = b / p
+            d[j + 1] = float(d[j + 1]) - mult * b
         elif b != 0.0:
             # a zero pivot is the limit of negative ones: the next pivot is
             # +inf, positive, and the update past it is 0
             j += 1
         start = j + 1
     # the wrapper takes no 1 x 1 matrix: a last row left alone is its pivot
-    return count + int(start == n - 1 and d[-1] <= 0.0)
+    if start == n - 1 and d[-1] <= 0.0:
+        count += 1
+        solvable = solvable and -math.inf < float(d[-1]) < 0.0
+    return d, e, count, solvable
+
+
+def _count_up_to(diag, off, gl, x, most):
+    """The number of eigenvalues up to x by one LDL^T count, gl lying below
+    every eigenvalue: 0 for x <= gl, without a factorisation, and ``most``
+    + 1 once that many pivots <= 0 are seen."""
+    if x <= gl:
+        return 0
+    return _ldlt(diag, off, x, most)[2]
+
+
+def _solve_shifted(diag, off, mu, x):
+    """Solve (T - mu I) y = x for y in place, through the LDL^T
+    factorisation of T - mu I; False, with x left as it was, at a pivot that
+    is zero or -inf.  A pivot of +inf or nan comes only from a shift past
+    the float range; a nan reaches y, whose norm the refinement checks
+    next."""
+    d, e, _, solvable = _ldlt(diag, off, mu, diag.size)
+    if solvable:
+        _, info = dpttrs(d, e, x, overwrite_b=1)
+        _check_info(info, "dpttrs")
+    return solvable
 
 
 def _bracketed_bisect(diag, off, n_levels, bound, count, gl, gu):

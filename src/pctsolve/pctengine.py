@@ -186,10 +186,16 @@ def verify(ts, n_points, levels):
         # restrict to where the state carries amplitude: outside that window
         # the residual only measures V * (numerically zero) near domain walls
         psi = states[n]
-        peak = float(np.max(np.abs(psi)))
+        amplitude = np.abs(psi)
+        peak = float(np.max(amplitude))
         energy = ts.energy(n)
-        resolved = grid.h * np.sqrt(m * np.maximum(np.abs(v - energy), 1.0)) < 0.02
-        live = np.flatnonzero((np.abs(psi) > 1e-6 * peak) & resolved)
+        # no sample outside the first and last that carry amplitude is
+        # live, so the resolution test runs between them only
+        carried = amplitude > 1e-6 * peak
+        lo = int(np.argmax(carried))
+        hi = carried.size - int(np.argmax(carried[::-1]))
+        resolved = grid.h * np.sqrt(m[lo:hi] * np.maximum(np.abs(v[lo:hi] - energy), 1.0)) < 0.02
+        live = lo + np.flatnonzero(carried[lo:hi] & resolved)
         if live.size == 0 or live[-1] - live[0] < 16:
             # grid too coarse to resolve the state anywhere
             residuals.append(None)

@@ -82,6 +82,21 @@ def count_log(monkeypatch, log=None):
     return log
 
 
+def solve_log(monkeypatch, log=None):
+    """Log the eigensolver's shifted solves, one per Rayleigh step, to
+    ``log`` (a new list if None) as ("solve", the shift, whether it
+    solved), in call order, and return it."""
+    log = [] if log is None else log
+
+    def solved(diag, off, mu, x, _fn=eigensolver._solve_shifted):
+        ok = _fn(diag, off, mu, x)
+        log.append(("solve", mu, ok))
+        return ok
+
+    monkeypatch.setattr(eigensolver, "_solve_shifted", solved)
+    return log
+
+
 def _outcome(fn):
     try:
         with np.errstate(all="ignore"):

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import count_log
+from conftest import count_log, solve_log
 from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial.hermite import hermval
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
@@ -301,7 +301,7 @@ class TestLapackLoading:
             from scipy.linalg import lapack
             print(json.dumps([eigensolver._flapack is lapack._flapack] + [
                 getattr(eigensolver, name) is getattr(lapack, name)
-                for name in ("dgtsv", "dpttrf", "dstebz")
+                for name in ("dpttrf", "dpttrs", "dstebz")
             ]))
             """
         )
@@ -500,6 +500,200 @@ class TestSturmCount:
     )
     def test_equals_stebz_on_edge_cases(self, diag, off, shifts):
         self.assert_counts_agree(diag, off, shifts)
+
+
+def _solve_case(draw_n):
+    """(diag, off, b) of an n-row tridiagonal matrix from ``_ENTRY``, n drawn
+    by ``draw_n``, and a right-hand side of entries 0 or between 1e-3 and 1
+    in magnitude, whose solution keeps clear of the subnormal range."""
+    rhs = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+    return draw_n.flatmap(
+        lambda n: st.tuples(
+            st.lists(_ENTRY, min_size=n, max_size=n),
+            st.lists(_ENTRY, min_size=n - 1, max_size=n - 1),
+            st.lists(rhs, min_size=n, max_size=n),
+        )
+    )
+
+
+class TestShiftedSolve:
+    """The Rayleigh step's solve of (T - mu I) y = b through the LDL^T
+    factorisation that the Sturm count restarts past each pivot <= 0.
+
+    Unpivoted, the factorisation is backward stable relative to its own
+    factors: the computed y solves (A + dA) y = b with |dA| <= c u |L||D||L^T|,
+    A = T - mu I with its diagonal rounded, c a small constant (4 + O(u) for
+    an unpivoted tridiagonal LU solve: Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 9).  The tests take c = 8 n, far
+    above it.  Against a dense solve, whose own error is bounded the same
+    way by ||A||, the forward error is then at most
+    ||A^-1|| c u (|| |L||D||L^T| || ||y|| + 2 ||A|| ||y_dense||): the condition
+    number times the factorisation's growth.  It is not kappa(A) u alone:
+    on [[t, 1], [1, 0]], kappa near 1, the pivots t and -1/t lose u / t."""
+
+    @staticmethod
+    def factors(diag, off, mu):
+        """(A, |L||D||L^T|, solvable) of T - mu I as the solve factorises it."""
+        d, e, _, solvable = eigensolver._ldlt(diag, off, mu, diag.size)
+        with np.errstate(over="ignore"):
+            shifted = diag - mu
+        a = np.diag(shifted) + np.diag(off, 1) + np.diag(off, -1)
+        lower = np.abs(np.eye(diag.size) + np.diag(e, -1))
+        return a, lower @ np.diag(np.abs(d)) @ lower.T, solvable
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _solve_case(st.integers(2, 24)),
+        st.integers(-200, 200),
+        st.integers(0, 24),
+        st.one_of(st.floats(0.0, 1.0), st.integers(-4, 4)),
+    )
+    def test_equals_a_dense_solve(self, case, exponent, k, where):
+        # mu a point of the k-th gap of the spectrum (``where`` a float in
+        # [0, 1], as in TestSturmCount) or ``where`` ulps from the k-th
+        # eigenvalue (an integer), in ulps of u ||T||_1 at least, the
+        # accuracy to which numpy gives an eigenvalue
+        diag, off = (np.ldexp(np.array(v), exponent) for v in case[:2])
+        b = np.array(case[2])
+        norm = gershgorin(diag, off)[1]
+        assume(np.any(b) and norm > 0)
+        exact = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        u = np.finfo(float).eps / 2
+        if isinstance(where, float):
+            ends = np.concatenate([[exact[0] - norm], exact, [exact[-1] + norm]])
+            k = min(k, diag.size)
+            mu = float(ends[k] + where * (ends[k + 1] - ends[k]))
+        else:
+            lam = float(exact[min(k, diag.size - 1)])
+            mu = lam + where * float(np.spacing(max(abs(lam), u * norm)))
+        y = b.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solved = eigensolver._solve_shifted(diag, off, mu, y)
+            a, grown, solvable = self.factors(diag, off, mu)
+        assert solved == solvable
+        if not solved:
+            # a zero pivot: the right-hand side is left as it was
+            assert np.array_equal(y, b)
+            return
+        c = 8 * diag.size * u
+        a_norm = float(np.linalg.norm(a, 2))
+        grown_norm = float(np.linalg.norm(grown, 2))
+        sigma = float(np.linalg.svd(a, compute_uv=False)[-1])
+        # the forward bound is below ||y|| / 2 where sigma_min(A) is well
+        # above the backward error; a shift within ulps of an eigenvalue
+        # leaves it above, and y may then leave the float range
+        informative = c * (grown_norm + 2.0 * a_norm) < 0.5 * sigma
+        if not np.all(np.isfinite(y)):
+            assert not informative
+            return
+        # backward error, whatever the conditioning: the residual of y, and
+        # the rounding of A y in evaluating it, scaled by max |y| so that
+        # nothing overflows
+        top = float(np.max(np.abs(y)))
+        residual = float(np.linalg.norm(b / top - a @ (y / top)))
+        assert residual <= c * (grown_norm + a_norm) * float(np.linalg.norm(y / top))
+        if informative:
+            dense = np.linalg.solve(a, b)
+            y_norm, dense_norm = float(np.linalg.norm(y)), float(np.linalg.norm(dense))
+            tol = c * (grown_norm * y_norm + 2.0 * a_norm * dense_norm) / sigma
+            assert float(np.linalg.norm(y - dense)) <= tol
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 16).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.sampled_from([-4.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 4.0]),
+                         min_size=k, max_size=k),
+                st.lists(st.sampled_from([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]),
+                         min_size=k, max_size=k),
+            )
+        ),
+        st.lists(st.tuples(_ENTRY, _ENTRY), max_size=8),
+        st.integers(-200, 200),
+        st.integers(-4, 4),
+    )
+    def test_zero_pivot_is_a_failure(self, head, rest, exponent, shift):
+        # rows 0..k of T - mu I are L D L^T built from pivots p (powers of
+        # two) and multipliers l (small integers), with pivot k exactly 0:
+        # diagonal p_i + l_{i-1}^2 p_{i-1}, off-diagonal l_i p_i; ``rest``
+        # adds rows below, (diagonal, off-diagonal above) each.  Every
+        # operation of the factorisation down to row k is exact, scaled by
+        # 2^exponent and shifted by an integer multiple of it alike
+        p, l = (np.array(v) for v in head)
+        assume(p.size + len(rest) >= 1)
+        below = np.array(rest).reshape(-1, 2)
+        shifted = np.concatenate(
+            [np.concatenate([p, [0.0]]) + np.concatenate([[0.0], l * l * p]), below[:, 0]]
+        )
+        off = np.concatenate([l * p, below[:, 1]])
+        shifted, off = np.ldexp(shifted, exponent), np.ldexp(off, exponent)
+        mu = math.ldexp(float(shift), exponent)
+        diag = shifted + mu
+        assert np.array_equal((diag - mu)[: p.size + 1], shifted[: p.size + 1])
+        b = np.ones(diag.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eigensolver._solve_shifted(diag, off, mu, b) is False
+        assert np.array_equal(b, np.ones(diag.size))
+
+
+    def test_zero_pivot_in_a_seeded_solve_falls_back(self, monkeypatch):
+        # h = 1 and m = 1/2 make off-diagonals -1 and a diagonal 2 + V: the
+        # integer diagonal below, and a guess at its interior row 9, whose
+        # Rayleigh quotient is exactly 0.  The pivots of T - 0 I are 1 down
+        # to row 5 and exactly 0 at row 6: the one solve fails, the
+        # iterate's interval 0 +- sqrt(2) reaches above the bound, and the
+        # solve returns the bracketed bisection's values
+        grid = Grid(0.0, 15.0, 16)
+        diag = np.array([1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0, 2.0, 2.0, 0.0, 2.0, 2.0, 2.0, 2.0])
+        v = np.concatenate([[0.0], diag - 2.0, [0.0]])
+        m = np.full(15, 0.5)
+        guess = np.zeros(16)
+        guess[10] = 1.0
+        # between the lowest two eigenvalues, -0.835 and -0.177
+        bound = -0.5
+        log = count_log(monkeypatch)
+        solve_log(monkeypatch, log)
+        bisected = []
+        bisect = eigensolver._bracketed_bisect
+        monkeypatch.setattr(
+            eigensolver, "_bracketed_bisect", lambda *a: bisected.append(bisect(*a)) or bisected[-1]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energies = solve_effective_mass(grid, m, v, 1, guesses=[guess], bound=bound)
+        assert np.array_equal(eigensolver.tridiagonal_matrix(grid, m, v, 1)[0], diag)
+        assert log[:2] == [("count", bound, 1), ("solve", 0.0, False)]
+        assert all(entry[0] == "count" for entry in log[2:])
+        assert len(bisected) == 1 and energies is bisected[0]
+        t = np.diag(diag) - np.eye(14, k=1) - np.eye(14, k=-1)
+        assert energies[0] == pytest.approx(np.linalg.eigvalsh(t)[0], abs=1e-12)
+
+    def test_refined_at_off_diagonals_near_5e151(self, monkeypatch):
+        # h = 1e-78: off-diagonals -1/(2 h^2) = -5e151, whose squares leave
+        # the float range; the Rayleigh steps' solves never form them
+        grid = Grid(0.0, 1e-76, 101)
+        width = grid.x_max
+        # the box's sines are exact eigenvectors of this matrix and would
+        # take no step: each is mixed with 1% of the next sine of its parity
+        t = np.pi * grid.points / width
+        guesses = [np.sin(k * t) + 0.01 * np.sin((k + 2) * t) for k in (1, 2)]
+        # the box's continuum separation of levels 2 and 3
+        bound = 0.5 * (np.pi / width) ** 2 * (4 + 9) / 2
+        solves = solve_log(monkeypatch)
+
+        def refuse(*args):
+            raise AssertionError("fell back to bisection")
+
+        monkeypatch.setattr(eigensolver, "dstebz", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energies = solve_effective_mass(
+                grid, np.ones(100), np.zeros(101), 2, guesses=guesses, bound=bound
+            )
+        assert solves and all(ok for _, _, ok in solves)
+        np.testing.assert_allclose(energies, [4.934396e152, 1.973272e153], rtol=1e-6)
 
 
 class TestCertifiedRefinement:
@@ -725,7 +919,8 @@ class TestSeparationBound:
         shifted by ``shift``, with read-only guesses, checks that they are
         unchanged and gives the result.  A Sturm count is logged as
         ("count", its upper end, the count) by ``conftest.count_log``, a
-        gtsv solve as ("dgtsv",) and a stebz call, always a bisection, as
+        Rayleigh step's solve as ("solve", its shift) by
+        ``conftest.solve_log`` and a stebz call, always a bisection, as
         ("bisect", its range kind, lower end, upper end).  Every value-range
         bisection must have its lower end below its upper end."""
         grid, m, v = TestCertifiedRefinement.problem()
@@ -740,18 +935,14 @@ class TestSeparationBound:
         guesses.flags.writeable = False
         log = []
 
-        def dgtsv(*args, _fn=eigensolver.dgtsv, **kwargs):
-            log.append(("dgtsv",))
-            return _fn(*args, **kwargs)
-
         def dstebz(*args, _fn=eigensolver.dstebz):
             assert args[2] != 1 or args[3] < args[4], "empty value range"
             log.append(("bisect", args[2], args[3], args[4]))
             return _fn(*args)
 
-        monkeypatch.setattr(eigensolver, "dgtsv", dgtsv)
         monkeypatch.setattr(eigensolver, "dstebz", dstebz)
         count_log(monkeypatch, log)
+        solve_log(monkeypatch, log)
 
         def solve(bound, shift=0.0):
             log.clear()
@@ -769,7 +960,7 @@ class TestSeparationBound:
         bisection over a bracket whose ends the counts certify; its lower
         end is returned."""
         assert log[0] == ("count", bound, count)
-        assert ("dgtsv",) not in log
+        assert all(entry[0] != "solve" for entry in log)
         *counts, (kind, *ends) = log
         assert kind == "bisect" and ends[0] == 1
         assert all(entry[0] == "count" for entry in counts)
@@ -828,7 +1019,7 @@ class TestSeparationBound:
         energies = solve(bound)
         # no eigenvalue up to the bound, known without a count: the upper
         # end alone is counted, and the bisection starts at the bound
-        assert ("dgtsv",) not in log
+        assert all(entry[0] != "solve" for entry in log)
         *counts, (kind, *ends) = log
         assert kind == "bisect" and ends[:2] == [1, bound]
         assert all(entry[0] == "count" and entry[1] > bound for entry in counts)
@@ -857,9 +1048,8 @@ class TestSeparationBound:
         other = solve(TestCertifiedRefinement.BOUND)
         bound = 0.5 * (exact[self.LEVELS - 1] + exact[self.LEVELS])
         energies = solve(bound)
-        stebz = [entry for entry in log if entry[0] != "dgtsv"]
-        assert stebz == [("count", bound, self.LEVELS)]
-        assert len(log) > 1
+        assert [entry for entry in log if entry[0] != "solve"] == [("count", bound, self.LEVELS)]
+        assert log[0][0] == "count" and len(log) > 1
         assert np.array_equal(energies, other)
         np.testing.assert_allclose(energies, exact[: self.LEVELS], rtol=1e-12, atol=0)
 
@@ -883,8 +1073,8 @@ class TestSeparationBound:
         energies = solve(bound, shift)
         # the one count at the bound, the refinement, the counts walking down
         # to none, and one bisection up to the bound itself
-        solves = log.count(("dgtsv",))
-        assert solves > 0 and log[1 : 1 + solves] == [("dgtsv",)] * solves
+        solves = sum(entry[0] == "solve" for entry in log)
+        assert solves > 0 and all(entry[0] == "solve" for entry in log[1 : 1 + solves])
         (_, at, n), *walk, (kind, *ends) = [log[0], *log[1 + solves :]]
         assert (at, n) == (bound, self.LEVELS)
         assert [(kind, n) for kind, _, n in walk] == [("count", 2), ("count", 0)]
