@@ -17,32 +17,45 @@ of (T - mu I) y = x per step through the count's LDL^T factorisation
 (LAPACK ``pttrs`` on it), and the mu_k are kept if the
 intervals [mu_k - r_k, mu_k + r_k] (r_k the residual norm) are pairwise
 disjoint and end at or below ``bound``: each holds a distinct eigenvalue,
-and the count leaves no other below.  Any other outcome bisects (LAPACK
-``stebz``) inside a bracket (lo, hi] from two doubling walks away from
-``bound``, capped at the Gershgorin bounds: lo is the highest point whose
-Sturm count is 0, hi the lowest whose count is the wanted number or more.
-A ``bound`` within ulp * ||T||_1 of 0 gives the walks no scale to step by,
-so that solve bisects over the Gershgorin interval instead, to LAPACK's
-tightest absolute tolerance: a huge ||T||_1 sends most seeded solves there.
-Unseeded and bracketed bisections run to stebz's default absolute
-tolerance, ulp * ||T||_1.  A failed LAPACK call raises ``PctError``.  A
-solve gives eigenvalues only, never eigenvectors.
+and the count leaves no other below.  Any other outcome bisects inside a
+bracket (lo, hi] from two doubling walks away from ``bound``, capped at the
+Gershgorin bounds: lo is the highest point whose Sturm count is 0, hi the
+lowest whose count is the wanted number or more.  That bisection stops at
+the absolute tolerance ulp * ||T||_1.  A ``bound`` within that tolerance of
+0 gives the walks no scale to step by, so that solve, like an unseeded one,
+bisects over the Gershgorin interval instead, to LAPACK's tightest absolute
+tolerance, twice the underflow threshold: a huge ||T||_1 sends most seeded
+solves there, and makes ulp * ||T||_1 meaningless (about 2e184 on a well
+walled by entries of 1e200, whose ground state is 0.5).  A solve gives
+eigenvalues only, never eigenvectors.
+
+Bisection is by Sturm counts alone (Barth, Martin and Wilkinson, Numer.
+Math. 9, 386, 1967), with LAPACK's stopping rules: a level stops once its
+interval (a, b] is at most max(tolerance, floor, 2 ulp max(|a|, |b|)) wide,
+or once no float lies strictly between a and b, and gives the interval's
+midpoint.  The floor is LAPACK's DBL_MIN big^2, big = max(1, max |e|),
+formed as (DBL_MIN big) big, each product rounded once, so that no
+off-diagonal is squared; past big = ulp / DBL_MIN (about 1e292) it is held
+at ulp big, as it would otherwise exceed the counts' own resolution of a
+few ulp * ||T||_1 and cut the bisection short (by 2% on the lowest level of
+a box whose off-diagonals are 5e303).  A solve rejects a matrix whose
+||T||_1 leaves the float range, as ``RangeOverflowError``: the Gershgorin
+interval would not be finite.
 
 A Sturm count up to x is the number of non-positive pivots of the LDL^T
 factorisation of T - x I, by Sylvester's law of inertia the number of
 eigenvalues up to x.  LAPACK ``pttrf`` factorises one shifted copy in place
 and stops at its first pivot <= 0; the count takes that pivot as negative (a
-zero one too, as stebz does), updates the next diagonal entry as pttrf would
-and restarts on the rest.  Pivot d_i is (a_i - x) - (e_{i-1} / d_{i-1})
-e_{i-1}, a and e T's diagonal and off-diagonal, from four operations each
-rounded once, so the computed count is the exact one of a matrix whose
-entries differ from those of T - x I by a few ulps each (Kahan 1966;
-Demmel, Dhillon and Ren, ETNA 3, 1995): it is T's count at any x more than
-a few ulp * ||T||_1 from every eigenvalue, as stebz's recurrence is, in one
-pass where a stebz count makes three.  Every caller needs only whether a
-count is 0, the wanted number of levels or more, so a count stops at one
-pivot past that number.  A count up to a point at or below the Gershgorin
-lower bound is 0 without a factorisation.
+zero one too), updates the next diagonal entry as pttrf would and restarts on
+the rest.  Pivot d_i is (a_i - x) - (e_{i-1} / d_{i-1}) e_{i-1}, a and e T's
+diagonal and off-diagonal, from four operations each rounded once, so the
+computed count is the exact one of a matrix whose entries differ from those
+of T - x I by a few ulps each (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3,
+1995): it is T's count at any x more than a few ulp * ||T||_1 from every
+eigenvalue.  Every caller needs only whether a count is 0, or which of the
+wanted levels lie up to x, so a count stops at one pivot past the number of
+levels.  A count up to a point at or below the Gershgorin lower bound is 0
+without a factorisation.
 
 A Rayleigh step's solve runs the same restarted factorisation to the end,
 storing each restart's multiplier e_j / p as pttrf would, and hands the
@@ -54,13 +67,15 @@ factorisation loses.  A zero pivot fails the solve, and the iteration
 stops with its best step so far.
 
 The refinement works on unnormalised iterates, in arrays each thread keeps
-from one solve to the next.  Its inner products are ``np.einsum`` sums of products, one pass
-without a temporary array, and not BLAS calls: a threaded BLAS dot can stall
-for milliseconds on a busy host (8 ms at 40 000 points, against 0.03 ms for
-``np.sum(x * x)``, on a 2-vCPU Intel Xeon VM).  Their rounding is carried
-into the certified radii.
+from one solve to the next, rescaled by a power of two whenever the squared
+norm leaves (2^-600, 2^600), so that a matrix near the float range cannot
+underflow or overflow them.  Its inner products are ``np.einsum`` sums of
+products, one pass without a temporary array, and not BLAS calls: a
+threaded BLAS dot can stall for milliseconds on a busy host (8 ms at 40 000
+points, against 0.03 ms for ``np.sum(x * x)``, on a 2-vCPU Intel Xeon VM).
+Their rounding is carried into the certified radii.
 
-The LAPACK routines (``dpttrf``, ``dpttrs``, ``dstebz``) come from scipy's
+The LAPACK routines (``dpttrf``, ``dpttrs``) come from scipy's
 compiled ``scipy.linalg._flapack`` extension, loaded directly from
 ``scipy/linalg`` (found from the top-level package's spec, which imports
 nothing) and registered under its own name: a later ``import scipy.linalg``
@@ -68,11 +83,9 @@ shares the very same module.  No scipy package init runs: ``scipy.linalg``'s
 loads scipy's array-API layer (``numpy.f2py``, ``numpy.testing``,
 ``numpy.ma``) and, on a 2-vCPU Intel Xeon VM (Python 3.11.7, numpy 2.4.6,
 scipy 1.17.1), doubled the start-up of a ``pct verify`` process (0.26 s to
-0.50 s) and raised its peak RSS from 45.7 MB to 68.6 MB.  An unseeded solve
-uses the call and arguments of scipy's ``eigvalsh_tridiagonal``, so its
-values are scipy's bit for bit; a seeded solve's bisections are not.
-Like scipy's ``check_finite``, a solve rejects a matrix with a non-finite
-entry, here as ``RangeOverflowError``.
+0.50 s) and raised its peak RSS from 45.7 MB to 68.6 MB.  A failed LAPACK
+call raises ``PctError``.  Like scipy's ``check_finite``, a solve rejects a
+matrix with a non-finite entry, here as ``RangeOverflowError``.
 """
 
 from __future__ import annotations
@@ -111,7 +124,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dpttrf, dpttrs, dstebz = _flapack.dpttrf, _flapack.dpttrs, _flapack.dstebz
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 #: the smallest grid a solve accepts
 MIN_GRID_POINTS = 16
@@ -163,15 +176,6 @@ def _check_info(info, routine):
         raise PctError(f"LAPACK {routine} failed (info={info})")
 
 
-def _bisect(diag, off, n_levels, abstol):
-    """The lowest n_levels eigenvalues, ascending, by stebz bisection over
-    the Gershgorin interval to absolute tolerance ``abstol``; at 0, stebz's
-    default ulp * ||T||_1, this is scipy's eigvalsh_tridiagonal call."""
-    m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, 1, n_levels, abstol, b"E")
-    _check_info(info, "dstebz")
-    return w[:m]
-
-
 def _tridiagonal_product(diag, off, x, out, tmp):
     """T x into ``out``; ``tmp`` (n - 1 long) is scratch."""
     np.multiply(diag, x, out=out)
@@ -213,7 +217,8 @@ def _rayleigh_refine(diag, off, row_abs_sq, floor_scale, x, tx, tmp):
     ``tmp`` as scratch of its size: (mu, r) of the iterate v with the
     smallest bound r >= ||T v - mu v|| / ||v||.
 
-    The iterates are not normalised; their norms enter only as scalars.  r
+    The iterates are not normalised, only rescaled by a power of two when
+    ||x||^2 leaves (2^-600, 2^600); their norms enter only as scalars.  r
     includes the rounding floor of the residual's own evaluation,
     4 eps ||(|T| v)|| / ||v|| with |T| taken as the absolute row sums (given
     squared after scaling by a power of two, which ``floor_scale``, 4 eps
@@ -230,6 +235,9 @@ def _rayleigh_refine(diag, off, row_abs_sq, floor_scale, x, tx, tmp):
     best = (math.nan, math.inf)
     for step in range(_RQI_STEPS + 1):
         s = _dot(x, x)
+        if not 2.0**-600 < s < 2.0**600:
+            x *= math.ldexp(1.0, -(math.frexp(s)[1] // 2))
+            s = _dot(x, x)
         if not 0.0 < s < math.inf:
             break
         _tridiagonal_product(diag, off, x, tx, tmp[:-1])
@@ -254,7 +262,7 @@ def _ldlt(diag, off, x, most):
     count the number of pivots <= 0 (see the module docstring).
 
     The factorisation stops once count reaches ``most`` + 1.  A zero pivot
-    counts as negative, as in stebz; solvable is False when a pivot <= 0
+    counts as negative; solvable is False when a pivot <= 0
     was zero or -inf, and otherwise, with count <= ``most``, d and e are
     the whole factorisation, as LAPACK ``pttrs`` takes it."""
     # a shift past the float range gives an infinite entry of the right sign
@@ -314,102 +322,123 @@ def _solve_shifted(diag, off, mu, x):
     return solvable
 
 
-def _bracketed_bisect(diag, off, n_levels, bound, count, gl, gu):
-    """The lowest n_levels eigenvalues by one stebz bisection over (lo, hi]
-    at its default tolerance.
+def _bisect(diag, off, gl, lo, hi, n_levels, abstol):
+    """The lowest n_levels eigenvalues, ascending, by bisection of (lo, hi]
+    on Sturm counts alone, to absolute tolerance ``abstol`` (see the module
+    docstring for the stopping rule); gl lies below every eigenvalue, no
+    eigenvalue lies up to lo, and n_levels or more lie up to hi.
+
+    Level k keeps an interval (a_k, b_k] with at most k eigenvalues up to
+    a_k and more than k up to b_k.  Each count, at the midpoint of the
+    lowest open level's interval, narrows every level's interval that holds
+    that midpoint: levels share one interval until a count parts them, so
+    any two intervals are the same or disjoint and in order, as in LAPACK's
+    bisection, and the counts of one midpoint cannot move an interval past
+    another's."""
+    big = max(1.0, float(np.max(np.abs(off))))
+    tol = max(abstol, sys.float_info.min * big * min(big, _EPS / sys.float_info.min))
+    a, b = [lo] * n_levels, [hi] * n_levels
+    for k in range(n_levels):
+        mid = 0.5 * a[k] + 0.5 * b[k]
+        # max(-a, b) is max(|a|, |b|) for a < b
+        while a[k] < mid < b[k] and b[k] - a[k] > max(tol, 2.0 * _EPS * max(-a[k], b[k])):
+            count = _count_up_to(diag, off, gl, mid, n_levels)
+            for j in range(k, n_levels):
+                if a[j] < mid < b[j]:
+                    (b if count > j else a)[j] = mid
+            mid = 0.5 * a[k] + 0.5 * b[k]
+    return np.array([0.5 * x + 0.5 * y for x, y in zip(a, b)])
+
+
+def _bracket(diag, off, n_levels, bound, count, gl, gu):
+    """(lo, hi), no eigenvalue up to lo and n_levels or more up to hi, from
+    two walks away from ``bound``.
 
     ``count`` is the Sturm count up to ``bound``, already made; gl and gu
     bound the spectrum.  lo walks down from ``bound`` by 8 |bound|,
     16 |bound|, ... and hi up by |bound|, 2 |bound|, ..., capped at gl and
     gu, until counts show no eigenvalue up to lo and at least n_levels up to
     hi.  On a matrix with steep walls the Gershgorin interval is about 1e14
-    wide, and the bracket saves most of bisection's halvings.  A bound
-    within the bisection's tolerance of 0 gives no scale to step by: the
-    walks would take some 40 counts to leave it, dearer than the
-    Gershgorin-range bisection, returned instead at LAPACK's tightest
-    tolerance, twice the underflow threshold: ulp * ||T||_1 can dwarf the
-    eigenvalues (about 2e184 on a matrix with entries near 1e200).
-
-    The counts that certify the bracket are LDL^T counts and the bisection
-    runs stebz's own recurrence; at an hi within rounding of an eigenvalue
-    the two can disagree, and a bisection that finds fewer than n_levels
-    eigenvalues in (lo, hi] raises ``PctError``.
+    wide, and the bracket saves most of bisection's halvings.
     """
-    scale = abs(bound)
-    if scale <= _EPS * gu:
-        return _bisect(diag, off, n_levels, 2.0 * sys.float_info.min)
-    lo, n = bound, count
-    step = 8.0 * scale
+    lo, n, step = bound, count, 8.0 * abs(bound)
     while n > 0:
         lo = max(bound - step, gl)
         n = _count_up_to(diag, off, gl, lo, n_levels)
         step *= 2.0
-    hi, n = bound, count
-    step = scale
+    hi, n, step = bound, count, abs(bound)
     while n < n_levels:
         hi = min(bound + step, gu)
         n = diag.size if hi == gu else _count_up_to(diag, off, gl, hi, n_levels)
         step *= 2.0
-    m, w, _, _, info = dstebz(diag, off, 1, lo, hi, 1, 1, 0.0, b"E")
-    _check_info(info, "dstebz")
-    if m < n_levels:
-        raise PctError(
-            f"the bisection over ({lo!r}, {hi!r}] found {m} eigenvalues, not the {n_levels}"
-            " its bracket's counts certify"
-        )
-    return w[:n_levels]
+    return lo, hi
 
 
-def _certified_energies(diag, off, guesses, bound):
-    """The lowest len(guesses) eigenvalues, refined from the interiors of
+def _certified_energies(diag, off, n_levels, guesses, bound):
+    """The lowest n_levels eigenvalues, refined from the interiors of
     ``guesses`` (grid samples, ends included) where one Sturm count
-    certifies them, and otherwise by the bracketed bisection.
+    certifies them, and otherwise by bisection; ``guesses`` and ``bound``
+    are both None for an unseeded solve, which bisects over the Gershgorin
+    interval.
 
     ``bound`` is a value expected to separate the wanted eigenvalues from
-    the rest.  The count up to it comes first; only when it is len(guesses)
+    the rest.  The count up to it comes first; only when it is n_levels
     are the guesses refined, and the refined mu_k are kept when the
     intervals mu_k +- r_k are pairwise disjoint, so each holds a distinct
     eigenvalue, and the highest ends at or below ``bound``, so that count
     leaves no other eigenvalue below them (Sylvester's law of inertia).
-    Any other outcome gives ``_bracketed_bisect``'s values.  The guesses
+    Any other outcome bisects inside ``_bracket``'s (lo, hi] to tolerance
+    ulp * ||T||_1, or, for a ``bound`` within that of 0, over the
+    Gershgorin interval to twice the underflow threshold.  The guesses
     themselves are left unchanged.
     """
     x, tx, tmp, row_abs = _workspace(diag.size)
     # every eigenvalue lies above the lowest Gershgorin disc edge, here
-    # lowered past its own rounding
+    # lowered past its own rounding, and below the largest absolute row
+    # sum, here raised past it
     abs_off = np.abs(off, out=tx[:-1])
     row_abs[:-1] = abs_off
     row_abs[-1] = 0.0
     row_abs[1:] += abs_off
     gl = float(np.min(np.subtract(diag, row_abs, out=tmp)))
-    row_abs += np.abs(diag, out=tmp)
+    with np.errstate(over="ignore"):
+        row_abs += np.abs(diag, out=tmp)
     row_max = float(np.max(row_abs))
     gl -= 2.0 * _EPS * row_max
-    n_levels = len(guesses)
-    count = _count_up_to(diag, off, gl, bound, n_levels)
-    if count == n_levels:
-        # the row sums scaled below 1 by an exact power of two before
-        # squaring, so no square overflows; scaling by a power of two
-        # commutes with rounding, so the floor is the unscaled one bit for
-        # bit wherever that one neither overflows nor underflows
-        exp = max(math.frexp(row_max)[1], 0)
-        row_abs *= math.ldexp(1.0, -exp)
-        row_abs_sq = np.multiply(row_abs, row_abs, out=row_abs)
-        floor_scale = math.ldexp(4.0 * _EPS, exp)
-        refined = []
-        for g in guesses:
-            np.copyto(x, g[1:-1])
-            refined.append(_rayleigh_refine(diag, off, row_abs_sq, floor_scale, x, tx, tmp))
-        mu, r = np.array(refined).T
-        order = np.argsort(mu)
-        mu, r = mu[order], r[order]
-        if (
-            np.all(np.isfinite(r))
-            and np.all(mu[1:] - r[1:] > mu[:-1] + r[:-1])
-            and mu[-1] + r[-1] <= bound
-        ):
-            return mu
-    return _bracketed_bisect(diag, off, n_levels, bound, count, gl, row_max * (1.0 + 4.0 * _EPS))
+    gu = row_max * (1.0 + 4.0 * _EPS)
+    if gu == math.inf:
+        raise RangeOverflowError("the finite-difference matrix's norm ||T||_1 overflows")
+    if guesses is not None:
+        count = _count_up_to(diag, off, gl, bound, n_levels)
+        if count == n_levels:
+            # the row sums scaled below 1 by an exact power of two before
+            # squaring, so no square overflows; scaling by a power of two
+            # commutes with rounding, so the floor is the unscaled one bit for
+            # bit wherever that one neither overflows nor underflows
+            exp = max(math.frexp(row_max)[1], 0)
+            row_abs *= math.ldexp(1.0, -exp)
+            row_abs_sq = np.multiply(row_abs, row_abs, out=row_abs)
+            floor_scale = math.ldexp(4.0 * _EPS, exp)
+            refined = []
+            for g in guesses:
+                np.copyto(x, g[1:-1])
+                refined.append(_rayleigh_refine(diag, off, row_abs_sq, floor_scale, x, tx, tmp))
+            mu, r = np.array(refined).T
+            order = np.argsort(mu)
+            mu, r = mu[order], r[order]
+            if (
+                np.all(np.isfinite(r))
+                and np.all(mu[1:] - r[1:] > mu[:-1] + r[:-1])
+                and mu[-1] + r[-1] <= bound
+            ):
+                return mu
+        # a bound within the tolerance of 0 gives the walks no scale to
+        # step by: some 40 counts to leave it, dearer than the halvings
+        # they would save
+        if abs(bound) > _EPS * gu:
+            lo, hi = _bracket(diag, off, n_levels, bound, count, gl, gu)
+            return _bisect(diag, off, gl, lo, hi, n_levels, _EPS * row_max)
+    return _bisect(diag, off, gl, gl, gu, n_levels, 2.0 * sys.float_info.min)
 
 
 def tridiagonal_matrix(grid, mass_at_midpoints, potential_values, n_levels):
@@ -462,27 +491,26 @@ def solve_effective_mass(
     ``PctError``.
 
     The energies are certified Rayleigh quotients when the guesses passed
-    the certificate, and otherwise bisection values, which carry bisection's
-    absolute tolerance ulp * ||T||_1 (large for a matrix with steep walls:
-    about 4e-4 at ||T||_1 = 1.9e12), or a tighter one where ``bound`` is
-    within it of 0.  Only an unseeded solve's are scipy's
-    ``eigvalsh_tridiagonal`` values bit for bit.
+    the certificate, and otherwise bisection values.  Those bisected inside
+    the bracket carry the absolute tolerance ulp * ||T||_1 (large for a
+    matrix with steep walls: about 4e-4 at ||T||_1 = 1.9e12).  An unseeded
+    solve's, and those of a solve whose ``bound`` is within that tolerance
+    of 0, are bisected over the Gershgorin interval until each interval is
+    2 ulp of its ends wide, or twice the underflow threshold.
     """
     if (guesses is None) != (bound is None):
         raise ArgumentError("guesses and bound must be given together")
-    if bound is not None:
+    diag, off = tridiagonal_matrix(grid, mass_at_midpoints, potential_values, n_levels)
+    if guesses is not None:
         bound = float(bound)
         if not math.isfinite(bound):
             raise ArgumentError(f"bound must be finite, not {bound}")
-    diag, off = tridiagonal_matrix(grid, mass_at_midpoints, potential_values, n_levels)
-    if guesses is None:
-        return _bisect(diag, off, n_levels, 0.0)
-    guesses = [np.asarray(g, dtype=float) for g in guesses]
-    if len(guesses) != n_levels or any(g.shape != (grid.n_points,) for g in guesses):
-        raise GridMismatchError(
-            f"guesses must be {n_levels} arrays of the grid's {grid.n_points} points"
-        )
-    return _certified_energies(diag, off, guesses, bound)
+        guesses = [np.asarray(g, dtype=float) for g in guesses]
+        if len(guesses) != n_levels or any(g.shape != (grid.n_points,) for g in guesses):
+            raise GridMismatchError(
+                f"guesses must be {n_levels} arrays of the grid's {grid.n_points} points"
+            )
+    return _certified_energies(diag, off, n_levels, guesses, bound)
 
 
 def d1_numerator(v):

@@ -97,6 +97,23 @@ def solve_log(monkeypatch, log=None):
     return log
 
 
+def bisect_log(monkeypatch, log=None):
+    """Log the eigensolver's bisections to ``log`` (a new list if None) as
+    ("bisect", the lower end of the interval, its upper end, the absolute
+    tolerance), in call order, and return it.
+
+    An entry is logged when the bisection starts: in a log shared with
+    ``count_log``, the bisection's own Sturm counts follow it."""
+    log = [] if log is None else log
+
+    def bisected(diag, off, gl, lo, hi, n_levels, abstol, _fn=eigensolver._bisect):
+        log.append(("bisect", lo, hi, abstol))
+        return _fn(diag, off, gl, lo, hi, n_levels, abstol)
+
+    monkeypatch.setattr(eigensolver, "_bisect", bisected)
+    return log
+
+
 def _outcome(fn):
     try:
         with np.errstate(all="ignore"):

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import DEFAULT_RUNS, PRESETS, count_log, load_runs, preset_run
+from conftest import DEFAULT_RUNS, PRESETS, bisect_log, count_log, load_runs, preset_run
 from scipy.linalg import eigvalsh_tridiagonal
 
 from pctsolve import cli, eigensolver, exprlang, pctengine, presets
@@ -623,19 +623,22 @@ class TestVerify:
         assert "illegal value" not in out + err
 
     def test_lapack_failure_is_a_pct_error(self, tmp_path, capsys, monkeypatch):
-        # a stebz failure reaches pct as one line and exit 3, not a
-        # traceback, on a run whose count at the separation is off, so that
-        # it bisects
-        def failing(*args, _fn=eigensolver.dstebz):
-            return _fn(*args)[:4] + (1,)
+        # a LAPACK failure reaches pct as one line and exit 3, not a
+        # traceback: here dpttrf's, once the bisection has started, on a
+        # run whose count at the separation is off, so that it bisects
+        bisect = eigensolver._bisect
 
-        monkeypatch.setattr(eigensolver, "dstebz", failing)
+        def failing_bisection(*args):
+            monkeypatch.setattr(eigensolver, "dpttrf", lambda d, e, **kwargs: (d, e, -1))
+            return bisect(*args)
+
+        monkeypatch.setattr(eigensolver, "_bisect", failing_bisection)
         spec = next(spec for spec in presets.COMBO_TABLE if not spec.feasible)
         run = dict(preset_run(spec), grid={"n_points": 2001, "levels": 3})
         cfg = write_config(tmp_path, {"schema_version": 1, "runs": [run]})
         assert cli.main(["verify", cfg, "-o", str(tmp_path / "r.json")]) == 3
         err = capsys.readouterr().err
-        assert err == "numeric error: config.runs[0]: LAPACK dstebz failed (info=1)\n"
+        assert err == "numeric error: config.runs[0]: LAPACK dpttrf failed (info=-1)\n"
         assert not (tmp_path / "r.json").exists()
 
 
@@ -740,14 +743,7 @@ class TestWorkCounts:
         """The analytic states seed the eigensolve: one Sturm count per run
         and no bisection."""
         config = load_runs(runs)
-        bisections = []
-
-        def counted(*args, _fn=eigensolver.dstebz):
-            # every stebz call is a bisection
-            bisections.append(args)
-            return _fn(*args)
-
-        monkeypatch.setattr(eigensolver, "dstebz", counted)
+        bisections = bisect_log(monkeypatch)
         counts = count_log(monkeypatch)
         text, code = cli.cmd_verify(config)
         assert code == 0 and json.loads(text)["pass"] is True
@@ -785,31 +781,29 @@ class TestVerifyAccuracy:
     )
     def test_infeasible_runs_bisect_to_tolerance(self, monkeypatch, spec):
         # the Sturm count at the separation is not 3 on these runs: the
-        # energies come from one value-range bisection inside a counted
-        # bracket, each within bisection's tolerance ulp * ||T||_1 of the
-        # matrix's eigenvalue
-        solved, bisections = [], []
+        # energies come from one bisection inside a counted bracket, at the
+        # bracket's tolerance ulp * ||T||_1, each within it of the matrix's
+        # eigenvalue
+        solved = []
 
         def spy(*args, _fn=pctengine.solve_effective_mass, **kwargs):
             solved.append((args, _fn(*args, **kwargs)))
             return solved[-1][1]
 
-        def dstebz(*args, _fn=eigensolver.dstebz):
-            bisections.append(args[2])
-            return _fn(*args)
-
         monkeypatch.setattr(pctengine, "solve_effective_mass", spy)
-        monkeypatch.setattr(eigensolver, "dstebz", dstebz)
+        bisections = bisect_log(monkeypatch)
         text, code = cli.cmd_verify(load_runs([preset_run(spec)]))
         assert code == 1 and json.loads(text)["pass"] is False
-        assert bisections == [1]
         ((args, energies),) = solved
         diag, off = eigensolver.tridiagonal_matrix(*args)
         rows = np.abs(diag)
         rows[:-1] += np.abs(off)
         rows[1:] += np.abs(off)
+        tol = np.finfo(float).eps * np.max(rows)
+        ((_, _, _, abstol),) = bisections
+        assert abstol == pytest.approx(tol, rel=1e-15)
         tight = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 2), tol=1e-13)
-        assert np.all(np.abs(energies - tight) <= np.finfo(float).eps * np.max(rows))
+        assert np.all(np.abs(energies - tight) <= tol)
 
 
 #: one custom run per expression function, and one power with an exponent in

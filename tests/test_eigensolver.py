@@ -9,10 +9,11 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import count_log, solve_log
+from conftest import bisect_log, count_log, solve_log
 from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial.hermite import hermval
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz
 from test_cli import README_RUNS
 
 import pctsolve
@@ -29,7 +30,6 @@ from pctsolve.errors import (
     ArgumentError,
     ConfigError,
     GridMismatchError,
-    PctError,
     RangeOverflowError,
 )
 
@@ -125,8 +125,7 @@ class TestConstantMass:
         assert np.array_equal(diag, 1 / hh + v[1:-1])
         assert np.array_equal(off, np.full(n_points - 3, -0.5 / hh))
         # so the solve is the textbook constant-mass one
-        textbook = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 1))
-        assert np.array_equal(solve_constant_mass(grid, v, 2), textbook)
+        assert_unseeded(solve_constant_mass(grid, v, 2), diag, off)
 
 
 class TestEffectiveMass:
@@ -182,6 +181,19 @@ class TestMatrixChecks:
         v[100], v[101] = math.inf, -math.inf
         with pytest.raises(RangeOverflowError):
             solve_constant_mass(grid, v, 1)
+
+    @pytest.mark.parametrize("seeded", [False, True], ids=["bisection", "certified"])
+    def test_norm_past_the_float_range_rejected(self, seeded):
+        # a mass of 8.3e-305 makes off-diagonals of -6e307 and a diagonal of
+        # 1.2e308, each finite, but rows whose absolute sums overflow: the
+        # Gershgorin interval that bisection starts from would not be finite
+        grid = Grid(0.0, 1.0, 101)
+        x = grid.points
+        seed = {"guesses": [x * (1 - x)], "bound": 1e305} if seeded else {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeOverflowError, match="overflows"):
+                solve_effective_mass(grid, np.full(100, 8.3e-305), np.zeros(101), 1, **seed)
 
     def test_huge_finite_entries_accepted(self):
         # the diagonal's sum overflows although every entry is finite
@@ -301,11 +313,11 @@ class TestLapackLoading:
             from scipy.linalg import lapack
             print(json.dumps([eigensolver._flapack is lapack._flapack] + [
                 getattr(eigensolver, name) is getattr(lapack, name)
-                for name in ("dpttrf", "dpttrs", "dstebz")
+                for name in ("dpttrf", "dpttrs")
             ]))
             """
         )
-        assert same == [True, True, True, True]
+        assert same == [True, True, True]
 
 
 class TestResidual:
@@ -366,10 +378,65 @@ class TestOverlap:
             overlap(grid, np.ones(16), np.ones(15))
 
 
-class TestBisection:
-    """A solve without guesses gives scipy's eigvalsh_tridiagonal values."""
+def gershgorin(diag, off):
+    """(the lowest Gershgorin disc edge, ||T||_1) of a tridiagonal matrix."""
+    rows = np.zeros(diag.size)
+    rows[:-1] += np.abs(off)
+    rows[1:] += np.abs(off)
+    return float(np.min(diag - rows)), float(np.max(np.abs(diag) + rows))
 
-    def test_energies_are_eigvalsh_tridiagonal_values(self):
+
+def split_at_bisection(log):
+    """(the entries before a log's one bisection, that bisection's entry),
+    of a log shared by ``conftest.count_log`` and ``conftest.bisect_log``:
+    every entry after it is one of the bisection's own Sturm counts."""
+    (at,) = [i for i, entry in enumerate(log) if entry[0] == "bisect"]
+    assert all(entry[0] == "count" for entry in log[at + 1 :])
+    return log[:at], log[at]
+
+
+def stebz_count(diag, off, x):
+    """stebz's count of the eigenvalues up to x: a value-range call from
+    below the Gershgorin interval whose absolute tolerance, the largest
+    float, is wider than that range, so that stebz counts and does not
+    bisect."""
+    gl, norm = gershgorin(diag, off)
+    lo = gl - norm - 1.0
+    if x <= lo:
+        return 0
+    m, _, _, _, info = dstebz(diag, off, 1, lo, x, 1, 1, sys.float_info.max, b"E")
+    assert info == 0
+    return m
+
+
+#: a tridiagonal entry: 0, an integer, or a float of either sign between
+#: 1e-3 and 1e3
+_ENTRY = st.one_of(
+    st.just(0.0), st.integers(-4, 4).map(float), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)
+)
+
+
+def assert_unseeded(energies, diag, off):
+    """``energies`` are the lowest eigenvalues of T, ascending, as an
+    unseeded solve gives them: bisected over the Gershgorin interval until
+    each interval is 2 ulp of its ends wide, on counts exact for entries a
+    few ulps away, so within 2 ulp of the value plus 2 ulp * ||T||_1 (the
+    counts' resolution) of scipy's bisection at the same, tightest
+    tolerance."""
+    tight = eigvalsh_tridiagonal(
+        diag, off, select="i", select_range=(0, energies.size - 1), tol=2 * sys.float_info.min
+    )
+    eps = np.finfo(float).eps
+    assert np.all(np.diff(energies) >= 0)
+    tol = 2 * eps * np.abs(tight) + 2 * eps * gershgorin(diag, off)[1]
+    assert np.all(np.abs(energies - tight) <= tol), (energies, tight)
+
+
+class TestBisection:
+    """A solve without guesses bisects by Sturm counts over the Gershgorin
+    interval, to the tightest tolerance."""
+
+    def test_energies_agree_with_tight_bisection(self):
         grid = Grid(-8.0, 8.0, 3001)
         mid = 0.5 * (grid.points[:-1] + grid.points[1:])
         m = 1.0 + 0.5 / (1.0 + mid * mid)
@@ -378,9 +445,7 @@ class TestBisection:
         h = grid.h
         diag = (a[:-1] + a[1:]) / (2.0 * h * h) + v[1:-1]
         off = -a[1:-1] / (2.0 * h * h)
-        energies = solve_effective_mass(grid, m, v, 4)
-        vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 3))
-        assert np.array_equal(energies, vals)
+        assert_unseeded(solve_effective_mass(grid, m, v, 4), diag, off)
 
     def test_split_matrix_energies_in_ascending_order(self):
         # an infinite midpoint mass decouples the two halves, and the right
@@ -394,38 +459,59 @@ class TestBisection:
         energies = solve_effective_mass(grid, m, v, 4)
         diag, off = eigensolver.tridiagonal_matrix(grid, m, v, 4)
         assert off[398] == 0.0
-        vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 3))
-        assert np.array_equal(energies, vals)
+        assert_unseeded(energies, diag, off)
         np.testing.assert_allclose(energies, [0.2, 0.5, 1.2, 1.5], atol=1e-3)
 
+    def test_off_diagonals_near_5e151(self):
+        # h = 1e-78: off-diagonals -1/(2 h^2) = -5e151, whose squares leave
+        # the float range; the counts never form them.  The box's levels
+        # are (2 / h^2) sin^2(k pi / 200) on 100 intervals
+        grid = Grid(0.0, 1e-76, 101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energies = solve_constant_mass(grid, np.zeros(101), 2)
+        np.testing.assert_allclose(energies, [4.934396e152, 1.973272e153], rtol=1e-6)
+        fd = 2.0 / (grid.h * grid.h) * np.sin(np.array([1, 2]) * np.pi / 200) ** 2
+        np.testing.assert_allclose(energies, fd, rtol=1e-12)
 
-def gershgorin(diag, off):
-    """(the lowest Gershgorin disc edge, ||T||_1) of a tridiagonal matrix."""
-    rows = np.zeros(diag.size)
-    rows[:-1] += np.abs(off)
-    rows[1:] += np.abs(off)
-    return float(np.min(diag - rows)), float(np.max(np.abs(diag) + rows))
+    def test_off_diagonals_near_5e303(self):
+        # a mass of 1e-300 makes off-diagonals -5e303: LAPACK's floor
+        # DBL_MIN e^2 would be 5.5e299, a tenth of the lowest level, and stop
+        # the bisection 2% short; held at ulp e, it leaves the levels to
+        # 1e-12 of the box's (2 / (m h^2)) sin^2(k pi / 200)
+        grid = Grid(0.0, 1.0, 101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energies = solve_effective_mass(grid, np.full(100, 1e-300), np.zeros(101), 2)
+        fd = 2.0 / (1e-300 * grid.h * grid.h) * np.sin(np.array([1, 2]) * np.pi / 200) ** 2
+        np.testing.assert_allclose(energies, fd, rtol=1e-12)
 
-
-def stebz_count(diag, off, x):
-    """stebz's count of the eigenvalues up to x: a value-range call from
-    below the Gershgorin interval whose absolute tolerance, the largest
-    float, is wider than that range, so that stebz counts and does not
-    bisect."""
-    gl, norm = gershgorin(diag, off)
-    lo = gl - norm - 1.0
-    if x <= lo:
-        return 0
-    m, _, _, _, info = eigensolver.dstebz(diag, off, 1, lo, x, 1, 1, sys.float_info.max, b"E")
-    assert info == 0
-    return m
-
-
-#: a tridiagonal entry: 0, an integer, or a float of either sign between
-#: 1e-3 and 1e3
-_ENTRY = st.one_of(
-    st.just(0.0), st.integers(-4, 4).map(float), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)
-)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 24).flatmap(
+            lambda n: st.tuples(
+                st.lists(_ENTRY, min_size=n, max_size=n),
+                st.lists(_ENTRY, min_size=n - 1, max_size=n - 1),
+                st.integers(1, n),
+            )
+        ),
+        st.integers(-200, 200),
+    )
+    def test_equals_dense_eigenvalues(self, case, exponent):
+        # scaled by 2^exponent, exact zero off-diagonals (split matrices)
+        # included; numpy's dense eigenvalues are within a few n ulp *
+        # ||T||_1, and so is the bisection, whose counts are exact for
+        # entries a few ulps away
+        diag, off = (np.ldexp(np.array(v), exponent) for v in case[:2])
+        n_levels = case[2]
+        exact = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[:n_levels]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energies = eigensolver._certified_energies(diag, off, n_levels, None, None)
+        eps = np.finfo(float).eps
+        tol = 8 * diag.size * eps * gershgorin(diag, off)[1] + 2 * eps * np.abs(exact)
+        assert np.all(np.diff(energies) >= 0)
+        assert np.all(np.abs(energies - exact) <= tol), (energies, exact)
 
 
 class TestSturmCount:
@@ -656,9 +742,9 @@ class TestShiftedSolve:
         log = count_log(monkeypatch)
         solve_log(monkeypatch, log)
         bisected = []
-        bisect = eigensolver._bracketed_bisect
+        bisect = eigensolver._bisect
         monkeypatch.setattr(
-            eigensolver, "_bracketed_bisect", lambda *a: bisected.append(bisect(*a)) or bisected[-1]
+            eigensolver, "_bisect", lambda *a: bisected.append(bisect(*a)) or bisected[-1]
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -682,18 +768,37 @@ class TestShiftedSolve:
         # the box's continuum separation of levels 2 and 3
         bound = 0.5 * (np.pi / width) ** 2 * (4 + 9) / 2
         solves = solve_log(monkeypatch)
-
-        def refuse(*args):
-            raise AssertionError("fell back to bisection")
-
-        monkeypatch.setattr(eigensolver, "dstebz", refuse)
+        bisections = bisect_log(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             energies = solve_effective_mass(
                 grid, np.ones(100), np.zeros(101), 2, guesses=guesses, bound=bound
             )
+        assert bisections == []
         assert solves and all(ok for _, _, ok in solves)
         np.testing.assert_allclose(energies, [4.934396e152, 1.973272e153], rtol=1e-6)
+
+    def test_iterates_rescaled_near_the_float_range(self, monkeypatch):
+        # h = 1e-78 again, from polynomial guesses: each solve divides the
+        # iterate's norm by about ||T|| |lambda - mu|, and without a rescale
+        # ||x||^2 went 3.3, 7.9e-302, 0, ending the iteration with level 2
+        # 2.3e-5 from its eigenvalue, inside a loose certified radius.  The
+        # box's levels are (2 / h^2) sin^2(k pi / 200) on 100 intervals
+        grid = Grid(0.0, 1e-76, 101)
+        t = grid.points / grid.x_max
+        # between the continuum box's levels 2 and 3
+        bound = 0.5 * (np.pi / grid.x_max) ** 2 * 6.5
+        bisections = bisect_log(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energies = solve_effective_mass(
+                grid, np.ones(100), np.zeros(101), 2,
+                guesses=[t * (1 - t), t * (1 - t) * (0.5 - t)], bound=bound,
+            )
+        assert bisections == []
+        fd = 2.0 / (grid.h * grid.h) * np.sin(np.array([1, 2]) * np.pi / 200) ** 2
+        assert energies[1] == pytest.approx(1.9732716e153, rel=1e-7)
+        np.testing.assert_allclose(energies, fd, rtol=1e-9)
 
 
 class TestCertifiedRefinement:
@@ -728,35 +833,29 @@ class TestCertifiedRefinement:
         return [hermval(x, np.eye(n + 1)[n]) * np.exp(-0.5 * x * x) for n in levels]
 
     def assert_fell_back(self, monkeypatch, guesses):
-        """The solve made one value-range bisection up to BOUND, whose
-        energies are within its tolerance ulp * ||T||_1 of a tight one."""
+        """The solve made one bisection of a bracket up to BOUND, at the
+        bracket's tolerance ulp * ||T||_1, whose energies are within that
+        tolerance of a tight one; the Sturm counts before it are returned."""
         grid, m, v = self.problem()
-        ranges = []
-
-        def bisections(*args, _fn=eigensolver.dstebz):
-            ranges.append((args[2], args[4]))
-            return _fn(*args)
-
-        monkeypatch.setattr(eigensolver, "dstebz", bisections)
+        log = count_log(monkeypatch)
+        bisect_log(monkeypatch, log)
         energies = solve_effective_mass(
             grid, m, v, self.LEVELS, guesses=guesses, bound=self.BOUND
         )
-        assert ranges == [(1, self.BOUND)]
+        counts, (_, _, hi, abstol) = split_at_bisection(log)
+        tol = np.finfo(float).eps * gershgorin(*self.matrix())[1]
+        assert (hi, abstol) == (self.BOUND, pytest.approx(tol, rel=1e-15))
         tight = eigvalsh_tridiagonal(
             *self.matrix(), select="i", select_range=(0, self.LEVELS - 1), tol=1e-13
         )
-        tol = np.finfo(float).eps * gershgorin(*self.matrix())[1]
         assert np.all(np.abs(energies - tight) <= tol)
+        return counts
 
     def test_good_guesses_give_the_tight_bisection_values(self, monkeypatch):
         grid, m, v = self.problem()
         guesses = self.hermite_functions(grid, range(self.LEVELS))
-        counts = count_log(monkeypatch)
-
-        def refuse(*args):
-            raise AssertionError("fell back to bisection")
-
-        monkeypatch.setattr(eigensolver, "dstebz", refuse)
+        log = count_log(monkeypatch)
+        bisect_log(monkeypatch, log)
         energies = solve_effective_mass(
             grid, m, v, self.LEVELS, guesses=guesses, bound=self.BOUND
         )
@@ -764,13 +863,13 @@ class TestCertifiedRefinement:
             *self.matrix(), select="i", select_range=(0, self.LEVELS - 1), tol=1e-13
         )
         np.testing.assert_allclose(energies, tight, rtol=1e-12, atol=0)
-        assert counts == [("count", self.BOUND, self.LEVELS)]
+        # the one count at the bound, and no bisection
+        assert log == [("count", self.BOUND, self.LEVELS)]
 
     def test_guesses_missing_the_ground_state_fail(self, monkeypatch):
         grid, _, _ = self.problem()
-        counts = count_log(monkeypatch)
         guesses = self.hermite_functions(grid, range(1, self.LEVELS + 1))
-        self.assert_fell_back(monkeypatch, guesses)
+        counts = self.assert_fell_back(monkeypatch, guesses)
         # the refined states are the next levels up, the highest above the
         # bound; the bracket's lower end, 8 |bound| below it, lies under the
         # Gershgorin edge (about 0) and takes no count
@@ -778,8 +877,7 @@ class TestCertifiedRefinement:
 
     def test_duplicate_guesses_fail(self, monkeypatch):
         grid, _, _ = self.problem()
-        counts = count_log(monkeypatch)
-        self.assert_fell_back(monkeypatch, self.hermite_functions(grid, (0, 1, 1, 2)))
+        counts = self.assert_fell_back(monkeypatch, self.hermite_functions(grid, (0, 1, 1, 2)))
         # two intervals hold the same eigenvalue: only the count at the bound
         assert counts == [("count", self.BOUND, self.LEVELS)]
 
@@ -788,8 +886,7 @@ class TestCertifiedRefinement:
         grid, _, _ = self.problem()
         guesses = self.hermite_functions(grid, range(self.LEVELS))
         guesses[2] = np.full(grid.n_points, bad)
-        counts = count_log(monkeypatch)
-        self.assert_fell_back(monkeypatch, guesses)
+        counts = self.assert_fell_back(monkeypatch, guesses)
         assert counts == [("count", self.BOUND, self.LEVELS)]
 
     @pytest.mark.parametrize("first", [0, 1], ids=["certified", "fallback"])
@@ -798,9 +895,14 @@ class TestCertifiedRefinement:
         guesses = np.array(self.hermite_functions(grid, range(first, first + self.LEVELS)))
         kept = guesses.copy()
         guesses.flags.writeable = False
-        counts = count_log(monkeypatch)
+        log = count_log(monkeypatch)
+        bisect_log(monkeypatch, log)
         solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses, bound=self.BOUND)
-        assert counts == [("count", self.BOUND, self.LEVELS)]
+        # the one count at the bound, then the fallback's bisection
+        bisected = any(entry[0] == "bisect" for entry in log)
+        assert bisected == bool(first)
+        before = split_at_bisection(log)[0] if bisected else log
+        assert before == [("count", self.BOUND, self.LEVELS)]
         assert np.array_equal(guesses, kept)
 
     def test_concurrent_solves_share_no_workspace(self):
@@ -855,14 +957,12 @@ class TestCertifiedRefinement:
             ]
             problems.append((grid, 1.0 + 0.5 / (1.0 + mid * mid), 0.5 * grid.points**2, guesses))
 
-        def refuse(*args):
-            raise AssertionError("fell back to bisection")
-
-        monkeypatch.setattr(eigensolver, "dstebz", refuse)
+        bisections = bisect_log(monkeypatch)
         got = [
             solve_effective_mass(g, m, v, self.LEVELS, guesses=s, bound=self.BOUND)
             for g, m, v, s in problems + problems
         ]
+        assert bisections == []
         assert np.array_equal(got[0], got[2])
         assert np.array_equal(got[1], got[3])
 
@@ -906,7 +1006,8 @@ class TestSeparationBound:
     """The first step is one Sturm count up to ``bound``, a value between the
     wanted eigenvalues and the next.  A count other than the number of
     levels goes to one bisection, without refining, inside a bracket that
-    further counts certify, or at a bound of 0 over the Gershgorin interval;
+    further counts certify, or at a bound of 0 over the Gershgorin interval
+    as an unseeded solve does;
     refined intervals at or below it are certified by that same count, and
     an interval reaching above it goes to the bracket below it."""
 
@@ -914,15 +1015,16 @@ class TestSeparationBound:
 
     @pytest.fixture
     def case(self, monkeypatch):
-        """(solve, the lowest LEVELS + 3 eigenvalues, the LAPACK call log):
+        """(solve, the lowest LEVELS + 3 eigenvalues, the solver's log):
         ``solve(bound, shift=0.0)`` solves the seeded problem, its potential
         shifted by ``shift``, with read-only guesses, checks that they are
         unchanged and gives the result.  A Sturm count is logged as
         ("count", its upper end, the count) by ``conftest.count_log``, a
         Rayleigh step's solve as ("solve", its shift) by
-        ``conftest.solve_log`` and a stebz call, always a bisection, as
-        ("bisect", its range kind, lower end, upper end).  Every value-range
-        bisection must have its lower end below its upper end."""
+        ``conftest.solve_log`` and a bisection as ("bisect", lower end,
+        upper end, tolerance) by ``conftest.bisect_log``, followed by its
+        own counts.  Every bisection must have its lower end below its
+        upper end."""
         grid, m, v = TestCertifiedRefinement.problem()
         exact = eigvalsh_tridiagonal(
             *TestCertifiedRefinement.matrix(),
@@ -934,13 +1036,7 @@ class TestSeparationBound:
         kept = guesses.copy()
         guesses.flags.writeable = False
         log = []
-
-        def dstebz(*args, _fn=eigensolver.dstebz):
-            assert args[2] != 1 or args[3] < args[4], "empty value range"
-            log.append(("bisect", args[2], args[3], args[4]))
-            return _fn(*args)
-
-        monkeypatch.setattr(eigensolver, "dstebz", dstebz)
+        bisect_log(monkeypatch, log)
         count_log(monkeypatch, log)
         solve_log(monkeypatch, log)
 
@@ -950,26 +1046,26 @@ class TestSeparationBound:
                 grid, m, v + shift, self.LEVELS, guesses=guesses, bound=bound
             )
             assert np.array_equal(guesses, kept)
+            assert all(lo < hi for kind, lo, hi, *_ in log if kind == "bisect"), "empty interval"
             return energies
 
         return solve, exact, log
 
     def assert_bracketed(self, energies, exact, log, bound, count):
         """The solve counted at ``bound`` first, refined nothing, and found
-        the lowest eigenvalues to bisection's tolerance by one value-range
-        bisection over a bracket whose ends the counts certify; its lower
-        end is returned."""
+        the lowest eigenvalues to bisection's tolerance by one bisection, at
+        the bracket's tolerance ulp * ||T||_1, over a bracket whose ends the
+        counts certify; its lower end is returned."""
         assert log[0] == ("count", bound, count)
         assert all(entry[0] != "solve" for entry in log)
-        *counts, (kind, *ends) = log
-        assert kind == "bisect" and ends[0] == 1
+        counts, (_, lo, hi, abstol) = split_at_bisection(log)
         assert all(entry[0] == "count" for entry in counts)
-        lo, hi = ends[1:]
         at = {x: n for _, x, n in counts}
         gl, norm = gershgorin(*TestCertifiedRefinement.matrix())
+        tol = np.finfo(float).eps * norm
+        assert abstol == pytest.approx(tol, rel=1e-15)
         assert lo <= gl or at[lo] == 0
         assert at.get(hi, 0) >= self.LEVELS or hi > exact[self.LEVELS - 1]
-        tol = np.finfo(float).eps * norm
         assert np.all(np.abs(energies - exact[: self.LEVELS]) <= tol)
         return lo
 
@@ -993,24 +1089,23 @@ class TestSeparationBound:
             # this matrix's lowest Gershgorin edge is about 0, within 8 |bound|
             # below the bound: the lower end stops there, without a count
             assert lo <= gershgorin(*TestCertifiedRefinement.matrix())[0]
-            assert all(n > 0 for _, _, n in log[1:-1])
+            assert all(n > 0 for _, _, n in split_at_bisection(log)[0][1:])
 
     @pytest.mark.parametrize("shift, below", [(0.0, 0), (-1.0, 1)], ids=["above", "straddling"])
     def test_zero_bound_bisects_over_the_gershgorin_interval(self, case, shift, below):
         # a bound of 0 gives the bracket's walks no scale to step by: after
-        # the count at 0, the solve bisects by index over the Gershgorin
-        # interval to the tightest tolerance, whether the eigenvalues all lie
-        # above 0 or straddle it
+        # the count at 0, the solve bisects over the Gershgorin interval to
+        # the tightest tolerance, whether the eigenvalues all lie above 0 or
+        # straddle it: the unseeded solve's bisection, bit for bit
         solve, _, log = case
         energies = solve(0.0, shift)
-        assert log == [("count", 0.0, below), ("bisect", 2, 0.0, 1.0)]
-        vals = eigvalsh_tridiagonal(
-            *TestCertifiedRefinement.matrix(shift),
-            select="i",
-            select_range=(0, self.LEVELS - 1),
-            tol=2 * sys.float_info.min,
-        )
-        assert np.array_equal(energies, vals)
+        counts, (_, lo, hi, abstol) = split_at_bisection(log)
+        assert counts == [("count", 0.0, below)]
+        gl, norm = gershgorin(*TestCertifiedRefinement.matrix(shift))
+        assert lo <= gl and hi >= norm and abstol == 2 * sys.float_info.min
+        grid, m, v = TestCertifiedRefinement.problem()
+        assert np.array_equal(energies, solve_effective_mass(grid, m, v + shift, self.LEVELS))
+        assert_unseeded(energies, *TestCertifiedRefinement.matrix(shift))
 
     def test_bound_below_the_gershgorin_edge(self, case):
         solve, exact, log = case
@@ -1020,27 +1115,12 @@ class TestSeparationBound:
         # no eigenvalue up to the bound, known without a count: the upper
         # end alone is counted, and the bisection starts at the bound
         assert all(entry[0] != "solve" for entry in log)
-        *counts, (kind, *ends) = log
-        assert kind == "bisect" and ends[:2] == [1, bound]
+        counts, (_, lo, _, abstol) = split_at_bisection(log)
+        tol = np.finfo(float).eps * norm
+        assert (lo, abstol) == (bound, pytest.approx(tol, rel=1e-15))
         assert all(entry[0] == "count" and entry[1] > bound for entry in counts)
         assert counts[-1][2] >= self.LEVELS
-        tol = np.finfo(float).eps * norm
         assert np.all(np.abs(energies - exact[: self.LEVELS]) <= tol)
-
-    def test_bisection_short_of_the_levels_is_an_error(self, case, monkeypatch):
-        # a count that overstates above the bound stops the walk up at
-        # 2 |bound| with 2 eigenvalues below it: the bisection's own count
-        # falls short of the 4 levels
-        solve, exact, _ = case
-        bound = 0.5 * (exact[0] + exact[1])
-        count = eigensolver._count_up_to
-
-        def overstated(diag, off, gl, x, most):
-            return most + 1 if x > bound else count(diag, off, gl, x, most)
-
-        monkeypatch.setattr(eigensolver, "_count_up_to", overstated)
-        with pytest.raises(PctError, match=r"found 2 eigenvalues, not the 4"):
-            solve(bound)
 
     def test_certified_by_the_count_at_the_bound(self, case):
         solve, exact, log = case
@@ -1073,11 +1153,12 @@ class TestSeparationBound:
         energies = solve(bound, shift)
         # the one count at the bound, the refinement, the counts walking down
         # to none, and one bisection up to the bound itself
-        solves = sum(entry[0] == "solve" for entry in log)
-        assert solves > 0 and all(entry[0] == "solve" for entry in log[1 : 1 + solves])
-        (_, at, n), *walk, (kind, *ends) = [log[0], *log[1 + solves :]]
+        before, (_, lo, hi, abstol) = split_at_bisection(log)
+        solves = sum(entry[0] == "solve" for entry in before)
+        assert solves > 0 and all(entry[0] == "solve" for entry in before[1 : 1 + solves])
+        (_, at, n), *walk = [before[0], *before[1 + solves :]]
         assert (at, n) == (bound, self.LEVELS)
         assert [(kind, n) for kind, _, n in walk] == [("count", 2), ("count", 0)]
-        assert kind == "bisect" and ends == [1, walk[-1][1], bound]
         tol = np.finfo(float).eps * gershgorin(*TestCertifiedRefinement.matrix(shift))[1]
+        assert (lo, hi, abstol) == (walk[-1][1], bound, pytest.approx(tol, rel=1e-15))
         assert np.all(np.abs(energies - exact[: self.LEVELS]) <= tol)
