@@ -57,14 +57,45 @@ wanted levels lie up to x, so a count stops at one pivot past the number of
 levels.  A count up to a point at or below the Gershgorin lower bound is 0
 without a factorisation.
 
+A count stops at the Gershgorin tail.  Let g_j = a_j - |e_{j-1}| - |e_j| be
+the Gershgorin disc edges (e_{-1} = e_{n-1} = 0), cut into blocks of
+``_TAIL_BLOCK`` rows, and G_b the least g_j in block b or after it, lowered
+by 4 ulp ||T||_1; G is non-decreasing, so a binary search finds the last
+block with G_b <= x, and p is that block's last row.  Every row j > p has
+a_j - x > |e_{j-1}| + |e_j|, so if the pivot d_p >= |e_p|, then by
+induction d_{j+1} = (a_{j+1} - x) - (e_j / d_j) e_j >= (a_{j+1} - x) - |e_j|
+> |e_{j+1}|: every later pivot is positive, and rows 0..p alone give the
+count.  The computed pivots obey the same induction: |e_j / d_j| <= 1
+rounds to at most 1, the update to at most |e_j|, and rounding is
+monotone, so it suffices that the computed a_j - x exceeds the exact
+|e_{j-1}| + |e_j|.  The margin sees to that: G's own rounding is within
+1.5 ulp ||T||_1, and that of a_j - x within ulp ||T||_1, as x lies above
+the Gershgorin lower bound and below a_j.  So the cut-off count is the
+computed full count, bit for bit, not only the exact count of a nearby
+matrix.  A count whose d_p is below |e_p| goes on from row p with d_p
+carried over, in one more ``pttrf`` pass: the very operations of one
+factorisation over every row, so again the full count bit for bit.  A
+count with a zero or -inf pivot in rows 0..p is made again over every row
+instead: the +inf pivot that follows a zero one is not stored.  The tail
+is kept per block, not per row, because a suffix minimum per row
+(``np.minimum.accumulate``, which numpy does not vectorise) costs about
+5 ns a row, against 1 ns for the block minima (``np.minimum.reduceat``),
+on a 2-vCPU Intel Xeon VM; a count takes fewer than ``_TAIL_BLOCK`` rows
+more for it.  On the matrices ``pct verify`` builds, most rows lie in the
+classically forbidden tails: the count at the separation factorises 13%
+and 53% of the rows of the README config's two runs.
+
 A Rayleigh step's solve runs the same restarted factorisation to the end,
 storing each restart's multiplier e_j / p as pttrf would, and hands the
-pivots and multipliers to ``pttrs``.  Inverse iteration needs no pivoting
-on a symmetric tridiagonal T - mu I (Parlett, The Symmetric Eigenvalue
-Problem, ch. 4; Dhillon and Parlett, Linear Algebra Appl. 387, 1, 2004):
-a large solution is the point, and the honest residual bounds whatever the
-factorisation loses.  A zero pivot fails the solve, and the iteration
-stops with its best step so far.
+pivots and multipliers to ``pttrs``.  The first step shifts by the guess's
+energy functional x^T T x / x^T x, formed as (sum a_i x_i^2 + 2 sum e_i x_i
+x_{i+1}) / ||x||^2 without T x, and solves at once; the guess's own
+residual is evaluated only when no iterate follows it, as the answer.
+Inverse iteration needs no pivoting on a symmetric tridiagonal T - mu I
+(Parlett, The Symmetric Eigenvalue Problem, ch. 4; Dhillon and Parlett,
+Linear Algebra Appl. 387, 1, 2004): a large solution is the point, and the
+honest residual bounds whatever the factorisation loses.  A zero pivot
+fails the solve, and the iteration stops with its best step so far.
 
 The refinement works on unnormalised iterates, in arrays each thread keeps
 from one solve to the next, rescaled by a power of two whenever the squared
@@ -168,6 +199,8 @@ class Grid:
 
 #: Rayleigh-quotient steps (tridiagonal solves) per guess at most
 _RQI_STEPS = 4
+#: rows per block of the Gershgorin tail that cuts a Sturm count short
+_TAIL_BLOCK = 64
 _EPS = np.finfo(float).eps
 
 
@@ -186,16 +219,19 @@ def _tridiagonal_product(diag, off, x, out, tmp):
     return out
 
 
-def _dot(a, b):
-    """sum(a * b) in one pass, without a temporary array or a BLAS call."""
-    return float(np.einsum("i,i", a, b))
+def _dot(a, b, c=None):
+    """sum(a * b), or sum(a * b * c), in one pass, without a temporary array
+    or a BLAS call."""
+    if c is None:
+        return float(np.einsum("i,i", a, b))
+    return float(np.einsum("i,i,i", a, b, c))
 
 
 _workspaces = threading.local()
 
 
 def _workspace(n):
-    """This thread's (4, n) block for a certified refinement, kept from one
+    """This thread's (4, n) block for a certified solve, kept from one
     solve to the next of the same size.  Its rows are the iterate, T x (then
     the residual), scratch, and the absolute row sums of T.
 
@@ -212,10 +248,20 @@ def _workspace(n):
     return block
 
 
-def _rayleigh_refine(diag, off, row_abs_sq, floor_scale, x, tx, tmp):
-    """Rayleigh-quotient iteration from ``x``, in place, with ``tx`` and
+def _scaled_norm_sq(x):
+    """||x||^2, after rescaling x in place by a power of two if the squared
+    norm leaves (2^-600, 2^600)."""
+    s = _dot(x, x)
+    if not 2.0**-600 < s < 2.0**600:
+        x *= math.ldexp(1.0, -(math.frexp(s)[1] // 2))
+        s = _dot(x, x)
+    return s
+
+
+def _rayleigh_refine(diag, off, row_abs_sq, floor_scale, guess, x, tx, tmp):
+    """Rayleigh-quotient iteration from ``guess`` in ``x``, with ``tx`` and
     ``tmp`` as scratch of its size: (mu, r) of the iterate v with the
-    smallest bound r >= ||T v - mu v|| / ||v||.
+    smallest bound r >= ||T v - mu v|| / ||v|| among those evaluated.
 
     The iterates are not normalised, only rescaled by a power of two when
     ||x||^2 leaves (2^-600, 2^600); their norms enter only as scalars.  r
@@ -227,36 +273,53 @@ def _rayleigh_refine(diag, off, row_abs_sq, floor_scale, x, tx, tmp):
     of its exact value (Higham, Accuracy and Stability of Numerical
     Algorithms, eq. 3.5), which the factor ``slack`` covers for the two sums
     under each root.
-    The iteration stops when the computed residual is down to the floor,
-    when r stops falling, or after ``_RQI_STEPS`` solves.  A guess with no
-    usable direction (zero, inf or nan) gives (nan, inf).
+
+    Step 0 shifts by the guess's energy functional
+    (sum a_i x_i^2 + 2 sum e_i x_i x_{i+1}) / ||x||^2, two sums of products
+    without T x, and solves at once: the guess's own residual is evaluated
+    only when no iterate follows it (that solve fails, its result is zero
+    or not finite, or ``_RQI_STEPS`` is 0), and is then the answer.  Each
+    later iterate is evaluated, and the iteration stops when the computed
+    residual is down to the floor, when r stops falling, or after
+    ``_RQI_STEPS`` solves.  A guess with no usable direction (zero, inf or
+    nan) gives (nan, inf).
     """
     slack = 1.0 + 4.0 * (x.size + 2) * _EPS
+    np.copyto(x, guess)
+    s = _scaled_norm_sq(x)
+    if not 0.0 < s < math.inf:
+        return math.nan, math.inf
+    solves = 0
+    if _RQI_STEPS:
+        mu = (_dot(diag, x, x) + 2.0 * _dot(off, x[:-1], x[1:])) / s
+        if math.isfinite(mu) and _solve_shifted(diag, off, mu, x):
+            s = _scaled_norm_sq(x)
+            if 0.0 < s < math.inf:
+                solves = _RQI_STEPS - 1
+            else:
+                np.copyto(x, guess)
+                s = _scaled_norm_sq(x)
     best = (math.nan, math.inf)
-    for step in range(_RQI_STEPS + 1):
-        s = _dot(x, x)
-        if not 2.0**-600 < s < 2.0**600:
-            x *= math.ldexp(1.0, -(math.frexp(s)[1] // 2))
-            s = _dot(x, x)
-        if not 0.0 < s < math.inf:
-            break
+    while True:
         _tridiagonal_product(diag, off, x, tx, tmp[:-1])
         mu = _dot(x, tx) / s
         tx -= np.multiply(x, mu, out=tmp)
         computed = math.sqrt(_dot(tx, tx) / s)
-        floor = floor_scale * math.sqrt(float(np.einsum("i,i,i", row_abs_sq, x, x)) / s)
+        floor = floor_scale * math.sqrt(_dot(row_abs_sq, x, x) / s)
         r = (computed + floor) * slack
         if not r < best[1]:
             break
         best = (mu, r)
-        if computed <= floor or step == _RQI_STEPS:
+        if computed <= floor or not solves or not _solve_shifted(diag, off, mu, x):
             break
-        if not _solve_shifted(diag, off, mu, x):
+        solves -= 1
+        s = _scaled_norm_sq(x)
+        if not 0.0 < s < math.inf:
             break
     return best
 
 
-def _ldlt(diag, off, x, most):
+def _ldlt(diag, off, x, most, first=None):
     """The LDL^T factorisation of T - x I, restarted past each pivot <= 0,
     in new arrays: (d, e, count, solvable), d the pivots, e the multipliers,
     count the number of pivots <= 0 (see the module docstring).
@@ -264,10 +327,14 @@ def _ldlt(diag, off, x, most):
     The factorisation stops once count reaches ``most`` + 1.  A zero pivot
     counts as negative; solvable is False when a pivot <= 0
     was zero or -inf, and otherwise, with count <= ``most``, d and e are
-    the whole factorisation, as LAPACK ``pttrs`` takes it."""
+    the whole factorisation, as LAPACK ``pttrs`` takes it.  ``first``, if
+    given, stands for the first row's entry of T - x I: a pivot carried
+    over from the rows above, whose factorisation this one goes on with."""
     # a shift past the float range gives an infinite entry of the right sign
     with np.errstate(over="ignore"):
         d = diag - x
+    if first is not None:
+        d[0] = first
     e = off.copy()
     n = d.size
     count = start = 0
@@ -300,12 +367,32 @@ def _ldlt(diag, off, x, most):
     return d, e, count, solvable
 
 
-def _count_up_to(diag, off, gl, x, most):
+def _count_up_to(diag, off, gl, x, most, tail=None):
     """The number of eigenvalues up to x by one LDL^T count, gl lying below
     every eigenvalue: 0 for x <= gl, without a factorisation, and ``most``
-    + 1 once that many pivots <= 0 are seen."""
+    + 1 once that many pivots <= 0 are seen.
+
+    Given ``tail``, the Gershgorin tail of ``_gershgorin``, the count first
+    factorises rows 0..p alone, p the last row of the last block whose tail
+    is at most x, and stops there when its count already exceeds ``most``
+    or its last pivot d_p is at least |e_p|: every later pivot is then
+    positive (see the module docstring).  Otherwise the factorisation goes
+    on from row p with d_p carried over, by the same operations as one over
+    every row, or, past a pivot that is zero or -inf, is made again over
+    every row."""
     if x <= gl:
         return 0
+    if tail is not None:
+        p = min(int(np.searchsorted(tail, x, side="right")) * _TAIL_BLOCK, diag.size) - 1
+        if p < diag.size - 1:
+            d, _, count, solvable = _ldlt(diag[: p + 1], off[:p], x, most)
+            pivot = float(d[p])
+            if count > most or pivot >= abs(off[p]):
+                return count
+            if solvable:
+                # row p is counted again below when its pivot is negative
+                count -= pivot < 0.0
+                return count + _ldlt(diag[p:], off[p:], x, most - count, pivot)[2]
     return _ldlt(diag, off, x, most)[2]
 
 
@@ -322,11 +409,12 @@ def _solve_shifted(diag, off, mu, x):
     return solvable
 
 
-def _bisect(diag, off, gl, lo, hi, n_levels, abstol):
+def _bisect(diag, off, gl, lo, hi, n_levels, abstol, tail):
     """The lowest n_levels eigenvalues, ascending, by bisection of (lo, hi]
     on Sturm counts alone, to absolute tolerance ``abstol`` (see the module
     docstring for the stopping rule); gl lies below every eigenvalue, no
-    eigenvalue lies up to lo, and n_levels or more lie up to hi.
+    eigenvalue lies up to lo, and n_levels or more lie up to hi; the counts
+    stop at ``tail``, the Gershgorin tail.
 
     Level k keeps an interval (a_k, b_k] with at most k eigenvalues up to
     a_k and more than k up to b_k.  Each count, at the midpoint of the
@@ -342,7 +430,7 @@ def _bisect(diag, off, gl, lo, hi, n_levels, abstol):
         mid = 0.5 * a[k] + 0.5 * b[k]
         # max(-a, b) is max(|a|, |b|) for a < b
         while a[k] < mid < b[k] and b[k] - a[k] > max(tol, 2.0 * _EPS * max(-a[k], b[k])):
-            count = _count_up_to(diag, off, gl, mid, n_levels)
+            count = _count_up_to(diag, off, gl, mid, n_levels, tail)
             for j in range(k, n_levels):
                 if a[j] < mid < b[j]:
                     (b if count > j else a)[j] = mid
@@ -350,12 +438,13 @@ def _bisect(diag, off, gl, lo, hi, n_levels, abstol):
     return np.array([0.5 * x + 0.5 * y for x, y in zip(a, b)])
 
 
-def _bracket(diag, off, n_levels, bound, count, gl, gu):
+def _bracket(diag, off, n_levels, bound, count, gl, gu, tail):
     """(lo, hi), no eigenvalue up to lo and n_levels or more up to hi, from
     two walks away from ``bound``.
 
     ``count`` is the Sturm count up to ``bound``, already made; gl and gu
-    bound the spectrum.  lo walks down from ``bound`` by 8 |bound|,
+    bound the spectrum, and the counts stop at ``tail``, the Gershgorin
+    tail.  lo walks down from ``bound`` by 8 |bound|,
     16 |bound|, ... and hi up by |bound|, 2 |bound|, ..., capped at gl and
     gu, until counts show no eigenvalue up to lo and at least n_levels up to
     hi.  On a matrix with steep walls the Gershgorin interval is about 1e14
@@ -364,14 +453,41 @@ def _bracket(diag, off, n_levels, bound, count, gl, gu):
     lo, n, step = bound, count, 8.0 * abs(bound)
     while n > 0:
         lo = max(bound - step, gl)
-        n = _count_up_to(diag, off, gl, lo, n_levels)
+        n = _count_up_to(diag, off, gl, lo, n_levels, tail)
         step *= 2.0
     hi, n, step = bound, count, abs(bound)
     while n < n_levels:
         hi = min(bound + step, gu)
-        n = diag.size if hi == gu else _count_up_to(diag, off, gl, hi, n_levels)
+        n = diag.size if hi == gu else _count_up_to(diag, off, gl, hi, n_levels, tail)
         step *= 2.0
     return lo, hi
+
+
+def _gershgorin(diag, off, row_abs, tmp):
+    """(gl, gu, ||T||_1, tail): every eigenvalue lies in (gl, gu], and tail
+    is T's Gershgorin tail, the suffix minima G_b of the disc edges a_j -
+    |e_{j-1}| - |e_j| over blocks of ``_TAIL_BLOCK`` rows, lowered by
+    4 ulp ||T||_1 (see the module docstring).  Fills ``row_abs`` with the
+    absolute row sums of T; ``tmp`` is scratch.  Both have T's n rows.  A
+    norm past the float range raises ``RangeOverflowError``."""
+    abs_off = np.abs(off, out=tmp[:-1])
+    row_abs[:-1] = abs_off
+    row_abs[-1] = 0.0
+    row_abs[1:] += abs_off
+    edges = np.subtract(diag, row_abs, out=tmp)
+    tail = np.minimum.reduceat(edges, np.arange(0, diag.size, _TAIL_BLOCK))
+    np.minimum.accumulate(tail[::-1], out=tail[::-1])
+    with np.errstate(over="ignore"):
+        row_abs += np.abs(diag, out=tmp)
+    row_max = float(np.max(row_abs))
+    # every eigenvalue lies above the lowest disc edge, here lowered past its
+    # own rounding, and below the largest absolute row sum, here raised past it
+    gl = float(tail[0]) - 2.0 * _EPS * row_max
+    gu = row_max * (1.0 + 4.0 * _EPS)
+    if gu == math.inf:
+        raise RangeOverflowError("the finite-difference matrix's norm ||T||_1 overflows")
+    tail -= 4.0 * _EPS * row_max
+    return gl, gu, row_max, tail
 
 
 def _certified_energies(diag, off, n_levels, guesses, bound):
@@ -393,23 +509,9 @@ def _certified_energies(diag, off, n_levels, guesses, bound):
     themselves are left unchanged.
     """
     x, tx, tmp, row_abs = _workspace(diag.size)
-    # every eigenvalue lies above the lowest Gershgorin disc edge, here
-    # lowered past its own rounding, and below the largest absolute row
-    # sum, here raised past it
-    abs_off = np.abs(off, out=tx[:-1])
-    row_abs[:-1] = abs_off
-    row_abs[-1] = 0.0
-    row_abs[1:] += abs_off
-    gl = float(np.min(np.subtract(diag, row_abs, out=tmp)))
-    with np.errstate(over="ignore"):
-        row_abs += np.abs(diag, out=tmp)
-    row_max = float(np.max(row_abs))
-    gl -= 2.0 * _EPS * row_max
-    gu = row_max * (1.0 + 4.0 * _EPS)
-    if gu == math.inf:
-        raise RangeOverflowError("the finite-difference matrix's norm ||T||_1 overflows")
+    gl, gu, row_max, tail = _gershgorin(diag, off, row_abs, tmp)
     if guesses is not None:
-        count = _count_up_to(diag, off, gl, bound, n_levels)
+        count = _count_up_to(diag, off, gl, bound, n_levels, tail)
         if count == n_levels:
             # the row sums scaled below 1 by an exact power of two before
             # squaring, so no square overflows; scaling by a power of two
@@ -419,10 +521,10 @@ def _certified_energies(diag, off, n_levels, guesses, bound):
             row_abs *= math.ldexp(1.0, -exp)
             row_abs_sq = np.multiply(row_abs, row_abs, out=row_abs)
             floor_scale = math.ldexp(4.0 * _EPS, exp)
-            refined = []
-            for g in guesses:
-                np.copyto(x, g[1:-1])
-                refined.append(_rayleigh_refine(diag, off, row_abs_sq, floor_scale, x, tx, tmp))
+            refined = [
+                _rayleigh_refine(diag, off, row_abs_sq, floor_scale, g[1:-1], x, tx, tmp)
+                for g in guesses
+            ]
             mu, r = np.array(refined).T
             order = np.argsort(mu)
             mu, r = mu[order], r[order]
@@ -436,9 +538,9 @@ def _certified_energies(diag, off, n_levels, guesses, bound):
         # step by: some 40 counts to leave it, dearer than the halvings
         # they would save
         if abs(bound) > _EPS * gu:
-            lo, hi = _bracket(diag, off, n_levels, bound, count, gl, gu)
-            return _bisect(diag, off, gl, lo, hi, n_levels, _EPS * row_max)
-    return _bisect(diag, off, gl, gl, gu, n_levels, 2.0 * sys.float_info.min)
+            lo, hi = _bracket(diag, off, n_levels, bound, count, gl, gu, tail)
+            return _bisect(diag, off, gl, lo, hi, n_levels, _EPS * row_max, tail)
+    return _bisect(diag, off, gl, gl, gu, n_levels, 2.0 * sys.float_info.min, tail)
 
 
 def tridiagonal_matrix(grid, mass_at_midpoints, potential_values, n_levels):
@@ -537,12 +639,35 @@ def residual_norm(grid, psi, energy, mass_values, potential_values):
     if any(a.shape != (grid.n_points,) for a in (psi, m, v)):
         raise GridMismatchError("residual samples do not match the grid")
     h = grid.h
-    p1 = d1_numerator(psi) / (12 * h)
-    p2 = d2_numerator(psi) / (12 * h * h)
-    m1 = d1_numerator(m) / (12 * h)
-    psi, m, v = psi[2:-2], m[2:-2], v[2:-2]
-    r = p2 - m1 / m * p1 + m * 2.0 * (energy - v) * psi
-    return math.sqrt(float(np.mean(r * r)))
+    # in place in three buffers: psi's two stencils from the sums and
+    # differences of its four shifted slices, 8 (psi_+1 - psi_-1) -
+    # (psi_+2 - psi_-2) and 16 (psi_+1 + psi_-1) - (psi_+2 + psi_-2) - 30 psi
+    r, p1, t = (np.empty(psi.size - 4) for _ in range(3))
+    np.subtract(psi[3:-1], psi[1:-3], out=p1)
+    p1 *= 8.0
+    p1 -= np.subtract(psi[4:], psi[:-4], out=t)
+    np.add(psi[3:-1], psi[1:-3], out=r)
+    r *= 16.0
+    r -= np.add(psi[4:], psi[:-4], out=t)
+    r -= np.multiply(psi[2:-2], 30.0, out=t)
+    # psi'' - (m'/m) psi' is (r - (t / m) p1 / 12) / (12 h^2), t m's
+    # first-derivative stencil
+    np.subtract(m[3:-1], m[1:-3], out=t)
+    t *= 8.0
+    t -= m[4:]
+    t += m[:-4]
+    t /= m[2:-2]
+    p1 *= t
+    p1 /= 12.0
+    r -= p1
+    r /= 12.0 * h * h
+    # plus 2 m (E - V) psi
+    np.subtract(energy, v[2:-2], out=t)
+    t *= m[2:-2]
+    t *= psi[2:-2]
+    t *= 2.0
+    r += t
+    return math.sqrt(_dot(r, r) / r.size)
 
 
 def trapezoid_dot(a, b, h):

@@ -62,22 +62,36 @@ def preset_target(spec):
     return TargetSystem.build(run["profile"], run["reference"], run["levels"])
 
 
-def count_log(monkeypatch, log=None):
+def count_log(monkeypatch, log=None, rows=None):
     """Log the eigensolver's Sturm counts to ``log`` (a new list if None) as
-    ("count", x, the count up to x), in call order, and return it.
+    ("count", x, the count up to x), in call order, and return it; given a
+    list ``rows``, also append to it, per logged count, (the rows handed to
+    its LDL^T factorisations, the matrix's rows).
 
     A logged count is one that factorises: a ``_count_up_to`` call at or
     below the Gershgorin edge returns 0 without one and is left out.  The
     count is the one the solver sees, capped at one past the number of
-    levels of the solve (its ``most`` + 1)."""
+    levels of the solve (its ``most`` + 1).  A count that stops at the
+    Gershgorin tail takes the rows up to it, row p; one that goes on from
+    there takes row p twice, and one made again over every row takes the
+    rows up to p and then every row."""
     log = [] if log is None else log
+    sizes = []
 
-    def counted(diag, off, gl, x, most, _fn=eigensolver._count_up_to):
-        n = _fn(diag, off, gl, x, most)
+    def factorised(diag, off, x, most, first=None, _fn=eigensolver._ldlt):
+        sizes.append(diag.size)
+        return _fn(diag, off, x, most, first)
+
+    def counted(diag, off, gl, x, most, tail=None, _fn=eigensolver._count_up_to):
+        start = len(sizes)
+        n = _fn(diag, off, gl, x, most, tail)
         if x > gl:
             log.append(("count", x, n))
+            if rows is not None:
+                rows.append((sum(sizes[start:]), diag.size))
         return n
 
+    monkeypatch.setattr(eigensolver, "_ldlt", factorised)
     monkeypatch.setattr(eigensolver, "_count_up_to", counted)
     return log
 
@@ -106,9 +120,9 @@ def bisect_log(monkeypatch, log=None):
     ``count_log``, the bisection's own Sturm counts follow it."""
     log = [] if log is None else log
 
-    def bisected(diag, off, gl, lo, hi, n_levels, abstol, _fn=eigensolver._bisect):
+    def bisected(diag, off, gl, lo, hi, n_levels, abstol, tail, _fn=eigensolver._bisect):
         log.append(("bisect", lo, hi, abstol))
-        return _fn(diag, off, gl, lo, hi, n_levels, abstol)
+        return _fn(diag, off, gl, lo, hi, n_levels, abstol, tail)
 
     monkeypatch.setattr(eigensolver, "_bisect", bisected)
     return log

@@ -750,6 +750,46 @@ class TestWorkCounts:
         assert bisections == []
         assert len(counts) == len(runs)
 
+    @pytest.mark.parametrize(
+        "runs, shares",
+        [
+            (README_RUNS, [0.133, 0.531]),
+            (
+                [preset_run(PRESETS[name]) for name in DEFAULT_RUNS],
+                [0.209, 0.527, 0.024, 0.385, 0.566, 0.202, 0.252, 0.149, 0.180],
+            ),
+        ],
+        ids=["readme", "default-combos"],
+    )
+    def test_count_at_the_separation_stops_at_the_gershgorin_tail(self, monkeypatch, runs, shares):
+        """Each run's one Sturm count, at the separation, factorises the
+        rows up to the Gershgorin tail alone: the shares of the matrix's
+        rows it takes, to 0.005."""
+        rows = []
+        count_log(monkeypatch, rows=rows)
+        cli.cmd_verify(load_runs(runs))
+        assert [taken / n for taken, n in rows] == pytest.approx(shares, abs=0.005)
+
+    @pytest.mark.parametrize(
+        "runs",
+        [README_RUNS, [preset_run(spec) for spec in presets.COMBO_TABLE]],
+        ids=["readme", "sweep"],
+    )
+    def test_every_cut_off_count_is_the_full_count(self, monkeypatch, runs):
+        """On a README pass and a sweep pass, bisections included, every
+        count cut off at the Gershgorin tail is the count over every row."""
+        seen = []
+
+        def both(diag, off, gl, x, most, tail=None, _fn=eigensolver._count_up_to):
+            cut = _fn(diag, off, gl, x, most, tail)
+            assert tail is not None and cut == _fn(diag, off, gl, x, most), x
+            seen.append(x > gl)
+            return cut
+
+        monkeypatch.setattr(eigensolver, "_count_up_to", both)
+        cli.cmd_verify(load_runs(runs))
+        assert sum(seen) >= len(runs)
+
 
 class TestVerifyAccuracy:
     """The reported energies are the matrix's eigenvalues, not bisection's

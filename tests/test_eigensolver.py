@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import bisect_log, count_log, solve_log
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.polynomial.hermite import hermval
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from scipy.linalg.lapack import dstebz
@@ -20,6 +20,8 @@ import pctsolve
 from pctsolve import eigensolver
 from pctsolve.eigensolver import (
     Grid,
+    d1_numerator,
+    d2_numerator,
     overlap,
     residual_norm,
     solve_constant_mass,
@@ -339,6 +341,40 @@ class TestResidual:
         r = residual_norm(grid, psi, 1.7, ones, 0.5 * x * x)
         assert r > 1e-2
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(16, 200),
+        st.floats(-1e3, 1e3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_formula_as_written(self, n, energy, seed):
+        # the in-place evaluation against psi'' - (m'/m) psi' + 2 m (E - V)
+        # psi from the stencils: each sample's terms rounded in another
+        # order, so each differs by a few eps of the sum of the terms'
+        # absolute values, and the RMS by at most the RMS of those
+        rng = np.random.default_rng(seed)
+        grid = Grid(-1.0, 1.0 + rng.uniform(0.0, 9.0), n)
+        psi = rng.standard_normal(n)
+        m = rng.uniform(0.1, 10.0, n)
+        v = rng.uniform(-1e3, 1e3, n)
+        h = grid.h
+        p1 = d1_numerator(psi) / (12 * h)
+        m1 = d1_numerator(m) / (12 * h)
+        mi, vi, psii = m[2:-2], v[2:-2], psi[2:-2]
+        r = d2_numerator(psi) / (12 * h * h) - m1 / mi * p1 + mi * 2.0 * (energy - vi) * psii
+        a = np.abs
+        terms = (
+            (a(psi[4:]) + 16 * a(psi[3:-1]) + 30 * a(psii) + 16 * a(psi[1:-3]) + a(psi[:-4]))
+            / (12 * h * h)
+            + (a(m[4:]) + 8 * a(m[3:-1]) + 8 * a(m[1:-3]) + a(m[:-4]))
+            * (a(psi[4:]) + 8 * a(psi[3:-1]) + 8 * a(psi[1:-3]) + a(psi[:-4]))
+            / (144 * h * h * mi)
+            + 2.0 * mi * (abs(energy) + a(vi)) * a(psii)
+        )
+        want = math.sqrt(np.mean(r * r))
+        tol = 16 * np.finfo(float).eps * math.sqrt(np.mean(terms * terms))
+        assert abs(residual_norm(grid, psi, energy, m, v) - want) <= tol
+
     @pytest.mark.parametrize("short", ["psi", "mass", "potential"])
     def test_samples_must_match_the_grid(self, short):
         # 10 samples on a 16-point grid: a short psi would be differenced
@@ -514,28 +550,55 @@ class TestBisection:
         assert np.all(np.abs(energies - exact) <= tol), (energies, exact)
 
 
+def gershgorin_tail(diag, off):
+    """(gl, the Gershgorin tail) of a tridiagonal matrix, as a solve forms
+    them (``eigensolver._gershgorin``)."""
+    gl, _, _, tail = eigensolver._gershgorin(diag, off, np.empty(diag.size), np.empty(diag.size))
+    return gl, tail
+
+
+#: tail block sizes for the small matrices of ``TestSturmCount``: a block
+#: of a solve's 64 rows holds every row of them
+SMALL_TAIL_BLOCKS = (1, 3)
+
+
 class TestSturmCount:
     """The LDL^T count up to x is stebz's count, and the eigenvalues' (of
     the dense matrix, by numpy), at every x more than 8 n eps ||T||_1 from
     each eigenvalue, without a floating-point warning.  Capped at ``most``,
-    it is the count or ``most`` + 1, whichever is less."""
+    it is the count or ``most`` + 1, whichever is less.  Cut off at the
+    Gershgorin tail, in blocks of one or three rows, it is the full count at
+    every x, bit for bit."""
 
     @staticmethod
     def assert_counts_agree(diag, off, shifts):
         diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
         exact = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         margin = 8 * diag.size * np.finfo(float).eps * gershgorin(diag, off)[1]
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
             warnings.simplefilter("error")
+            tails = []
+            for block in SMALL_TAIL_BLOCKS:
+                patch.setattr(eigensolver, "_TAIL_BLOCK", block)
+                tails.append((block, *gershgorin_tail(diag, off)))
             for x in shifts:
                 # a distance past the float range is inf, and far enough
                 with np.errstate(over="ignore"):
                     assert np.min(np.abs(exact - x)) > margin, x
                 count = eigensolver._count_up_to(diag, off, -math.inf, x, diag.size)
                 assert count == stebz_count(diag, off, x) == np.sum(exact <= x), x
-                for most in range(diag.size):
-                    capped = eigensolver._count_up_to(diag, off, -math.inf, x, most)
-                    assert capped == min(count, most + 1), (x, most)
+                capped = [
+                    eigensolver._count_up_to(diag, off, -math.inf, x, most)
+                    for most in range(diag.size)
+                ]
+                assert capped == [min(count, most + 1) for most in range(diag.size)], x
+                for block, gl, tail in tails:
+                    patch.setattr(eigensolver, "_TAIL_BLOCK", block)
+                    cut = eigensolver._count_up_to(diag, off, gl, x, diag.size, tail)
+                    assert cut == count, (x, block)
+                    for most in range(diag.size):
+                        cut = eigensolver._count_up_to(diag, off, gl, x, most, tail)
+                        assert cut == capped[most], (x, most, block)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -580,12 +643,105 @@ class TestSturmCount:
              [0.75, 1.0 - 1e-12, 1.0 + 1e-12, 1.5, 2.0 - 1e-12, 2.0 + 1e-12, 2.5, 4.0]),
             # T - x I overflows at the ends: an infinite pivot of the right sign
             ([-1.5e308, 1.0, 2.0, 1.5e308], [1.0, 1.0, 1.0], [-1e308, 1e308]),
+            # at x = 0 the Gershgorin tail starts at row 3: the pivots of rows
+            # 0..2 are 1, 1, 0, an exact zero at row p = 2
+            ([1.0, 2.0, 1.0, 10.0, 10.0, 10.0], [1.0] * 5, [0.0]),
+            # the same at row p - 1 = 1, the pivot of row p = 2 then +inf:
+            # its diagonal entry, left as it was, is 1.5 or 0.5, above and
+            # below |e_p| = 1
+            ([1.0, 1.0, 1.5, 10.0, 10.0], [1.0] * 4, [0.0]),
+            ([1.0, 1.0, 0.5, 10.0, 10.0], [1.0] * 4, [0.0]),
+            # a well whose tails dominate: rows 0..14 of 25 up to 0.5
+            (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24,
+             [0.3, 0.5, 1.5, 4.0, 17.0, 19.0]),
         ],
         ids=["integer-zero-pivots", "integer-zero-pivots-2", "zero-pivot-next-to-last",
-             "walls-1e200", "off-diagonals-1e-160", "shift-past-the-float-range"],
+             "walls-1e200", "off-diagonals-1e-160", "shift-past-the-float-range",
+             "zero-pivot-at-the-tail", "zero-pivot-before-the-tail",
+             "zero-pivot-before-the-tail-2", "dominant-tails"],
     )
     def test_equals_stebz_on_edge_cases(self, diag, off, shifts):
         self.assert_counts_agree(diag, off, shifts)
+
+    @pytest.mark.parametrize(
+        "diag, off, x, most, block, calls",
+        [
+            # stops at row p = 14, whose pivot is at least |e_p|
+            (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.5, 24, 1,
+             [(15, False)]),
+            # the same in blocks of 4 rows: p = 15, the last row of block 3
+            (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.5, 24, 4,
+             [(16, False)]),
+            # d_p < |e_p|: goes on from row p = 13 with its pivot carried over
+            (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.3, 24, 1,
+             [(14, False), (12, True)]),
+            # ``most`` reached inside rows 0..p
+            (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 4.0, 0, 1, [(18, False)]),
+            # no tail: every G_i <= x, or one block of every row
+            (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 19.0, 24, 1,
+             [(25, False)]),
+            (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.5, 24, 64,
+             [(25, False)]),
+            # a zero pivot at row p, below |e_p|: made again over every row
+            ([1.0, 2.0, 1.0, 10.0, 10.0, 10.0], [1.0] * 5, 0.0, 6, 1, [(3, False), (6, False)]),
+            # past a zero pivot at row p - 1, row p's entry 1.5 >= |e_p|, and
+            # 0.5 < |e_p|
+            ([1.0, 1.0, 1.5, 10.0, 10.0], [1.0] * 4, 0.0, 5, 1, [(3, False)]),
+            ([1.0, 1.0, 0.5, 10.0, 10.0], [1.0] * 4, 0.0, 5, 1, [(3, False), (5, False)]),
+        ],
+        ids=["stops", "stops-in-blocks", "goes-on", "most-reached", "no-tail", "one-block",
+             "zero-pivot-at-row-p", "zero-pivot-before-row-p", "zero-pivot-before-row-p-2"],
+    )
+    def test_cut_off_paths(self, monkeypatch, diag, off, x, most, block, calls):
+        # the factorisations a cut-off count makes, as (rows, whether a
+        # pivot is carried over), and its count, the full one
+        diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+        monkeypatch.setattr(eigensolver, "_TAIL_BLOCK", block)
+        gl, tail = gershgorin_tail(diag, off)
+        full = eigensolver._count_up_to(diag, off, -math.inf, x, most)
+        made = []
+        ldlt = eigensolver._ldlt
+
+        def logged(d, e, shift, cap, first=None):
+            made.append((d.size, first is not None))
+            return ldlt(d, e, shift, cap, first)
+
+        monkeypatch.setattr(eigensolver, "_ldlt", logged)
+        assert eigensolver._count_up_to(diag, off, gl, x, most, tail) == full
+        assert made == calls
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 12), st.integers(1, 12)).flatmap(
+            lambda sizes: st.tuples(
+                st.lists(_ENTRY, min_size=sizes[0], max_size=sizes[0]),
+                st.lists(_ENTRY, min_size=sum(sizes) - 1, max_size=sum(sizes) - 1),
+                st.lists(st.floats(2.0, 1e6), min_size=sizes[1], max_size=sizes[1]),
+            )
+        ),
+        st.sampled_from([0, 11, 16]),
+        st.integers(-200, 200),
+        st.integers(1, 12),
+        st.floats(0.0, 1.0),
+    )
+    def test_cut_off_count_equals_the_full_count(self, case, wall, exponent, k, t):
+        # a well of ``_ENTRY`` rows and a tail whose diagonal entries are
+        # 2^wall times a value above 2: past the rows' off-diagonal sums
+        # (2e3 at most) at wall 11 or 16, and at wall 0 only where those
+        # are small (walls of 1e200 are among the edge cases).  x is a
+        # point of the k-th gap of the spectrum, as in test_equals_stebz, k
+        # at most the well's rows, all scaled by 2^exponent: some counts
+        # stop at row p, most go on from there
+        head, off, walls = case
+        diag = np.concatenate([head, np.ldexp(np.array(walls), wall)])
+        diag, off = np.ldexp(diag, exponent), np.ldexp(np.array(off), exponent)
+        exact = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        norm = gershgorin(diag, off)[1]
+        ends = np.concatenate([[exact[0] - norm], exact, [exact[-1] + norm]])
+        k = min(k, len(head))
+        x = float(ends[k] + t * (ends[k + 1] - ends[k]))
+        assume(np.min(np.abs(exact - x)) > 8 * diag.size * np.finfo(float).eps * norm)
+        self.assert_counts_agree(diag, off, [x])
 
 
 def _solve_case(draw_n):
@@ -625,7 +781,10 @@ class TestShiftedSolve:
             shifted = diag - mu
         a = np.diag(shifted) + np.diag(off, 1) + np.diag(off, -1)
         lower = np.abs(np.eye(diag.size) + np.diag(e, -1))
-        return a, lower @ np.diag(np.abs(d)) @ lower.T, solvable
+        # a multiplier past the float range (an entry over a subnormal
+        # pivot) meets a zero in the product: nan, unbounded growth
+        with np.errstate(invalid="ignore"):
+            return a, lower @ np.diag(np.abs(d)) @ lower.T, solvable
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -633,6 +792,14 @@ class TestShiftedSolve:
         st.integers(-200, 200),
         st.integers(0, 24),
         st.one_of(st.floats(0.0, 1.0), st.integers(-4, 4)),
+    )
+    # mu = 3e-323 over zero diagonal entries: subnormal pivots, a multiplier
+    # -59 / -3e-323 past the float range, and a y of nan
+    @example(
+        ([0.0] * 8 + [1.0] + [0.0] * 5, [0.0] * 9 + [-59.0, 1.0, 0.0, 1.0], [0.0] * 13 + [1.0]),
+        0,
+        10,
+        2.225073858507203e-309,
     )
     def test_equals_a_dense_solve(self, case, exponent, k, where):
         # mu a point of the k-th gap of the spectrum (``where`` a float in
@@ -664,7 +831,7 @@ class TestShiftedSolve:
             return
         c = 8 * diag.size * u
         a_norm = float(np.linalg.norm(a, 2))
-        grown_norm = float(np.linalg.norm(grown, 2))
+        grown_norm = float(np.linalg.norm(grown, 2)) if np.all(np.isfinite(grown)) else math.inf
         sigma = float(np.linalg.svd(a, compute_uv=False)[-1])
         # the forward bound is below ||y|| / 2 where sigma_min(A) is well
         # above the backward error; a shift within ulps of an eigenvalue
@@ -723,6 +890,34 @@ class TestShiftedSolve:
             assert eigensolver._solve_shifted(diag, off, mu, b) is False
         assert np.array_equal(b, np.ones(diag.size))
 
+    def test_failed_first_solve_gives_the_guess_residual(self, monkeypatch):
+        # the zero-pivot problem below: the first solve, at the energy
+        # functional's exact 0, fails, and the refinement gives the guess's
+        # own (mu, r), the one it gives with no solve allowed: 0 and a
+        # radius just above sqrt(2), the residual of a unit vector
+        grid, m, v, guess, bound = self.zero_pivot_problem()
+
+        def solve():
+            return solve_effective_mass(grid, m, v, 1, guesses=[guess], bound=bound)
+
+        refined = TestCertifiedRefinement.refinements(monkeypatch, solve)
+        assert refined == TestCertifiedRefinement.refinements(monkeypatch, solve, steps=0)
+        ((mu, r),) = refined
+        assert mu == 0.0 and r == pytest.approx(math.sqrt(2.0), rel=1e-12) and r > math.sqrt(2.0)
+
+    #: the diagonal of test_zero_pivot_in_a_seeded_solve_falls_back's matrix
+    ZERO_PIVOT_DIAG = (1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0, 2.0, 2.0, 0.0, 2.0, 2.0, 2.0, 2.0)
+
+    @classmethod
+    def zero_pivot_problem(cls):
+        """(grid, mass, potential, guess, bound): see
+        test_zero_pivot_in_a_seeded_solve_falls_back."""
+        grid = Grid(0.0, 15.0, 16)
+        v = np.concatenate([[0.0], np.array(cls.ZERO_PIVOT_DIAG) - 2.0, [0.0]])
+        guess = np.zeros(16)
+        guess[10] = 1.0
+        # between the lowest two eigenvalues, -0.835 and -0.177
+        return grid, np.full(15, 0.5), v, guess, -0.5
 
     def test_zero_pivot_in_a_seeded_solve_falls_back(self, monkeypatch):
         # h = 1 and m = 1/2 make off-diagonals -1 and a diagonal 2 + V: the
@@ -731,14 +926,8 @@ class TestShiftedSolve:
         # to row 5 and exactly 0 at row 6: the one solve fails, the
         # iterate's interval 0 +- sqrt(2) reaches above the bound, and the
         # solve returns the bracketed bisection's values
-        grid = Grid(0.0, 15.0, 16)
-        diag = np.array([1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 1.0, 2.0, 2.0, 0.0, 2.0, 2.0, 2.0, 2.0])
-        v = np.concatenate([[0.0], diag - 2.0, [0.0]])
-        m = np.full(15, 0.5)
-        guess = np.zeros(16)
-        guess[10] = 1.0
-        # between the lowest two eigenvalues, -0.835 and -0.177
-        bound = -0.5
+        grid, m, v, guess, bound = self.zero_pivot_problem()
+        diag = np.array(self.ZERO_PIVOT_DIAG)
         log = count_log(monkeypatch)
         solve_log(monkeypatch, log)
         bisected = []
@@ -904,6 +1093,81 @@ class TestCertifiedRefinement:
         before = split_at_bisection(log)[0] if bisected else log
         assert before == [("count", self.BOUND, self.LEVELS)]
         assert np.array_equal(guesses, kept)
+
+    @staticmethod
+    def refinements(monkeypatch, solve, steps=None):
+        """The (mu, r) of each guess's refinement in ``solve()``, with
+        ``_RQI_STEPS`` set to ``steps`` unless None."""
+        refined = []
+        refine = eigensolver._rayleigh_refine
+        with monkeypatch.context() as patch:
+            if steps is not None:
+                patch.setattr(eigensolver, "_RQI_STEPS", steps)
+
+            def logged(*args):
+                refined.append(refine(*args))
+                return refined[-1]
+
+            patch.setattr(eigensolver, "_rayleigh_refine", logged)
+            solve()
+        return refined
+
+    def test_first_shift_is_the_energy_functional(self, monkeypatch):
+        # each refinement's first solve shifts by (sum a x^2 + 2 sum e x x') /
+        # x.x, two sums of n products: within (n + 3) eps (|x| |T| |x|) / x.x
+        # of x.(T x) / x.x, whose own rounding is as large, for n interior
+        # points
+        grid, m, v = self.problem()
+        guesses = self.hermite_functions(grid, range(self.LEVELS))
+        log = []
+        refine = eigensolver._rayleigh_refine
+        monkeypatch.setattr(
+            eigensolver, "_rayleigh_refine", lambda *a: log.append(("refine",)) or refine(*a)
+        )
+        solve_log(monkeypatch, log)
+        solve_effective_mass(grid, m, v, self.LEVELS, guesses=guesses, bound=self.BOUND)
+        starts = [i for i, entry in enumerate(log) if entry[0] == "refine"]
+        assert len(starts) == self.LEVELS
+        diag, off = self.matrix()
+        eps = np.finfo(float).eps
+        for g, i in zip(guesses, starts):
+            kind, mu0, _ = log[i + 1]
+            assert kind == "solve"
+            x = g[1:-1]
+            tx = diag * x
+            tx[:-1] += off * x[1:]
+            tx[1:] += off * x[:-1]
+            s = x @ x
+            ax = np.abs(x)
+            tax = np.abs(diag) * ax
+            tax[:-1] += np.abs(off) * ax[1:]
+            tax[1:] += np.abs(off) * ax[:-1]
+            tol = 2 * (x.size + 3) * eps * (ax @ tax) / s
+            assert abs(mu0 - x @ tx / s) <= tol
+            assert mu0 != pytest.approx(0.0)
+
+    def test_first_iterate_not_finite_falls_back_to_the_guess(self, monkeypatch):
+        # a first solve that leaves nan: the guess is copied again and its
+        # own (mu, r) is the answer, as with no solve allowed
+        grid, m, v = self.problem()
+        guesses = self.hermite_functions(grid, range(self.LEVELS))
+
+        def solve():
+            return solve_effective_mass(
+                grid, m, v, self.LEVELS, guesses=guesses, bound=self.BOUND
+            )
+
+        own = self.refinements(monkeypatch, solve, steps=0)
+        shifted = eigensolver._solve_shifted
+
+        def poisoned(diag, off, mu, x):
+            ok = shifted(diag, off, mu, x)
+            x[3] = math.nan
+            return ok
+
+        monkeypatch.setattr(eigensolver, "_solve_shifted", poisoned)
+        assert self.refinements(monkeypatch, solve) == own
+        assert all(math.isfinite(r) for _, r in own)
 
     def test_concurrent_solves_share_no_workspace(self):
         # each thread refines in its own buffers: with a short switch

@@ -228,7 +228,7 @@ class TestFields:
         assert np.array_equal(fields.potential, reference.potential(f) + corr)
         assert np.array_equal(ts.potential(xs), fields.potential)
         for n in range(3):
-            psi = m**0.25 * np.asarray(reference.eigenfunction(n, f), dtype=float)
+            psi = np.sqrt(np.sqrt(m)) * np.asarray(reference.eigenfunction(n, f), dtype=float)
             assert np.array_equal(fields.states[n], psi)
             assert np.array_equal(ts.wavefunction(n, xs), psi)
 

@@ -249,6 +249,50 @@ class TestClosedFormNorms:
             with pytest.raises(ArgumentError):
                 ref.eigenfunction(bad, 1.0)
 
+    @pytest.mark.parametrize("name", ["hulthen", "hulthen-deep"])
+    def test_hulthen_scalar_anywhere_in_an_array(self, name):
+        # z^w is exp(w ln z): a sample at y is the same bits alone and at
+        # any position of an array, whatever vector lanes numpy's exp uses
+        ref, breaks = NORM_CASES[name]
+        rng = np.random.default_rng(7)
+        ys = rng.uniform(1e-6, breaks[-1], 1031)
+        for n in range(ref.n_max + 1):
+            phi = np.asarray(ref.eigenfunction(n, ys), dtype=float)
+            for i in rng.choice(ys.size, 64, replace=False):
+                got = np.float64(ref.eigenfunction(n, float(ys[i])))
+                assert got.view(np.int64) == phi[i].view(np.int64), (n, ys[i])
+                assert np.float64(ref.eigenfunction(n, ys[i : i + 5])[0]) == got
+
+    @pytest.mark.parametrize("name", ["hulthen", "hulthen-deep"])
+    def test_hulthen_tail_against_mpmath(self, name):
+        # past z = e^{-a y} = 1e-3, beyond every node, up to |w ln z| = 700,
+        # short of underflow: z^w as exp(w ln z) carries the rounding of
+        # w ln z, up to ulp |w ln z| / 2 relative, and the polynomial and
+        # the scale a few ulps per degree.  Against a 30-digit evaluation,
+        # Phi_n is within eps (|w ln z| + 8 (n + 1)) relative
+        ref, _ = NORM_CASES[name]
+        eps = np.finfo(float).eps
+        a = ref.alpha
+        checked = 0
+        for n in range(ref.n_max + 1):
+            w = ref._kappa(n)
+            lo, hi = math.log(1e3) / a, 700.0 / (w * a)
+            if hi <= lo:
+                continue
+            ys = np.geomspace(lo, hi, 40)
+            phi = np.asarray(ref.eigenfunction(n, ys), dtype=float)
+            with mp.workdps(30):
+                beta_sq = 2 * mp.mpf(ref.V0) / mp.mpf(a) ** 2
+                kappa = (beta_sq - (n + 1) ** 2) / (2 * (n + 1))
+                scale = mp.sqrt(2 * a * kappa * (n + 2 * kappa + 1) * (n + kappa + 1)) / (n + 1)
+                for y, got in zip(ys, phi):
+                    z = mp.exp(-a * mp.mpf(float(y)))
+                    want = scale * z**kappa * (1 - z) * mp.jacobi(n, 2 * kappa, 1, 1 - 2 * z)
+                    rel = float(abs((mp.mpf(float(got)) - want) / want))
+                    assert rel <= eps * (w * a * y + 8 * (n + 1)), (n, y, rel / eps)
+                    checked += 1
+        assert checked >= 40
+
     def test_value_ignores_the_other_points(self):
         # with a trapezoid norm over the sample these were 26.52, 1.3226
         # and 0.9834
