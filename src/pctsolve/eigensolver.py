@@ -72,18 +72,20 @@ monotone, so it suffices that the computed a_j - x exceeds the exact
 1.5 ulp ||T||_1, and that of a_j - x within ulp ||T||_1, as x lies above
 the Gershgorin lower bound and below a_j.  So the cut-off count is the
 computed full count, bit for bit, not only the exact count of a nearby
-matrix.  A count whose d_p is below |e_p| goes on from row p with d_p
-carried over, in one more ``pttrf`` pass: the very operations of one
-factorisation over every row, so again the full count bit for bit.  A
-count with a zero or -inf pivot in rows 0..p is made again over every row
-instead: the +inf pivot that follows a zero one is not stored.  The tail
-is kept per block, not per row, because a suffix minimum per row
-(``np.minimum.accumulate``, which numpy does not vectorise) costs about
-5 ns a row, against 1 ns for the block minima (``np.minimum.reduceat``),
-on a 2-vCPU Intel Xeon VM; a count takes fewer than ``_TAIL_BLOCK`` rows
-more for it.  On the matrices ``pct verify`` builds, most rows lie in the
-classically forbidden tails: the count at the separation factorises 13%
-and 53% of the rows of the README config's two runs.
+matrix.  p is the factorisation's stop row: the pass that reaches it
+ends there, and a count whose d_p is below |e_p| shifts the rows past p
+and goes on with pttrf's own update of row p + 1, the very operations of
+one factorisation over every row, so again the full count bit for bit,
+with no row factorised twice.  A zero pivot at row p - 1 makes d_p +inf,
+the limit of the pivots that follow negative ones, and the count stops
+there too.  The tail is kept per block, not per row, because a suffix
+minimum per row (``np.minimum.accumulate``, which numpy does not
+vectorise) costs about 5 ns a row, against 1 ns for the block minima
+(``np.minimum.reduceat``), on a 2-vCPU Intel Xeon VM; a count takes fewer
+than ``_TAIL_BLOCK`` rows more for it.  On the matrices ``pct verify``
+builds, most rows lie in the classically forbidden tails: the count at the
+separation factorises 13% and 53% of the rows of the README config's two
+runs.
 
 A Rayleigh step's solve runs the same restarted factorisation to the end,
 storing each restart's multiplier e_j / p as pttrf would, and hands the
@@ -277,8 +279,8 @@ def _rayleigh_refine(diag, off, row_abs_sq, floor_scale, guess, x, tx, tmp):
     Step 0 shifts by the guess's energy functional
     (sum a_i x_i^2 + 2 sum e_i x_i x_{i+1}) / ||x||^2, two sums of products
     without T x, and solves at once: the guess's own residual is evaluated
-    only when no iterate follows it (that solve fails, its result is zero
-    or not finite, or ``_RQI_STEPS`` is 0), and is then the answer.  Each
+    only when no iterate follows it (that solve fails, or its result is
+    zero or not finite), and is then the answer.  Each
     later iterate is evaluated, and the iteration stops when the computed
     residual is down to the floor, when r stops falling, or after
     ``_RQI_STEPS`` solves.  A guess with no usable direction (zero, inf or
@@ -290,15 +292,14 @@ def _rayleigh_refine(diag, off, row_abs_sq, floor_scale, guess, x, tx, tmp):
     if not 0.0 < s < math.inf:
         return math.nan, math.inf
     solves = 0
-    if _RQI_STEPS:
-        mu = (_dot(diag, x, x) + 2.0 * _dot(off, x[:-1], x[1:])) / s
-        if math.isfinite(mu) and _solve_shifted(diag, off, mu, x):
+    mu = (_dot(diag, x, x) + 2.0 * _dot(off, x[:-1], x[1:])) / s
+    if math.isfinite(mu) and _solve_shifted(diag, off, mu, x):
+        s = _scaled_norm_sq(x)
+        if 0.0 < s < math.inf:
+            solves = _RQI_STEPS - 1
+        else:
+            np.copyto(x, guess)
             s = _scaled_norm_sq(x)
-            if 0.0 < s < math.inf:
-                solves = _RQI_STEPS - 1
-            else:
-                np.copyto(x, guess)
-                s = _scaled_norm_sq(x)
     best = (math.nan, math.inf)
     while True:
         _tridiagonal_product(diag, off, x, tx, tmp[:-1])
@@ -319,81 +320,81 @@ def _rayleigh_refine(diag, off, row_abs_sq, floor_scale, guess, x, tx, tmp):
     return best
 
 
-def _ldlt(diag, off, x, most, first=None):
+def _shift_rows(diag, off, x, d, e, lo, hi):
+    """Rows lo..hi - 1 of T - x I into d, and T's off-diagonal entries
+    between them into e."""
+    # a shift past the float range gives an infinite entry of the right sign
+    with np.errstate(over="ignore"):
+        np.subtract(diag[lo:hi], x, out=d[lo:hi])
+    e[lo : hi - 1] = off[lo : hi - 1]
+
+
+def _ldlt(diag, off, x, most, stop=None):
     """The LDL^T factorisation of T - x I, restarted past each pivot <= 0,
     in new arrays: (d, e, count, solvable), d the pivots, e the multipliers,
     count the number of pivots <= 0 (see the module docstring).
 
-    The factorisation stops once count reaches ``most`` + 1.  A zero pivot
-    counts as negative; solvable is False when a pivot <= 0
-    was zero or -inf, and otherwise, with count <= ``most``, d and e are
-    the whole factorisation, as LAPACK ``pttrs`` takes it.  ``first``, if
-    given, stands for the first row's entry of T - x I: a pivot carried
-    over from the rows above, whose factorisation this one goes on with."""
-    # a shift past the float range gives an infinite entry of the right sign
-    with np.errstate(over="ignore"):
-        d = diag - x
-    if first is not None:
-        d[0] = first
-    e = off.copy()
-    n = d.size
+    Each pass is one ``pttrf`` call, over the rows from its start to
+    ``stop`` and, once past it, to the last row; it ends at its first pivot
+    <= 0 or at that row.  The factorisation stops once count reaches
+    ``most`` + 1, at the last row, or at row ``stop`` when its pivot is at
+    least |e_stop|: every later pivot is then positive, and the rows past
+    it are not formed.  A zero pivot counts as negative; solvable is False
+    when a pivot <= 0 was zero or -inf, and otherwise, with count <=
+    ``most`` and no ``stop``, d and e are the whole factorisation, as
+    LAPACK ``pttrs`` takes it."""
+    n = diag.size
+    stop = n - 1 if stop is None else stop
+    d, e = np.empty(n), np.empty(n - 1)
+    _shift_rows(diag, off, x, d, e, 0, stop + 1)
     count = start = 0
     solvable = True
-    while start < n - 1:
-        _, _, info = dpttrf(d[start:], e[start:], overwrite_d=1, overwrite_e=1)
-        if info <= 0:
-            _check_info(info, "dpttrf")
-            return d, e, count, solvable
-        count += 1
-        j = start + info - 1
-        p = float(d[j])
-        solvable = solvable and -math.inf < p < 0.0
+    while True:
+        end = stop if start <= stop else n - 1
+        info = 0
+        # the wrapper takes no 1 x 1 matrix: a one-row pass is its own pivot
+        if start < end:
+            _, _, info = dpttrf(d[start : end + 1], e[start:end], overwrite_d=1, overwrite_e=1)
+            _check_info(min(info, 0), "dpttrf")
+        # info > 0 is the pass's first pivot <= 0, its rows counted from 1
+        j = start + info - 1 if info else end
+        pivot = float(d[j])
+        if pivot <= 0.0:
+            count += 1
+            solvable = solvable and -math.inf < pivot < 0.0
         if count > most or j == n - 1:
             return d, e, count, solvable
-        # pttrf stopped before it wrote e[j]: the copy's tail is still T's
+        # pttrf stopped before it wrote e[j]: T's entry is off[j]
         b = float(off[j])
-        if p < 0.0:
-            e[j] = mult = b / p
+        if j == stop:
+            if pivot >= abs(b):
+                return d, e, count, solvable
+            _shift_rows(diag, off, x, d, e, j + 1, n)
+        if pivot != 0.0:
+            # pttrf's own update: the passes make one factorisation's operations
+            e[j] = mult = b / pivot
             d[j + 1] = float(d[j + 1]) - mult * b
         elif b != 0.0:
             # a zero pivot is the limit of negative ones: the next pivot is
-            # +inf, positive, and the update past it is 0
-            j += 1
+            # +inf, positive, and the update past it leaves the next row as
+            # it is
+            d[j + 1] = math.inf
         start = j + 1
-    # the wrapper takes no 1 x 1 matrix: a last row left alone is its pivot
-    if start == n - 1 and d[-1] <= 0.0:
-        count += 1
-        solvable = solvable and -math.inf < float(d[-1]) < 0.0
-    return d, e, count, solvable
 
 
-def _count_up_to(diag, off, gl, x, most, tail=None):
+def _count_up_to(diag, off, gl, x, most, tail):
     """The number of eigenvalues up to x by one LDL^T count, gl lying below
     every eigenvalue: 0 for x <= gl, without a factorisation, and ``most``
     + 1 once that many pivots <= 0 are seen.
 
-    Given ``tail``, the Gershgorin tail of ``_gershgorin``, the count first
-    factorises rows 0..p alone, p the last row of the last block whose tail
-    is at most x, and stops there when its count already exceeds ``most``
-    or its last pivot d_p is at least |e_p|: every later pivot is then
-    positive (see the module docstring).  Otherwise the factorisation goes
-    on from row p with d_p carried over, by the same operations as one over
-    every row, or, past a pivot that is zero or -inf, is made again over
-    every row."""
+    ``tail``, the Gershgorin tail of ``_gershgorin``, gives the count's
+    stop row p, the last row of the last block whose tail is at most x: the
+    count ends there when its pivot d_p is at least |e_p| (see the module
+    docstring)."""
     if x <= gl:
         return 0
-    if tail is not None:
-        p = min(int(np.searchsorted(tail, x, side="right")) * _TAIL_BLOCK, diag.size) - 1
-        if p < diag.size - 1:
-            d, _, count, solvable = _ldlt(diag[: p + 1], off[:p], x, most)
-            pivot = float(d[p])
-            if count > most or pivot >= abs(off[p]):
-                return count
-            if solvable:
-                # row p is counted again below when its pivot is negative
-                count -= pivot < 0.0
-                return count + _ldlt(diag[p:], off[p:], x, most - count, pivot)[2]
-    return _ldlt(diag, off, x, most)[2]
+    p = min(int(np.searchsorted(tail, x, side="right")) * _TAIL_BLOCK, diag.size) - 1
+    return _ldlt(diag, off, x, most, p)[2]
 
 
 def _solve_shifted(diag, off, mu, x):

@@ -184,33 +184,20 @@ def verify(ts, n_points, levels):
         grid, m_mid, v, levels, guesses=states, bound=ts.reference.separation(levels)
     )
     residuals = []
-    # the levels' masks share these buffers, each written before it is read
-    amplitude = np.empty(grid.n_points)
-    carried = np.empty(grid.n_points, dtype=bool)
-    resolved = np.empty(grid.n_points, dtype=bool)
     for n in range(levels):
         # restrict to where the state carries amplitude: outside that window
         # the residual only measures V * (numerically zero) near domain walls
         psi = states[n]
-        np.abs(psi, out=amplitude)
+        amplitude = np.abs(psi)
         peak = float(np.max(amplitude))
         energy = ts.energy(n)
         # no sample outside the first and last that carry amplitude is
         # live, so the resolution test runs between them only
-        np.greater(amplitude, 1e-6 * peak, out=carried)
+        carried = amplitude > 1e-6 * peak
         lo = int(np.argmax(carried))
         hi = carried.size - int(np.argmax(carried[::-1]))
-        # h sqrt(m max(|V - E|, 1)) < 0.02, in place in amplitude[lo:hi]
-        scale = amplitude[lo:hi]
-        np.subtract(v[lo:hi], energy, out=scale)
-        np.abs(scale, out=scale)
-        np.maximum(scale, 1.0, out=scale)
-        np.multiply(m[lo:hi], scale, out=scale)
-        np.sqrt(scale, out=scale)
-        scale *= grid.h
-        np.less(scale, 0.02, out=resolved[lo:hi])
-        resolved[lo:hi] &= carried[lo:hi]
-        live = lo + np.flatnonzero(resolved[lo:hi])
+        resolved = grid.h * np.sqrt(m[lo:hi] * np.maximum(np.abs(v[lo:hi] - energy), 1.0)) < 0.02
+        live = lo + np.flatnonzero(carried[lo:hi] & resolved)
         if live.size == 0 or live[-1] - live[0] < 16:
             # grid too coarse to resolve the state anywhere
             residuals.append(None)

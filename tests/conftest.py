@@ -62,27 +62,37 @@ def preset_target(spec):
     return TargetSystem.build(run["profile"], run["reference"], run["levels"])
 
 
+def pass_rows(monkeypatch, rows):
+    """Append to ``rows`` the rows of each ``dpttrf`` pass the eigensolver
+    makes, and return it: up to the first pivot <= 0 (LAPACK's ``info``),
+    or every row handed to it when ``info`` is 0.  A one-row pass, which
+    makes no call, is not seen."""
+
+    def logged(d, e, *args, _fn=eigensolver.dpttrf, **kwargs):
+        out = _fn(d, e, *args, **kwargs)
+        rows.append(out[2] or d.size)
+        return out
+
+    monkeypatch.setattr(eigensolver, "dpttrf", logged)
+    return rows
+
+
 def count_log(monkeypatch, log=None, rows=None):
     """Log the eigensolver's Sturm counts to ``log`` (a new list if None) as
     ("count", x, the count up to x), in call order, and return it; given a
-    list ``rows``, also append to it, per logged count, (the rows handed to
-    its LDL^T factorisations, the matrix's rows).
+    list ``rows``, also append to it, per logged count, (the rows its
+    ``dpttrf`` passes factorise, by ``pass_rows``, the matrix's rows).
 
     A logged count is one that factorises: a ``_count_up_to`` call at or
     below the Gershgorin edge returns 0 without one and is left out.  The
     count is the one the solver sees, capped at one past the number of
     levels of the solve (its ``most`` + 1).  A count that stops at the
-    Gershgorin tail takes the rows up to it, row p; one that goes on from
-    there takes row p twice, and one made again over every row takes the
-    rows up to p and then every row."""
+    Gershgorin tail takes the rows up to it, row p, and one that goes on
+    from there every row, one-row passes aside."""
     log = [] if log is None else log
-    sizes = []
+    sizes = pass_rows(monkeypatch, [])
 
-    def factorised(diag, off, x, most, first=None, _fn=eigensolver._ldlt):
-        sizes.append(diag.size)
-        return _fn(diag, off, x, most, first)
-
-    def counted(diag, off, gl, x, most, tail=None, _fn=eigensolver._count_up_to):
+    def counted(diag, off, gl, x, most, tail, _fn=eigensolver._count_up_to):
         start = len(sizes)
         n = _fn(diag, off, gl, x, most, tail)
         if x > gl:
@@ -91,7 +101,6 @@ def count_log(monkeypatch, log=None, rows=None):
                 rows.append((sum(sizes[start:]), diag.size))
         return n
 
-    monkeypatch.setattr(eigensolver, "_ldlt", factorised)
     monkeypatch.setattr(eigensolver, "_count_up_to", counted)
     return log
 

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import bisect_log, count_log, solve_log
+from conftest import bisect_log, count_log, pass_rows, solve_log
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.polynomial.hermite import hermval
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
@@ -224,9 +224,9 @@ class TestMatrixChecks:
         np.testing.assert_allclose(res, walled, rtol=1e-10)
 
     def test_rounding_floor_is_the_unscaled_one(self, monkeypatch):
-        # one Rayleigh step from an eigenvector, where the rounding floor
-        # 4 eps ||(|T| v)|| / ||v|| is most of the radius: the scaled squares
-        # must give the floor of the unscaled row sums
+        # the radius of an eigenvector itself, where the rounding floor
+        # 4 eps ||(|T| v)|| / ||v|| is most of it: the scaled squares must
+        # give the floor of the unscaled row sums
         grid = Grid(-8.0, 8.0, 1001)
         mid = 0.5 * (grid.points[:-1] + grid.points[1:])
         m = 1.0 + 0.5 / (1.0 + mid * mid)
@@ -236,7 +236,8 @@ class TestMatrixChecks:
         u = vec[:, 0]
         radii = []
         refine = eigensolver._rayleigh_refine
-        monkeypatch.setattr(eigensolver, "_RQI_STEPS", 0)
+        # no solve succeeds: the radius is the guess's own
+        monkeypatch.setattr(eigensolver, "_solve_shifted", lambda *a: False)
         monkeypatch.setattr(
             eigensolver, "_rayleigh_refine", lambda *a: radii.append(refine(*a)[1]) or (0.0, 1.0)
         )
@@ -568,7 +569,7 @@ class TestSturmCount:
     each eigenvalue, without a floating-point warning.  Capped at ``most``,
     it is the count or ``most`` + 1, whichever is less.  Cut off at the
     Gershgorin tail, in blocks of one or three rows, it is the full count at
-    every x, bit for bit."""
+    every x, bit for bit, and factorises no row twice."""
 
     @staticmethod
     def assert_counts_agree(diag, off, shifts):
@@ -581,24 +582,24 @@ class TestSturmCount:
             for block in SMALL_TAIL_BLOCKS:
                 patch.setattr(eigensolver, "_TAIL_BLOCK", block)
                 tails.append((block, *gershgorin_tail(diag, off)))
+            rows = pass_rows(patch, [])
             for x in shifts:
                 # a distance past the float range is inf, and far enough
                 with np.errstate(over="ignore"):
                     assert np.min(np.abs(exact - x)) > margin, x
-                count = eigensolver._count_up_to(diag, off, -math.inf, x, diag.size)
+                count = eigensolver._ldlt(diag, off, x, diag.size)[2]
                 assert count == stebz_count(diag, off, x) == np.sum(exact <= x), x
-                capped = [
-                    eigensolver._count_up_to(diag, off, -math.inf, x, most)
-                    for most in range(diag.size)
-                ]
+                capped = [eigensolver._ldlt(diag, off, x, most)[2] for most in range(diag.size)]
                 assert capped == [min(count, most + 1) for most in range(diag.size)], x
+                # most = n leaves the count uncapped
+                capped.append(count)
                 for block, gl, tail in tails:
                     patch.setattr(eigensolver, "_TAIL_BLOCK", block)
-                    cut = eigensolver._count_up_to(diag, off, gl, x, diag.size, tail)
-                    assert cut == count, (x, block)
-                    for most in range(diag.size):
+                    for most, full in enumerate(capped):
+                        rows.clear()
                         cut = eigensolver._count_up_to(diag, off, gl, x, most, tail)
-                        assert cut == capped[most], (x, most, block)
+                        assert cut == full, (x, most, block)
+                        assert sum(rows) <= diag.size, (x, most, block, rows)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -646,9 +647,9 @@ class TestSturmCount:
             # at x = 0 the Gershgorin tail starts at row 3: the pivots of rows
             # 0..2 are 1, 1, 0, an exact zero at row p = 2
             ([1.0, 2.0, 1.0, 10.0, 10.0, 10.0], [1.0] * 5, [0.0]),
-            # the same at row p - 1 = 1, the pivot of row p = 2 then +inf:
-            # its diagonal entry, left as it was, is 1.5 or 0.5, above and
-            # below |e_p| = 1
+            # the same at row p - 1 = 1, the pivot of row p = 2 then +inf,
+            # whether its diagonal entry is 1.5 or 0.5, above or below
+            # |e_p| = 1
             ([1.0, 1.0, 1.5, 10.0, 10.0], [1.0] * 4, [0.0]),
             ([1.0, 1.0, 0.5, 10.0, 10.0], [1.0] * 4, [0.0]),
             # a well whose tails dominate: rows 0..14 of 25 up to 0.5
@@ -663,52 +664,53 @@ class TestSturmCount:
     def test_equals_stebz_on_edge_cases(self, diag, off, shifts):
         self.assert_counts_agree(diag, off, shifts)
 
-    @pytest.mark.parametrize(
-        "diag, off, x, most, block, calls",
-        [
-            # stops at row p = 14, whose pivot is at least |e_p|
-            (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.5, 24, 1,
-             [(15, False)]),
-            # the same in blocks of 4 rows: p = 15, the last row of block 3
-            (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.5, 24, 4,
-             [(16, False)]),
-            # d_p < |e_p|: goes on from row p = 13 with its pivot carried over
-            (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.3, 24, 1,
-             [(14, False), (12, True)]),
-            # ``most`` reached inside rows 0..p
-            (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 4.0, 0, 1, [(18, False)]),
-            # no tail: every G_i <= x, or one block of every row
-            (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 19.0, 24, 1,
-             [(25, False)]),
-            (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.5, 24, 64,
-             [(25, False)]),
-            # a zero pivot at row p, below |e_p|: made again over every row
-            ([1.0, 2.0, 1.0, 10.0, 10.0, 10.0], [1.0] * 5, 0.0, 6, 1, [(3, False), (6, False)]),
-            # past a zero pivot at row p - 1, row p's entry 1.5 >= |e_p|, and
-            # 0.5 < |e_p|
-            ([1.0, 1.0, 1.5, 10.0, 10.0], [1.0] * 4, 0.0, 5, 1, [(3, False)]),
-            ([1.0, 1.0, 0.5, 10.0, 10.0], [1.0] * 4, 0.0, 5, 1, [(3, False), (5, False)]),
-        ],
-        ids=["stops", "stops-in-blocks", "goes-on", "most-reached", "no-tail", "one-block",
-             "zero-pivot-at-row-p", "zero-pivot-before-row-p", "zero-pivot-before-row-p-2"],
-    )
-    def test_cut_off_paths(self, monkeypatch, diag, off, x, most, block, calls):
-        # the factorisations a cut-off count makes, as (rows, whether a
-        # pivot is carried over), and its count, the full one
+    #: (diag, off, x, most, tail block, the rows of each dpttrf pass)
+    CUT_OFF_CASES = [
+        # stops at row p = 14, whose pivot is at least |e_p|
+        (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.5, 24, 1, [13, 2]),
+        # the same in blocks of 4 rows: p = 15, the last row of block 3
+        (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.5, 24, 4, [13, 3]),
+        # d_p < |e_p| at row p = 13: goes on past it with pttrf's update
+        (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.3, 24, 1, [14, 11]),
+        # ``most`` reached inside rows 0..p
+        (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 4.0, 0, 1, [8]),
+        # no tail: every G_i <= x, or one block of every row
+        (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 19.0, 24, 1, [1, 2] + [1] * 21),
+        (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.5, 24, 64, [13, 12]),
+        # a zero pivot at row p, below |e_p|: row p + 1's pivot is +inf
+        ([1.0, 2.0, 1.0, 10.0, 10.0, 10.0], [1.0] * 5, 0.0, 6, 1, [3, 3]),
+        # past a zero pivot at row p - 1, row p's pivot is +inf, whatever
+        # its entry (1.5 >= |e_p| or 0.5 < |e_p|)
+        ([1.0, 1.0, 1.5, 10.0, 10.0], [1.0] * 4, 0.0, 5, 1, [2]),
+        ([1.0, 1.0, 0.5, 10.0, 10.0], [1.0] * 4, 0.0, 5, 1, [2]),
+    ]
+    CUT_OFF_IDS = [
+        "stops", "stops-in-blocks", "goes-on", "most-reached", "no-tail", "one-block",
+        "zero-pivot-at-row-p", "zero-pivot-before-row-p", "zero-pivot-before-row-p-2",
+    ]
+
+    @staticmethod
+    def cut_off_passes(monkeypatch, diag, off, x, most, block):
+        """(the cut-off count, the full count, the rows of each of the cut-off
+        count's dpttrf passes)."""
         diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
         monkeypatch.setattr(eigensolver, "_TAIL_BLOCK", block)
         gl, tail = gershgorin_tail(diag, off)
-        full = eigensolver._count_up_to(diag, off, -math.inf, x, most)
-        made = []
-        ldlt = eigensolver._ldlt
+        full = eigensolver._ldlt(diag, off, x, most)[2]
+        rows = pass_rows(monkeypatch, [])
+        return eigensolver._count_up_to(diag, off, gl, x, most, tail), full, rows
 
-        def logged(d, e, shift, cap, first=None):
-            made.append((d.size, first is not None))
-            return ldlt(d, e, shift, cap, first)
+    @pytest.mark.parametrize("diag, off, x, most, block, passes", CUT_OFF_CASES, ids=CUT_OFF_IDS)
+    def test_cut_off_paths(self, monkeypatch, diag, off, x, most, block, passes):
+        # the passes a cut-off count makes, and its count, the full one
+        cut, full, rows = self.cut_off_passes(monkeypatch, diag, off, x, most, block)
+        assert cut == full
+        assert rows == passes
 
-        monkeypatch.setattr(eigensolver, "_ldlt", logged)
-        assert eigensolver._count_up_to(diag, off, gl, x, most, tail) == full
-        assert made == calls
+    @pytest.mark.parametrize("case", CUT_OFF_CASES, ids=CUT_OFF_IDS)
+    def test_no_row_factorised_twice(self, monkeypatch, case):
+        rows = self.cut_off_passes(monkeypatch, *case[:5])[2]
+        assert sum(rows) <= len(case[0])
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -893,7 +895,7 @@ class TestShiftedSolve:
     def test_failed_first_solve_gives_the_guess_residual(self, monkeypatch):
         # the zero-pivot problem below: the first solve, at the energy
         # functional's exact 0, fails, and the refinement gives the guess's
-        # own (mu, r), the one it gives with no solve allowed: 0 and a
+        # own (mu, r), the one it gives when every solve fails: 0 and a
         # radius just above sqrt(2), the residual of a unit vector
         grid, m, v, guess, bound = self.zero_pivot_problem()
 
@@ -901,7 +903,7 @@ class TestShiftedSolve:
             return solve_effective_mass(grid, m, v, 1, guesses=[guess], bound=bound)
 
         refined = TestCertifiedRefinement.refinements(monkeypatch, solve)
-        assert refined == TestCertifiedRefinement.refinements(monkeypatch, solve, steps=0)
+        assert refined == TestCertifiedRefinement.guess_residuals(monkeypatch, solve)
         ((mu, r),) = refined
         assert mu == 0.0 and r == pytest.approx(math.sqrt(2.0), rel=1e-12) and r > math.sqrt(2.0)
 
@@ -1095,15 +1097,11 @@ class TestCertifiedRefinement:
         assert np.array_equal(guesses, kept)
 
     @staticmethod
-    def refinements(monkeypatch, solve, steps=None):
-        """The (mu, r) of each guess's refinement in ``solve()``, with
-        ``_RQI_STEPS`` set to ``steps`` unless None."""
+    def refinements(monkeypatch, solve):
+        """The (mu, r) of each guess's refinement in ``solve()``."""
         refined = []
         refine = eigensolver._rayleigh_refine
         with monkeypatch.context() as patch:
-            if steps is not None:
-                patch.setattr(eigensolver, "_RQI_STEPS", steps)
-
             def logged(*args):
                 refined.append(refine(*args))
                 return refined[-1]
@@ -1111,6 +1109,14 @@ class TestCertifiedRefinement:
             patch.setattr(eigensolver, "_rayleigh_refine", logged)
             solve()
         return refined
+
+    @classmethod
+    def guess_residuals(cls, monkeypatch, solve):
+        """The (mu, r) of each guess itself in ``solve()``: its refinement's
+        when every shifted solve fails."""
+        with monkeypatch.context() as patch:
+            patch.setattr(eigensolver, "_solve_shifted", lambda *a: False)
+            return cls.refinements(patch, solve)
 
     def test_first_shift_is_the_energy_functional(self, monkeypatch):
         # each refinement's first solve shifts by (sum a x^2 + 2 sum e x x') /
@@ -1148,7 +1154,7 @@ class TestCertifiedRefinement:
 
     def test_first_iterate_not_finite_falls_back_to_the_guess(self, monkeypatch):
         # a first solve that leaves nan: the guess is copied again and its
-        # own (mu, r) is the answer, as with no solve allowed
+        # own (mu, r) is the answer, as when every solve fails
         grid, m, v = self.problem()
         guesses = self.hermite_functions(grid, range(self.LEVELS))
 
@@ -1157,7 +1163,7 @@ class TestCertifiedRefinement:
                 grid, m, v, self.LEVELS, guesses=guesses, bound=self.BOUND
             )
 
-        own = self.refinements(monkeypatch, solve, steps=0)
+        own = self.guess_residuals(monkeypatch, solve)
         shifted = eigensolver._solve_shifted
 
         def poisoned(diag, off, mu, x):
