@@ -57,35 +57,43 @@ wanted levels lie up to x, so a count stops at one pivot past the number of
 levels.  A count up to a point at or below the Gershgorin lower bound is 0
 without a factorisation.
 
-A count stops at the Gershgorin tail.  Let g_j = a_j - |e_{j-1}| - |e_j| be
-the Gershgorin disc edges (e_{-1} = e_{n-1} = 0), cut into blocks of
-``_TAIL_BLOCK`` rows, and G_b the least g_j in block b or after it, lowered
-by 4 ulp ||T||_1; G is non-decreasing, so a binary search finds the last
-block with G_b <= x, and p is that block's last row.  Every row j > p has
-a_j - x > |e_{j-1}| + |e_j|, so if the pivot d_p >= |e_p|, then by
-induction d_{j+1} = (a_{j+1} - x) - (e_j / d_j) e_j >= (a_{j+1} - x) - |e_j|
-> |e_{j+1}|: every later pivot is positive, and rows 0..p alone give the
-count.  The computed pivots obey the same induction: |e_j / d_j| <= 1
-rounds to at most 1, the update to at most |e_j|, and rounding is
+The count up to x = ``bound`` alone is cut short, at a stop row.  Let g_j =
+a_j - |e_{j-1}| - |e_j| be the Gershgorin disc edges (e_{-1} = e_{n-1} =
+0), each lowered by 4 ulp ||T||_1, and p the last row with g_p <= x.  Every
+row j > p has a_j - x > |e_{j-1}| + |e_j|, so if the pivot d_p >= |e_p|,
+then by induction d_{j+1} = (a_{j+1} - x) - (e_j / d_j) e_j >= (a_{j+1} -
+x) - |e_j| > |e_{j+1}|: every later pivot is positive, and rows 0..p alone
+give the count.  The computed pivots obey the same induction: |e_j / d_j|
+<= 1 rounds to at most 1, the update to at most |e_j|, and rounding is
 monotone, so it suffices that the computed a_j - x exceeds the exact
-|e_{j-1}| + |e_j|.  The margin sees to that: G's own rounding is within
+|e_{j-1}| + |e_j|.  The margin sees to that: g_j's own rounding is within
 1.5 ulp ||T||_1, and that of a_j - x within ulp ||T||_1, as x lies above
 the Gershgorin lower bound and below a_j.  So the cut-off count is the
 computed full count, bit for bit, not only the exact count of a nearby
-matrix.  p is the factorisation's stop row: the pass that reaches it
-ends there, and a count whose d_p is below |e_p| shifts the rows past p
-and goes on with pttrf's own update of row p + 1, the very operations of
-one factorisation over every row, so again the full count bit for bit,
-with no row factorised twice.  A zero pivot at row p - 1 makes d_p +inf,
-the limit of the pivots that follow negative ones, and the count stops
-there too.  The tail is kept per block, not per row, because a suffix
-minimum per row (``np.minimum.accumulate``, which numpy does not
-vectorise) costs about 5 ns a row, against 1 ns for the block minima
-(``np.minimum.reduceat``), on a 2-vCPU Intel Xeon VM; a count takes fewer
-than ``_TAIL_BLOCK`` rows more for it.  On the matrices ``pct verify``
-builds, most rows lie in the classically forbidden tails: the count at the
-separation factorises 13% and 53% of the rows of the README config's two
-runs.
+matrix.  p is the factorisation's stop row: the pass that reaches it ends
+there, and a count whose d_p is below |e_p| goes on with pttrf's own
+update of row p + 1, the very operations of one factorisation over every
+row, so again the full count bit for bit, with no row factorised twice.  A
+zero pivot at row p - 1 makes d_p +inf, the limit of the pivots that
+follow negative ones, and the count stops there too.  On the matrices
+``pct verify`` builds, most rows lie in the classically forbidden tails:
+the count at the separation factorises 13% and 53% of the rows of the
+README config's two runs.  The bracket's and the bisection's counts
+factorise every row (see the ledger below).
+
+What the kept mechanisms pay, measured in process on the 27 solves of one
+``sweep_verify`` pass (the benchmark's ``pct verify`` of
+``presets.COMBO_TABLE``), medians of 10 alternated rounds on a 2-vCPU
+Intel Xeon VM, where the solves take 93 ms a pass and the bisections of
+the four infeasible runs 12.6 ms of it:
+
+- the bracket: bisecting over the Gershgorin interval instead (about
+  1e14 wide on those runs, whose spectra lie near -6..0) takes the
+  bisections to 34.8 ms and the solves to 115 ms;
+- the cut-off of the count at the separation: without it the solves take
+  99 ms;
+- without both, 120 ms.  Cutting the bracket's and the bisections' counts
+  short as well would save 0.35 ms.
 
 A Rayleigh step's solve runs the same restarted factorisation to the end,
 storing each restart's multiplier e_j / p as pttrf would, and hands the
@@ -201,9 +209,9 @@ class Grid:
 
 #: Rayleigh-quotient steps (tridiagonal solves) per guess at most
 _RQI_STEPS = 4
-#: rows per block of the Gershgorin tail that cuts a Sturm count short
-_TAIL_BLOCK = 64
-_EPS = np.finfo(float).eps
+# a Python float, so that the Gershgorin ends and the bisection's widths are
+# too: a width past the float range is then inf without a numpy warning
+_EPS = float(np.finfo(float).eps)
 
 
 def _check_info(info, routine):
@@ -235,7 +243,8 @@ _workspaces = threading.local()
 def _workspace(n):
     """This thread's (4, n) block for a certified solve, kept from one
     solve to the next of the same size.  Its rows are the iterate, T x (then
-    the residual), scratch, and the absolute row sums of T.
+    the residual), scratch (first the lowered Gershgorin disc edges), and
+    the absolute row sums of T.
 
     A grid-sized block allocated and freed in every solve makes malloc hand
     memory back and fault it in again: measured on the 27-run sweep, 13 000
@@ -320,15 +329,6 @@ def _rayleigh_refine(diag, off, row_abs_sq, floor_scale, guess, x, tx, tmp):
     return best
 
 
-def _shift_rows(diag, off, x, d, e, lo, hi):
-    """Rows lo..hi - 1 of T - x I into d, and T's off-diagonal entries
-    between them into e."""
-    # a shift past the float range gives an infinite entry of the right sign
-    with np.errstate(over="ignore"):
-        np.subtract(diag[lo:hi], x, out=d[lo:hi])
-    e[lo : hi - 1] = off[lo : hi - 1]
-
-
 def _ldlt(diag, off, x, most, stop=None):
     """The LDL^T factorisation of T - x I, restarted past each pivot <= 0,
     in new arrays: (d, e, count, solvable), d the pivots, e the multipliers,
@@ -339,14 +339,16 @@ def _ldlt(diag, off, x, most, stop=None):
     <= 0 or at that row.  The factorisation stops once count reaches
     ``most`` + 1, at the last row, or at row ``stop`` when its pivot is at
     least |e_stop|: every later pivot is then positive, and the rows past
-    it are not formed.  A zero pivot counts as negative; solvable is False
-    when a pivot <= 0 was zero or -inf, and otherwise, with count <=
-    ``most`` and no ``stop``, d and e are the whole factorisation, as
-    LAPACK ``pttrs`` takes it."""
+    it are left shifted but not factorised.  A zero pivot counts as
+    negative; solvable is False when a pivot <= 0 was zero or -inf, and
+    otherwise, with count <= ``most`` and no ``stop``, d and e are the whole
+    factorisation, as LAPACK ``pttrs`` takes it."""
     n = diag.size
     stop = n - 1 if stop is None else stop
-    d, e = np.empty(n), np.empty(n - 1)
-    _shift_rows(diag, off, x, d, e, 0, stop + 1)
+    # a shift past the float range gives an infinite entry of the right sign
+    with np.errstate(over="ignore"):
+        d = np.subtract(diag, x)
+    e = off.copy()
     count = start = 0
     solvable = True
     while True:
@@ -366,10 +368,8 @@ def _ldlt(diag, off, x, most, stop=None):
             return d, e, count, solvable
         # pttrf stopped before it wrote e[j]: T's entry is off[j]
         b = float(off[j])
-        if j == stop:
-            if pivot >= abs(b):
-                return d, e, count, solvable
-            _shift_rows(diag, off, x, d, e, j + 1, n)
+        if j == stop and pivot >= abs(b):
+            return d, e, count, solvable
         if pivot != 0.0:
             # pttrf's own update: the passes make one factorisation's operations
             e[j] = mult = b / pivot
@@ -382,19 +382,15 @@ def _ldlt(diag, off, x, most, stop=None):
         start = j + 1
 
 
-def _count_up_to(diag, off, gl, x, most, tail):
+def _count_up_to(diag, off, gl, x, most, stop=None):
     """The number of eigenvalues up to x by one LDL^T count, gl lying below
     every eigenvalue: 0 for x <= gl, without a factorisation, and ``most``
-    + 1 once that many pivots <= 0 are seen.
-
-    ``tail``, the Gershgorin tail of ``_gershgorin``, gives the count's
-    stop row p, the last row of the last block whose tail is at most x: the
-    count ends there when its pivot d_p is at least |e_p| (see the module
-    docstring)."""
+    + 1 once that many pivots <= 0 are seen.  ``stop``, a row past which
+    every lowered Gershgorin disc edge lies above x, is the factorisation's
+    stop row (see the module docstring)."""
     if x <= gl:
         return 0
-    p = min(int(np.searchsorted(tail, x, side="right")) * _TAIL_BLOCK, diag.size) - 1
-    return _ldlt(diag, off, x, most, p)[2]
+    return _ldlt(diag, off, x, most, stop)[2]
 
 
 def _solve_shifted(diag, off, mu, x):
@@ -410,12 +406,11 @@ def _solve_shifted(diag, off, mu, x):
     return solvable
 
 
-def _bisect(diag, off, gl, lo, hi, n_levels, abstol, tail):
+def _bisect(diag, off, gl, lo, hi, n_levels, abstol):
     """The lowest n_levels eigenvalues, ascending, by bisection of (lo, hi]
     on Sturm counts alone, to absolute tolerance ``abstol`` (see the module
     docstring for the stopping rule); gl lies below every eigenvalue, no
-    eigenvalue lies up to lo, and n_levels or more lie up to hi; the counts
-    stop at ``tail``, the Gershgorin tail.
+    eigenvalue lies up to lo, and n_levels or more lie up to hi.
 
     Level k keeps an interval (a_k, b_k] with at most k eigenvalues up to
     a_k and more than k up to b_k.  Each count, at the midpoint of the
@@ -431,7 +426,7 @@ def _bisect(diag, off, gl, lo, hi, n_levels, abstol, tail):
         mid = 0.5 * a[k] + 0.5 * b[k]
         # max(-a, b) is max(|a|, |b|) for a < b
         while a[k] < mid < b[k] and b[k] - a[k] > max(tol, 2.0 * _EPS * max(-a[k], b[k])):
-            count = _count_up_to(diag, off, gl, mid, n_levels, tail)
+            count = _count_up_to(diag, off, gl, mid, n_levels)
             for j in range(k, n_levels):
                 if a[j] < mid < b[j]:
                     (b if count > j else a)[j] = mid
@@ -439,13 +434,12 @@ def _bisect(diag, off, gl, lo, hi, n_levels, abstol, tail):
     return np.array([0.5 * x + 0.5 * y for x, y in zip(a, b)])
 
 
-def _bracket(diag, off, n_levels, bound, count, gl, gu, tail):
+def _bracket(diag, off, n_levels, bound, count, gl, gu):
     """(lo, hi), no eigenvalue up to lo and n_levels or more up to hi, from
     two walks away from ``bound``.
 
     ``count`` is the Sturm count up to ``bound``, already made; gl and gu
-    bound the spectrum, and the counts stop at ``tail``, the Gershgorin
-    tail.  lo walks down from ``bound`` by 8 |bound|,
+    bound the spectrum.  lo walks down from ``bound`` by 8 |bound|,
     16 |bound|, ... and hi up by |bound|, 2 |bound|, ..., capped at gl and
     gu, until counts show no eigenvalue up to lo and at least n_levels up to
     hi.  On a matrix with steep walls the Gershgorin interval is about 1e14
@@ -454,41 +448,40 @@ def _bracket(diag, off, n_levels, bound, count, gl, gu, tail):
     lo, n, step = bound, count, 8.0 * abs(bound)
     while n > 0:
         lo = max(bound - step, gl)
-        n = _count_up_to(diag, off, gl, lo, n_levels, tail)
+        n = _count_up_to(diag, off, gl, lo, n_levels)
         step *= 2.0
     hi, n, step = bound, count, abs(bound)
     while n < n_levels:
         hi = min(bound + step, gu)
-        n = diag.size if hi == gu else _count_up_to(diag, off, gl, hi, n_levels, tail)
+        n = diag.size if hi == gu else _count_up_to(diag, off, gl, hi, n_levels)
         step *= 2.0
     return lo, hi
 
 
-def _gershgorin(diag, off, row_abs, tmp):
-    """(gl, gu, ||T||_1, tail): every eigenvalue lies in (gl, gu], and tail
-    is T's Gershgorin tail, the suffix minima G_b of the disc edges a_j -
-    |e_{j-1}| - |e_j| over blocks of ``_TAIL_BLOCK`` rows, lowered by
-    4 ulp ||T||_1 (see the module docstring).  Fills ``row_abs`` with the
-    absolute row sums of T; ``tmp`` is scratch.  Both have T's n rows.  A
-    norm past the float range raises ``RangeOverflowError``."""
-    abs_off = np.abs(off, out=tmp[:-1])
-    row_abs[:-1] = abs_off
-    row_abs[-1] = 0.0
-    row_abs[1:] += abs_off
-    edges = np.subtract(diag, row_abs, out=tmp)
-    tail = np.minimum.reduceat(edges, np.arange(0, diag.size, _TAIL_BLOCK))
-    np.minimum.accumulate(tail[::-1], out=tail[::-1])
+def _gershgorin(diag, off, row_abs, edges):
+    """(gl, gu, ||T||_1): every eigenvalue lies in (gl, gu].  Fills
+    ``row_abs`` with the absolute row sums of T, and ``edges`` with its
+    Gershgorin disc edges a_j - |e_{j-1}| - |e_j|, lowered by 4 ulp ||T||_1
+    (see the module docstring); both have T's n rows.  A norm past the
+    float range raises ``RangeOverflowError``."""
+    # |e_{j-1}| + |e_j| into edges, with row_abs as scratch until |a_j|
+    abs_off = np.abs(off, out=row_abs[:-1])
+    edges[:-1] = abs_off
+    edges[-1] = 0.0
+    edges[1:] += abs_off
+    np.abs(diag, out=row_abs)
     with np.errstate(over="ignore"):
-        row_abs += np.abs(diag, out=tmp)
+        row_abs += edges
+    np.subtract(diag, edges, out=edges)
     row_max = float(np.max(row_abs))
     # every eigenvalue lies above the lowest disc edge, here lowered past its
     # own rounding, and below the largest absolute row sum, here raised past it
-    gl = float(tail[0]) - 2.0 * _EPS * row_max
+    gl = float(np.min(edges)) - 2.0 * _EPS * row_max
     gu = row_max * (1.0 + 4.0 * _EPS)
     if gu == math.inf:
         raise RangeOverflowError("the finite-difference matrix's norm ||T||_1 overflows")
-    tail -= 4.0 * _EPS * row_max
-    return gl, gu, row_max, tail
+    edges -= 4.0 * _EPS * row_max
+    return gl, gu, row_max
 
 
 def _certified_energies(diag, off, n_levels, guesses, bound):
@@ -510,9 +503,12 @@ def _certified_energies(diag, off, n_levels, guesses, bound):
     themselves are left unchanged.
     """
     x, tx, tmp, row_abs = _workspace(diag.size)
-    gl, gu, row_max, tail = _gershgorin(diag, off, row_abs, tmp)
+    gl, gu, row_max = _gershgorin(diag, off, row_abs, tmp)
     if guesses is not None:
-        count = _count_up_to(diag, off, gl, bound, n_levels, tail)
+        # the count's stop row: the last whose lowered disc edge, in tmp, is
+        # at most bound (the last row if none is, when the count is 0)
+        stop = diag.size - 1 - int(np.argmax((tmp <= bound)[::-1]))
+        count = _count_up_to(diag, off, gl, bound, n_levels, stop)
         if count == n_levels:
             # the row sums scaled below 1 by an exact power of two before
             # squaring, so no square overflows; scaling by a power of two
@@ -539,9 +535,9 @@ def _certified_energies(diag, off, n_levels, guesses, bound):
         # step by: some 40 counts to leave it, dearer than the halvings
         # they would save
         if abs(bound) > _EPS * gu:
-            lo, hi = _bracket(diag, off, n_levels, bound, count, gl, gu, tail)
-            return _bisect(diag, off, gl, lo, hi, n_levels, _EPS * row_max, tail)
-    return _bisect(diag, off, gl, gl, gu, n_levels, 2.0 * sys.float_info.min, tail)
+            lo, hi = _bracket(diag, off, n_levels, bound, count, gl, gu)
+            return _bisect(diag, off, gl, lo, hi, n_levels, _EPS * row_max)
+    return _bisect(diag, off, gl, gl, gu, n_levels, 2.0 * sys.float_info.min)
 
 
 def tridiagonal_matrix(grid, mass_at_midpoints, potential_values, n_levels):

@@ -77,6 +77,21 @@ def pass_rows(monkeypatch, rows):
     return rows
 
 
+def lowered_edges(diag, off):
+    """(gl, T's Gershgorin disc edges lowered by 4 ulp ||T||_1) of a
+    tridiagonal matrix, as a solve forms them (``eigensolver._gershgorin``)."""
+    edges = np.empty(diag.size)
+    gl = eigensolver._gershgorin(diag, off, np.empty(diag.size), edges)[0]
+    return gl, edges
+
+
+def stop_row(edges, x):
+    """The stop row of a count up to x: the last row whose lowered disc edge
+    is at most x, or the last row if none is."""
+    below = np.flatnonzero(edges <= x)
+    return int(below[-1]) if below.size else edges.size - 1
+
+
 def count_log(monkeypatch, log=None, rows=None):
     """Log the eigensolver's Sturm counts to ``log`` (a new list if None) as
     ("count", x, the count up to x), in call order, and return it; given a
@@ -86,15 +101,15 @@ def count_log(monkeypatch, log=None, rows=None):
     A logged count is one that factorises: a ``_count_up_to`` call at or
     below the Gershgorin edge returns 0 without one and is left out.  The
     count is the one the solver sees, capped at one past the number of
-    levels of the solve (its ``most`` + 1).  A count that stops at the
-    Gershgorin tail takes the rows up to it, row p, and one that goes on
-    from there every row, one-row passes aside."""
+    levels of the solve (its ``most`` + 1).  A count that stops at its stop
+    row p (the count at the separation alone has one) takes the rows up to
+    it, and any other count every row, one-row passes aside."""
     log = [] if log is None else log
     sizes = pass_rows(monkeypatch, [])
 
-    def counted(diag, off, gl, x, most, tail, _fn=eigensolver._count_up_to):
+    def counted(diag, off, gl, x, most, stop=None, _fn=eigensolver._count_up_to):
         start = len(sizes)
-        n = _fn(diag, off, gl, x, most, tail)
+        n = _fn(diag, off, gl, x, most, stop)
         if x > gl:
             log.append(("count", x, n))
             if rows is not None:
@@ -129,9 +144,9 @@ def bisect_log(monkeypatch, log=None):
     ``count_log``, the bisection's own Sturm counts follow it."""
     log = [] if log is None else log
 
-    def bisected(diag, off, gl, lo, hi, n_levels, abstol, tail, _fn=eigensolver._bisect):
+    def bisected(diag, off, gl, lo, hi, n_levels, abstol, _fn=eigensolver._bisect):
         log.append(("bisect", lo, hi, abstol))
-        return _fn(diag, off, gl, lo, hi, n_levels, abstol, tail)
+        return _fn(diag, off, gl, lo, hi, n_levels, abstol)
 
     monkeypatch.setattr(eigensolver, "_bisect", bisected)
     return log

@@ -8,7 +8,16 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import DEFAULT_RUNS, PRESETS, bisect_log, count_log, load_runs, preset_run
+from conftest import (
+    DEFAULT_RUNS,
+    PRESETS,
+    bisect_log,
+    count_log,
+    load_runs,
+    lowered_edges,
+    preset_run,
+    stop_row,
+)
 from scipy.linalg import eigvalsh_tridiagonal
 
 from pctsolve import cli, eigensolver, exprlang, pctengine, presets
@@ -763,8 +772,9 @@ class TestWorkCounts:
     )
     def test_count_at_the_separation_stops_at_the_gershgorin_tail(self, monkeypatch, runs, shares):
         """Each run's one Sturm count, at the separation, factorises the
-        rows up to the Gershgorin tail alone: the shares of the matrix's
-        rows it takes, to 0.005."""
+        rows up to its stop row alone, the last row whose lowered Gershgorin
+        disc edge is at most the separation: the shares of the matrix's rows
+        it takes, to 0.005."""
         rows = []
         count_log(monkeypatch, rows=rows)
         cli.cmd_verify(load_runs(runs))
@@ -776,20 +786,29 @@ class TestWorkCounts:
         ids=["readme", "sweep"],
     )
     def test_every_cut_off_count_is_the_full_count(self, monkeypatch, runs):
-        """On a README pass and a sweep pass, bisections included, every
-        count cut off at the Gershgorin tail is the count over every row."""
-        seen = []
+        """On a README pass and a sweep pass, the count at the separation is
+        the one count cut off at a stop row, once per run: the last row
+        whose lowered Gershgorin disc edge is at most the separation.  It
+        is the count over every row."""
+        bounds, cut_off = [], []
 
-        def both(diag, off, gl, x, most, tail, _fn=eigensolver._count_up_to):
-            cut = _fn(diag, off, gl, x, most, tail)
-            if x > gl:
-                assert cut == eigensolver._ldlt(diag, off, x, most)[2], x
-                seen.append(x)
-            return cut
+        def certified(diag, off, n_levels, guesses, bound, _fn=eigensolver._certified_energies):
+            bounds.append(bound)
+            return _fn(diag, off, n_levels, guesses, bound)
 
+        def both(diag, off, gl, x, most, stop=None, _fn=eigensolver._count_up_to):
+            count = _fn(diag, off, gl, x, most, stop)
+            if stop is not None:
+                assert stop == stop_row(lowered_edges(diag, off)[1], x), x
+                assert count == eigensolver._ldlt(diag, off, x, most)[2], x
+                cut_off.append(x)
+            return count
+
+        monkeypatch.setattr(eigensolver, "_certified_energies", certified)
         monkeypatch.setattr(eigensolver, "_count_up_to", both)
         cli.cmd_verify(load_runs(runs))
-        assert len(seen) >= len(runs)
+        assert len(bounds) == len(runs)
+        assert cut_off == bounds
 
 
 class TestVerifyAccuracy:

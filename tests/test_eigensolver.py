@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import bisect_log, count_log, pass_rows, solve_log
+from conftest import bisect_log, count_log, lowered_edges, pass_rows, solve_log, stop_row
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.polynomial.hermite import hermval
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
@@ -203,6 +203,23 @@ class TestMatrixChecks:
         v = 0.5 * grid.points**2
         v[[100, 101]] = 1e308
         np.testing.assert_allclose(solve_constant_mass(grid, v, 2), [0.5, 1.5], rtol=1e-4)
+
+    @pytest.mark.parametrize(
+        "deep, n_levels",
+        [({1: -1.5e308}, 1), ({1: -1.5e308, 14: 1.5e308}, 1), ({1: -1.5e308, 8: -1e308}, 2)],
+        ids=["one-deep-row", "deep-and-high-rows", "two-deep-rows"],
+    )
+    def test_gershgorin_interval_past_the_float_range(self, deep, n_levels):
+        # finite entries whose Gershgorin interval is wider than the float
+        # range: bisection's width test gives inf, without a warning.  Each
+        # row of -1.5e308 or -1e308 holds one eigenvalue, its own entry to
+        # rounding: the grid's 1/h^2 = 225 is far below an ulp of it
+        v = np.zeros(16)
+        v[list(deep)] = list(deep.values())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energies = solve_constant_mass(Grid(0.0, 1.0, 16), v, n_levels)
+        np.testing.assert_allclose(energies, sorted(v)[:n_levels], rtol=4 * np.finfo(float).eps)
 
     def test_huge_finite_entries_refined_without_warning(self):
         # the |T| row sums reach 1e200, whose squares leave the float range
@@ -551,25 +568,13 @@ class TestBisection:
         assert np.all(np.abs(energies - exact) <= tol), (energies, exact)
 
 
-def gershgorin_tail(diag, off):
-    """(gl, the Gershgorin tail) of a tridiagonal matrix, as a solve forms
-    them (``eigensolver._gershgorin``)."""
-    gl, _, _, tail = eigensolver._gershgorin(diag, off, np.empty(diag.size), np.empty(diag.size))
-    return gl, tail
-
-
-#: tail block sizes for the small matrices of ``TestSturmCount``: a block
-#: of a solve's 64 rows holds every row of them
-SMALL_TAIL_BLOCKS = (1, 3)
-
-
 class TestSturmCount:
     """The LDL^T count up to x is stebz's count, and the eigenvalues' (of
     the dense matrix, by numpy), at every x more than 8 n eps ||T||_1 from
     each eigenvalue, without a floating-point warning.  Capped at ``most``,
-    it is the count or ``most`` + 1, whichever is less.  Cut off at the
-    Gershgorin tail, in blocks of one or three rows, it is the full count at
-    every x, bit for bit, and factorises no row twice."""
+    it is the count or ``most`` + 1, whichever is less.  Cut off at its stop
+    row, the last row whose lowered Gershgorin disc edge is at most x, it is
+    the full count at every x, bit for bit, and factorises no row twice."""
 
     @staticmethod
     def assert_counts_agree(diag, off, shifts):
@@ -578,10 +583,7 @@ class TestSturmCount:
         margin = 8 * diag.size * np.finfo(float).eps * gershgorin(diag, off)[1]
         with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
             warnings.simplefilter("error")
-            tails = []
-            for block in SMALL_TAIL_BLOCKS:
-                patch.setattr(eigensolver, "_TAIL_BLOCK", block)
-                tails.append((block, *gershgorin_tail(diag, off)))
+            gl, edges = lowered_edges(diag, off)
             rows = pass_rows(patch, [])
             for x in shifts:
                 # a distance past the float range is inf, and far enough
@@ -593,13 +595,12 @@ class TestSturmCount:
                 assert capped == [min(count, most + 1) for most in range(diag.size)], x
                 # most = n leaves the count uncapped
                 capped.append(count)
-                for block, gl, tail in tails:
-                    patch.setattr(eigensolver, "_TAIL_BLOCK", block)
-                    for most, full in enumerate(capped):
-                        rows.clear()
-                        cut = eigensolver._count_up_to(diag, off, gl, x, most, tail)
-                        assert cut == full, (x, most, block)
-                        assert sum(rows) <= diag.size, (x, most, block, rows)
+                stop = stop_row(edges, x)
+                for most, full in enumerate(capped):
+                    rows.clear()
+                    cut = eigensolver._count_up_to(diag, off, gl, x, most, stop)
+                    assert cut == full, (x, most, stop)
+                    assert sum(rows) <= diag.size, (x, most, stop, rows)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -644,8 +645,8 @@ class TestSturmCount:
              [0.75, 1.0 - 1e-12, 1.0 + 1e-12, 1.5, 2.0 - 1e-12, 2.0 + 1e-12, 2.5, 4.0]),
             # T - x I overflows at the ends: an infinite pivot of the right sign
             ([-1.5e308, 1.0, 2.0, 1.5e308], [1.0, 1.0, 1.0], [-1e308, 1e308]),
-            # at x = 0 the Gershgorin tail starts at row 3: the pivots of rows
-            # 0..2 are 1, 1, 0, an exact zero at row p = 2
+            # at x = 0 the stop row is p = 2, the last whose disc edge is at
+            # most 0: the pivots of rows 0..2 are 1, 1, 0, an exact zero at p
             ([1.0, 2.0, 1.0, 10.0, 10.0, 10.0], [1.0] * 5, [0.0]),
             # the same at row p - 1 = 1, the pivot of row p = 2 then +inf,
             # whether its diagonal entry is 1.5 or 0.5, above or below
@@ -664,52 +665,52 @@ class TestSturmCount:
     def test_equals_stebz_on_edge_cases(self, diag, off, shifts):
         self.assert_counts_agree(diag, off, shifts)
 
-    #: (diag, off, x, most, tail block, the rows of each dpttrf pass)
+    #: (diag, off, x, most, the rows of each dpttrf pass)
     CUT_OFF_CASES = [
         # stops at row p = 14, whose pivot is at least |e_p|
-        (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.5, 24, 1, [13, 2]),
-        # the same in blocks of 4 rows: p = 15, the last row of block 3
-        (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.5, 24, 4, [13, 3]),
+        (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.5, 24, [13, 2]),
         # d_p < |e_p| at row p = 13: goes on past it with pttrf's update
-        (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.3, 24, 1, [14, 11]),
+        (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.3, 24, [14, 11]),
         # ``most`` reached inside rows 0..p
-        (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 4.0, 0, 1, [8]),
-        # no tail: every G_i <= x, or one block of every row
-        (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 19.0, 24, 1, [1, 2] + [1] * 21),
-        (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 0.5, 24, 64, [13, 12]),
+        (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 4.0, 0, [8]),
+        # no tail: every disc edge is at most x, p the last row
+        (1.0 + 0.5 * np.linspace(-6.0, 6.0, 25) ** 2, [-0.5] * 24, 19.0, 24, [1, 2] + [1] * 21),
+        # a disc edge that dips to 0.5 <= x past rows whose edges are 8:
+        # p = 4, the last such row, not row 1 before the first edge above
+        # x; a pivot <= 0 at row 1, then rows 2..4, and d_4 >= |e_4| stops
+        ([2.0, 2.0, 10.0, 10.0, 2.5, 10.0, 10.0], [1.0] * 6, 1.1, 7, [2, 3]),
         # a zero pivot at row p, below |e_p|: row p + 1's pivot is +inf
-        ([1.0, 2.0, 1.0, 10.0, 10.0, 10.0], [1.0] * 5, 0.0, 6, 1, [3, 3]),
+        ([1.0, 2.0, 1.0, 10.0, 10.0, 10.0], [1.0] * 5, 0.0, 6, [3, 3]),
         # past a zero pivot at row p - 1, row p's pivot is +inf, whatever
         # its entry (1.5 >= |e_p| or 0.5 < |e_p|)
-        ([1.0, 1.0, 1.5, 10.0, 10.0], [1.0] * 4, 0.0, 5, 1, [2]),
-        ([1.0, 1.0, 0.5, 10.0, 10.0], [1.0] * 4, 0.0, 5, 1, [2]),
+        ([1.0, 1.0, 1.5, 10.0, 10.0], [1.0] * 4, 0.0, 5, [2]),
+        ([1.0, 1.0, 0.5, 10.0, 10.0], [1.0] * 4, 0.0, 5, [2]),
     ]
     CUT_OFF_IDS = [
-        "stops", "stops-in-blocks", "goes-on", "most-reached", "no-tail", "one-block",
+        "stops", "goes-on", "most-reached", "no-tail", "dip-in-the-tail",
         "zero-pivot-at-row-p", "zero-pivot-before-row-p", "zero-pivot-before-row-p-2",
     ]
 
     @staticmethod
-    def cut_off_passes(monkeypatch, diag, off, x, most, block):
-        """(the cut-off count, the full count, the rows of each of the cut-off
-        count's dpttrf passes)."""
+    def cut_off_passes(monkeypatch, diag, off, x, most):
+        """(the count cut off at its stop row, the full count, the rows of
+        each of the cut-off count's dpttrf passes)."""
         diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
-        monkeypatch.setattr(eigensolver, "_TAIL_BLOCK", block)
-        gl, tail = gershgorin_tail(diag, off)
+        gl, edges = lowered_edges(diag, off)
         full = eigensolver._ldlt(diag, off, x, most)[2]
         rows = pass_rows(monkeypatch, [])
-        return eigensolver._count_up_to(diag, off, gl, x, most, tail), full, rows
+        return eigensolver._count_up_to(diag, off, gl, x, most, stop_row(edges, x)), full, rows
 
-    @pytest.mark.parametrize("diag, off, x, most, block, passes", CUT_OFF_CASES, ids=CUT_OFF_IDS)
-    def test_cut_off_paths(self, monkeypatch, diag, off, x, most, block, passes):
+    @pytest.mark.parametrize("diag, off, x, most, passes", CUT_OFF_CASES, ids=CUT_OFF_IDS)
+    def test_cut_off_paths(self, monkeypatch, diag, off, x, most, passes):
         # the passes a cut-off count makes, and its count, the full one
-        cut, full, rows = self.cut_off_passes(monkeypatch, diag, off, x, most, block)
+        cut, full, rows = self.cut_off_passes(monkeypatch, diag, off, x, most)
         assert cut == full
         assert rows == passes
 
     @pytest.mark.parametrize("case", CUT_OFF_CASES, ids=CUT_OFF_IDS)
     def test_no_row_factorised_twice(self, monkeypatch, case):
-        rows = self.cut_off_passes(monkeypatch, *case[:5])[2]
+        rows = self.cut_off_passes(monkeypatch, *case[:4])[2]
         assert sum(rows) <= len(case[0])
 
     @settings(max_examples=300, deadline=None)
